@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -216,6 +216,8 @@ class RunResult:
     builds: dict[str, SchemeBuild]
     records: list[BerRecord]
     gains: list[GainReport]
+    # scheme -> the earlier scheme with a bit-equal codebook whose records it copies
+    shared_codebooks: dict[str, str]
 
 
 def execute_run(config: RunConfig) -> RunResult:
@@ -235,14 +237,27 @@ def execute_run(config: RunConfig) -> RunResult:
 
     builds: dict[str, SchemeBuild] = {}
     records: list[BerRecord] = []
+    shared_codebooks: dict[str, str] = {}
     grid = config.snr_grid()
     pulses = config.effective_pulses()
     for scheme in config.schemes:
         build = build_scheme(scheme, table, design_channel=design_channel)
-        builds[scheme.value] = build
-        records.extend(
-            run_ber(build, table, grid, pulses, early_stop=config.early_stop)
+        # common random numbers make a bit-equal codebook's curve identical,
+        # so it is copied instead of simulated again
+        twin = next(
+            (
+                name
+                for name, earlier in builds.items()
+                if np.array_equal(earlier.member_matrices, build.member_matrices)
+            ),
+            None,
         )
+        builds[scheme.value] = build
+        if twin is None:
+            records.extend(run_ber(build, table, grid, pulses, early_stop=config.early_stop))
+        else:
+            shared_codebooks[scheme.value] = twin
+            records.extend([replace(r, scheme=scheme.value) for r in records if r.scheme == twin])
 
     gains: list[GainReport] = []
     if Scheme.BASELINE in config.schemes:
@@ -256,7 +271,14 @@ def execute_run(config: RunConfig) -> RunResult:
                     gains.append(measure_gain(base, current, target))
                 except ValueError:
                     continue
-    return RunResult(config=config, derived=derived, builds=builds, records=records, gains=gains)
+    return RunResult(
+        config=config,
+        derived=derived,
+        builds=builds,
+        records=records,
+        gains=gains,
+        shared_codebooks=shared_codebooks,
+    )
 
 
 _PLOT_SCRIPT = '''#!/usr/bin/env python3
@@ -404,6 +426,7 @@ def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
             "d_spacing": result.derived.d_spacing,
         },
         "schemes": schemes_meta,
+        "shared_codebooks": result.shared_codebooks,
         "conventions": {
             "bit_labeling": "natural binary over member rank",
             "snr": "per-entry average receive power over noise variance, 1/sigma^2",

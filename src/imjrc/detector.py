@@ -66,11 +66,24 @@ def gram_cache(member_mats: np.ndarray) -> GramCache:
     return GramCache(flat_conj=flat_conj, row_gram=row_gram)
 
 
+def image_norms(h: np.ndarray, cache: GramCache) -> np.ndarray:
+    """||H X_r||^2 for every pulse and hypothesis, as a (batch, n) real array.
+
+    The term depends on the channel and the codebook but not on the noise,
+    so a caller deciding the same channels at several SNR points can
+    compute it once and pass it to :func:`detect_batch`.
+    """
+    h = np.asarray(h)
+    hh = np.einsum("bcr,bcq->brq", h.conj(), h)
+    return np.ascontiguousarray(np.einsum("brq,nqr->bn", hh, cache.row_gram).real)
+
+
 def detect_batch(
     y: np.ndarray,
     h: np.ndarray,
     member_mats: np.ndarray,
     cache: GramCache | None = None,
+    image_norm: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Decide a batch of pulses at once.
 
@@ -84,6 +97,7 @@ def detect_batch(
     h : (batch, L_C, L_R) channels, one per pulse.
     member_mats : (n, L_R, L_T) hypotheses (pre-scaled if applicable).
     cache : optional :func:`gram_cache` of ``member_mats``.
+    image_norm : optional :func:`image_norms` of ``h`` and ``cache``.
 
     Returns (ranks, metrics), each of length batch.
     """
@@ -94,12 +108,12 @@ def detect_batch(
         cache = gram_cache(member_mats)
     if y.ndim != 3 or h.ndim != 3 or y.shape[0] != h.shape[0]:
         raise ValueError(f"batch shapes disagree: y {y.shape}, h {h.shape}")
+    if image_norm is None:
+        image_norm = image_norms(h, cache)
     batch = y.shape[0]
     # H^H Y, flattened to match the cached hypothesis layout
     hy = np.einsum("bcr,bct->brt", h.conj(), y).reshape(batch, -1)
     cross = (hy @ cache.flat_conj.T).real
-    hh = np.einsum("bcr,bcq->brq", h.conj(), h)
-    image_norm = np.einsum("brq,nqr->bn", hh, cache.row_gram).real
     y_norm = np.einsum("bct,bct->b", y, y.conj()).real
     metrics = y_norm[:, None] - 2.0 * cross + image_norm
     ranks = np.argmin(metrics, axis=1)

@@ -6,6 +6,11 @@ bit errors as the Hamming distance between the natural-binary labels of
 the sent and decoded ranks.  Per-trial substreams keyed by trial index
 make every cell of the (scheme x SNR) grid reuse the same channel and
 payload realizations, so scheme comparisons are paired.
+
+The loop is chunk-outer: a chunk of trials is drawn once and then decided
+at every SNR point, instead of being redrawn for each point.  Early stop is
+tracked per SNR point at chunk boundaries, so a point's pulse count is the
+same as if it had been run alone.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .channel import (
     substream,
 )
 from .crps import SchemeBuild
-from .detector import detect_batch, gram_cache
+from .detector import detect_batch, gram_cache, image_norms
 from .enumeration import CodewordTable
 
 EARLY_STOP_BIT_ERRORS = 500
@@ -75,10 +80,14 @@ def run_ber(
 ) -> list[BerRecord]:
     """Measure BER at each SNR point for one scheme.
 
-    ``early_stop`` ends an SNR point at the first chunk boundary with at
-    least :data:`EARLY_STOP_BIT_ERRORS` bit errors; the record's ``pulses``
-    reflects the trials actually run.  Results are independent of ``batch``
-    because randomness is keyed by trial index, not by chunk.
+    The loop runs chunk by chunk: each chunk of ``batch`` trials is drawn
+    once, its SNR-independent detector term is computed once, and then it
+    is decided at every SNR point still active.  ``early_stop`` ends an SNR
+    point at the first chunk boundary with at least
+    :data:`EARLY_STOP_BIT_ERRORS` bit errors; the record's ``pulses``
+    reflects the trials actually run at that point, and the loop ends once
+    no point is active.  Results are independent of ``batch`` because
+    randomness is keyed by trial index, not by chunk.
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
@@ -94,36 +103,49 @@ def run_ber(
     cache = gram_cache(mats)
     l_c, l_t = params.L_C, derived.L_T
 
-    records = []
-    for snr_db in snr_db_grid:
-        sigma2 = snr_to_sigma2(float(snr_db))
-        noise_scale = math.sqrt(sigma2)
-        bit_errors = 0
-        done = 0
-        while done < n_pulses:
-            size = min(batch, n_pulses - done)
-            ranks = np.empty(size, dtype=np.int64)
-            h = np.empty((size, l_c, params.L_R), dtype=complex)
-            noise = np.empty((size, l_c, l_t), dtype=complex)
-            for i in range(size):
-                trial = done + i
-                ranks[i] = substream(seed, TAG_BITS, trial).integers(n_members)
-                h[i] = draw_channel(l_c, params.L_R, substream(seed, TAG_CHANNEL, trial))
-                noise[i] = complex_normal(substream(seed, TAG_NOISE, trial), (l_c, l_t))
+    noise_scales = [math.sqrt(snr_to_sigma2(float(snr_db))) for snr_db in snr_db_grid]
+    bit_errors = [0] * len(noise_scales)
+    pulses = [0] * len(noise_scales)
+    active = [True] * len(noise_scales)
+    # one set of draw buffers serves every chunk; allocating them per chunk
+    # fragments the heap and raises the peak resident memory of a run
+    width = min(batch, n_pulses)
+    ranks_buf = np.empty(width, dtype=np.int64)
+    h_buf = np.empty((width, l_c, params.L_R), dtype=complex)
+    noise_buf = np.empty((width, l_c, l_t), dtype=complex)
+    done = 0
+    while done < n_pulses and any(active):
+        size = min(batch, n_pulses - done)
+        ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
+        for i in range(size):
+            trial = done + i
+            ranks[i] = substream(seed, TAG_BITS, trial).integers(n_members)
+            h[i] = draw_channel(l_c, params.L_R, substream(seed, TAG_CHANNEL, trial))
+            noise[i] = complex_normal(substream(seed, TAG_NOISE, trial), (l_c, l_t))
+        image_norm = image_norms(h, cache)
+        for k, noise_scale in enumerate(noise_scales):
+            if not active[k]:
+                continue
+            # the signal is rebuilt per point rather than held across the
+            # loop, which keeps one fewer chunk-sized array alive
             y = h @ mats[ranks] + noise_scale * noise
-            decoded, _ = detect_batch(y, h, mats, cache)
-            bit_errors += int(np.bitwise_count(ranks ^ decoded).sum())
-            done += size
-            if early_stop and bit_errors >= EARLY_STOP_BIT_ERRORS:
-                break
-        n_bits = done * b_bits
-        ber = bit_errors / n_bits
+            decoded, _ = detect_batch(y, h, mats, cache, image_norm=image_norm)
+            bit_errors[k] += int(np.bitwise_count(ranks ^ decoded).sum())
+            pulses[k] += size
+            if early_stop and bit_errors[k] >= EARLY_STOP_BIT_ERRORS:
+                active[k] = False
+        done += size
+
+    records = []
+    for snr_db, point_pulses, point_errors in zip(snr_db_grid, pulses, bit_errors):
+        n_bits = point_pulses * b_bits
+        ber = point_errors / n_bits
         records.append(
             BerRecord(
                 scheme=build.scheme.value,
                 snr_db=float(snr_db),
-                pulses=done,
-                bit_errors=bit_errors,
+                pulses=point_pulses,
+                bit_errors=point_errors,
                 ber=ber,
                 ci_halfwidth=binomial_halfwidth(ber, n_bits),
             )

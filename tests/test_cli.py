@@ -1,11 +1,13 @@
 """Config parsing, complexity estimates, artifact round trips, CLI smoke tests."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from imjrc import cli
 from imjrc.cli import (
     ConfigError,
     RunConfig,
@@ -23,7 +25,7 @@ from imjrc.cli import (
 )
 from imjrc.crps import Scheme
 from imjrc.params import SystemParams, derive
-from imjrc.sim import GainReport
+from imjrc.sim import GainReport, run_ber
 
 SMALL_CONFIG = """\
 # small scenario used across the CLI tests
@@ -250,6 +252,50 @@ class TestArtifacts:
         assert rebuilt == config
 
 
+@pytest.fixture(scope="module")
+def default_run_counted(tmp_path_factory):
+    """A short default-scenario run, counting the Monte Carlo calls it makes."""
+    calls = []
+
+    def counting_run_ber(build, *args, **kwargs):
+        calls.append(build.scheme.value)
+        return run_ber(build, *args, **kwargs)
+
+    config = RunConfig(snr_start=-10.0, snr_stop=-8.0, snr_step=2.0, pulses=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_ber", counting_run_ber)
+        result = execute_run(config)
+    paths = emit_results(result, str(tmp_path_factory.mktemp("default_run")))
+    with open(paths["meta"]) as fh:
+        meta = json.load(fh)
+    return result, calls, meta
+
+
+class TestSharedCodebooks:
+    def test_simulates_each_distinct_codebook_once(self, default_run_counted):
+        _, calls, _ = default_run_counted
+        assert calls == ["baseline", "codebook_only"]
+
+    def test_twins_copy_rows_apart_from_scheme(self, default_run_counted):
+        result, _, _ = default_run_counted
+        rows = {}
+        for r in result.records:
+            rows.setdefault(r.scheme, []).append(dataclasses.replace(r, scheme=""))
+        assert list(rows) == [s.value for s in Scheme]
+        assert rows["crps_only"] == rows["baseline"]
+        assert rows["codebook_then_crps"] == rows["codebook_only"]
+        assert rows["crps_then_codebook"] == rows["codebook_only"]
+        assert rows["baseline"] != rows["codebook_only"]
+
+    def test_meta_records_shared_codebooks(self, default_run_counted):
+        _, _, meta = default_run_counted
+        assert meta["shared_codebooks"] == {
+            "crps_only": "baseline",
+            "codebook_then_crps": "codebook_only",
+            "crps_then_codebook": "codebook_only",
+        }
+
+
 class TestDivergenceReport:
     def _gain(self, scheme, gain_db, target=1e-3):
         return GainReport(
@@ -329,6 +375,9 @@ class TestMainCommands:
         records = read_ber_csv(str(out_dir / "ber.csv"))
         assert len(records) == 2
         assert all(r.pulses == 60 for r in records)
+        # one scheme has no earlier codebook to share
+        with open(out_dir / "meta.json") as fh:
+            assert json.load(fh)["shared_codebooks"] == {}
 
     def test_gain_command(self, tmp_path, capsys):
         csv = tmp_path / "ber.csv"

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from imjrc.channel import TAG_TPS, substream
+from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
 from imjrc.codebook import Provenance, distance_matrix, med
 from imjrc.crps import (
     Scheme,
@@ -103,6 +103,20 @@ class TestCandidateScoring:
             dist = distance_matrix(apply_tps(mats, alpha), channel=h)
             expect, _ = med(dist, range(4))
             assert meds[d] == pytest.approx(expect, rel=1e-9)
+
+    def test_channel_path_is_bit_equal_to_med(self, small_table, small_params):
+        # the channel path takes the minimum off the diagonal in place; it
+        # must give med()'s value exactly, or the selected factor could move
+        n_valid = 1 << small_table.derived.B
+        mats = small_table.matrices[:n_valid]
+        h = draw_channel(small_params.L_C, small_params.L_R, substream(3, TAG_DESIGN_CHANNEL))
+        pool = generate_tps(small_params.D, small_params.L_R, substream(3, TAG_TPS))
+        meds = candidate_meds(pool, mats, channel=h)
+        expect = [
+            med(distance_matrix(apply_tps(mats, alpha), channel=h), range(n_valid))[0]
+            for alpha in pool
+        ]
+        assert meds.tolist() == expect
 
     def test_select_never_below_identity(self):
         rng = np.random.default_rng(7)

@@ -5,7 +5,7 @@ import pytest
 
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
 from imjrc.crps import apply_tps
-from imjrc.detector import detect, detect_batch, gram_cache
+from imjrc.detector import detect, detect_batch, gram_cache, image_norms
 
 
 def _brute_force(y, h, member_mats):
@@ -119,6 +119,19 @@ class TestDetectBatch:
         cached = detect_batch(y, h, mats, cache=gram_cache(mats))
         assert np.array_equal(fresh[0], cached[0])
         assert np.array_equal(fresh[1], cached[1])
+
+    def test_precomputed_image_norm_is_bit_identical(self, small_table):
+        mats = small_table.matrices[:16]
+        rng = np.random.default_rng(17)
+        h = rng.standard_normal((50, 2, 4)) + 1j * rng.standard_normal((50, 2, 4))
+        y = rng.standard_normal((50, 2, 13)) + 1j * rng.standard_normal((50, 2, 13))
+        cache = gram_cache(mats)
+        norms = image_norms(h, cache)
+        assert norms.shape == (50, 16) and norms.dtype == float and norms.flags.c_contiguous
+        fresh = detect_batch(y, h, mats, cache)
+        reused = detect_batch(y, h, mats, cache, image_norm=norms)
+        assert np.array_equal(fresh[0], reused[0])
+        assert np.array_equal(fresh[1], reused[1])
 
     def test_noiseless_batch(self, small_table):
         mats = small_table.matrices[:16]

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from imjrc import sim
+from imjrc.channel import substream
 from imjrc.crps import Scheme, build_scheme
 from imjrc.sim import (
     EARLY_STOP_BIT_ERRORS,
@@ -60,6 +62,41 @@ class TestRunBer:
         a = run_ber(small_baseline, small_table, [-3.0], 257, batch=7)
         b = run_ber(small_baseline, small_table, [-3.0], 257, batch=64)
         assert a == b
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("batch", [256, 1024])
+    def test_grid_records_match_single_point_runs(
+        self, small_baseline, small_table, early_stop, batch
+    ):
+        # the grid spans points that stop after one chunk, after several,
+        # and never, so the per-point early-stop cuts are all exercised
+        grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
+        together = run_ber(
+            small_baseline, small_table, grid, 3000, early_stop=early_stop, batch=batch
+        )
+        alone = [
+            run_ber(small_baseline, small_table, [snr], 3000, early_stop=early_stop, batch=batch)[0]
+            for snr in grid
+        ]
+        assert together == alone
+        if early_stop:
+            assert len({r.pulses for r in together}) > 1
+
+    def test_draws_each_trial_once_across_the_grid(
+        self, small_baseline, small_table, monkeypatch
+    ):
+        calls = 0
+
+        def counting_substream(*args):
+            nonlocal calls
+            calls += 1
+            return substream(*args)
+
+        monkeypatch.setattr(sim, "substream", counting_substream)
+        grid = [-16.0 + 2.0 * k for k in range(11)]
+        records = run_ber(small_baseline, small_table, grid, 300)
+        assert [r.pulses for r in records] == [300] * 11
+        assert calls == 3 * 300
 
     def test_explicit_master_seed_overrides_scenario_seed(self, small_baseline, small_table):
         a = run_ber(small_baseline, small_table, [0.0], 300)
