@@ -10,21 +10,22 @@ standalone plot script.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from .codebook import export_codebook_csv
-from .crps import Scheme, SchemeBuild, build_scheme
-from .enumeration import build_table, export_table_csv
+from .crps import Scheme, SchemeBuild, TpsFactor, build_scheme
+from .enumeration import CodewordTable, build_table, export_table_csv
 from .params import DerivedParams, SystemParams, derive
 from .sim import BerRecord, GainReport, measure_gain, run_ber
 
@@ -79,8 +80,9 @@ class ConfigError(ValueError):
     """A config file problem, with file and line context."""
 
 
-_INT_KEYS = {"m": "M", "k": "K", "l_r": "L_R", "l_c": "L_C", "d": "D", "master_seed": "master_seed"}
-_FLOAT_KEYS = {"f_c": "f_c", "delta_f": "delta_f", "theta": "theta", "t_p": "T_p", "t_r": "T_r"}
+_PARAM_TYPES = get_type_hints(SystemParams)
+# config key (the lower-cased field name) -> (SystemParams field, converter)
+_PARAM_KEYS = {f.name.lower(): (f.name, _PARAM_TYPES[f.name]) for f in fields(SystemParams)}
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
@@ -132,10 +134,9 @@ def load_config(path: str) -> RunConfig:
             key = key.strip().lower()
             raw = raw.strip()
             try:
-                if key in _INT_KEYS:
-                    param_kwargs[_INT_KEYS[key]] = int(raw)
-                elif key in _FLOAT_KEYS:
-                    param_kwargs[_FLOAT_KEYS[key]] = float(raw)
+                if key in _PARAM_KEYS:
+                    name, convert = _PARAM_KEYS[key]
+                    param_kwargs[name] = convert(raw)
                 elif key == "schemes":
                     run_kwargs["schemes"] = _parse_schemes(raw, path, lineno)
                 elif key == "snr_db":
@@ -220,21 +221,25 @@ class RunResult:
     shared_codebooks: dict[str, str]
 
 
+def _design_inputs(config: RunConfig) -> tuple[CodewordTable, np.ndarray | None]:
+    """The codeword table and, with ``channel_aware_med``, the seeded design channel."""
+    params = config.params
+    table = build_table(params, derive(params))
+    design_channel = None
+    if config.channel_aware_med:
+        design_channel = draw_channel(
+            params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL)
+        )
+    return table, design_channel
+
+
 def execute_run(config: RunConfig) -> RunResult:
     """Build every scheme in the config and measure its BER curve.
 
     Gains against the baseline are computed at 1e-3 and 1e-4 whenever the
     baseline is part of the run and both curves bracket the target.
     """
-    params = config.params
-    derived = derive(params)
-    table = build_table(params, derived)
-    design_channel = None
-    if config.channel_aware_med:
-        design_channel = draw_channel(
-            params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL)
-        )
-
+    table, design_channel = _design_inputs(config)
     builds: dict[str, SchemeBuild] = {}
     records: list[BerRecord] = []
     shared_codebooks: dict[str, str] = {}
@@ -273,7 +278,7 @@ def execute_run(config: RunConfig) -> RunResult:
                     continue
     return RunResult(
         config=config,
-        derived=derived,
+        derived=table.derived,
         builds=builds,
         records=records,
         gains=gains,
@@ -316,19 +321,8 @@ print(here / "ber.png")
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    p = config.params
     return {
-        "m": p.M,
-        "k": p.K,
-        "l_r": p.L_R,
-        "l_c": p.L_C,
-        "f_c": p.f_c,
-        "delta_f": p.delta_f,
-        "theta": p.theta,
-        "t_p": p.T_p,
-        "t_r": p.T_r,
-        "d": p.D,
-        "master_seed": p.master_seed,
+        **{key: getattr(config.params, name) for key, (name, _) in _PARAM_KEYS.items()},
         "schemes": [s.value for s in config.schemes],
         "snr_start": config.snr_start,
         "snr_stop": config.snr_stop,
@@ -344,21 +338,8 @@ def config_to_dict(config: RunConfig) -> dict:
 def runconfig_from_meta(meta: dict) -> RunConfig:
     """Rebuild the exact RunConfig a meta.json was produced by."""
     cfg = meta["config"]
-    params = SystemParams(
-        M=cfg["m"],
-        K=cfg["k"],
-        L_R=cfg["l_r"],
-        L_C=cfg["l_c"],
-        f_c=cfg["f_c"],
-        delta_f=cfg["delta_f"],
-        theta=cfg["theta"],
-        T_p=cfg["t_p"],
-        T_r=cfg["t_r"],
-        D=cfg["d"],
-        master_seed=cfg["master_seed"],
-    )
     return RunConfig(
-        params=params,
+        params=SystemParams(**{name: cfg[key] for key, (name, _) in _PARAM_KEYS.items()}),
         schemes=tuple(Scheme(s) for s in cfg["schemes"]),
         snr_start=cfg["snr_start"],
         snr_stop=cfg["snr_stop"],
@@ -369,6 +350,13 @@ def runconfig_from_meta(meta: dict) -> RunConfig:
         channel_aware_med=cfg["channel_aware_med"],
         early_stop=cfg["early_stop"],
     )
+
+
+def _tps_json(tps: TpsFactor) -> dict:
+    return {
+        "d_index": tps.d_index,
+        "alpha": [[float(a.real), float(a.imag)] for a in tps.alpha],
+    }
 
 
 def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
@@ -398,33 +386,17 @@ def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
 
     schemes_meta = {}
     for name, build in result.builds.items():
-        tps_meta = None
-        if build.tps is not None:
-            tps_meta = {
-                "d_index": build.tps.d_index,
-                "alpha": [[float(a.real), float(a.imag)] for a in build.tps.alpha],
-            }
         schemes_meta[name] = {
             "provenance": build.codebook.provenance.value,
             "med": build.codebook.med,
             "members": len(build.codebook.member_ids),
             "member_ids": list(build.codebook.member_ids),
-            "tps": tps_meta,
+            "tps": None if build.tps is None else _tps_json(build.tps),
         }
     meta = {
         "package": {"name": "imjrc", "version": __version__},
         "config": config_to_dict(result.config),
-        "derived": {
-            "L_K": result.derived.L_K,
-            "T_s": result.derived.T_s,
-            "L_T": result.derived.L_T,
-            "card_zeta": result.derived.card_zeta,
-            "card_P": result.derived.card_P,
-            "C_total": result.derived.C_total,
-            "B": result.derived.B,
-            "Q": result.derived.Q,
-            "d_spacing": result.derived.d_spacing,
-        },
+        "derived": asdict(result.derived),
         "schemes": schemes_meta,
         "shared_codebooks": result.shared_codebooks,
         "conventions": {
@@ -520,56 +492,30 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Config file first, then command-line overrides."""
     config = load_config(args.config) if args.config else RunConfig()
-    params = config.params
-    kwargs = {
-        "schemes": config.schemes,
-        "snr_start": config.snr_start,
-        "snr_stop": config.snr_stop,
-        "snr_step": config.snr_step,
-        "pulses": config.pulses,
-        "out_dir": config.out_dir,
+    overrides = {
         "full": config.full or args.full,
         "channel_aware_med": config.channel_aware_med or args.channel_aware_med,
         "early_stop": config.early_stop or args.early_stop,
     }
     if args.scheme:
-        names = [n.strip() for chunk in args.scheme for n in chunk.split(",") if n.strip()]
-        try:
-            kwargs["schemes"] = tuple(Scheme(n) for n in names)
-        except ValueError as exc:
-            valid = ", ".join(s.value for s in Scheme)
-            raise ConfigError(f"--scheme: {exc} (valid schemes: {valid})") from None
+        overrides["schemes"] = _parse_schemes(",".join(args.scheme), "--scheme", 0)
     if args.snr:
-        kwargs["snr_start"], kwargs["snr_stop"], kwargs["snr_step"] = _parse_snr(
+        overrides["snr_start"], overrides["snr_stop"], overrides["snr_step"] = _parse_snr(
             args.snr, "--snr", 0
         )
     if args.pulses is not None:
-        kwargs["pulses"] = args.pulses
+        overrides["pulses"] = args.pulses
     if args.out:
-        kwargs["out_dir"] = args.out
+        overrides["out_dir"] = args.out
     if args.seed is not None:
-        params = SystemParams(
-            M=params.M,
-            K=params.K,
-            L_R=params.L_R,
-            L_C=params.L_C,
-            f_c=params.f_c,
-            delta_f=params.delta_f,
-            theta=params.theta,
-            T_p=params.T_p,
-            T_r=params.T_r,
-            D=params.D,
-            master_seed=args.seed,
-        )
-    return RunConfig(params=params, **kwargs)
+        overrides["params"] = replace(config.params, master_seed=args.seed)
+    return replace(config, **overrides)
 
 
 def read_ber_csv(path: str) -> list[BerRecord]:
-    import csv as _csv
-
     records = []
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
+        for row in csv.DictReader(fh):
             records.append(
                 BerRecord(
                     scheme=row["scheme"],
@@ -585,24 +531,15 @@ def read_ber_csv(path: str) -> list[BerRecord]:
 
 def _cmd_derive(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    derived = derive(config.params)
-    for name in ("M", "K", "L_R", "L_C", "f_c", "delta_f", "theta", "T_p", "T_r", "D", "master_seed"):
-        print(f"{name} = {getattr(config.params, name)}")
-    for name in ("L_K", "T_s", "L_T", "card_zeta", "card_P", "C_total", "B", "Q", "d_spacing"):
-        print(f"{name} = {getattr(derived, name)}")
+    for quantities in (config.params, derive(config.params)):
+        for f in fields(quantities):
+            print(f"{f.name} = {getattr(quantities, f.name)}")
     return 0
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
     config = build_run_config(args)
-    params = config.params
-    derived = derive(params)
-    table = build_table(params, derived)
-    design_channel = None
-    if config.channel_aware_med:
-        design_channel = draw_channel(
-            params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL)
-        )
+    table, design_channel = _design_inputs(config)
     os.makedirs(config.out_dir, exist_ok=True)
     export_table_csv(table, os.path.join(config.out_dir, "table.csv"))
     for scheme in config.schemes:
@@ -613,14 +550,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
         if build.tps is not None:
             tps_path = os.path.join(config.out_dir, f"tps_{scheme.value}.json")
             with open(tps_path, "w") as fh:
-                json.dump(
-                    {
-                        "d_index": build.tps.d_index,
-                        "alpha": [[float(a.real), float(a.imag)] for a in build.tps.alpha],
-                    },
-                    fh,
-                    indent=2,
-                )
+                json.dump(_tps_json(build.tps), fh, indent=2)
                 fh.write("\n")
         tps_note = f", tps candidate {build.tps.d_index}" if build.tps else ""
         print(

@@ -38,59 +38,38 @@ class Codebook:
     provenance: Provenance
 
 
-def distance_matrix(
-    mats: np.ndarray,
-    row_weights: np.ndarray | None = None,
-    channel: np.ndarray | None = None,
-) -> np.ndarray:
+def _gram_distances(flat: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``flat``, clamped at zero.
+
+    Uses the Gram identity ||u - v||^2 = ||u||^2 + ||v||^2 - 2 Re<u, v>,
+    one matmul for all pairs; rounding can leave tiny negatives, which the
+    clamp removes.
+    """
+    sq = np.einsum("nt,nt->n", flat, flat.conj()).real
+    gram = (flat @ flat.conj().T).real
+    dist = sq[:, None] + sq[None, :] - 2.0 * gram
+    return np.maximum(dist, 0.0, out=dist)
+
+
+def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.ndarray:
     """All-pairs squared Frobenius distances between codeword matrices.
 
     Parameters
     ----------
-    mats : (n, L_R, L_T) complex array of codewords.
-    row_weights : optional per-antenna-row non-negative weights; entry
-        (i, j) becomes sum_l row_weights[l] * ||mats[i,l] - mats[j,l]||^2,
-        the distance after scaling row l by alpha_l with |alpha_l|^2 equal
-        to the weight.
+    mats : (n, L_R, L_T) complex array of codewords.  To measure distances
+        after pre-scaling, pass the scaled matrices.
     channel : optional (L_C, L_R) matrix; distances are computed between
         channel @ mats[i] instead of the codewords themselves.
 
-    Computed via the Gram identity ||u - v||^2 = ||u||^2 + ||v||^2
-    - 2 Re<u, v>, one matmul per call (or per row when weighted).  The
-    result is exactly symmetric with a zero diagonal and no negative
+    The result is exactly symmetric with a zero diagonal and no negative
     entries.
     """
     mats = np.asarray(mats)
     if mats.ndim != 3:
         raise ValueError(f"expected (n, L_R, L_T) matrices, got shape {mats.shape}")
     if channel is not None:
-        if row_weights is not None:
-            # post-channel distances depend on the scaling phases, not just
-            # the weights; scale the matrices first instead
-            raise ValueError("row_weights cannot be combined with a channel")
         mats = np.einsum("cr,nrt->nct", channel, mats)
-    n = mats.shape[0]
-    if row_weights is None:
-        flat = mats.reshape(n, -1)
-        sq = np.einsum("nt,nt->n", flat, flat.conj()).real
-        gram = (flat @ flat.conj().T).real
-        dist = sq[:, None] + sq[None, :] - 2.0 * gram
-    else:
-        weights = np.asarray(row_weights, dtype=float)
-        if weights.shape != (mats.shape[1],):
-            raise ValueError(
-                f"row_weights must have shape ({mats.shape[1]},), got {weights.shape}"
-            )
-        if np.any(weights < 0.0):
-            raise ValueError("row_weights must be non-negative")
-        dist = np.zeros((n, n))
-        for l in range(mats.shape[1]):
-            rows = mats[:, l, :]
-            sq = np.einsum("nt,nt->n", rows, rows.conj()).real
-            gram = (rows @ rows.conj().T).real
-            dist += weights[l] * (sq[:, None] + sq[None, :] - 2.0 * gram)
-    np.maximum(dist, 0.0, out=dist)
-    dist = np.triu(dist, 1)
+    dist = np.triu(_gram_distances(mats.reshape(mats.shape[0], -1)), 1)
     return dist + dist.T
 
 
@@ -107,11 +86,7 @@ def pair_row_distances(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     i_idx, j_idx = np.triu_indices(n, 1)
     rowdist = np.empty((i_idx.size, l_r))
     for l in range(l_r):
-        rows = mats[:, l, :]
-        sq = np.einsum("nt,nt->n", rows, rows.conj()).real
-        gram = (rows @ rows.conj().T).real
-        d = sq[:, None] + sq[None, :] - 2.0 * gram
-        rowdist[:, l] = np.maximum(d[i_idx, j_idx], 0.0)
+        rowdist[:, l] = _gram_distances(mats[:, l, :])[i_idx, j_idx]
     return i_idx, j_idx, rowdist
 
 

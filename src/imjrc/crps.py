@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +60,9 @@ class SchemeBuild:
     """Everything a simulation needs for one scheme.
 
     ``member_matrices[r]`` is the transmitted codeword for rank r, with any
-    selected pre-scaling already applied.
+    selected pre-scaling already applied.  For an unpruned, unscaled member
+    set it is a view of the table's first 2^B rows, so treat it as
+    read-only.
     """
 
     scheme: Scheme
@@ -144,6 +147,35 @@ def select_tps(
     return TpsFactor(alpha=candidates[best], d_index=best), float(meds[best])
 
 
+class _Recipe(NamedTuple):
+    """The two optional design stages of a scheme.
+
+    ``crps`` is None (no pre-scaling), "before" (factor selected over the
+    full table, then pruning under the scaled distances) or "after" (factor
+    selected over the final member set).
+    """
+
+    prune: bool
+    crps: str | None
+    provenance: Provenance
+
+
+_RECIPES = {
+    Scheme.BASELINE: _Recipe(False, None, Provenance.BASELINE),
+    Scheme.CODEBOOK_ONLY: _Recipe(True, None, Provenance.PRUNED),
+    Scheme.CRPS_ONLY: _Recipe(False, "after", Provenance.CRPS_ONLY),
+    Scheme.CODEBOOK_THEN_CRPS: _Recipe(True, "after", Provenance.PRUNED_THEN_CRPS),
+    Scheme.CRPS_THEN_CODEBOOK: _Recipe(True, "before", Provenance.CRPS_THEN_PRUNED),
+}
+
+
+def _scaled(mats: np.ndarray, tps: TpsFactor | None) -> np.ndarray:
+    """``mats`` under the factor; the identity (index 0) leaves them as they are."""
+    if tps is None or tps.d_index == 0:
+        return mats
+    return apply_tps(mats, tps.alpha)
+
+
 def build_scheme(
     scheme: Scheme,
     table: CodewordTable,
@@ -156,58 +188,32 @@ def build_scheme(
     post-channel distance (detection is unaffected).  The pre-scaling
     candidate pool is drawn from a dedicated substream of ``master_seed``
     (default: the scenario's master seed), so all schemes of a scenario
-    score the same pool.
+    score the same pool.  The codebook's MED is the one its last design
+    stage measured.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
     if n_valid < 2:
         raise ValueError("scenario carries no information: fewer than two valid codewords")
     scheme = Scheme(scheme)
-    seed = params.master_seed if master_seed is None else master_seed
-    baseline_members = tuple(range(n_valid))
-
-    def scaled(member_ids: tuple[int, ...], tps: TpsFactor | None) -> np.ndarray:
-        mats = table.matrices[np.asarray(member_ids)]
-        if tps is None or tps.d_index == 0:
-            return mats
-        return apply_tps(mats, tps.alpha)
-
-    if scheme is Scheme.BASELINE:
-        dist = distance_matrix(table.matrices[: n_valid], channel=design_channel)
-        base_med, _ = med(dist, baseline_members)
-        book = Codebook(baseline_members, base_med, Provenance.BASELINE)
-        return SchemeBuild(scheme, book, None, scaled(baseline_members, None))
-
-    if scheme is Scheme.CODEBOOK_ONLY:
-        dist = distance_matrix(table.matrices, channel=design_channel)
-        book, _ = greedy_prune(dist, n_valid, Provenance.PRUNED)
-        return SchemeBuild(scheme, book, None, scaled(book.member_ids, None))
-
-    candidates = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
-
-    if scheme is Scheme.CRPS_ONLY:
-        mats = table.matrices[: n_valid]
-        tps, best_med = select_tps(candidates, mats, channel=design_channel)
-        book = Codebook(baseline_members, best_med, Provenance.CRPS_ONLY)
-        return SchemeBuild(scheme, book, tps, scaled(baseline_members, tps))
-
-    if scheme is Scheme.CODEBOOK_THEN_CRPS:
-        dist = distance_matrix(table.matrices, channel=design_channel)
-        pruned, _ = greedy_prune(dist, n_valid, Provenance.PRUNED)
-        mats = table.matrices[np.asarray(pruned.member_ids)]
-        tps, best_med = select_tps(candidates, mats, channel=design_channel)
-        book = Codebook(pruned.member_ids, best_med, Provenance.PRUNED_THEN_CRPS)
-        return SchemeBuild(scheme, book, tps, scaled(book.member_ids, tps))
-
-    if scheme is Scheme.CRPS_THEN_CODEBOOK:
+    recipe = _RECIPES[scheme]
+    tps = None
+    if recipe.crps is not None:
+        seed = params.master_seed if master_seed is None else master_seed
+        candidates = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
+    if recipe.crps == "before":
         tps, _ = select_tps(candidates, table.matrices, channel=design_channel)
-        if tps.d_index == 0:
-            dist = distance_matrix(table.matrices, channel=design_channel)
-        elif design_channel is not None:
-            dist = distance_matrix(apply_tps(table.matrices, tps.alpha), channel=design_channel)
-        else:
-            dist = distance_matrix(table.matrices, row_weights=np.abs(tps.alpha) ** 2)
-        book, _ = greedy_prune(dist, n_valid, Provenance.CRPS_THEN_PRUNED)
-        return SchemeBuild(scheme, book, tps, scaled(book.member_ids, tps))
-
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if recipe.prune:
+        dist = distance_matrix(_scaled(table.matrices, tps), channel=design_channel)
+        pruned, _ = greedy_prune(dist, n_valid)
+        member_ids, book_med = pruned.member_ids, pruned.med
+        members = table.matrices[np.asarray(member_ids)]
+    else:
+        member_ids = tuple(range(n_valid))
+        members = table.matrices[:n_valid]
+    if recipe.crps == "after":
+        tps, book_med = select_tps(candidates, members, channel=design_channel)
+    elif not recipe.prune:
+        book_med, _ = med(distance_matrix(members, channel=design_channel), member_ids)
+    book = Codebook(member_ids, book_med, recipe.provenance)
+    return SchemeBuild(scheme, book, tps, _scaled(members, tps))

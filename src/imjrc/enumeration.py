@@ -155,15 +155,3 @@ def export_table_csv(table: CodewordTable, path: str) -> None:
                     "-".join(map(str, table.allocations[cid.allocation_index])),
                 ]
             )
-
-
-if __name__ == "__main__":
-    from .params import derive
-
-    p = SystemParams()
-    d = derive(p)
-    t = build_table(p, d)
-    assert len(t) == 420
-    assert t.subset_of(0) == (0, 1) and t.allocation_of(0) == (0, 0, 0, 1, 1, 1)
-    assert bits_to_rank(rank_to_bits(255, 8)) == 255
-    print("table", t.matrices.shape)

@@ -129,12 +129,3 @@ def derive(params: SystemParams) -> DerivedParams:
         Q=q,
         d_spacing=d_spacing,
     )
-
-
-if __name__ == "__main__":
-    p = SystemParams()
-    d = derive(p)
-    assert d.card_zeta == 21 and d.card_P == 20 and d.C_total == 420
-    assert d.B == 8 and d.Q == 164 and d.L_T == 71
-    print(p)
-    print(d)

@@ -251,6 +251,34 @@ class TestArtifacts:
         rebuilt = runconfig_from_meta({"config": config_to_dict(config)})
         assert rebuilt == config
 
+    def test_every_param_key_round_trips(self, tmp_path):
+        # one non-default value per SystemParams field, each set by its config key
+        values = {
+            "M": 6,
+            "K": 3,
+            "L_R": 9,
+            "L_C": 3,
+            "f_c": 2.4e9,
+            "delta_f": 5e6,
+            "theta": 0.3,
+            "T_p": 5e-7,
+            "T_r": 3e-6,
+            "D": 17,
+            "master_seed": 4242,
+        }
+        default = SystemParams()
+        assert list(values) == [f.name for f in dataclasses.fields(SystemParams)]
+        assert all(getattr(default, name) != value for name, value in values.items())
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(f"{name.lower()} = {value!r}\n" for name, value in values.items()))
+        config = load_config(str(path))
+        assert config.params == SystemParams(**values)
+        meta = json.loads(json.dumps({"config": config_to_dict(config)}))
+        rebuilt = runconfig_from_meta(meta)
+        assert rebuilt == config
+        for name, value in values.items():
+            assert type(getattr(rebuilt.params, name)) is type(value)
+
 
 @pytest.fixture(scope="module")
 def default_run_counted(tmp_path_factory):

@@ -49,25 +49,6 @@ class TestDistanceMatrix:
         dist = distance_matrix(np.stack([x, -x]))
         assert dist[0, 1] == pytest.approx(4.0 * small_derived.L_T, rel=1e-12)
 
-    def test_unit_row_weights_match_plain(self):
-        rng = np.random.default_rng(9)
-        mats = _random_mats(rng, 5, 4, 6)
-        plain = distance_matrix(mats)
-        weighted = distance_matrix(mats, row_weights=np.ones(4))
-        assert np.allclose(weighted, plain, rtol=1e-12, atol=1e-12)
-
-    def test_row_weights_match_per_row_oracle(self):
-        rng = np.random.default_rng(10)
-        mats = _random_mats(rng, 5, 4, 6)
-        w = rng.uniform(0.1, 3.0, size=4)
-        dist = distance_matrix(mats, row_weights=w)
-        for i in range(5):
-            for j in range(5):
-                expect = sum(
-                    w[l] * np.sum(np.abs(mats[i, l] - mats[j, l]) ** 2) for l in range(4)
-                )
-                assert dist[i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
-
     def test_channel_matches_projected_oracle(self):
         rng = np.random.default_rng(11)
         mats = _random_mats(rng, 5, 4, 6)
@@ -77,13 +58,6 @@ class TestDistanceMatrix:
             for j in range(5):
                 expect = np.sum(np.abs(h @ mats[i] - h @ mats[j]) ** 2)
                 assert dist[i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
-
-    def test_row_weights_with_channel_rejected(self):
-        rng = np.random.default_rng(12)
-        mats = _random_mats(rng, 3, 2, 4)
-        h = rng.standard_normal((2, 2)) + 0j
-        with pytest.raises(ValueError):
-            distance_matrix(mats, row_weights=np.ones(2), channel=h)
 
 
 class TestPairRowDistances:

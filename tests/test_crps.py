@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import Provenance, distance_matrix, med
+from imjrc.codebook import Provenance, distance_matrix, greedy_prune, med
 from imjrc.crps import (
     Scheme,
     apply_tps,
@@ -247,3 +247,55 @@ class TestBuildScheme:
         assert Scheme("crps_then_codebook") is Scheme.CRPS_THEN_CODEBOOK
         with pytest.raises(ValueError):
             Scheme("not_a_scheme")
+
+
+def _design_channel(params):
+    return draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
+
+
+class TestRecipes:
+    """Each scheme against its two stages, run here by hand."""
+
+    # schemes whose member set is another scheme's, pre-scaling only after it
+    SAME_MEMBERS = {Scheme.CRPS_ONLY: Scheme.BASELINE, Scheme.CODEBOOK_THEN_CRPS: Scheme.CODEBOOK_ONLY}
+
+    @pytest.mark.parametrize("aware", [False, True], ids=["no_channel", "design_channel"])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_scheme_matches_its_stages(self, scheme, aware, small_table, small_params):
+        h = _design_channel(small_params) if aware else None
+        n_valid = 1 << small_table.derived.B
+        build = build_scheme(scheme, small_table, design_channel=h)
+        ids = np.asarray(build.codebook.member_ids)
+        rows = small_table.matrices[ids]
+        pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
+
+        if scheme in self.SAME_MEMBERS:
+            twin = build_scheme(self.SAME_MEMBERS[scheme], small_table, design_channel=h)
+            assert build.codebook.member_ids == twin.codebook.member_ids
+            tps, best = select_tps(pool, rows, channel=h)
+            assert build.tps.d_index == tps.d_index
+            assert build.codebook.med == best
+        elif scheme is Scheme.CRPS_THEN_CODEBOOK:
+            tps, _ = select_tps(pool, small_table.matrices, channel=h)
+            assert build.tps.d_index == tps.d_index
+            dist = distance_matrix(apply_tps(small_table.matrices, tps.alpha), channel=h)
+            pruned, _ = greedy_prune(dist, n_valid)
+            assert build.codebook.member_ids == pruned.member_ids
+            assert build.codebook.med == med(dist, pruned.member_ids)[0]
+        else:
+            assert build.tps is None
+            full = small_table.matrices[:n_valid] if scheme is Scheme.BASELINE else small_table.matrices
+            assert build.codebook.med == med(distance_matrix(full, channel=h), ids)[0]
+
+        if build.tps is None or build.tps.d_index == 0:
+            assert np.array_equal(build.member_matrices, rows)
+        else:
+            assert np.array_equal(build.tps.alpha, pool[build.tps.d_index])
+            assert np.array_equal(build.member_matrices, apply_tps(rows, build.tps.alpha))
+
+    def test_design_channel_selects_a_scaled_factor(self, small_table, small_params):
+        # without this the scaled branch of every recipe above could go unrun
+        build = build_scheme(
+            Scheme.CRPS_THEN_CODEBOOK, small_table, design_channel=_design_channel(small_params)
+        )
+        assert build.tps.d_index != 0

@@ -64,6 +64,7 @@ def test_table_shape_and_indexing(default_table, default_derived):
     assert cid.subset_index == 2
     assert cid.allocation_index == 7
     assert default_table.subset_of(0) == (0, 1)
+    assert default_table.allocation_of(0) == (0, 0, 0, 1, 1, 1)
     assert default_table.allocation_of(419) == (1, 1, 1, 0, 0, 0)
     with pytest.raises(ValueError):
         default_table.id_of(420)
