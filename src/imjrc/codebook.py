@@ -122,6 +122,15 @@ def greedy_prune(
     tie removes the larger global index.  MED ties pick the
     lexicographically smallest pair.
 
+    The closest pair comes from cached row minima instead of a scan of the
+    whole matrix.  ``rowmin[r]`` and ``rowarg[r]`` are the minimum of row r
+    of the working matrix and its first column.  ``argmin(rowmin)`` is the
+    first row holding the global minimum, and ``rowarg`` of that row is its
+    first column holding it: the same pair a row-major ``argmin`` over the
+    whole matrix returns.  Removing a codeword sets its row and column to
+    inf, which changes the cached minimum only of rows whose ``rowarg`` was
+    that column, so only those rows are scanned again.
+
     Returns the codebook and the MED trajectory: entry 0 is the MED of the
     full set, entry q the MED after q eliminations.  The trajectory is
     non-decreasing because removing a codeword never shrinks any surviving
@@ -137,12 +146,14 @@ def greedy_prune(
 
     work = dist.copy()
     np.fill_diagonal(work, np.inf)
+    rowarg = work.argmin(axis=1)
+    rowmin = work[np.arange(n), rowarg]
     alive = np.ones(n, dtype=bool)
     meds = np.empty(n - target + 1)
 
     for step in range(n - target):
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, n)
+        i = int(np.argmin(rowmin))
+        j = int(rowarg[i])
         if i > j:
             i, j = j, i
         meds[step] = work[i, j]
@@ -162,10 +173,16 @@ def greedy_prune(
         alive[drop] = False
         work[drop, :] = np.inf
         work[:, drop] = np.inf
+        rowmin[drop] = np.inf
+        stale = np.flatnonzero(alive & (rowarg == drop))
+        if stale.size:
+            args = work[stale].argmin(axis=1)
+            rowarg[stale] = args
+            rowmin[stale] = work[stale, args]
 
     survivors = tuple(int(g) for g in np.flatnonzero(alive))
-    # eliminated rows and columns are inf, so this is the survivor MED
-    meds[-1] = work.min()
+    # eliminated rows are inf, so this is the survivor MED
+    meds[-1] = rowmin.min()
     book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance=provenance)
     return book, meds
 

@@ -37,6 +37,7 @@ from .codebook import (
     pair_row_distances,
 )
 from .enumeration import CodewordTable
+from .params import DerivedParams, SystemParams
 
 
 @dataclass
@@ -102,6 +103,10 @@ def apply_tps(mats: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return mats * alpha.reshape((1,) * (mats.ndim - 2) + (-1, 1))
 
 
+_SCORE_BLOCK = 4096
+"""Pairs whose weighted distances candidate scoring holds at once."""
+
+
 def candidate_meds(
     candidates: list[np.ndarray],
     member_mats: np.ndarray,
@@ -110,8 +115,11 @@ def candidate_meds(
     """MED of the member set under each candidate pre-scaling.
 
     Without a design channel the per-pair row distances are computed once
-    and every candidate is a weighted sum over them; with one, each
-    candidate is scored through the channel directly.
+    and every candidate is a weighted sum over them.  The weighted sums are
+    taken ``_SCORE_BLOCK`` pairs at a time and folded into a running
+    minimum, so besides the row distances the scoring holds one block of
+    pairs x candidates, however large the pool.  With a design channel,
+    each candidate is scored through the channel directly.
     """
     member_mats = np.asarray(member_mats)
     if member_mats.shape[0] < 2:
@@ -121,7 +129,19 @@ def candidate_meds(
     if channel is None:
         _, _, rowdist = pair_row_distances(member_mats)
         weights = np.stack([np.abs(a) ** 2 for a in candidates])
-        return (rowdist @ weights.T).min(axis=0)
+        pairs = rowdist.shape[0]
+        # a product with one row or one column goes through gemv, which can
+        # round differently in a block than in the whole product: one
+        # candidate is scored in one block (pairs floats, one column of
+        # rowdist), and a last block of one pair joins the block before it
+        block = pairs if len(candidates) == 1 else _SCORE_BLOCK
+        edges = list(range(0, pairs, block)) + [pairs]
+        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+            del edges[-2]
+        meds = np.full(len(candidates), np.inf)
+        for start, stop in zip(edges, edges[1:]):
+            np.minimum(meds, (rowdist[start:stop] @ weights.T).min(axis=0), out=meds)
+        return meds
     meds = np.empty(len(candidates))
     for d, alpha in enumerate(candidates):
         dist = distance_matrix(apply_tps(member_mats, alpha), channel=channel)
@@ -169,6 +189,25 @@ _RECIPES = {
 }
 
 
+DESIGN_BUDGET_BYTES = 4 << 30
+"""Largest design, as estimated by :func:`design_bytes`, that
+:func:`build_scheme` accepts; a larger one is refused before it allocates."""
+
+
+def design_bytes(scheme: Scheme, params: SystemParams, derived: DerivedParams) -> int:
+    """Estimated bytes of a scheme's largest live design allocation.
+
+    A scheme that prunes, or selects its factor over the full table, works
+    on all C_total codewords; the others work on the 2^B members.  Over n
+    codewords the design holds about three dense n x n float64 distance
+    matrices at once, plus the n(n-1)/2 x L_R float64 pair row distances
+    of candidate scoring.
+    """
+    recipe = _RECIPES[Scheme(scheme)]
+    n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
+    return 3 * n * n * 8 + n * (n - 1) // 2 * params.L_R * 8
+
+
 def _scaled(mats: np.ndarray, tps: TpsFactor | None) -> np.ndarray:
     """``mats`` under the factor; the identity (index 0) leaves them as they are."""
     if tps is None or tps.d_index == 0:
@@ -196,6 +235,13 @@ def build_scheme(
     if n_valid < 2:
         raise ValueError("scenario carries no information: fewer than two valid codewords")
     scheme = Scheme(scheme)
+    need = design_bytes(scheme, params, derived)
+    if need > DESIGN_BUDGET_BYTES:
+        raise ValueError(
+            f"{scheme.value} design needs about {need / 2**30:.1f} GiB "
+            f"(C_total={derived.C_total}, B={derived.B}), over the "
+            f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
+        )
     recipe = _RECIPES[scheme]
     tps = None
     if recipe.crps is not None:

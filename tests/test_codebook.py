@@ -1,10 +1,12 @@
 """Distance matrix, MED bookkeeping, and greedy elimination tests."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
     Provenance,
@@ -23,6 +25,39 @@ def _points_to_dist(points):
 
 def _random_mats(rng, n, l_r, l_t):
     return rng.standard_normal((n, l_r, l_t)) + 1j * rng.standard_normal((n, l_r, l_t))
+
+
+def _dense_greedy_prune(dist, target, ties=None):
+    """Greedy elimination with a row-major argmin over the whole matrix per step.
+
+    The reference for greedy_prune: same pair choice, same tie-breaks, same
+    trajectory, found the slow way.  ``ties``, when given, counts the steps
+    with a tied closest pair ("pair") and with tied second minima ("second").
+    """
+    n = dist.shape[0]
+    work = dist.copy()
+    np.fill_diagonal(work, np.inf)
+    alive = np.ones(n, dtype=bool)
+    meds = np.empty(n - target + 1)
+    for step in range(n - target):
+        i, j = divmod(int(np.argmin(work)), n)
+        if i > j:
+            i, j = j, i
+        meds[step] = work[i, j]
+        row_i = work[i].copy()
+        row_i[j] = np.inf
+        row_j = work[j].copy()
+        row_j[i] = np.inf
+        if ties is not None:
+            # a symmetric matrix holds each pair twice
+            ties["pair"] += int(np.sum(work == work[i, j])) > 2
+            ties["second"] += int(row_i.min() == row_j.min())
+        drop = i if row_i.min() < row_j.min() else j
+        alive[drop] = False
+        work[drop, :] = np.inf
+        work[:, drop] = np.inf
+    meds[-1] = work.min()
+    return tuple(int(g) for g in np.flatnonzero(alive)), meds
 
 
 class TestDistanceMatrix:
@@ -178,6 +213,61 @@ class TestGreedyPrune:
     def test_rejects_bad_input(self, dist, target):
         with pytest.raises(ValueError):
             greedy_prune(dist, target)
+
+
+def _random_symmetric(rng, n):
+    upper = np.triu(rng.random((n, n)), 1)
+    return upper + upper.T
+
+
+def _tied_symmetric(rng, n):
+    # few distinct integer values, so closest pairs and second minima tie
+    upper = np.triu(rng.integers(1, 5, size=(n, n)).astype(float), 1)
+    return upper + upper.T
+
+
+class TestGreedyMatchesDenseArgmin:
+    """greedy_prune's cached row minima pick the pairs a dense argmin picks."""
+
+    def _assert_same(self, dist, target):
+        book, meds = greedy_prune(dist, target)
+        ids, ref_meds = _dense_greedy_prune(dist, target)
+        assert book.member_ids == ids
+        assert np.array_equal(meds, ref_meds)
+        assert book.med == ref_meds[-1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_float_matrices(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(10, 60))
+        self._assert_same(_random_symmetric(rng, n), int(rng.integers(2, n + 1)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_integer_matrices_with_ties(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(10, 60))
+        dist = _tied_symmetric(rng, n)
+        self._assert_same(dist, 2)
+        self._assert_same(dist, n // 2)
+
+    def test_ties_reach_both_tie_breaks(self):
+        # the tied inputs above must tie on a closest pair and on second
+        # minima, or they would not test the tie-breaks
+        ties = collections.Counter()
+        for seed in range(5):
+            rng = np.random.default_rng(200 + seed)
+            n = int(rng.integers(10, 60))
+            _dense_greedy_prune(_tied_symmetric(rng, n), 2, ties)
+        assert ties["pair"] > 0 and ties["second"] > 0
+
+    def test_small_table(self, small_table, small_derived):
+        self._assert_same(distance_matrix(small_table.matrices), 1 << small_derived.B)
+
+    def test_small_table_through_design_channel(self, small_table, small_params, small_derived):
+        h = draw_channel(
+            small_params.L_C, small_params.L_R, substream(small_params.master_seed, TAG_DESIGN_CHANNEL)
+        )
+        self._assert_same(distance_matrix(small_table.matrices, channel=h), 1 << small_derived.B)
 
 
 class TestExportCodebookCsv:

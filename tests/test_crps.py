@@ -1,17 +1,22 @@
 """Pre-scaling pool generation, candidate scoring, and scheme assembly tests."""
 
 import dataclasses
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from imjrc import crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import Provenance, distance_matrix, greedy_prune, med
+from imjrc.codebook import Provenance, distance_matrix, greedy_prune, med, pair_row_distances
 from imjrc.crps import (
+    DESIGN_BUDGET_BYTES,
     Scheme,
     apply_tps,
     build_scheme,
     candidate_meds,
+    design_bytes,
     generate_tps,
     select_tps,
 )
@@ -151,6 +156,45 @@ class TestCandidateScoring:
         assert tps.d_index == 1
         assert best == pytest.approx(2.0 * meds[0], rel=1e-9)
 
+    def test_blocked_scoring_is_exact(self, default_table, default_params):
+        # 87,990 pairs: more than one block, and a ragged last block
+        mats = default_table.matrices
+        pool = generate_tps(default_params.D, default_params.L_R, substream(1729, TAG_TPS))
+        _, _, rowdist = pair_row_distances(mats)
+        assert rowdist.shape[0] > crps._SCORE_BLOCK and rowdist.shape[0] % crps._SCORE_BLOCK
+        for candidates in (pool, pool[:1], pool[1:2]):
+            weights = np.stack([np.abs(a) ** 2 for a in candidates])
+            expect = (rowdist @ weights.T).min(axis=0)
+            assert np.array_equal(candidate_meds(candidates, mats), expect)
+
+    @pytest.mark.parametrize("block", [4, 5, 10, 20])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_one_pair_or_one_candidate_blocks_are_exact(self, block, count, monkeypatch):
+        # 21 pairs leave one pair after the last full block of each size;
+        # one-row and one-column products round differently in BLAS
+        monkeypatch.setattr(crps, "_SCORE_BLOCK", block)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            mats = _random_mats(rng, 7, 8, 5)
+            pool = generate_tps(count + 1, 8, rng)[1:]
+            _, _, rowdist = pair_row_distances(mats)
+            weights = np.stack([np.abs(a) ** 2 for a in pool])
+            assert np.array_equal(candidate_meds(pool, mats), (rowdist @ weights.T).min(axis=0))
+
+    def test_scoring_memory_does_not_grow_with_pool(self, default_table, default_params):
+        # the whole pairs x D product would take 87,990 x 400 x 8 B = 282 MB;
+        # block-wise scoring must stay far below it (18 MB measured)
+        mats = default_table.matrices
+        pool = generate_tps(400, default_params.L_R, np.random.default_rng(13))
+        pairs = mats.shape[0] * (mats.shape[0] - 1) // 2
+        tracemalloc.start()
+        try:
+            candidate_meds(pool, mats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pairs * len(pool) * 8 // 8
+
     def test_rejects_degenerate_input(self):
         rng = np.random.default_rng(10)
         mats = _random_mats(rng, 3, 2, 4)
@@ -184,15 +228,20 @@ class TestBuildScheme:
         assert np.array_equal(build.member_matrices, small_table.matrices[:n_valid])
 
     def test_identity_selection_leaves_matrices_untouched(self, small_table):
+        # without a design channel the identity wins (README "Known divergences")
         build = build_scheme(Scheme.CRPS_ONLY, small_table)
-        if build.tps.d_index == 0:
-            n = build.member_matrices.shape[0]
-            assert np.array_equal(build.member_matrices, small_table.matrices[:n])
-        else:
-            scaled = apply_tps(
-                small_table.matrices[: build.member_matrices.shape[0]], build.tps.alpha
-            )
-            assert np.array_equal(build.member_matrices, scaled)
+        n = build.member_matrices.shape[0]
+        assert build.tps.d_index == 0
+        assert np.array_equal(build.member_matrices, small_table.matrices[:n])
+        assert np.shares_memory(build.member_matrices, small_table.matrices)
+
+    def test_scaled_selection_scales_member_matrices(self, small_table, small_params):
+        build = build_scheme(
+            Scheme.CRPS_THEN_CODEBOOK, small_table, design_channel=_design_channel(small_params)
+        )
+        assert build.tps.d_index != 0
+        rows = small_table.matrices[np.asarray(build.codebook.member_ids)]
+        assert np.array_equal(build.member_matrices, apply_tps(rows, build.tps.alpha))
 
     def test_deterministic_rebuild(self, small_table):
         a = build_scheme(Scheme.CRPS_THEN_CODEBOOK, small_table)
@@ -241,6 +290,24 @@ class TestBuildScheme:
         table = build_table(params, derive(params))
         with pytest.raises(ValueError):
             build_scheme(Scheme.BASELINE, table)
+
+    def test_refuses_oversized_design_up_front(self):
+        # C_total = 369,600: the dense design would need terabytes.  The
+        # table is a stub without matrices, so nothing is allocated.
+        params = SystemParams(M=12, K=3, L_R=9)
+        stub = types.SimpleNamespace(params=params, derived=derive(params), matrices=None)
+        for scheme in Scheme:
+            assert design_bytes(scheme, params, stub.derived) > DESIGN_BUDGET_BYTES
+            with pytest.raises(ValueError, match=r"needs about \d+\.\d GiB"):
+                build_scheme(scheme, stub)
+
+    @pytest.mark.parametrize(
+        "m,l_r", [(7, 6), (8, 8)], ids=["mc-default/channel-aware", "design-large"]
+    )
+    def test_benchmark_scenarios_fit_the_budget(self, m, l_r):
+        params = SystemParams(M=m, L_R=l_r)
+        for scheme in Scheme:
+            assert design_bytes(scheme, params, derive(params)) <= DESIGN_BUDGET_BYTES
 
     def test_scheme_enum_round_trip(self):
         assert Scheme("baseline") is Scheme.BASELINE
