@@ -2,9 +2,29 @@
 
 With perfect channel knowledge the ML decision under white Gaussian noise
 is the codeword minimizing ||Y - H X_r||_F^2 over the codebook.  The
-reference path evaluates that residual directly; the batched path expands
-it through Gram matrices so a whole chunk of pulses is decided with a few
-matmuls.  Both resolve exact ties to the smallest rank.
+reference path :func:`detect` evaluates that residual directly, one pulse
+at a time.
+
+The batched path decides a chunk of simulated pulses Y = H X_s + sigma N,
+with X_s the sent codeword and N unit noise.  ||Y||^2 is the same for
+every hypothesis, so the decision is the argmin over r of
+
+    base - 2 sigma cross,
+    base  = ||H X_r||^2 - 2 Re<H^H H X_s, X_r>,
+    cross = Re<H^H N, X_r>,
+
+where <A, B> = sum A conj(B).  Both (batch x n) terms are computed once per
+chunk; each SNR point is then one axpy and one argmin.
+
+The inner products are taken in the carrier domain.  Antenna row l of
+member r is a coefficient times one of the M sampled waveforms W (M x
+L_T), coef[r, l] W[c[r, l]], so <V, X_r> = sum_l conj(coef[r, l])
+(V W^H)[l, c[r, l]].  A pulse's L_R x L_T matrix V reduces to the L_R x M
+matrix V W^H, and the carrier map, an (L_R M x n) matrix holding
+conj(coef[r, l]) at row l M + c[r, l] of column r, turns those L_R M
+numbers into all n inner products with one matmul.  ||H X_r||^2 is
+<H^H H, X_r X_r^H> over the L_R x L_R row Grams in the same way.  Exact
+ties resolve to the smallest rank.
 """
 
 from __future__ import annotations
@@ -52,69 +72,82 @@ def detect(
 
 
 class GramCache(NamedTuple):
-    """Codebook-dependent precomputation shared by every pulse."""
+    """Codebook-dependent precomputation shared by every pulse.
 
-    flat_conj: np.ndarray  # (n, L_R * L_T), conjugated flattened hypotheses
-    row_gram: np.ndarray  # (n, L_R, L_R), X_r X_r^H
+    The two maps are stored in the real form :func:`_real_rows` gives, so
+    the real part of a complex product is one real matmul.
+    """
+
+    waveforms_h: np.ndarray  # (L_T, M), W^H
+    member_spectra: np.ndarray  # (n, L_R, M), X_r W^H
+    gram_map: np.ndarray  # (2 L_R^2, n), conjugated row Grams X_r X_r^H
+    carrier_map: np.ndarray  # (2 L_R M, n), the carrier map
 
 
-def gram_cache(member_mats: np.ndarray) -> GramCache:
+def _real_rows(m: np.ndarray) -> np.ndarray:
+    """(2K, n) real matrix B such that ``a.view(float) @ B == Re(a @ m)``.
+
+    ``a`` is a contiguous complex (batch, K) array, whose float view
+    interleaves the real and imaginary part of each entry.
+    """
+    return np.stack([m.real, -m.imag], axis=1).reshape(-1, m.shape[1])
+
+
+def gram_cache(member_mats: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) -> GramCache:
+    """Precompute the maps of a codebook whose rows are coefficients times waveforms.
+
+    ``carriers[r, l]`` indexes the row of ``waveforms`` (M x L_T) that
+    antenna row l of ``member_mats[r]`` is a multiple of.  Every waveform's
+    sample 0 is exactly 1, so the coefficient, steering weight and any
+    pre-scaling included, is ``member_mats[r, l, 0]``.
+    """
     member_mats = np.asarray(member_mats)
-    n = member_mats.shape[0]
-    flat_conj = member_mats.reshape(n, -1).conj()
+    carriers = np.asarray(carriers)
+    n, l_r, _ = member_mats.shape
+    m = waveforms.shape[0]
+    if carriers.shape != (n, l_r):
+        raise ValueError(f"expected ({n}, {l_r}) carrier indices, got shape {carriers.shape}")
+    waveforms_h = np.ascontiguousarray(waveforms.conj().T)
     row_gram = np.einsum("nrt,nqt->nrq", member_mats, member_mats.conj())
-    return GramCache(flat_conj=flat_conj, row_gram=row_gram)
+    cmap = np.zeros((l_r * m, n), dtype=complex)
+    cmap[np.arange(l_r) * m + carriers, np.arange(n)[:, None]] = member_mats[:, :, 0].conj()
+    return GramCache(
+        waveforms_h=waveforms_h,
+        member_spectra=member_mats @ waveforms_h,
+        gram_map=_real_rows(row_gram.reshape(n, -1).conj().T),
+        carrier_map=_real_rows(cmap),
+    )
 
 
-def image_norms(h: np.ndarray, cache: GramCache) -> np.ndarray:
-    """||H X_r||^2 for every pulse and hypothesis, as a (batch, n) real array.
-
-    The term depends on the channel and the codebook but not on the noise,
-    so a caller deciding the same channels at several SNR points can
-    compute it once and pass it to :func:`detect_batch`.
-    """
-    h = np.asarray(h)
-    hh = np.einsum("bcr,bcq->brq", h.conj(), h)
-    return np.ascontiguousarray(np.einsum("brq,nqr->bn", hh, cache.row_gram).real)
-
-
-def detect_batch(
-    y: np.ndarray,
+def noise_linear_terms(
     h: np.ndarray,
-    member_mats: np.ndarray,
-    cache: GramCache | None = None,
-    image_norm: np.ndarray | None = None,
+    ranks: np.ndarray,
+    noise: np.ndarray,
+    cache: GramCache,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decide a batch of pulses at once.
+    """(base, cross) of a chunk of pulses Y = H X_s + sigma N, each (batch, n).
 
-    Expands ||Y - H X_r||^2 = ||Y||^2 - 2 Re<H^H Y, X_r> + tr(H^H H X_r X_r^H),
-    so the scan over hypotheses becomes one (batch x n) matmul plus one
-    contraction against the cached row Grams.
-
-    Parameters
-    ----------
-    y : (batch, L_C, L_T) received pulses.
-    h : (batch, L_C, L_R) channels, one per pulse.
-    member_mats : (n, L_R, L_T) hypotheses (pre-scaled if applicable).
-    cache : optional :func:`gram_cache` of ``member_mats``.
-    image_norm : optional :func:`image_norms` of ``h`` and ``cache``.
-
-    Returns (ranks, metrics), each of length batch.
+    ``h`` is (batch, L_C, L_R), ``ranks`` the sent ranks s and ``noise``
+    (batch, L_C, L_T) the unit noise N.  ||Y - H X_r||^2 - ||Y||^2 equals
+    base - 2 sigma cross at every sigma; see :func:`decide`.
     """
-    y = np.asarray(y)
     h = np.asarray(h)
-    member_mats = np.asarray(member_mats)
-    if cache is None:
-        cache = gram_cache(member_mats)
-    if y.ndim != 3 or h.ndim != 3 or y.shape[0] != h.shape[0]:
-        raise ValueError(f"batch shapes disagree: y {y.shape}, h {h.shape}")
-    if image_norm is None:
-        image_norm = image_norms(h, cache)
-    batch = y.shape[0]
-    # H^H Y, flattened to match the cached hypothesis layout
-    hy = np.einsum("bcr,bct->brt", h.conj(), y).reshape(batch, -1)
-    cross = (hy @ cache.flat_conj.T).real
-    y_norm = np.einsum("bct,bct->b", y, y.conj()).real
-    metrics = y_norm[:, None] - 2.0 * cross + image_norm
-    ranks = np.argmin(metrics, axis=1)
-    return ranks, metrics[np.arange(batch), ranks]
+    noise = np.asarray(noise)
+    if h.ndim != 3 or noise.ndim != 3 or not h.shape[0] == len(ranks) == noise.shape[0]:
+        raise ValueError(
+            f"batch shapes disagree: h {h.shape}, ranks {np.shape(ranks)}, noise {noise.shape}"
+        )
+    batch = h.shape[0]
+    h_adj = np.conj(h).transpose(0, 2, 1)
+    hh = h_adj @ h  # (batch, L_R, L_R)
+    signal = hh @ cache.member_spectra[ranks]  # H^H H X_s W^H
+    noise_spec = h_adj @ (noise @ cache.waveforms_h)  # H^H N W^H
+    image_norm = hh.reshape(batch, -1).view(float) @ cache.gram_map
+    base = image_norm - 2.0 * (signal.reshape(batch, -1).view(float) @ cache.carrier_map)
+    cross = noise_spec.reshape(batch, -1).view(float) @ cache.carrier_map
+    return base, cross
+
+
+def decide(base: np.ndarray, cross: np.ndarray, noise_scale: float) -> np.ndarray:
+    """ML ranks at noise scale sigma: argmin over r of base - 2 sigma cross."""
+    return np.argmin(base - (2.0 * noise_scale) * cross, axis=1)

@@ -65,7 +65,10 @@ class CodewordTable:
     """Every codeword of a scenario, in global-index order.
 
     ``matrices`` has shape (C_total, L_R, L_T); row g is the codeword with
-    global index g.
+    global index g.  ``carriers[g, l]`` is the carrier offset antenna l of
+    codeword g transmits on, and ``waveforms[c]`` is the sampled waveform of
+    offset c, so antenna row l of codeword g is its steering weight over
+    sqrt(L_R) times ``waveforms[carriers[g, l]]``.
     """
 
     params: SystemParams
@@ -73,6 +76,8 @@ class CodewordTable:
     subsets: tuple[tuple[int, ...], ...]
     allocations: tuple[tuple[int, ...], ...]
     matrices: np.ndarray
+    carriers: np.ndarray  # (C_total, L_R) carrier offset indices
+    waveforms: np.ndarray  # (M, L_T) sampled carrier waveforms
 
     def __len__(self) -> int:
         return self.matrices.shape[0]
@@ -105,16 +110,17 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     w = steering_vector(params)
     subset_arr = np.asarray(subsets)
     alloc_arr = np.asarray(allocations)
-    # carrier offset of each antenna: (card_zeta, card_P, L_R)
-    freq_idx = subset_arr[:, alloc_arr]
-    mats = w[None, None, :, None] * waveforms[freq_idx] / np.sqrt(params.L_R)
-    mats = np.ascontiguousarray(mats.reshape(derived.C_total, params.L_R, derived.L_T))
+    # carrier offset of each antenna, in global-index order: (C_total, L_R)
+    freq_idx = subset_arr[:, alloc_arr].reshape(derived.C_total, params.L_R)
+    mats = w[None, :, None] * waveforms[freq_idx] / np.sqrt(params.L_R)
     return CodewordTable(
         params=params,
         derived=derived,
         subsets=tuple(subsets),
         allocations=tuple(allocations),
         matrices=mats,
+        carriers=freq_idx,
+        waveforms=waveforms,
     )
 
 

@@ -77,13 +77,3 @@ def synthesize_codeword(
     alloc = np.asarray(allocation)
     return w[:, None] * waveforms[alloc] / np.sqrt(params.L_R)
 
-
-if __name__ == "__main__":
-    from .params import derive
-
-    p = SystemParams()
-    d = derive(p)
-    x = synthesize_codeword((0, 1), (0, 0, 0, 1, 1, 1), p, d)
-    assert x.shape == (p.L_R, d.L_T)
-    assert abs(np.linalg.norm(x) ** 2 - d.L_T) < 1e-9 * d.L_T
-    print("codeword", x.shape, "norm^2", np.linalg.norm(x) ** 2)

@@ -8,9 +8,13 @@ make every cell of the (scheme x SNR) grid reuse the same channel and
 payload realizations, so scheme comparisons are paired.
 
 The loop is chunk-outer: a chunk of trials is drawn once and then decided
-at every SNR point, instead of being redrawn for each point.  Early stop is
-tracked per SNR point at chunk boundaries, so a point's pulse count is the
-same as if it had been run alone.
+at every SNR point, instead of being redrawn for each point.  The received
+pulse is never formed.  Its ML metric is noise-linear: a noise-free term
+and a unit-noise term, both (batch x n), are computed once per chunk in
+the carrier domain (see :mod:`imjrc.detector`), and each SNR point decides
+the chunk with one axpy and one argmin.  Early stop is tracked per SNR
+point at chunk boundaries, so a point's pulse count is the same as if it
+had been run alone.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .channel import (
     substream,
 )
 from .crps import SchemeBuild
-from .detector import detect_batch, gram_cache, image_norms
+from .detector import decide, gram_cache, noise_linear_terms
 from .enumeration import CodewordTable
 
 EARLY_STOP_BIT_ERRORS = 500
@@ -81,8 +85,8 @@ def run_ber(
     """Measure BER at each SNR point for one scheme.
 
     The loop runs chunk by chunk: each chunk of ``batch`` trials is drawn
-    once, its SNR-independent detector term is computed once, and then it
-    is decided at every SNR point still active.  ``early_stop`` ends an SNR
+    once, its two detector terms are computed once, and then it is
+    decided at every SNR point still active.  ``early_stop`` ends an SNR
     point at the first chunk boundary with at least
     :data:`EARLY_STOP_BIT_ERRORS` bit errors; the record's ``pulses``
     reflects the trials actually run at that point, and the loop ends once
@@ -100,7 +104,8 @@ def run_ber(
     mats = build.member_matrices
     n_members = mats.shape[0]
     b_bits = derived.B
-    cache = gram_cache(mats)
+    carriers = table.carriers[np.asarray(build.codebook.member_ids)]
+    cache = gram_cache(mats, carriers, table.waveforms)
     l_c, l_t = params.L_C, derived.L_T
 
     noise_scales = [math.sqrt(snr_to_sigma2(float(snr_db))) for snr_db in snr_db_grid]
@@ -122,14 +127,11 @@ def run_ber(
             ranks[i] = substream(seed, TAG_BITS, trial).integers(n_members)
             h[i] = draw_channel(l_c, params.L_R, substream(seed, TAG_CHANNEL, trial))
             noise[i] = complex_normal(substream(seed, TAG_NOISE, trial), (l_c, l_t))
-        image_norm = image_norms(h, cache)
+        base, cross = noise_linear_terms(h, ranks, noise, cache)
         for k, noise_scale in enumerate(noise_scales):
             if not active[k]:
                 continue
-            # the signal is rebuilt per point rather than held across the
-            # loop, which keeps one fewer chunk-sized array alive
-            y = h @ mats[ranks] + noise_scale * noise
-            decoded, _ = detect_batch(y, h, mats, cache, image_norm=image_norm)
+            decoded = decide(base, cross, noise_scale)
             bit_errors[k] += int(np.bitwise_count(ranks ^ decoded).sum())
             pulses[k] += size
             if early_stop and bit_errors[k] >= EARLY_STOP_BIT_ERRORS:

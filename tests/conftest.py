@@ -2,6 +2,8 @@
 
 import pytest
 
+from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
+from imjrc.crps import Scheme, build_scheme
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 
@@ -51,3 +53,15 @@ def small_derived(small_params):
 @pytest.fixture(scope="session")
 def small_table(small_params, small_derived):
     return build_table(small_params, small_derived)
+
+
+@pytest.fixture(scope="session")
+def default_scaled_build(default_params, default_table):
+    """crps_then_codebook designed through the seeded channel: a pruned
+    member set under a selected, non-identity pre-scaling factor."""
+    channel = draw_channel(
+        default_params.L_C,
+        default_params.L_R,
+        substream(default_params.master_seed, TAG_DESIGN_CHANNEL),
+    )
+    return build_scheme(Scheme.CRPS_THEN_CODEBOOK, default_table, design_channel=channel)

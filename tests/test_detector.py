@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
-from imjrc.crps import apply_tps
-from imjrc.detector import detect, detect_batch, gram_cache, image_norms
+from imjrc.crps import Scheme, apply_tps, build_scheme
+from imjrc.detector import decide, detect, gram_cache, noise_linear_terms
 
 
 def _brute_force(y, h, member_mats):
@@ -92,83 +92,140 @@ class TestDetect:
             detect(good_y, good_h, mats[0])
 
 
+def _cache(table, member_ids, mats=None):
+    """Gram cache of table rows ``member_ids``, or of ``mats`` built on them."""
+    ids = np.asarray(member_ids)
+    mats = table.matrices[ids] if mats is None else mats
+    return gram_cache(mats, table.carriers[ids], table.waveforms)
+
+
+def _draw(seed, trials, n, l_c, l_r, l_t):
+    ranks = np.empty(trials, dtype=np.int64)
+    h = np.empty((trials, l_c, l_r), dtype=complex)
+    noise = np.empty((trials, l_c, l_t), dtype=complex)
+    for t in range(trials):
+        ranks[t] = substream(seed, TAG_BITS, t).integers(n)
+        h[t] = draw_channel(l_c, l_r, substream(seed, TAG_CHANNEL, t))
+        noise[t] = complex_normal(substream(seed, TAG_NOISE, t), (l_c, l_t))
+    return ranks, h, noise
+
+
+@pytest.fixture(scope="module")
+def default_builds(default_table, default_scaled_build):
+    """Baseline, pruned, and pruned-then-scaled builds of the default scenario."""
+    return {
+        "baseline": build_scheme(Scheme.BASELINE, default_table),
+        "pruned": build_scheme(Scheme.CODEBOOK_ONLY, default_table),
+        "scaled": default_scaled_build,
+    }
+
+
+class TestCarrierDomain:
+    @pytest.mark.parametrize("kind", ["baseline", "pruned", "scaled"])
+    def test_coefficients_times_waveforms_reproduce_members(self, default_table, default_builds, kind):
+        build = default_builds[kind]
+        assert (build.tps is not None and build.tps.d_index != 0) == (kind == "scaled")
+        mats = build.member_matrices
+        carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
+        rebuilt = mats[:, :, 0, None] * default_table.waveforms[carriers]
+        assert np.abs(rebuilt - mats).max() < 1e-12
+
+    def test_carrier_map_layout(self, small_table):
+        ids = [0, 5, 9, 17]
+        cache = _cache(small_table, ids)
+        m = small_table.params.M
+        cmap = cache.carrier_map[0::2] - 1j * cache.carrier_map[1::2]
+        assert cmap.shape == (small_table.params.L_R * m, len(ids))
+        expect = np.zeros_like(cmap)
+        for r, g in enumerate(ids):
+            for l, c in enumerate(small_table.carriers[g]):
+                expect[l * m + c, r] = np.conj(small_table.matrices[g, l, 0])
+        assert np.array_equal(cmap, expect)
+
+    @pytest.mark.parametrize("kind", ["baseline", "pruned", "scaled"])
+    def test_terms_match_direct_inner_products(self, default_table, default_builds, kind):
+        build = default_builds[kind]
+        mats = build.member_matrices
+        cache = _cache(default_table, build.codebook.member_ids, mats)
+        p, d = default_table.params, default_table.derived
+        ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
+        base, cross = noise_linear_terms(h, ranks, noise, cache)
+        images = np.einsum("bcr,nrt->bnct", h, mats)
+        signal = images[np.arange(64), ranks]
+        image_norm = np.einsum("bnct,bnct->bn", images, images.conj()).real
+        want_base = image_norm - 2.0 * np.einsum("bct,bnct->bn", signal, images.conj()).real
+        want_cross = np.einsum("bct,bnct->bn", noise, images.conj()).real
+        assert base.shape == cross.shape == (64, mats.shape[0])
+        assert np.abs(base - want_base).max() < 1e-9
+        assert np.abs(cross - want_cross).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", ["baseline", "pruned", "scaled"])
+    def test_zero_noise_decodes_every_rank(self, default_table, default_builds, kind):
+        # sigma = 0 is the math.inf grid point of acceptance check 5(a)
+        build = default_builds[kind]
+        mats = build.member_matrices
+        cache = _cache(default_table, build.codebook.member_ids, mats)
+        p, d = default_table.params, default_table.derived
+        ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
+        base, cross = noise_linear_terms(h, ranks, noise, cache)
+        assert np.array_equal(decide(base, cross, 0.0), ranks)
+
+    def test_rejects_misshapen_carriers(self, small_table):
+        with pytest.raises(ValueError):
+            gram_cache(small_table.matrices[:4], small_table.carriers[:3], small_table.waveforms)
+
+
 class TestDetectBatch:
+    """The noise-linear batch decision against the reference :func:`detect`."""
+
     def test_rank_identical_to_reference_on_audit(self, small_table):
-        # the fast Gram expansion must agree with the direct residual scan
         mats = small_table.matrices[:16]
-        trials = 1000
-        h = np.empty((trials, 2, 4), dtype=complex)
-        y = np.empty((trials, 2, 13), dtype=complex)
-        for t in range(trials):
-            h[t] = draw_channel(2, 4, substream(12, TAG_CHANNEL, t))
-            rank = int(substream(12, TAG_BITS, t).integers(16))
-            noise = complex_normal(substream(12, TAG_NOISE, t), (2, 13))
-            y[t] = h[t] @ mats[rank] + noise
-        ranks, metrics = detect_batch(y, h, mats)
-        for t in range(trials):
-            single = detect(y[t], h[t], mats)
+        cache = _cache(small_table, range(16))
+        ranks_tx, h, noise = _draw(12, 1000, 16, 2, 4, 13)
+        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
+        ranks = decide(base, cross, 1.0)
+        for t in range(1000):
+            y = h[t] @ mats[ranks_tx[t]] + noise[t]
+            single = detect(y, h[t], mats)
             assert ranks[t] == single.rank
-            assert metrics[t] == pytest.approx(single.metric, rel=1e-6, abs=1e-9)
-
-    def test_cache_reuse_is_bit_identical(self, small_table):
-        mats = small_table.matrices[:16]
-        rng = np.random.default_rng(13)
-        h = rng.standard_normal((50, 2, 4)) + 1j * rng.standard_normal((50, 2, 4))
-        y = rng.standard_normal((50, 2, 13)) + 1j * rng.standard_normal((50, 2, 13))
-        fresh = detect_batch(y, h, mats)
-        cached = detect_batch(y, h, mats, cache=gram_cache(mats))
-        assert np.array_equal(fresh[0], cached[0])
-        assert np.array_equal(fresh[1], cached[1])
-
-    def test_precomputed_image_norm_is_bit_identical(self, small_table):
-        mats = small_table.matrices[:16]
-        rng = np.random.default_rng(17)
-        h = rng.standard_normal((50, 2, 4)) + 1j * rng.standard_normal((50, 2, 4))
-        y = rng.standard_normal((50, 2, 13)) + 1j * rng.standard_normal((50, 2, 13))
-        cache = gram_cache(mats)
-        norms = image_norms(h, cache)
-        assert norms.shape == (50, 16) and norms.dtype == float and norms.flags.c_contiguous
-        fresh = detect_batch(y, h, mats, cache)
-        reused = detect_batch(y, h, mats, cache, image_norm=norms)
-        assert np.array_equal(fresh[0], reused[0])
-        assert np.array_equal(fresh[1], reused[1])
+            # the batch metric leaves out ||Y||^2, which every hypothesis shares
+            metric = base[t, ranks[t]] - 2.0 * cross[t, ranks[t]] + np.sum(np.abs(y) ** 2)
+            assert metric == pytest.approx(single.metric, rel=1e-6, abs=1e-9)
 
     def test_noiseless_batch(self, small_table):
         mats = small_table.matrices[:16]
+        cache = _cache(small_table, range(16))
         rng = np.random.default_rng(14)
         ranks_tx = rng.integers(16, size=64)
         h = rng.standard_normal((64, 2, 4)) + 1j * rng.standard_normal((64, 2, 4))
-        y = np.einsum("bcr,brt->bct", h, mats[ranks_tx])
-        ranks, metrics = detect_batch(y, h, mats)
+        noise = rng.standard_normal((64, 2, 13)) + 1j * rng.standard_normal((64, 2, 13))
+        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
+        ranks = decide(base, cross, 0.0)
         assert np.array_equal(ranks, ranks_tx)
-        assert np.all(metrics < 1e-10)
+        image_norm = np.sum(np.abs(np.einsum("bcr,brt->bct", h, mats[ranks_tx])) ** 2, axis=(1, 2))
+        assert np.all(np.abs(base[np.arange(64), ranks] + image_norm) < 1e-10)
 
     def test_rejects_disagreeing_batches(self, small_table):
-        mats = small_table.matrices[:4]
+        cache = _cache(small_table, range(4))
         rng = np.random.default_rng(15)
         h = rng.standard_normal((5, 2, 4)) + 0j
-        y = rng.standard_normal((4, 2, 13)) + 0j
+        noise = rng.standard_normal((4, 2, 13)) + 0j
         with pytest.raises(ValueError):
-            detect_batch(y, h, mats)
+            noise_linear_terms(h, np.zeros(4, dtype=np.int64), noise, cache)
+        with pytest.raises(ValueError):
+            noise_linear_terms(h, np.zeros(5, dtype=np.int64), noise, cache)
 
     def test_symbol_errors_shrink_with_snr(self, small_table):
         # statistical harness: symbol error rate over the same trial seeds
         # must be non-increasing in SNR, up to one inversion inside the
         # binomial noise band
-        mats = small_table.matrices[:16]
+        cache = _cache(small_table, range(16))
         trials = 3000
-        h = np.empty((trials, 2, 4), dtype=complex)
-        ranks_tx = np.empty(trials, dtype=np.int64)
-        noise = np.empty((trials, 2, 13), dtype=complex)
-        for t in range(trials):
-            ranks_tx[t] = substream(16, TAG_BITS, t).integers(16)
-            h[t] = draw_channel(2, 4, substream(16, TAG_CHANNEL, t))
-            noise[t] = complex_normal(substream(16, TAG_NOISE, t), (2, 13))
-        signal = np.einsum("bcr,brt->bct", h, mats[ranks_tx])
+        ranks_tx, h, noise = _draw(16, trials, 16, 2, 4, 13)
+        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
         sers, cis = [], []
         for snr_db in (-10.0, -5.0, 0.0, 5.0):
-            sigma = 10 ** (-snr_db / 20.0)
-            ranks, _ = detect_batch(signal + sigma * noise, h, mats)
+            ranks = decide(base, cross, 10 ** (-snr_db / 20.0))
             ser = float(np.mean(ranks != ranks_tx))
             sers.append(ser)
             cis.append(1.96 * np.sqrt(max(ser, 1e-12) * (1 - ser) / trials))

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from imjrc import sim
-from imjrc.channel import substream
+from imjrc.channel import (
+    TAG_BITS,
+    TAG_CHANNEL,
+    TAG_NOISE,
+    complex_normal,
+    draw_channel,
+    snr_to_sigma2,
+    substream,
+)
 from imjrc.crps import Scheme, build_scheme
 from imjrc.sim import (
     EARLY_STOP_BIT_ERRORS,
@@ -33,6 +41,104 @@ def _rec(snr_db, ber, scheme="baseline", pulses=10000, b=8):
         ber=ber,
         ci_halfwidth=binomial_halfwidth(ber, n_bits),
     )
+
+
+def _gram_run_ber(build, table, snr_db_grid, n_pulses, master_seed=None, early_stop=False, batch=1024):
+    """The chunk loop run_ber ran before the noise-linear split, as a reference.
+
+    It forms Y = H X_s + sigma N at every SNR point and decides it through
+    the Gram expansion ||Y||^2 - 2 Re<H^H Y, X_r> + ||H X_r||^2 over the
+    flattened hypotheses, with the same draws and early-stop cuts.
+    """
+    params, derived = table.params, table.derived
+    seed = params.master_seed if master_seed is None else master_seed
+    mats = build.member_matrices
+    n = mats.shape[0]
+    flat_conj = mats.reshape(n, -1).conj()
+    row_gram = np.einsum("nrt,nqt->nrq", mats, mats.conj())
+    scales = [math.sqrt(snr_to_sigma2(float(snr_db))) for snr_db in snr_db_grid]
+    errors, pulses, active = [0] * len(scales), [0] * len(scales), [True] * len(scales)
+    done = 0
+    while done < n_pulses and any(active):
+        size = min(batch, n_pulses - done)
+        trials = range(done, done + size)
+        ranks = np.array([substream(seed, TAG_BITS, t).integers(n) for t in trials])
+        h = np.stack(
+            [draw_channel(params.L_C, params.L_R, substream(seed, TAG_CHANNEL, t)) for t in trials]
+        )
+        noise = np.stack(
+            [complex_normal(substream(seed, TAG_NOISE, t), (params.L_C, derived.L_T)) for t in trials]
+        )
+        hh = np.einsum("bcr,bcq->brq", h.conj(), h)
+        image_norm = np.einsum("brq,nqr->bn", hh, row_gram).real
+        for k, scale in enumerate(scales):
+            if not active[k]:
+                continue
+            y = h @ mats[ranks] + scale * noise
+            hy = np.einsum("bcr,bct->brt", h.conj(), y).reshape(size, -1)
+            y_norm = np.einsum("bct,bct->b", y, y.conj()).real
+            metrics = y_norm[:, None] - 2.0 * (hy @ flat_conj.T).real + image_norm
+            decoded = np.argmin(metrics, axis=1)
+            errors[k] += int(np.bitwise_count(ranks ^ decoded).sum())
+            pulses[k] += size
+            if early_stop and errors[k] >= EARLY_STOP_BIT_ERRORS:
+                active[k] = False
+        done += size
+    records = []
+    for snr_db, point_pulses, point_errors in zip(snr_db_grid, pulses, errors):
+        n_bits = point_pulses * derived.B
+        ber = point_errors / n_bits
+        halfwidth = binomial_halfwidth(ber, n_bits)
+        records.append(
+            BerRecord(build.scheme.value, float(snr_db), point_pulses, point_errors, ber, halfwidth)
+        )
+    return records
+
+
+# the last seed spans two 32-bit words of SeedSequence entropy
+EXACTNESS_SEEDS = [1729, 2718, 2**32 + 7]
+
+
+class TestMatchesGramReference:
+    """run_ber's noise-linear decisions equal the Gram-expanded loop's, record for record."""
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("batch", [256, 1024])
+    @pytest.mark.parametrize("seed", EXACTNESS_SEEDS)
+    def test_small_scenario(self, small_table, seed, batch, early_stop):
+        build = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
+        grid = [-20.0, -12.0, -6.0, 0.0, 10.0, math.inf]
+        args = (build, small_table, grid, 3000)
+        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
+        records = run_ber(*args, **kwargs)
+        assert records == _gram_run_ber(*args, **kwargs)
+        if early_stop:
+            assert len({r.pulses for r in records}) > 1
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("batch", [256, 1024])
+    @pytest.mark.parametrize("seed", EXACTNESS_SEEDS[:2])
+    def test_default_scenario(self, default_table, seed, batch, early_stop):
+        build = build_scheme(Scheme.CODEBOOK_ONLY, default_table)
+        grid = [-16.0, -12.0, -8.0, -4.0]
+        args = (build, default_table, grid, 2048)
+        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
+        records = run_ber(*args, **kwargs)
+        assert records == _gram_run_ber(*args, **kwargs)
+        assert all(r.bit_errors > 0 for r in records)
+        if early_stop:
+            assert len({r.pulses for r in records}) > 1
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("seed", EXACTNESS_SEEDS[:2])
+    def test_scaled_codebook(self, default_table, default_scaled_build, seed, early_stop):
+        assert default_scaled_build.tps.d_index != 0
+        grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
+        args = (default_scaled_build, default_table, grid, 2048)
+        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=1024)
+        records = run_ber(*args, **kwargs)
+        assert records == _gram_run_ber(*args, **kwargs)
+        assert records[-1].bit_errors == 0
 
 
 class TestRunBer:
