@@ -14,7 +14,9 @@ import csv
 import json
 import math
 import os
+import platform
 import sys
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence, get_type_hints
@@ -219,6 +221,8 @@ class RunResult:
     gains: list[GainReport]
     # scheme -> the earlier scheme with a bit-equal codebook whose records it copies
     shared_codebooks: dict[str, str]
+    # wall seconds of the design stage and of the Monte Carlo stage
+    timings: dict[str, float]
 
 
 def _design_inputs(config: RunConfig) -> tuple[CodewordTable, np.ndarray | None]:
@@ -239,12 +243,11 @@ def execute_run(config: RunConfig) -> RunResult:
     Gains against the baseline are computed at 1e-3 and 1e-4 whenever the
     baseline is part of the run and both curves bracket the target.
     """
+    t0 = time.perf_counter()
     table, design_channel = _design_inputs(config)
     builds: dict[str, SchemeBuild] = {}
-    records: list[BerRecord] = []
+    distinct: list[SchemeBuild] = []
     shared_codebooks: dict[str, str] = {}
-    grid = config.snr_grid()
-    pulses = config.effective_pulses()
     for scheme in config.schemes:
         build = build_scheme(scheme, table, design_channel=design_channel)
         # common random numbers make a bit-equal codebook's curve identical,
@@ -257,12 +260,26 @@ def execute_run(config: RunConfig) -> RunResult:
             ),
             None,
         )
-        builds[scheme.value] = build
         if twin is None:
-            records.extend(run_ber(build, table, grid, pulses, early_stop=config.early_stop))
+            distinct.append(build)
         else:
             shared_codebooks[scheme.value] = twin
-            records.extend([replace(r, scheme=scheme.value) for r in records if r.scheme == twin])
+        builds[scheme.value] = build
+    t1 = time.perf_counter()
+    grid = config.snr_grid()
+    simulated = run_ber(
+        distinct, table, grid, config.effective_pulses(), early_stop=config.early_stop
+    )
+    curves = {
+        build.scheme.value: simulated[i * len(grid) : (i + 1) * len(grid)]
+        for i, build in enumerate(distinct)
+    }
+    records = [
+        replace(r, scheme=scheme.value)
+        for scheme in config.schemes
+        for r in curves[shared_codebooks.get(scheme.value, scheme.value)]
+    ]
+    timings = {"design_s": t1 - t0, "simulate_s": time.perf_counter() - t1}
 
     gains: list[GainReport] = []
     if Scheme.BASELINE in config.schemes:
@@ -283,6 +300,7 @@ def execute_run(config: RunConfig) -> RunResult:
         records=records,
         gains=gains,
         shared_codebooks=shared_codebooks,
+        timings=timings,
     )
 
 
@@ -359,6 +377,20 @@ def _tps_json(tps: TpsFactor) -> dict:
     }
 
 
+def run_environment() -> dict:
+    """The interpreter, numpy and BLAS build a run used, and its BLAS thread settings."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
     """Write ber.csv, gains.csv, meta.json, and the plot script."""
     os.makedirs(out_dir, exist_ok=True)
@@ -405,6 +437,8 @@ def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
             "tps_power": "sum_l |alpha_l|^2 = L_R",
             "effective_pulses": result.config.effective_pulses(),
         },
+        "environment": run_environment(),
+        "timings": result.timings,
     }
     with open(paths["meta"], "w") as fh:
         json.dump(meta, fh, indent=2)

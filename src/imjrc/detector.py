@@ -1,11 +1,8 @@
 """Maximum-likelihood detection of the transmitted codeword rank.
 
 With perfect channel knowledge the ML decision under white Gaussian noise
-is the codeword minimizing ||Y - H X_r||_F^2 over the codebook.  The
-reference path :func:`detect` evaluates that residual directly, one pulse
-at a time.
-
-The batched path decides a chunk of simulated pulses Y = H X_s + sigma N,
+is the codeword minimizing ||Y - H X_r||_F^2 over the codebook.  This
+module decides a chunk of simulated pulses Y = H X_s + sigma N,
 with X_s the sent codeword and N unit noise.  ||Y||^2 is the same for
 every hypothesis, so the decision is the argmin over r of
 
@@ -32,43 +29,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-
-class DetectionResult(NamedTuple):
-    rank: int
-    metric: float
-
-
-def detect(
-    y: np.ndarray,
-    h: np.ndarray,
-    member_mats: np.ndarray,
-    alpha: np.ndarray | None = None,
-) -> DetectionResult:
-    """Decide one pulse by direct residual evaluation.
-
-    ``member_mats[r]`` is the hypothesis for rank r; ``alpha`` optionally
-    applies a row pre-scaling to every hypothesis first (for codebooks
-    stored unscaled).
-    """
-    member_mats = np.asarray(member_mats)
-    if member_mats.ndim != 3:
-        raise ValueError(f"expected (n, L_R, L_T) hypotheses, got shape {member_mats.shape}")
-    if alpha is not None:
-        member_mats = member_mats * np.asarray(alpha)[None, :, None]
-    if h.shape[1] != member_mats.shape[1]:
-        raise ValueError(
-            f"channel columns ({h.shape[1]}) must match codeword rows ({member_mats.shape[1]})"
-        )
-    if y.shape != (h.shape[0], member_mats.shape[2]):
-        raise ValueError(
-            f"received pulse must have shape {(h.shape[0], member_mats.shape[2])}, got {y.shape}"
-        )
-    images = np.einsum("cr,nrt->nct", h, member_mats)
-    diff = y[None, :, :] - images
-    metrics = np.einsum("nct,nct->n", diff, diff.conj()).real
-    rank = int(np.argmin(metrics))
-    return DetectionResult(rank=rank, metric=float(metrics[rank]))
 
 
 class GramCache(NamedTuple):
@@ -142,12 +102,18 @@ def noise_linear_terms(
     hh = h_adj @ h  # (batch, L_R, L_R)
     signal = hh @ cache.member_spectra[ranks]  # H^H H X_s W^H
     noise_spec = h_adj @ (noise @ cache.waveforms_h)  # H^H N W^H
-    image_norm = hh.reshape(batch, -1).view(float) @ cache.gram_map
-    base = image_norm - 2.0 * (signal.reshape(batch, -1).view(float) @ cache.carrier_map)
+    # base = image_norm - 2 * signal_term, formed in place: a - 2b and
+    # (-2b) + a round the same, and no (batch x n) temporary is left over
+    base = signal.reshape(batch, -1).view(float) @ cache.carrier_map
+    base *= -2.0
+    base += hh.reshape(batch, -1).view(float) @ cache.gram_map
     cross = noise_spec.reshape(batch, -1).view(float) @ cache.carrier_map
     return base, cross
 
 
 def decide(base: np.ndarray, cross: np.ndarray, noise_scale: float) -> np.ndarray:
     """ML ranks at noise scale sigma: argmin over r of base - 2 sigma cross."""
-    return np.argmin(base - (2.0 * noise_scale) * cross, axis=1)
+    # (-2 sigma cross) + base rounds as base - 2 sigma cross, with one temporary
+    metric = cross * (-2.0 * noise_scale)
+    metric += base
+    return np.argmin(metric, axis=1)

@@ -8,13 +8,14 @@ make every cell of the (scheme x SNR) grid reuse the same channel and
 payload realizations, so scheme comparisons are paired.
 
 The loop is chunk-outer: a chunk of trials is drawn once and then decided
-at every SNR point, instead of being redrawn for each point.  The received
-pulse is never formed.  Its ML metric is noise-linear: a noise-free term
-and a unit-noise term, both (batch x n), are computed once per chunk in
-the carrier domain (see :mod:`imjrc.detector`), and each SNR point decides
-the chunk with one axpy and one argmin.  Early stop is tracked per SNR
-point at chunk boundaries, so a point's pulse count is the same as if it
-had been run alone.
+for every codebook at every SNR point, instead of being redrawn for each
+codebook or point.  The received pulse is never formed.  Its ML metric is
+noise-linear: a noise-free term and a unit-noise term, both (batch x n),
+are computed once per chunk and codebook in the carrier domain (see
+:mod:`imjrc.detector`), and each SNR point decides the chunk with one
+axpy and one argmin.  Early stop is tracked per (codebook, SNR) cell at
+chunk boundaries, so a cell's pulse count is the same as if it had been
+run alone.
 """
 
 from __future__ import annotations
@@ -25,15 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import (
-    TAG_BITS,
-    TAG_CHANNEL,
-    TAG_NOISE,
-    complex_normal,
-    draw_channel,
-    snr_to_sigma2,
-    substream,
-)
+from .channel import draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
 from .detector import decide, gram_cache, noise_linear_terms
 from .enumeration import CodewordTable
@@ -74,7 +67,7 @@ def binomial_halfwidth(ber: float, n_bits: int) -> float:
 
 
 def run_ber(
-    build: SchemeBuild,
+    builds: Sequence[SchemeBuild],
     table: CodewordTable,
     snr_db_grid: Sequence[float],
     n_pulses: int,
@@ -82,76 +75,89 @@ def run_ber(
     early_stop: bool = False,
     batch: int = 1024,
 ) -> list[BerRecord]:
-    """Measure BER at each SNR point for one scheme.
+    """Measure BER at each SNR point for each build, on one set of draws.
 
-    The loop runs chunk by chunk: each chunk of ``batch`` trials is drawn
-    once, its two detector terms are computed once, and then it is
-    decided at every SNR point still active.  ``early_stop`` ends an SNR
-    point at the first chunk boundary with at least
-    :data:`EARLY_STOP_BIT_ERRORS` bit errors; the record's ``pulses``
-    reflects the trials actually run at that point, and the loop ends once
-    no point is active.  Results are independent of ``batch`` because
-    randomness is keyed by trial index, not by chunk.
+    Returns the records build by build, in the order of ``builds``, each
+    build's in grid order.  The loop runs chunk by chunk: each chunk of
+    ``batch`` trials is drawn once; then, one build at a time, its two
+    detector terms are computed and it is decided at every SNR point
+    still active for that build.  ``early_stop`` ends a (build, SNR) cell
+    at the first chunk boundary with at least :data:`EARLY_STOP_BIT_ERRORS`
+    bit errors; the record's ``pulses`` reflects the trials actually run
+    in that cell, and the loop ends once no cell is active.  A build's
+    records equal those of a run over that build alone, and results are
+    independent of ``batch``, because randomness is keyed by trial index.
     """
+    if not builds:
+        raise ValueError("no builds to simulate")
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if len(snr_db_grid) == 0:
         raise ValueError("SNR grid is empty")
+    n_members = builds[0].member_matrices.shape[0]
+    if any(build.member_matrices.shape[0] != n_members for build in builds):
+        sizes = [build.member_matrices.shape[0] for build in builds]
+        raise ValueError(f"builds must share one member count to share draws, got {sizes}")
     params, derived = table.params, table.derived
     seed = params.master_seed if master_seed is None else master_seed
-    mats = build.member_matrices
-    n_members = mats.shape[0]
-    b_bits = derived.B
-    carriers = table.carriers[np.asarray(build.codebook.member_ids)]
-    cache = gram_cache(mats, carriers, table.waveforms)
-    l_c, l_t = params.L_C, derived.L_T
+    caches = [
+        gram_cache(
+            build.member_matrices,
+            table.carriers[np.asarray(build.codebook.member_ids)],
+            table.waveforms,
+        )
+        for build in builds
+    ]
 
     noise_scales = [math.sqrt(snr_to_sigma2(float(snr_db))) for snr_db in snr_db_grid]
-    bit_errors = [0] * len(noise_scales)
-    pulses = [0] * len(noise_scales)
-    active = [True] * len(noise_scales)
+    bit_errors = [[0] * len(noise_scales) for _ in builds]
+    pulses = [[0] * len(noise_scales) for _ in builds]
+    active = [[True] * len(noise_scales) for _ in builds]
     # one set of draw buffers serves every chunk; allocating them per chunk
     # fragments the heap and raises the peak resident memory of a run
     width = min(batch, n_pulses)
     ranks_buf = np.empty(width, dtype=np.int64)
-    h_buf = np.empty((width, l_c, params.L_R), dtype=complex)
-    noise_buf = np.empty((width, l_c, l_t), dtype=complex)
+    h_buf = np.empty((width, params.L_C, params.L_R), dtype=complex)
+    noise_buf = np.empty((width, params.L_C, derived.L_T), dtype=complex)
     done = 0
-    while done < n_pulses and any(active):
+    while done < n_pulses and any(map(any, active)):
         size = min(batch, n_pulses - done)
         ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
-        for i in range(size):
-            trial = done + i
-            ranks[i] = substream(seed, TAG_BITS, trial).integers(n_members)
-            h[i] = draw_channel(l_c, params.L_R, substream(seed, TAG_CHANNEL, trial))
-            noise[i] = complex_normal(substream(seed, TAG_NOISE, trial), (l_c, l_t))
-        base, cross = noise_linear_terms(h, ranks, noise, cache)
-        for k, noise_scale in enumerate(noise_scales):
-            if not active[k]:
+        draw_trials(seed, done, n_members, ranks, h, noise)
+        for b, cache in enumerate(caches):
+            if not any(active[b]):
                 continue
-            decoded = decide(base, cross, noise_scale)
-            bit_errors[k] += int(np.bitwise_count(ranks ^ decoded).sum())
-            pulses[k] += size
-            if early_stop and bit_errors[k] >= EARLY_STOP_BIT_ERRORS:
-                active[k] = False
+            base, cross = noise_linear_terms(h, ranks, noise, cache)
+            for k, noise_scale in enumerate(noise_scales):
+                if not active[b][k]:
+                    continue
+                decoded = decide(base, cross, noise_scale)
+                bit_errors[b][k] += int(np.bitwise_count(ranks ^ decoded).sum())
+                pulses[b][k] += size
+                if early_stop and bit_errors[b][k] >= EARLY_STOP_BIT_ERRORS:
+                    active[b][k] = False
+            # freed before the next build's terms, which would otherwise
+            # raise the run's peak memory by two (batch x n) arrays
+            del base, cross
         done += size
 
     records = []
-    for snr_db, point_pulses, point_errors in zip(snr_db_grid, pulses, bit_errors):
-        n_bits = point_pulses * b_bits
-        ber = point_errors / n_bits
-        records.append(
-            BerRecord(
-                scheme=build.scheme.value,
-                snr_db=float(snr_db),
-                pulses=point_pulses,
-                bit_errors=point_errors,
-                ber=ber,
-                ci_halfwidth=binomial_halfwidth(ber, n_bits),
+    for build, build_pulses, build_errors in zip(builds, pulses, bit_errors):
+        for snr_db, cell_pulses, cell_errors in zip(snr_db_grid, build_pulses, build_errors):
+            n_bits = cell_pulses * derived.B
+            ber = cell_errors / n_bits
+            records.append(
+                BerRecord(
+                    scheme=build.scheme.value,
+                    snr_db=float(snr_db),
+                    pulses=cell_pulses,
+                    bit_errors=cell_errors,
+                    ber=ber,
+                    ci_halfwidth=binomial_halfwidth(ber, n_bits),
+                )
             )
-        )
     return records
 
 

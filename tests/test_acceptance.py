@@ -66,7 +66,7 @@ def iv_builds(default_table):
 @pytest.fixture(scope="module")
 def iv_curves(default_table, iv_builds):
     """Pilot the baseline, pick the span grid, measure all five schemes."""
-    pilot = run_ber(iv_builds[Scheme.BASELINE], default_table, PILOT_GRID, PILOT_PULSES)
+    pilot = run_ber([iv_builds[Scheme.BASELINE]], default_table, PILOT_GRID, PILOT_PULSES)
     lo = max((r.snr_db for r in pilot if r.ber >= 1e-2), default=float(PILOT_GRID[0]))
     hi = min((r.snr_db for r in pilot if r.ber <= 1e-4), default=float(PILOT_GRID[-1]))
     # one step past the pilot crossing so the full-resolution curve still
@@ -74,9 +74,10 @@ def iv_curves(default_table, iv_builds):
     hi = min(hi + GRID_STEP, float(PILOT_GRID[-1]))
     assert hi > lo, "pilot did not bracket the 1e-2..1e-4 span"
     grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
+    # the five schemes share one grid, so one run draws every chunk for all
+    records = run_ber([iv_builds[scheme] for scheme in Scheme], default_table, grid, POINT_PULSES)
     curves = {
-        scheme: run_ber(iv_builds[scheme], default_table, grid, POINT_PULSES)
-        for scheme in Scheme
+        scheme: records[i * len(grid) : (i + 1) * len(grid)] for i, scheme in enumerate(Scheme)
     }
     return grid, curves
 
@@ -139,7 +140,7 @@ def _full_curve(build, table, curve_1e4):
     crossing = snr_at_ber(curve_1e4, 1e-3)
     lo = math.floor(crossing) - 1.0
     mini_grid = [lo, lo + 1.0, lo + 2.0, lo + 3.0]
-    return run_ber(build, table, mini_grid, FULL_PULSES)
+    return run_ber([build], table, mini_grid, FULL_PULSES)
 
 
 def test_3_reference_gains(default_table, iv_builds, iv_curves, tmp_path_factory):
@@ -184,7 +185,7 @@ def test_3_reference_gains(default_table, iv_builds, iv_curves, tmp_path_factory
 
 def _anchor_snr(build, table):
     """SNR where the scheme's pilot curve crosses the middle of 1e-3..1e-2."""
-    pilot = run_ber(build, table, PILOT_GRID, PILOT_PULSES)
+    pilot = run_ber([build], table, PILOT_GRID, PILOT_PULSES)
     return snr_at_ber(pilot, 10**-2.5)
 
 
@@ -195,7 +196,7 @@ def test_4a_carrier_count_trend():
         tables[m] = build_table(params, derive(params))
         builds[m] = build_scheme(Scheme.CRPS_THEN_CODEBOOK, tables[m])
     snr = _anchor_snr(builds[6], tables[6])
-    recs = {m: run_ber(builds[m], tables[m], [snr], POINT_PULSES)[0] for m in (4, 6, 8)}
+    recs = {m: run_ber([builds[m]], tables[m], [snr], POINT_PULSES)[0] for m in (4, 6, 8)}
     anchor_ok = 1e-3 <= recs[6].ber <= 1e-2
     violations = [
         f"M={hi} ber {recs[hi].ber:.3e} > M={lo} ber {recs[lo].ber:.3e} beyond CI"
@@ -232,8 +233,7 @@ def test_4b_antenna_sweep_beats_baseline(default_table, iv_builds):
     for l_r in (4, 6, 8):
         table, scheme_build, base_build = cases[l_r]
         snr = _anchor_snr(scheme_build, table)
-        s = run_ber(scheme_build, table, [snr], POINT_PULSES)[0]
-        b = run_ber(base_build, table, [snr], POINT_PULSES)[0]
+        s, b = run_ber([scheme_build, base_build], table, [snr], POINT_PULSES)
         pieces.append(f"L_R={l_r} @ {snr:+.2f} dB: {s.ber:.3e} vs baseline {b.ber:.3e}")
         if not (1e-3 <= s.ber <= 1e-2):
             problems.append(f"L_R={l_r} anchor ber {s.ber:.3e} outside 1e-3..1e-2")
@@ -258,8 +258,8 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     failures = []
 
     # (a) noiseless transmission is error free for every scheme
-    for scheme, build in iv_builds.items():
-        rec = run_ber(build, default_table, [math.inf], 1000)[0]
+    noiseless = run_ber(list(iv_builds.values()), default_table, [math.inf], 1000)
+    for scheme, rec in zip(iv_builds, noiseless):
         if rec.ber != 0.0:
             failures.append(f"(a) {scheme.value} noiseless ber {rec.ber:g}")
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from imjrc import channel
 from imjrc.channel import (
     TAG_BITS,
     TAG_CHANNEL,
@@ -13,10 +14,11 @@ from imjrc.channel import (
     TAG_TPS,
     complex_normal,
     draw_channel,
-    receive,
+    draw_trials,
     snr_to_sigma2,
     substream,
 )
+from oracles import receive
 
 
 class TestSubstreams:
@@ -40,6 +42,75 @@ class TestSubstreams:
     def test_tags_are_distinct(self):
         tags = {TAG_TPS, TAG_BITS, TAG_CHANNEL, TAG_NOISE, TAG_DESIGN_CHANNEL}
         assert len(tags) == 5
+
+
+ALL_TAGS = (TAG_TPS, TAG_BITS, TAG_CHANNEL, TAG_NOISE, TAG_DESIGN_CHANNEL)
+# 2^128 + 3 is run entropy of five uint32 words, more than the pool holds
+BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
+# (start, size): single trials of one and two words, and a chunk that
+# straddles 2^32, so one call mixes keys of different word counts
+BULK_TRIALS = [(0, 1), (2**32 - 1, 1), (2**32, 1), (2**40 + 7, 1), (2**32 - 3, 6)]
+
+
+def _substream_loop(seed, start, n_members, l_c, l_r, l_t, size):
+    """One chunk drawn trial by trial through ``substream``, the reference."""
+    trials = range(start, start + size)
+    ranks = np.array([substream(seed, TAG_BITS, t).integers(n_members) for t in trials])
+    h = np.stack([draw_channel(l_c, l_r, substream(seed, TAG_CHANNEL, t)) for t in trials])
+    noise = np.stack([complex_normal(substream(seed, TAG_NOISE, t), (l_c, l_t)) for t in trials])
+    return ranks, h, noise
+
+
+def _bulk(seed, start, n_members, l_c, l_r, l_t, size):
+    ranks = np.empty(size, dtype=np.int64)
+    h = np.empty((size, l_c, l_r), dtype=complex)
+    noise = np.empty((size, l_c, l_t), dtype=complex)
+    draw_trials(seed, start, n_members, ranks, h, noise)
+    return ranks, h, noise
+
+
+class TestBulkSeeding:
+    @pytest.mark.parametrize("seed", BULK_SEEDS)
+    def test_states_equal_seedsequence(self, seed):
+        for start, size in BULK_TRIALS:
+            states = channel._stream_states(seed, ALL_TAGS, start, size)
+            for tag, tag_states in zip(ALL_TAGS, states):
+                assert tag_states == [
+                    substream(seed, tag, t).bit_generator.state
+                    for t in range(start, start + size)
+                ]
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError):
+            channel._stream_states(-1, (TAG_BITS,), 0, 1)
+
+
+class TestDrawTrials:
+    @pytest.mark.parametrize("seed", [1729, 2**64 + 5])
+    @pytest.mark.parametrize("start,size", [(0, 300), (2**32 - 150, 300)])
+    def test_small_scenario_equals_substream_loop(self, small_params, small_derived, seed, start, size):
+        dims = (16, small_params.L_C, small_params.L_R, small_derived.L_T, size)
+        got = _bulk(seed, start, *dims)
+        want = _substream_loop(seed, start, *dims)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("start,size", [(0, 1024), (1024, 1000)])
+    def test_default_scenario_equals_substream_loop(self, default_params, default_derived, start, size):
+        n_members = 1 << default_derived.B
+        dims = (n_members, default_params.L_C, default_params.L_R, default_derived.L_T, size)
+        seed = default_params.master_seed
+        got = _bulk(seed, start, *dims)
+        want = _substream_loop(seed, start, *dims)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_rejects_unusable_buffers(self):
+        ranks = np.empty(4, dtype=np.int64)
+        h = np.empty((4, 2, 3), dtype=complex)
+        noise = np.empty((4, 2, 5), dtype=complex)
+        with pytest.raises(ValueError):
+            draw_trials(1, 0, 8, ranks, h[:3], noise)
+        with pytest.raises(ValueError):
+            draw_trials(1, 0, 8, ranks, h, noise[:, :, ::2])
 
 
 class TestComplexNormal:

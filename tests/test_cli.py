@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import platform
 from fractions import Fraction
 
 import numpy as np
@@ -285,9 +286,9 @@ def default_run_counted(tmp_path_factory):
     """A short default-scenario run, counting the Monte Carlo calls it makes."""
     calls = []
 
-    def counting_run_ber(build, *args, **kwargs):
-        calls.append(build.scheme.value)
-        return run_ber(build, *args, **kwargs)
+    def counting_run_ber(builds, *args, **kwargs):
+        calls.append([build.scheme.value for build in builds])
+        return run_ber(builds, *args, **kwargs)
 
     config = RunConfig(snr_start=-10.0, snr_stop=-8.0, snr_step=2.0, pulses=64)
     with pytest.MonkeyPatch.context() as mp:
@@ -302,7 +303,7 @@ def default_run_counted(tmp_path_factory):
 class TestSharedCodebooks:
     def test_simulates_each_distinct_codebook_once(self, default_run_counted):
         _, calls, _ = default_run_counted
-        assert calls == ["baseline", "codebook_only"]
+        assert calls == [["baseline", "codebook_only"]]
 
     def test_twins_copy_rows_apart_from_scheme(self, default_run_counted):
         result, _, _ = default_run_counted
@@ -322,6 +323,26 @@ class TestSharedCodebooks:
             "codebook_then_crps": "codebook_only",
             "crps_then_codebook": "codebook_only",
         }
+
+
+class TestRunTelemetry:
+    def test_meta_records_environment(self, default_run_counted):
+        _, _, meta = default_run_counted
+        env = meta["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
+    def test_meta_records_stage_timings(self, default_run_counted):
+        result, _, meta = default_run_counted
+        assert meta["timings"] == result.timings
+        assert set(meta["timings"]) == {"design_s", "simulate_s"}
+        assert all(value > 0.0 for value in meta["timings"].values())
+
+    def test_telemetry_follows_the_reproducible_fields(self, default_run_counted):
+        _, _, meta = default_run_counted
+        assert list(meta)[-2:] == ["environment", "timings"]
 
 
 class TestDivergenceReport:

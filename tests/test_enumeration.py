@@ -13,7 +13,7 @@ from imjrc.enumeration import (
     rank_to_bits,
 )
 from imjrc.params import SystemParams, derive
-from imjrc.signal import synthesize_codeword
+from oracles import synthesize_codeword
 
 
 def test_subsets_small_exhaustive():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from imjrc.params import SystemParams, derive
-from imjrc.signal import sampled_waveform, steering_vector, synthesize_codeword
+from imjrc.signal import sampled_waveform, steering_vector
+from oracles import synthesize_codeword
 
 
 def test_steering_first_element_is_one(default_params):

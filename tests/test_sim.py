@@ -12,10 +12,12 @@ from imjrc.channel import (
     TAG_NOISE,
     complex_normal,
     draw_channel,
+    draw_trials,
     snr_to_sigma2,
     substream,
 )
 from imjrc.crps import Scheme, build_scheme
+from imjrc.detector import noise_linear_terms
 from imjrc.sim import (
     EARLY_STOP_BIT_ERRORS,
     BerRecord,
@@ -108,10 +110,10 @@ class TestMatchesGramReference:
     def test_small_scenario(self, small_table, seed, batch, early_stop):
         build = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0, math.inf]
-        args = (build, small_table, grid, 3000)
+        args = (small_table, grid, 3000)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
-        records = run_ber(*args, **kwargs)
-        assert records == _gram_run_ber(*args, **kwargs)
+        records = run_ber([build], *args, **kwargs)
+        assert records == _gram_run_ber(build, *args, **kwargs)
         if early_stop:
             assert len({r.pulses for r in records}) > 1
 
@@ -121,10 +123,10 @@ class TestMatchesGramReference:
     def test_default_scenario(self, default_table, seed, batch, early_stop):
         build = build_scheme(Scheme.CODEBOOK_ONLY, default_table)
         grid = [-16.0, -12.0, -8.0, -4.0]
-        args = (build, default_table, grid, 2048)
+        args = (default_table, grid, 2048)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
-        records = run_ber(*args, **kwargs)
-        assert records == _gram_run_ber(*args, **kwargs)
+        records = run_ber([build], *args, **kwargs)
+        assert records == _gram_run_ber(build, *args, **kwargs)
         assert all(r.bit_errors > 0 for r in records)
         if early_stop:
             assert len({r.pulses for r in records}) > 1
@@ -134,23 +136,80 @@ class TestMatchesGramReference:
     def test_scaled_codebook(self, default_table, default_scaled_build, seed, early_stop):
         assert default_scaled_build.tps.d_index != 0
         grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
-        args = (default_scaled_build, default_table, grid, 2048)
+        args = (default_table, grid, 2048)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=1024)
-        records = run_ber(*args, **kwargs)
-        assert records == _gram_run_ber(*args, **kwargs)
+        records = run_ber([default_scaled_build], *args, **kwargs)
+        assert records == _gram_run_ber(default_scaled_build, *args, **kwargs)
         assert records[-1].bit_errors == 0
+
+
+class TestSharedDraws:
+    """One run over several builds equals one run per build, record for record."""
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("batch", [256, 1024])
+    def test_default_scenario(self, default_table, default_scaled_build, batch, early_stop):
+        assert default_scaled_build.tps.d_index != 0
+        builds = [
+            build_scheme(Scheme.BASELINE, default_table),
+            default_scaled_build,
+            build_scheme(Scheme.CODEBOOK_ONLY, default_table),
+        ]
+        grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
+        kwargs = dict(master_seed=2718, early_stop=early_stop, batch=batch)
+        together = run_ber(builds, default_table, grid, 2048, **kwargs)
+        alone = [r for build in builds for r in run_ber([build], default_table, grid, 2048, **kwargs)]
+        assert together == alone
+        assert [r.scheme for r in together] == [b.scheme.value for b in builds for _ in grid]
+        if early_stop:
+            assert len({r.pulses for r in together}) > 1
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    def test_small_scenario(self, small_table, small_baseline, early_stop):
+        builds = [build_scheme(Scheme.CODEBOOK_ONLY, small_table), small_baseline]
+        grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
+        kwargs = dict(early_stop=early_stop, batch=256)
+        together = run_ber(builds, small_table, grid, 3000, **kwargs)
+        alone = [r for build in builds for r in run_ber([build], small_table, grid, 3000, **kwargs)]
+        assert together == alone
+
+    def test_a_stopped_build_leaves_the_others_running(self, small_table, small_baseline, monkeypatch):
+        # at -12 dB and 16 pulses a chunk, the baseline stops two chunks
+        # before codebook_only does, so codebook_only runs on alone
+        builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
+        kwargs = dict(early_stop=True, batch=16)
+        alone = [run_ber([build], small_table, [-12.0], 3000, **kwargs)[0] for build in builds]
+        assert alone[0].pulses < alone[1].pulses
+        calls = 0
+
+        def counting_terms(*args):
+            nonlocal calls
+            calls += 1
+            return noise_linear_terms(*args)
+
+        monkeypatch.setattr(sim, "noise_linear_terms", counting_terms)
+        assert run_ber(builds, small_table, [-12.0], 3000, **kwargs) == alone
+        # a build whose every cell has stopped is not decided again
+        assert calls == sum(r.pulses // 16 for r in alone)
+
+    def test_rejects_builds_that_cannot_share_draws(self, small_baseline, small_table, default_table):
+        with pytest.raises(ValueError):
+            run_ber([], small_table, [0.0], 10)
+        larger = build_scheme(Scheme.BASELINE, default_table)
+        with pytest.raises(ValueError):
+            run_ber([small_baseline, larger], small_table, [0.0], 10)
 
 
 class TestRunBer:
     def test_noiseless_gives_zero_errors(self, small_baseline, small_table):
-        records = run_ber(small_baseline, small_table, [math.inf], 200)
+        records = run_ber([small_baseline], small_table, [math.inf], 200)
         assert len(records) == 1
         assert records[0].bit_errors == 0
         assert records[0].ber == 0.0
         assert records[0].pulses == 200
 
     def test_record_accounting(self, small_baseline, small_table, small_derived):
-        records = run_ber(small_baseline, small_table, [-10.0, 0.0], 300)
+        records = run_ber([small_baseline], small_table, [-10.0, 0.0], 300)
         assert [r.snr_db for r in records] == [-10.0, 0.0]
         for r in records:
             n_bits = r.pulses * small_derived.B
@@ -160,13 +219,13 @@ class TestRunBer:
             assert r.scheme == "baseline"
 
     def test_replay_is_bitwise_identical(self, small_baseline, small_table):
-        a = run_ber(small_baseline, small_table, [-5.0, 0.0], 400)
-        b = run_ber(small_baseline, small_table, [-5.0, 0.0], 400)
+        a = run_ber([small_baseline], small_table, [-5.0, 0.0], 400)
+        b = run_ber([small_baseline], small_table, [-5.0, 0.0], 400)
         assert a == b
 
     def test_chunking_does_not_change_results(self, small_baseline, small_table):
-        a = run_ber(small_baseline, small_table, [-3.0], 257, batch=7)
-        b = run_ber(small_baseline, small_table, [-3.0], 257, batch=64)
+        a = run_ber([small_baseline], small_table, [-3.0], 257, batch=7)
+        b = run_ber([small_baseline], small_table, [-3.0], 257, batch=64)
         assert a == b
 
     @pytest.mark.parametrize("early_stop", [False, True])
@@ -178,10 +237,10 @@ class TestRunBer:
         # and never, so the per-point early-stop cuts are all exercised
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
         together = run_ber(
-            small_baseline, small_table, grid, 3000, early_stop=early_stop, batch=batch
+            [small_baseline], small_table, grid, 3000, early_stop=early_stop, batch=batch
         )
         alone = [
-            run_ber(small_baseline, small_table, [snr], 3000, early_stop=early_stop, batch=batch)[0]
+            run_ber([small_baseline], small_table, [snr], 3000, early_stop=early_stop, batch=batch)[0]
             for snr in grid
         ]
         assert together == alone
@@ -191,29 +250,29 @@ class TestRunBer:
     def test_draws_each_trial_once_across_the_grid(
         self, small_baseline, small_table, monkeypatch
     ):
-        calls = 0
+        drawn = []
 
-        def counting_substream(*args):
-            nonlocal calls
-            calls += 1
-            return substream(*args)
+        def counting_draw_trials(master_seed, start, n_members, ranks, h, noise):
+            drawn.extend(range(start, start + len(ranks)))
+            return draw_trials(master_seed, start, n_members, ranks, h, noise)
 
-        monkeypatch.setattr(sim, "substream", counting_substream)
+        monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
+        builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
         grid = [-16.0 + 2.0 * k for k in range(11)]
-        records = run_ber(small_baseline, small_table, grid, 300)
-        assert [r.pulses for r in records] == [300] * 11
-        assert calls == 3 * 300
+        records = run_ber(builds, small_table, grid, 300, batch=64)
+        assert [r.pulses for r in records] == [300] * 22
+        assert drawn == list(range(300))
 
     def test_explicit_master_seed_overrides_scenario_seed(self, small_baseline, small_table):
-        a = run_ber(small_baseline, small_table, [0.0], 300)
-        b = run_ber(small_baseline, small_table, [0.0], 300, master_seed=4242)
-        c = run_ber(small_baseline, small_table, [0.0], 300, master_seed=4242)
+        a = run_ber([small_baseline], small_table, [0.0], 300)
+        b = run_ber([small_baseline], small_table, [0.0], 300, master_seed=4242)
+        c = run_ber([small_baseline], small_table, [0.0], 300, master_seed=4242)
         assert b == c
         assert a != b
 
     def test_early_stop_truncates_noisy_points(self, small_baseline, small_table):
-        full = run_ber(small_baseline, small_table, [-20.0], 20000)
-        stopped = run_ber(small_baseline, small_table, [-20.0], 20000, early_stop=True, batch=256)
+        full = run_ber([small_baseline], small_table, [-20.0], 20000)
+        stopped = run_ber([small_baseline], small_table, [-20.0], 20000, early_stop=True, batch=256)
         assert stopped[0].bit_errors >= EARLY_STOP_BIT_ERRORS
         assert stopped[0].pulses < full[0].pulses
         assert stopped[0].pulses % 256 == 0
@@ -223,16 +282,16 @@ class TestRunBer:
 
     def test_rejects_bad_arguments(self, small_baseline, small_table):
         with pytest.raises(ValueError):
-            run_ber(small_baseline, small_table, [0.0], 0)
+            run_ber([small_baseline], small_table, [0.0], 0)
         with pytest.raises(ValueError):
-            run_ber(small_baseline, small_table, [0.0], 10, batch=0)
+            run_ber([small_baseline], small_table, [0.0], 10, batch=0)
         with pytest.raises(ValueError):
-            run_ber(small_baseline, small_table, [], 10)
+            run_ber([small_baseline], small_table, [], 10)
 
     def test_high_snr_floor(self, default_table):
         # at +30 dB the default scenario must be effectively error free
         build = build_scheme(Scheme.BASELINE, default_table)
-        records = run_ber(build, default_table, [30.0], 10000)
+        records = run_ber([build], default_table, [30.0], 10000)
         assert records[0].ber < 1e-4
 
 
