@@ -38,16 +38,26 @@ class Codebook:
     provenance: Provenance
 
 
-def _gram_distances(flat: np.ndarray) -> np.ndarray:
+def _gram_distances(
+    flat: np.ndarray,
+    out: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared distances between the rows of ``flat``, clamped at zero.
 
     Uses the Gram identity ||u - v||^2 = ||u||^2 + ||v||^2 - 2 Re<u, v>,
     one matmul for all pairs; rounding can leave tiny negatives, which the
-    clamp removes.
+    clamp removes.  ``out`` (n x n, float) and ``gram`` (n x n, the dtype
+    of ``flat``), when given, are filled instead of allocated, so a caller
+    that scores many matrices of one size reuses the same memory.
     """
-    sq = np.einsum("nt,nt->n", flat, flat.conj()).real
-    gram = (flat @ flat.conj().T).real
-    dist = sq[:, None] + sq[None, :] - 2.0 * gram
+    conj = flat.conj()
+    sq = np.einsum("nt,nt->n", flat, conj).real
+    gram = np.matmul(flat, conj.T, out=gram)
+    dist = np.add(sq[:, None], sq[None, :], out=out)
+    twice = gram.real
+    twice *= 2.0
+    dist -= twice
     return np.maximum(dist, 0.0, out=dist)
 
 

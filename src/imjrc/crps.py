@@ -31,6 +31,7 @@ from .channel import TAG_TPS, substream
 from .codebook import (
     Codebook,
     Provenance,
+    _gram_distances,
     distance_matrix,
     greedy_prune,
     med,
@@ -142,12 +143,39 @@ def candidate_meds(
         for start, stop in zip(edges, edges[1:]):
             np.minimum(meds, (rowdist[start:stop] @ weights.T).min(axis=0), out=meds)
         return meds
+    return _channel_meds(candidates, member_mats, channel)
+
+
+def _channel_meds(
+    candidates: list[np.ndarray],
+    member_mats: np.ndarray,
+    channel: np.ndarray,
+) -> np.ndarray:
+    """MED of each candidate through ``channel``, as ``distance_matrix`` measures it.
+
+    Every candidate repeats the operations of ``distance_matrix`` on
+    buffers allocated once per call, so no n x n matrix is allocated and
+    freed per candidate: freed blocks that size are handed back to the
+    system and faulted in again by the next candidate, which made the
+    design's system time and its spread grow with the pool.
+    """
+    n = member_mats.shape[0]
+    scaled = np.empty(member_mats.shape, dtype=np.result_type(member_mats, *candidates))
+    images = np.empty(
+        (n, channel.shape[0], member_mats.shape[2]), dtype=np.result_type(channel, scaled)
+    )
+    flat = images.reshape(n, -1)
+    gram = np.empty((n, n), dtype=flat.dtype)
+    dist = np.empty((n, n))
+    # distance_matrix keeps the upper triangle and mirrors it, so its MED
+    # is the minimum of the strict upper triangle
+    not_upper = ~np.triu(np.ones((n, n), dtype=bool), 1)
     meds = np.empty(len(candidates))
     for d, alpha in enumerate(candidates):
-        dist = distance_matrix(apply_tps(member_mats, alpha), channel=channel)
-        # the matrix is fresh and exactly symmetric, so its minimum off the
-        # diagonal is the MED that med() would find on a copy
-        np.fill_diagonal(dist, np.inf)
+        np.multiply(member_mats, np.asarray(alpha).reshape(1, -1, 1), out=scaled)
+        np.einsum("cr,nrt->nct", channel, scaled, out=images)
+        _gram_distances(flat, out=dist, gram=gram)
+        np.copyto(dist, np.inf, where=not_upper)
         meds[d] = dist.min()
     return meds
 

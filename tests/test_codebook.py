@@ -10,6 +10,7 @@ from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
     Provenance,
+    _gram_distances,
     distance_matrix,
     export_codebook_csv,
     greedy_prune,
@@ -93,6 +94,18 @@ class TestDistanceMatrix:
             for j in range(5):
                 expect = np.sum(np.abs(h @ mats[i] - h @ mats[j]) ** 2)
                 assert dist[i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+
+    def test_gram_distances_fill_given_buffers_bit_equal(self):
+        # candidate scoring reuses its buffers across candidates; the filled
+        # result must be the allocating call's, bit for bit
+        rng = np.random.default_rng(14)
+        flat = _random_mats(rng, 9, 4, 7).reshape(9, -1)
+        out, gram = np.full((9, 9), np.nan), np.full((9, 9), np.nan, dtype=complex)
+        for _ in range(2):
+            got = _gram_distances(flat, out=out, gram=gram)
+            assert got is out
+            assert np.array_equal(got.view(np.uint64), _gram_distances(flat).view(np.uint64))
 
 
 class TestPairRowDistances:

@@ -109,19 +109,26 @@ class TestCandidateScoring:
             expect, _ = med(dist, range(4))
             assert meds[d] == pytest.approx(expect, rel=1e-9)
 
-    def test_channel_path_is_bit_equal_to_med(self, small_table, small_params):
-        # the channel path takes the minimum off the diagonal in place; it
-        # must give med()'s value exactly, or the selected factor could move
-        n_valid = 1 << small_table.derived.B
-        mats = small_table.matrices[:n_valid]
-        h = draw_channel(small_params.L_C, small_params.L_R, substream(3, TAG_DESIGN_CHANNEL))
-        pool = generate_tps(small_params.D, small_params.L_R, substream(3, TAG_TPS))
-        meds = candidate_meds(pool, mats, channel=h)
-        expect = [
-            med(distance_matrix(apply_tps(mats, alpha), channel=h), range(n_valid))[0]
-            for alpha in pool
-        ]
-        assert meds.tolist() == expect
+    def test_channel_path_is_bit_equal_to_med(
+        self, small_table, small_params, default_table, default_params
+    ):
+        # the channel path scores in reused buffers and takes the minimum of
+        # the upper triangle; it must give med()'s value exactly, or the
+        # selected factor could move.  The full default table (420
+        # codewords) is what crps_then_codebook scores.
+        small_members = small_table.matrices[: 1 << small_table.derived.B]
+        for mats, params, seed in (
+            (small_members, small_params, 3),
+            (default_table.matrices, default_params, 1729),
+        ):
+            h = draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))
+            pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
+            meds = candidate_meds(pool, mats, channel=h)
+            expect = [
+                med(distance_matrix(apply_tps(mats, alpha), channel=h), range(mats.shape[0]))[0]
+                for alpha in pool
+            ]
+            assert meds.tolist() == expect
 
     def test_select_never_below_identity(self):
         rng = np.random.default_rng(7)
