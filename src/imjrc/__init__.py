@@ -9,7 +9,7 @@ rates of ML detection over Rayleigh fading.
 
 __version__ = "0.1.0"
 
-from .codebook import Codebook, Provenance, distance_matrix, greedy_prune, med
+from .codebook import Codebook, distance_matrix, greedy_prune, med
 from .crps import Scheme, SchemeBuild, TpsFactor, apply_tps, build_scheme, generate_tps, select_tps
 from .enumeration import CodewordTable, build_table
 from .params import DerivedParams, SystemParams, derive
@@ -21,7 +21,6 @@ __all__ = [
     "CodewordTable",
     "DerivedParams",
     "GainReport",
-    "Provenance",
     "Scheme",
     "SchemeBuild",
     "SystemParams",

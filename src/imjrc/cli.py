@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
-from typing import Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,23 +38,18 @@ REFERENCE_TARGET_BER = 1e-3
 REFERENCE_GAINS_DB = {"crps_only": 2.5, "crps_then_codebook": 4.4}
 REFERENCE_GAIN_TOL_DB = 1.0
 
-DEFAULT_SCHEMES = tuple(Scheme)
-DEFAULT_SNR = (-16.0, 4.0, 2.0)
-DEFAULT_PULSES = 10_000
-DEFAULT_OUT = "results"
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One fully-specified experiment."""
+    """One fully-specified experiment; run fields are named like their config keys."""
 
     params: SystemParams = SystemParams()
-    schemes: tuple[Scheme, ...] = DEFAULT_SCHEMES
-    snr_start: float = DEFAULT_SNR[0]
-    snr_stop: float = DEFAULT_SNR[1]
-    snr_step: float = DEFAULT_SNR[2]
-    pulses: int = DEFAULT_PULSES
-    out_dir: str = DEFAULT_OUT
+    schemes: tuple[Scheme, ...] = tuple(Scheme)
+    snr_start: float = -16.0
+    snr_stop: float = 4.0
+    snr_step: float = 2.0
+    pulses: int = 10_000
+    out: str = "results"
     full: bool = False
     channel_aware_med: bool = False
     early_stop: bool = False
@@ -61,6 +57,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.schemes:
             raise ValueError("schemes must not be empty")
+        for i, scheme in enumerate(self.schemes):
+            if scheme in self.schemes[:i]:
+                raise ValueError(f"scheme {Scheme(scheme).value} is listed more than once")
         if self.snr_step <= 0.0:
             raise ValueError(f"snr_step must be positive, got {self.snr_step}")
         if self.snr_stop < self.snr_start:
@@ -79,52 +78,66 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
-    """A config file problem, with file and line context."""
+    """A config file or flag problem, prefixed with the line or flag that set it."""
 
 
-_PARAM_TYPES = get_type_hints(SystemParams)
-# config key (the lower-cased field name) -> (SystemParams field, converter)
-_PARAM_KEYS = {f.name.lower(): (f.name, _PARAM_TYPES[f.name]) for f in fields(SystemParams)}
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_bool(raw: str, path: str, lineno: int) -> bool:
+def _parse_bool(raw: str) -> bool:
     try:
-        return _BOOL_VALUES[raw.strip().lower()]
+        return _BOOL_VALUES[raw.lower()]
     except KeyError:
-        raise ConfigError(f"{path}:{lineno}: expected a boolean, got {raw!r}") from None
+        raise ValueError(f"expected one of {', '.join(_BOOL_VALUES)}") from None
 
 
-def _parse_schemes(raw: str, path: str, lineno: int) -> tuple[Scheme, ...]:
-    names = [s.strip() for s in raw.split(",") if s.strip()]
-    if not names:
-        raise ConfigError(f"{path}:{lineno}: schemes list is empty")
+def _parse_schemes(raw: str) -> tuple[Scheme, ...]:
     try:
-        return tuple(Scheme(name) for name in names)
+        return tuple(Scheme(name.strip()) for name in raw.split(",") if name.strip())
     except ValueError as exc:
-        valid = ", ".join(s.value for s in Scheme)
-        raise ConfigError(f"{path}:{lineno}: {exc} (valid schemes: {valid})") from None
+        raise ValueError(f"{exc}; valid schemes: {', '.join(s.value for s in Scheme)}") from None
 
 
-def _parse_snr(raw: str, path: str, lineno: int) -> tuple[float, float, float]:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"{path}:{lineno}: snr_db must be start:stop:step, got {raw!r}")
-    try:
-        return tuple(float(p) for p in parts)  # type: ignore[return-value]
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: snr_db values must be numeric, got {raw!r}") from None
+# config key (the lower-cased field name) -> (SystemParams field, converter)
+_PARAM_KEYS = {name.lower(): (name, hint) for name, hint in get_type_hints(SystemParams).items()}
+# config key -> parser of the RunConfig field of that name (a type that is not
+# built from text by calling it has its own parser); snr_db sets the snr_* fields
+_RUN_KEYS = {
+    name: {bool: _parse_bool, tuple[Scheme, ...]: _parse_schemes}.get(hint, hint)
+    for name, hint in get_type_hints(RunConfig).items()
+    if name != "params" and not name.startswith("snr_")
+}
+_CONFIG_KEYS = {*_PARAM_KEYS, *_RUN_KEYS, "snr_db"}
 
 
-def load_config(path: str) -> RunConfig:
-    """Parse a flat key=value config file (# starts a comment).
+def _parse_entries(entries: Iterable[tuple[str, str, str]]) -> RunConfig:
+    """A RunConfig from (where, key, raw text) entries; a later entry wins.
 
-    Unknown keys and malformed values are reported with their line number;
-    parameter cross-checks (divisibility, ranges) are reported by the
-    parameter validation they trip.
+    A bad key or value, or a run field that fails RunConfig's checks, is
+    reported with its ``where``; parameter cross-checks run once all
+    entries are in.
     """
     param_kwargs: dict[str, object] = {}
-    run_kwargs: dict[str, object] = {}
+    config = RunConfig()
+    for where, key, raw in entries:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            if key in _PARAM_KEYS:
+                name, convert = _PARAM_KEYS[key]
+                param_kwargs[name] = convert(raw)
+            elif key == "snr_db":
+                start, stop, step = map(float, raw.split(":"))
+                config = replace(config, snr_start=start, snr_stop=stop, snr_step=step)
+            else:
+                config = replace(config, **{key: _RUN_KEYS[key](raw)})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value {raw!r} for {key!r} ({exc})") from None
+    return replace(config, params=SystemParams(**param_kwargs))
+
+
+def _file_entries(path: str) -> Iterator[tuple[str, str, str]]:
+    """The entries of a flat key=value config file (# starts a comment)."""
     with open(path) as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
@@ -133,30 +146,12 @@ def load_config(path: str) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, raw = line.partition("=")
-            key = key.strip().lower()
-            raw = raw.strip()
-            try:
-                if key in _PARAM_KEYS:
-                    name, convert = _PARAM_KEYS[key]
-                    param_kwargs[name] = convert(raw)
-                elif key == "schemes":
-                    run_kwargs["schemes"] = _parse_schemes(raw, path, lineno)
-                elif key == "snr_db":
-                    start, stop, step = _parse_snr(raw, path, lineno)
-                    run_kwargs.update(snr_start=start, snr_stop=stop, snr_step=step)
-                elif key == "pulses":
-                    run_kwargs["pulses"] = int(raw)
-                elif key == "out":
-                    run_kwargs["out_dir"] = raw
-                elif key in ("full", "channel_aware_med", "early_stop"):
-                    run_kwargs[key] = _parse_bool(raw, path, lineno)
-                else:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad value {raw!r} for {key!r}") from None
-    return RunConfig(params=SystemParams(**param_kwargs), **run_kwargs)
+            yield f"{path}:{lineno}", key.strip().lower(), raw.strip()
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse a flat key=value config file; errors name the file and line."""
+    return _parse_entries(_file_entries(path))
 
 
 @dataclass(frozen=True)
@@ -339,34 +334,20 @@ print(here / "ber.png")
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    return {
-        **{key: getattr(config.params, name) for key, (name, _) in _PARAM_KEYS.items()},
-        "schemes": [s.value for s in config.schemes],
-        "snr_start": config.snr_start,
-        "snr_stop": config.snr_stop,
-        "snr_step": config.snr_step,
-        "pulses": config.pulses,
-        "out": config.out_dir,
-        "full": config.full,
-        "channel_aware_med": config.channel_aware_med,
-        "early_stop": config.early_stop,
-    }
+    """The ``config`` block of meta.json: parameter keys, then run fields in field order."""
+    block = {key: getattr(config.params, name) for key, (name, _) in _PARAM_KEYS.items()}
+    block.update((f.name, getattr(config, f.name)) for f in fields(config) if f.name != "params")
+    block["schemes"] = [s.value for s in config.schemes]
+    return block
 
 
 def runconfig_from_meta(meta: dict) -> RunConfig:
     """Rebuild the exact RunConfig a meta.json was produced by."""
     cfg = meta["config"]
+    run = {f.name: cfg[f.name] for f in fields(RunConfig) if f.name != "params"}
     return RunConfig(
         params=SystemParams(**{name: cfg[key] for key, (name, _) in _PARAM_KEYS.items()}),
-        schemes=tuple(Scheme(s) for s in cfg["schemes"]),
-        snr_start=cfg["snr_start"],
-        snr_stop=cfg["snr_stop"],
-        snr_step=cfg["snr_step"],
-        pulses=cfg["pulses"],
-        out_dir=cfg["out"],
-        full=cfg["full"],
-        channel_aware_med=cfg["channel_aware_med"],
-        early_stop=cfg["early_stop"],
+        **dict(run, schemes=tuple(map(Scheme, cfg["schemes"]))),
     )
 
 
@@ -391,6 +372,16 @@ def run_environment() -> dict:
     }
 
 
+def _write_rows(path: str, row_type: type, rows: Sequence) -> None:
+    """A CSV of dataclass rows, header from the fields: text as is, numbers by repr."""
+    names = [f.name for f in fields(row_type)]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            values = (getattr(row, name) for name in names)
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in values) + "\n")
+
+
 def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
     """Write ber.csv, gains.csv, meta.json, and the plot script."""
     os.makedirs(out_dir, exist_ok=True)
@@ -401,25 +392,13 @@ def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
         "plot": os.path.join(out_dir, "plot_ber.py"),
     }
 
-    with open(paths["ber"], "w", newline="") as fh:
-        fh.write("scheme,snr_db,pulses,bit_errors,ber,ci_halfwidth\n")
-        for r in result.records:
-            fh.write(
-                f"{r.scheme},{r.snr_db!r},{r.pulses},{r.bit_errors},{r.ber!r},{r.ci_halfwidth!r}\n"
-            )
-
-    with open(paths["gains"], "w", newline="") as fh:
-        fh.write("scheme,baseline,target_ber,snr_baseline,snr_scheme,gain_db\n")
-        for g in result.gains:
-            fh.write(
-                f"{g.scheme},{g.baseline},{g.target_ber!r},{g.snr_baseline!r},"
-                f"{g.snr_scheme!r},{g.gain_db!r}\n"
-            )
+    _write_rows(paths["ber"], BerRecord, result.records)
+    _write_rows(paths["gains"], GainReport, result.gains)
 
     schemes_meta = {}
     for name, build in result.builds.items():
         schemes_meta[name] = {
-            "provenance": build.codebook.provenance.value,
+            "provenance": build.codebook.provenance,
             "med": build.codebook.med,
             "members": len(build.codebook.member_ids),
             "member_ids": list(build.codebook.member_ids),
@@ -494,7 +473,7 @@ def write_divergence_report(lines: Sequence[str], out_dir: str) -> str:
     return path
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp.add_argument("--config", help="path to a key=value config file")
     sp.add_argument(
         "--scheme",
@@ -521,46 +500,29 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         action="store_true",
         help="end an SNR point after 500 bit errors",
     )
+    return sp
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Config file first, then command-line overrides."""
-    config = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "full": config.full or args.full,
-        "channel_aware_med": config.channel_aware_med or args.channel_aware_med,
-        "early_stop": config.early_stop or args.early_stop,
-    }
-    if args.scheme:
-        overrides["schemes"] = _parse_schemes(",".join(args.scheme), "--scheme", 0)
-    if args.snr:
-        overrides["snr_start"], overrides["snr_stop"], overrides["snr_step"] = _parse_snr(
-            args.snr, "--snr", 0
-        )
-    if args.pulses is not None:
-        overrides["pulses"] = args.pulses
-    if args.out:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["params"] = replace(config.params, master_seed=args.seed)
-    return replace(config, **overrides)
+    """Config file first, then the common flags that were given; a later entry wins."""
+    flags = []
+    for dest, value in vars(args).items():
+        # each common flag sets the config key of its name, but for these three
+        key = {"scheme": "schemes", "snr": "snr_db", "seed": "master_seed"}.get(dest, dest)
+        if key in _CONFIG_KEYS and value is not None and value is not False and value != "":
+            raw = ",".join(value) if dest == "scheme" else "true" if value is True else str(value)
+            flags.append((f"--{dest.replace('_', '-')}", key, raw))
+    file_entries = _file_entries(args.config) if args.config else ()
+    return _parse_entries(itertools.chain(file_entries, flags))
 
 
 def read_ber_csv(path: str) -> list[BerRecord]:
-    records = []
+    columns = get_type_hints(BerRecord)
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                BerRecord(
-                    scheme=row["scheme"],
-                    snr_db=float(row["snr_db"]),
-                    pulses=int(row["pulses"]),
-                    bit_errors=int(row["bit_errors"]),
-                    ber=float(row["ber"]),
-                    ci_halfwidth=float(row["ci_halfwidth"]),
-                )
-            )
-    return records
+        return [
+            BerRecord(**{name: convert(row[name]) for name, convert in columns.items()})
+            for row in csv.DictReader(fh)
+        ]
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -574,15 +536,15 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     table, design_channel = _design_inputs(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    export_table_csv(table, os.path.join(config.out_dir, "table.csv"))
+    os.makedirs(config.out, exist_ok=True)
+    export_table_csv(table, os.path.join(config.out, "table.csv"))
     for scheme in config.schemes:
         build = build_scheme(scheme, table, design_channel=design_channel)
         export_codebook_csv(
-            build.codebook, table, os.path.join(config.out_dir, f"codebook_{scheme.value}.csv")
+            build.codebook, table, os.path.join(config.out, f"codebook_{scheme.value}.csv")
         )
         if build.tps is not None:
-            tps_path = os.path.join(config.out_dir, f"tps_{scheme.value}.json")
+            tps_path = os.path.join(config.out, f"tps_{scheme.value}.json")
             with open(tps_path, "w") as fh:
                 json.dump(_tps_json(build.tps), fh, indent=2)
                 fh.write("\n")
@@ -591,7 +553,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
             f"{scheme.value}: {len(build.codebook.member_ids)} members, "
             f"med {build.codebook.med:.6g}{tps_note}"
         )
-    print(f"design artifacts written to {config.out_dir}")
+    print(f"design artifacts written to {config.out}")
     return 0
 
 
@@ -607,11 +569,11 @@ def _cmd_ber(args: argparse.Namespace) -> int:
         print(
             f"gain {g.scheme} vs {g.baseline} at ber {g.target_ber:g}: {g.gain_db:+.2f} dB"
         )
-    paths = emit_results(result, config.out_dir)
+    paths = emit_results(result, config.out)
     if config.full:
         lines = reference_gain_lines(result.gains)
         if lines:
-            paths["divergence"] = write_divergence_report(lines, config.out_dir)
+            paths["divergence"] = write_divergence_report(lines, config.out)
             print("measured gains diverge from the reference windows:")
             for line in lines:
                 print(f"  {line}")
@@ -649,25 +611,27 @@ def _cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+# the verbs that take the common options: name, help, handler
+_COMMON_VERBS = (
+    ("derive", "print scenario parameters and derived quantities", _cmd_derive),
+    ("design", "build codebooks and pre-scaling factors, write CSVs", _cmd_design),
+    ("ber", "run Monte Carlo BER curves and write results", _cmd_ber),
+    ("complexity", "closed-form operation counts for both pipelines", _cmd_complexity),
+)
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="imjrc",
         description="Index-modulation joint radar-communication link simulator",
     )
     parser.add_argument("--version", action="version", version=f"imjrc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("derive", help="print scenario parameters and derived quantities")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_derive)
-
-    sp = sub.add_parser("design", help="build codebooks and pre-scaling factors, write CSVs")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_design)
-
-    sp = sub.add_parser("ber", help="run Monte Carlo BER curves and write results")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_ber)
+    for name, help_text, handler in _COMMON_VERBS:
+        _add_common(sub.add_parser(name, help=help_text)).set_defaults(func=handler)
+    sub.choices["complexity"].add_argument(
+        "--d-count", type=int, help="pre-scaling candidate count override"
+    )
 
     sp = sub.add_parser("gain", help="measure SNR gain between two curves in a ber.csv")
     sp.add_argument("csv", help="path to a ber.csv")
@@ -675,13 +639,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     sp.add_argument("--scheme", dest="scheme_name", required=True)
     sp.add_argument("--target-ber", type=float, default=1e-3)
     sp.set_defaults(func=_cmd_gain)
+    return parser
 
-    sp = sub.add_parser("complexity", help="closed-form operation counts for both pipelines")
-    _add_common(sp)
-    sp.add_argument("--d-count", type=int, help="pre-scaling candidate count override")
-    sp.set_defaults(func=_cmd_complexity)
 
-    args = parser.parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

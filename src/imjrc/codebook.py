@@ -10,7 +10,6 @@ until only the target count survives.
 from __future__ import annotations
 
 import csv
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,23 +18,16 @@ import numpy as np
 from .enumeration import CodewordTable, rank_to_bits
 
 
-class Provenance(str, enum.Enum):
-    """How a codebook's member set and distance metric were produced."""
-
-    BASELINE = "baseline"
-    PRUNED = "pruned"
-    CRPS_ONLY = "crps_only"
-    PRUNED_THEN_CRPS = "pruned_then_crps"
-    CRPS_THEN_PRUNED = "crps_then_pruned"
-
-
 @dataclass(frozen=True)
 class Codebook:
-    """An ordered member set with its MED under the design-time metric."""
+    """An ordered member set with its MED under the design-time metric.
+
+    ``provenance`` names how it was produced: a recipe label of :mod:`imjrc.crps`.
+    """
 
     member_ids: tuple[int, ...]
     med: float
-    provenance: Provenance
+    provenance: str
 
 
 def _gram_distances(
@@ -119,11 +111,7 @@ def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int
     return float(sub[a, b]), (i, j)
 
 
-def greedy_prune(
-    dist: np.ndarray,
-    target: int,
-    provenance: Provenance = Provenance.PRUNED,
-) -> tuple[Codebook, np.ndarray]:
+def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
     """Eliminate codewords one at a time until ``target`` remain.
 
     Each step finds the closest surviving pair, then removes the endpoint
@@ -141,10 +129,10 @@ def greedy_prune(
     inf, which changes the cached minimum only of rows whose ``rowarg`` was
     that column, so only those rows are scanned again.
 
-    Returns the codebook and the MED trajectory: entry 0 is the MED of the
-    full set, entry q the MED after q eliminations.  The trajectory is
-    non-decreasing because removing a codeword never shrinks any surviving
-    pair's distance.
+    Returns the codebook, labelled "pruned", and the MED trajectory: entry
+    0 is the MED of the full set, entry q the MED after q eliminations.  The
+    trajectory is non-decreasing because removing a codeword never shrinks
+    any surviving pair's distance.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -193,7 +181,7 @@ def greedy_prune(
     survivors = tuple(int(g) for g in np.flatnonzero(alive))
     # eliminated rows are inf, so this is the survivor MED
     meds[-1] = rowmin.min()
-    book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance=provenance)
+    book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance="pruned")
     return book, meds
 
 
@@ -214,7 +202,7 @@ def export_codebook_csv(book: Codebook, table: CodewordTable, path: str) -> None
                     g,
                     "-".join(map(str, table.subset_of(g))),
                     "-".join(map(str, table.allocation_of(g))),
-                    book.provenance.value,
+                    book.provenance,
                     repr(book.med),
                 ]
             )

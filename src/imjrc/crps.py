@@ -30,14 +30,13 @@ import numpy as np
 from .channel import TAG_TPS, substream
 from .codebook import (
     Codebook,
-    Provenance,
     _gram_distances,
     distance_matrix,
     greedy_prune,
     med,
     pair_row_distances,
 )
-from .enumeration import CodewordTable
+from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import DerivedParams, SystemParams
 
 
@@ -200,26 +199,22 @@ class _Recipe(NamedTuple):
 
     ``crps`` is None (no pre-scaling), "before" (factor selected over the
     full table, then pruning under the scaled distances) or "after" (factor
-    selected over the final member set).
+    selected over the final member set).  ``provenance`` is the label the
+    codebook records in ``codebook_*.csv`` and ``meta.json``.
     """
 
     prune: bool
     crps: str | None
-    provenance: Provenance
+    provenance: str
 
 
 _RECIPES = {
-    Scheme.BASELINE: _Recipe(False, None, Provenance.BASELINE),
-    Scheme.CODEBOOK_ONLY: _Recipe(True, None, Provenance.PRUNED),
-    Scheme.CRPS_ONLY: _Recipe(False, "after", Provenance.CRPS_ONLY),
-    Scheme.CODEBOOK_THEN_CRPS: _Recipe(True, "after", Provenance.PRUNED_THEN_CRPS),
-    Scheme.CRPS_THEN_CODEBOOK: _Recipe(True, "before", Provenance.CRPS_THEN_PRUNED),
+    Scheme.BASELINE: _Recipe(False, None, "baseline"),
+    Scheme.CODEBOOK_ONLY: _Recipe(True, None, "pruned"),
+    Scheme.CRPS_ONLY: _Recipe(False, "after", "crps_only"),
+    Scheme.CODEBOOK_THEN_CRPS: _Recipe(True, "after", "pruned_then_crps"),
+    Scheme.CRPS_THEN_CODEBOOK: _Recipe(True, "before", "crps_then_pruned"),
 }
-
-
-DESIGN_BUDGET_BYTES = 4 << 30
-"""Largest design, as estimated by :func:`design_bytes`, that
-:func:`build_scheme` accepts; a larger one is refused before it allocates."""
 
 
 def design_bytes(scheme: Scheme, params: SystemParams, derived: DerivedParams) -> int:
@@ -246,17 +241,15 @@ def _scaled(mats: np.ndarray, tps: TpsFactor | None) -> np.ndarray:
 def build_scheme(
     scheme: Scheme,
     table: CodewordTable,
-    master_seed: int | None = None,
     design_channel: np.ndarray | None = None,
 ) -> SchemeBuild:
     """Assemble one scheme's codebook, pre-scaling factor, and member matrices.
 
     ``design_channel``, when given, makes every design-time distance a
     post-channel distance (detection is unaffected).  The pre-scaling
-    candidate pool is drawn from a dedicated substream of ``master_seed``
-    (default: the scenario's master seed), so all schemes of a scenario
-    score the same pool.  The codebook's MED is the one its last design
-    stage measured.
+    candidate pool is drawn from a dedicated substream of the scenario's
+    master seed, so all schemes of a scenario score the same pool.  The
+    codebook's MED is the one its last design stage measured.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
@@ -273,8 +266,7 @@ def build_scheme(
     recipe = _RECIPES[scheme]
     tps = None
     if recipe.crps is not None:
-        seed = params.master_seed if master_seed is None else master_seed
-        candidates = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
+        candidates = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
     if recipe.crps == "before":
         tps, _ = select_tps(candidates, table.matrices, channel=design_channel)
     if recipe.prune:

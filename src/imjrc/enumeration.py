@@ -17,8 +17,10 @@ import numpy as np
 from .params import DerivedParams, SystemParams
 from .signal import sampled_waveform, steering_vector
 
-MAX_TABLE_SIZE = 1_000_000
-"""Hard cap on C_total before the table is materialized."""
+DESIGN_BUDGET_BYTES = 4 << 30
+"""Largest codeword table, or scheme design as estimated by
+:func:`imjrc.crps.design_bytes`, that is built; a larger one is refused
+before it allocates."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,18 @@ class CodewordTable:
 
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
-    """Materialize all C_total codeword matrices."""
-    if derived.C_total > MAX_TABLE_SIZE:
+    """Materialize all C_total codeword matrices.
+
+    Synthesis holds two (C_total, L_R, L_T) complex128 arrays at once, the
+    gathered waveforms and the table.  If they would exceed the design
+    budget, the table is refused before anything is enumerated.
+    """
+    need = 2 * derived.C_total * params.L_R * derived.L_T * 16
+    if need > DESIGN_BUDGET_BYTES:
         raise ValueError(
-            f"C_total={derived.C_total} exceeds the enumeration cap {MAX_TABLE_SIZE}"
+            f"codeword table needs about {need / 2**30:.1f} GiB "
+            f"(C_total={derived.C_total}, L_T={derived.L_T}), over the "
+            f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
         )
     subsets = enumerate_subsets(params.M, params.K)
     allocations = enumerate_allocations(params.L_R, params.K)

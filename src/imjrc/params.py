@@ -105,7 +105,7 @@ def derive(params: SystemParams) -> DerivedParams:
     """Compute all derived quantities for a scenario.
 
     Counting is done in exact integer arithmetic, so C_total and the bit
-    budget are correct for any parameter sizes the enumeration cap allows.
+    budget are correct for any parameter sizes.
     """
     l_k = params.L_R // params.K
     card_zeta = math.comb(params.M, params.K)

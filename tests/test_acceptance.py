@@ -347,9 +347,9 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
         snr_stop=-6.0,
         snr_step=2.0,
         pulses=400,
-        out_dir=str(out_root / "first"),
+        out=str(out_root / "first"),
     )
-    first = emit_results(execute_run(config), config.out_dir)
+    first = emit_results(execute_run(config), config.out)
     second = emit_results(execute_run(config), str(out_root / "second"))
     if open(first["ber"], "rb").read() != open(second["ber"], "rb").read():
         failures.append("(g) replay changed ber.csv")

@@ -1,5 +1,6 @@
 """Config parsing, complexity estimates, artifact round trips, CLI smoke tests."""
 
+import argparse
 import dataclasses
 import json
 import platform
@@ -12,6 +13,7 @@ from imjrc import cli
 from imjrc.cli import (
     ConfigError,
     RunConfig,
+    RunResult,
     build_run_config,
     config_to_dict,
     emit_results,
@@ -26,7 +28,7 @@ from imjrc.cli import (
 )
 from imjrc.crps import Scheme
 from imjrc.params import SystemParams, derive
-from imjrc.sim import GainReport, run_ber
+from imjrc.sim import BerRecord, GainReport, run_ber
 
 SMALL_CONFIG = """\
 # small scenario used across the CLI tests
@@ -60,7 +62,7 @@ class TestLoadConfig:
         assert config.schemes == (Scheme.BASELINE, Scheme.CRPS_ONLY)
         assert (config.snr_start, config.snr_stop, config.snr_step) == (-6.0, -2.0, 2.0)
         assert config.pulses == 120
-        assert config.out_dir == "results"
+        assert config.out == "results"
         assert not config.full and not config.channel_aware_med and not config.early_stop
 
     def test_empty_file_yields_defaults(self, tmp_path):
@@ -73,6 +75,19 @@ class TestLoadConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("m = 7\nbogus = 1\n")
         with pytest.raises(ConfigError, match=r"bad\.cfg:2.*bogus"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("key", ["snr_start", "params", "out_dir"])
+    def test_field_names_that_are_not_keys_rejected(self, tmp_path, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"m = 7\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=rf"bad\.cfg:2: unknown key '{key}'"):
+            load_config(str(path))
+
+    def test_repeated_scheme_reports_line(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("m = 7\nschemes = baseline, crps_only, baseline\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2:.*scheme baseline is listed more than once"):
             load_config(str(path))
 
     def test_bad_value_reports_line(self, tmp_path):
@@ -139,6 +154,11 @@ class TestRunConfig:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             RunConfig(**kwargs)
+
+    def test_rejects_repeated_scheme(self):
+        schemes = (Scheme.CRPS_ONLY, Scheme.BASELINE, Scheme.CRPS_ONLY)
+        with pytest.raises(ValueError, match="scheme crps_only is listed more than once"):
+            RunConfig(schemes=schemes)
 
 
 def _oracle_complexity(params, derived, n, d):
@@ -228,6 +248,25 @@ class TestArtifacts:
             header = fh.readline().strip()
         assert header == "scheme,baseline,target_ber,snr_baseline,snr_scheme,gain_db"
 
+    def test_csv_rows_are_literal(self, tmp_path):
+        record = BerRecord("crps_only", -6.0, 1024, 37, 37 / 8192, 1 / 3)
+        gain = GainReport("crps_only", "baseline", 1e-3, -7.25, -9.5, 2.25)
+        result = RunResult(RunConfig(), derive(SystemParams()), {}, [record], [gain], {}, {})
+        paths = emit_results(result, str(tmp_path))
+        with open(paths["ber"], newline="") as fh:
+            assert fh.read() == (
+                "scheme,snr_db,pulses,bit_errors,ber,ci_halfwidth\n"
+                "crps_only,-6.0,1024,37,0.0045166015625,0.3333333333333333\n"
+            )
+        with open(paths["gains"], newline="") as fh:
+            assert fh.read() == (
+                "scheme,baseline,target_ber,snr_baseline,snr_scheme,gain_db\n"
+                "crps_only,baseline,0.001,-7.25,-9.5,2.25\n"
+            )
+        (read,) = read_ber_csv(paths["ber"])
+        assert read == record
+        assert [type(v) for v in dataclasses.astuple(read)] == [str, float, int, int, float, float]
+
     def test_meta_records_conventions_and_schemes(self, small_run):
         result, out_dir = small_run
         paths = emit_results(result, str(out_dir / "e"))
@@ -246,14 +285,29 @@ class TestArtifacts:
             snr_stop=0.0,
             snr_step=1.0,
             pulses=77,
-            out_dir="elsewhere",
+            out="elsewhere",
             early_stop=True,
         )
         rebuilt = runconfig_from_meta({"config": config_to_dict(config)})
         assert rebuilt == config
 
+    def test_meta_config_block_key_order(self):
+        assert list(config_to_dict(RunConfig())) == [
+            *(f.name.lower() for f in dataclasses.fields(SystemParams)),
+            "schemes",
+            "snr_start",
+            "snr_stop",
+            "snr_step",
+            "pulses",
+            "out",
+            "full",
+            "channel_aware_med",
+            "early_stop",
+        ]
+
     def test_every_param_key_round_trips(self, tmp_path):
-        # one non-default value per SystemParams field, each set by its config key
+        # one non-default value per SystemParams field and per run field, each
+        # set by its config key: config text -> RunConfig -> meta.json -> RunConfig
         values = {
             "M": 6,
             "K": 3,
@@ -267,18 +321,45 @@ class TestArtifacts:
             "D": 17,
             "master_seed": 4242,
         }
-        default = SystemParams()
+        run_text = {
+            "schemes": "crps_only, baseline",
+            "snr_db": "-5:3:0.5",
+            "pulses": "77",
+            "out": "elsewhere",
+            "full": "true",
+            "channel_aware_med": "yes",
+            "early_stop": "1",
+        }
+        run_values = {
+            "schemes": (Scheme.CRPS_ONLY, Scheme.BASELINE),
+            "snr_start": -5.0,
+            "snr_stop": 3.0,
+            "snr_step": 0.5,
+            "pulses": 77,
+            "out": "elsewhere",
+            "full": True,
+            "channel_aware_med": True,
+            "early_stop": True,
+        }
+        default = RunConfig()
         assert list(values) == [f.name for f in dataclasses.fields(SystemParams)]
-        assert all(getattr(default, name) != value for name, value in values.items())
+        assert list(run_values) == [f.name for f in dataclasses.fields(RunConfig)][1:]
+        assert all(getattr(default.params, name) != value for name, value in values.items())
+        assert all(getattr(default, name) != value for name, value in run_values.items())
         path = tmp_path / "every.cfg"
-        path.write_text("".join(f"{name.lower()} = {value!r}\n" for name, value in values.items()))
+        path.write_text(
+            "".join(f"{name.lower()} = {value!r}\n" for name, value in values.items())
+            + "".join(f"{key} = {text}\n" for key, text in run_text.items())
+        )
         config = load_config(str(path))
-        assert config.params == SystemParams(**values)
+        assert config == RunConfig(params=SystemParams(**values), **run_values)
         meta = json.loads(json.dumps({"config": config_to_dict(config)}))
         rebuilt = runconfig_from_meta(meta)
         assert rebuilt == config
         for name, value in values.items():
             assert type(getattr(rebuilt.params, name)) is type(value)
+        for name, value in run_values.items():
+            assert type(getattr(rebuilt, name)) is type(value)
 
 
 @pytest.fixture(scope="module")
@@ -460,11 +541,62 @@ class TestMainCommands:
         assert main(["derive", "--config", config_file, "--seed", "123"]) == 0
         assert "master_seed = 123" in capsys.readouterr().out
 
+    def test_zero_seed_flag_overrides(self, config_file, capsys):
+        assert main(["derive", "--config", config_file, "--seed", "0"]) == 0
+        assert "master_seed = 0" in capsys.readouterr().out
+
+    def test_repeated_scheme_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["--scheme", "baseline", "--scheme", "baseline", "--snr=-10:-8:2", "--pulses", "64"]
+        assert main(["ber", *argv, "--out", str(out)]) == 2
+        assert "--scheme:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_errors_name_the_flag(self, capsys):
+        assert main(["derive", "--snr", "1:2"]) == 2
+        assert "config error: --snr: bad value '1:2' for 'snr_db'" in capsys.readouterr().err
+
+
+CONFIG_KEYS = {
+    *("m", "k", "l_r", "l_c", "f_c", "delta_f", "theta", "t_p", "t_r", "d", "master_seed"),
+    *("schemes", "snr_db", "pulses", "out", "full", "channel_aware_med", "early_stop"),
+}
+COMMON_OPTIONS = {
+    *("-h", "--help", "--config", "--scheme", "--snr", "--pulses", "--seed", "--out"),
+    *("--full", "--channel-aware-med", "--early-stop"),
+}
+
+
+class TestOptionSurface:
+    """The settable values: config keys and each verb's flags."""
+
+    def test_config_keys(self):
+        # test_every_param_key_round_trips reads every one of them from a file
+        assert cli._CONFIG_KEYS == CONFIG_KEYS
+
+    def test_verb_options(self):
+        parser = cli._parser()
+        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            verb: {s for action in sp._actions for s in action.option_strings}
+            for verb, sp in verbs.choices.items()
+        }
+        assert options == {
+            "derive": COMMON_OPTIONS,
+            "design": COMMON_OPTIONS,
+            "ber": COMMON_OPTIONS,
+            "complexity": COMMON_OPTIONS | {"--d-count"},
+            "gain": {"-h", "--help", "--baseline", "--scheme", "--target-ber"},
+        }
+        assert {s for a in parser._actions for s in a.option_strings} == {
+            "-h",
+            "--help",
+            "--version",
+        }
+
 
 class TestBuildRunConfigPrecedence:
     def test_cli_overrides_file(self, config_file):
-        import argparse
-
         args = argparse.Namespace(
             config=config_file,
             scheme=["baseline,codebook_only"],
@@ -480,7 +612,7 @@ class TestBuildRunConfigPrecedence:
         assert config.schemes == (Scheme.BASELINE, Scheme.CODEBOOK_ONLY)
         assert (config.snr_start, config.snr_stop, config.snr_step) == (-10.0, 0.0, 5.0)
         assert config.pulses == 999
-        assert config.out_dir == "override"
+        assert config.out == "override"
         assert config.full
         # file-set values survive where no override was given
         assert config.params.master_seed == 99

@@ -9,7 +9,6 @@ import pytest
 from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
-    Provenance,
     _gram_distances,
     distance_matrix,
     export_codebook_csv,
@@ -212,8 +211,8 @@ class TestGreedyPrune:
 
     def test_provenance_recorded(self):
         dist = _points_to_dist([0.0, 1.0, 3.0])
-        book, _ = greedy_prune(dist, 2, provenance=Provenance.PRUNED_THEN_CRPS)
-        assert book.provenance is Provenance.PRUNED_THEN_CRPS
+        book, _ = greedy_prune(dist, 2)
+        assert book.provenance == "pruned"
 
     @pytest.mark.parametrize(
         "dist,target",
@@ -305,7 +304,7 @@ class TestExportCodebookCsv:
             assert sorted(allocation) == [0, 0, 1, 1]
 
     def test_baseline_export_uses_first_ranks(self, small_table, tmp_path):
-        book = Codebook(tuple(range(16)), 1.0, Provenance.BASELINE)
+        book = Codebook(tuple(range(16)), 1.0, "baseline")
         path = tmp_path / "baseline.csv"
         export_codebook_csv(book, small_table, str(path))
         rows = path.read_text().strip().split("\n")[1:]

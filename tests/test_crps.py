@@ -9,7 +9,7 @@ import pytest
 
 from imjrc import crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import Provenance, distance_matrix, greedy_prune, med, pair_row_distances
+from imjrc.codebook import distance_matrix, greedy_prune, med, pair_row_distances
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
@@ -215,15 +215,15 @@ class TestBuildScheme:
     def test_member_counts_and_provenance(self, small_table, small_derived):
         n_valid = 1 << small_derived.B
         expected = {
-            Scheme.BASELINE: Provenance.BASELINE,
-            Scheme.CODEBOOK_ONLY: Provenance.PRUNED,
-            Scheme.CRPS_ONLY: Provenance.CRPS_ONLY,
-            Scheme.CODEBOOK_THEN_CRPS: Provenance.PRUNED_THEN_CRPS,
-            Scheme.CRPS_THEN_CODEBOOK: Provenance.CRPS_THEN_PRUNED,
+            Scheme.BASELINE: "baseline",
+            Scheme.CODEBOOK_ONLY: "pruned",
+            Scheme.CRPS_ONLY: "crps_only",
+            Scheme.CODEBOOK_THEN_CRPS: "pruned_then_crps",
+            Scheme.CRPS_THEN_CODEBOOK: "crps_then_pruned",
         }
         for scheme, provenance in expected.items():
             build = build_scheme(scheme, small_table)
-            assert build.codebook.provenance is provenance
+            assert build.codebook.provenance == provenance
             assert len(build.codebook.member_ids) == n_valid
             assert build.member_matrices.shape[0] == n_valid
 
@@ -313,6 +313,7 @@ class TestBuildScheme:
     )
     def test_benchmark_scenarios_fit_the_budget(self, m, l_r):
         params = SystemParams(M=m, L_R=l_r)
+        build_table(params, derive(params))  # refused if over the budget
         for scheme in Scheme:
             assert design_bytes(scheme, params, derive(params)) <= DESIGN_BUDGET_BYTES
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from imjrc import enumeration
 from imjrc.enumeration import (
-    MAX_TABLE_SIZE,
     bits_to_rank,
     build_table,
     enumerate_allocations,
@@ -99,8 +99,22 @@ def test_table_deterministic(small_params, small_derived):
 def test_table_size_cap():
     params = SystemParams(M=16, K=2, L_R=16, L_C=2)
     derived = derive(params)
-    assert derived.C_total > MAX_TABLE_SIZE
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"table needs about \d+\.\d GiB"):
+        build_table(params, derived)
+
+
+def test_oversized_table_refused_before_enumeration(monkeypatch):
+    # C_total = 369,600 is a modest count, but at L_T = 121 the complex
+    # table alone is 6.4 GB; the budget must refuse it before any codeword,
+    # subset or allocation is enumerated
+    def enumerated(*args):
+        raise AssertionError("enumerated an oversized table")
+
+    monkeypatch.setattr(enumeration, "enumerate_subsets", enumerated)
+    params = SystemParams(M=12, K=3, L_R=9)
+    derived = derive(params)
+    assert (derived.C_total, derived.L_T) == (369_600, 121)
+    with pytest.raises(ValueError, match=r"table needs about \d+\.\d GiB"):
         build_table(params, derived)
 
 
