@@ -60,6 +60,9 @@ class RunConfig:
         for i, scheme in enumerate(self.schemes):
             if scheme in self.schemes[:i]:
                 raise ValueError(f"scheme {Scheme(scheme).value} is listed more than once")
+        for name in ("snr_start", "snr_stop", "snr_step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.snr_step <= 0.0:
             raise ValueError(f"snr_step must be positive, got {self.snr_step}")
         if self.snr_stop < self.snr_start:
@@ -241,30 +244,21 @@ def execute_run(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     table, design_channel = _design_inputs(config)
     builds: dict[str, SchemeBuild] = {}
-    distinct: list[SchemeBuild] = []
     shared_codebooks: dict[str, str] = {}
+    # every scheme scores one candidate pool, so (member ids, factor index)
+    # fixes the transmitted matrices (no factor is index 0, the identity);
+    # common random numbers make a twin's curve identical, so it is copied
+    first_of: dict[tuple, str] = {}
     for scheme in config.schemes:
-        build = build_scheme(scheme, table, design_channel=design_channel)
-        # common random numbers make a bit-equal codebook's curve identical,
-        # so it is copied instead of simulated again
-        twin = next(
-            (
-                name
-                for name, earlier in builds.items()
-                if np.array_equal(earlier.member_matrices, build.member_matrices)
-            ),
-            None,
-        )
-        if twin is None:
-            distinct.append(build)
-        else:
+        build = builds[scheme.value] = build_scheme(scheme, table, design_channel=design_channel)
+        key = (build.codebook.member_ids, build.tps.d_index if build.tps else 0)
+        twin = first_of.setdefault(key, scheme.value)
+        if twin != scheme.value:
             shared_codebooks[scheme.value] = twin
-        builds[scheme.value] = build
+    distinct = [builds[name] for name in first_of.values()]
     t1 = time.perf_counter()
     grid = config.snr_grid()
-    simulated = run_ber(
-        distinct, table, grid, config.effective_pulses(), early_stop=config.early_stop
-    )
+    simulated = run_ber(distinct, grid, config.effective_pulses(), early_stop=config.early_stop)
     curves = {
         build.scheme.value: simulated[i * len(grid) : (i + 1) * len(grid)]
         for i, build in enumerate(distinct)

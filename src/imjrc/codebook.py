@@ -75,21 +75,22 @@ def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.n
     return dist + dist.T
 
 
-def pair_row_distances(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pair_row_distances(mats: np.ndarray) -> np.ndarray:
     """Per-antenna-row squared distances for every unordered codeword pair.
 
-    Returns (i_idx, j_idx, rowdist) where rowdist[p, l] is
-    ||mats[i_idx[p], l] - mats[j_idx[p], l]||^2.  Weighting rowdist by
-    |alpha_l|^2 and summing over l gives the pair distance after row
-    pre-scaling, which is what makes candidate scoring cheap.
+    rowdist[p, l] is ||mats[i, l] - mats[j, l]||^2 for the p-th pair i < j
+    of ``np.triu_indices(n, 1)``.  Weighting rowdist by |alpha_l|^2 and
+    summing over l gives the pair distance after row pre-scaling, which is
+    what makes candidate scoring cheap.
     """
     mats = np.asarray(mats)
     n, l_r = mats.shape[0], mats.shape[1]
-    i_idx, j_idx = np.triu_indices(n, 1)
-    rowdist = np.empty((i_idx.size, l_r))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    rowdist = np.empty((n * (n - 1) // 2, l_r))
+    dist, gram = np.empty((n, n)), np.empty((n, n), dtype=mats.dtype)
     for l in range(l_r):
-        rowdist[:, l] = _gram_distances(mats[:, l, :])[i_idx, j_idx]
-    return i_idx, j_idx, rowdist
+        rowdist[:, l] = _gram_distances(mats[:, l, :], out=dist, gram=gram)[upper]
+    return rowdist
 
 
 def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int]]:

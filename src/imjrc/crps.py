@@ -22,7 +22,7 @@ crps_then_codebook   pre-scaling over the full set, then greedy pruning
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,18 +58,17 @@ class Scheme(str, enum.Enum):
 
 @dataclass
 class SchemeBuild:
-    """Everything a simulation needs for one scheme.
-
-    ``member_matrices[r]`` is the transmitted codeword for rank r, with any
-    selected pre-scaling already applied.  For an unpruned, unscaled member
-    set it is a view of the table's first 2^B rows, so treat it as
-    read-only.
-    """
+    """What one scheme's design chose: a member set of ``table`` and a factor."""
 
     scheme: Scheme
+    table: CodewordTable = field(repr=False)
     codebook: Codebook
     tps: TpsFactor | None
-    member_matrices: np.ndarray
+
+    @property
+    def member_matrices(self) -> np.ndarray:
+        """Each rank's transmitted codeword, pre-scaled; computed on each access."""
+        return _scaled(self.table.matrices[np.asarray(self.codebook.member_ids)], self.tps)
 
 
 def generate_tps(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -127,7 +126,7 @@ def candidate_meds(
     if not candidates:
         raise ValueError("candidate pool is empty")
     if channel is None:
-        _, _, rowdist = pair_row_distances(member_mats)
+        rowdist = pair_row_distances(member_mats)
         weights = np.stack([np.abs(a) ** 2 for a in candidates])
         pairs = rowdist.shape[0]
         # a product with one row or one column goes through gemv, which can
@@ -243,7 +242,7 @@ def build_scheme(
     table: CodewordTable,
     design_channel: np.ndarray | None = None,
 ) -> SchemeBuild:
-    """Assemble one scheme's codebook, pre-scaling factor, and member matrices.
+    """Design one scheme: its member set of ``table`` and pre-scaling factor.
 
     ``design_channel``, when given, makes every design-time distance a
     post-channel distance (detection is unaffected).  The pre-scaling
@@ -273,13 +272,11 @@ def build_scheme(
         dist = distance_matrix(_scaled(table.matrices, tps), channel=design_channel)
         pruned, _ = greedy_prune(dist, n_valid)
         member_ids, book_med = pruned.member_ids, pruned.med
-        members = table.matrices[np.asarray(member_ids)]
     else:
         member_ids = tuple(range(n_valid))
-        members = table.matrices[:n_valid]
+    members = table.matrices[np.asarray(member_ids)]
     if recipe.crps == "after":
         tps, book_med = select_tps(candidates, members, channel=design_channel)
     elif not recipe.prune:
         book_med, _ = med(distance_matrix(members, channel=design_channel), member_ids)
-    book = Codebook(member_ids, book_med, recipe.provenance)
-    return SchemeBuild(scheme, book, tps, _scaled(members, tps))
+    return SchemeBuild(scheme, table, Codebook(member_ids, book_med, recipe.provenance), tps)

@@ -59,8 +59,8 @@ class SystemParams:
         if self.L_C < 1:
             raise ValueError(f"L_C must be >= 1, got {self.L_C}")
         for name in ("f_c", "delta_f", "T_p", "T_r"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.T_p > self.T_r:
             raise ValueError(
                 f"T_p must not exceed T_r, got T_p={self.T_p}, T_r={self.T_r}"

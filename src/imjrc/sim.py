@@ -29,7 +29,6 @@ import numpy as np
 from .channel import draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
 from .detector import decide, gram_cache, noise_linear_terms
-from .enumeration import CodewordTable
 
 EARLY_STOP_BIT_ERRORS = 500
 """Bit errors after which an early-stopped SNR point may end."""
@@ -68,7 +67,6 @@ def binomial_halfwidth(ber: float, n_bits: int) -> float:
 
 def run_ber(
     builds: Sequence[SchemeBuild],
-    table: CodewordTable,
     snr_db_grid: Sequence[float],
     n_pulses: int,
     master_seed: int | None = None,
@@ -87,6 +85,8 @@ def run_ber(
     in that cell, and the loop ends once no cell is active.  A build's
     records equal those of a run over that build alone, and results are
     independent of ``batch``, because randomness is keyed by trial index.
+    Every build must come from one codeword table, whose 2^B ranks the
+    draws pick from.
     """
     if not builds:
         raise ValueError("no builds to simulate")
@@ -96,10 +96,9 @@ def run_ber(
         raise ValueError(f"batch must be >= 1, got {batch}")
     if len(snr_db_grid) == 0:
         raise ValueError("SNR grid is empty")
-    n_members = builds[0].member_matrices.shape[0]
-    if any(build.member_matrices.shape[0] != n_members for build in builds):
-        sizes = [build.member_matrices.shape[0] for build in builds]
-        raise ValueError(f"builds must share one member count to share draws, got {sizes}")
+    table = builds[0].table
+    if any(build.table is not table for build in builds):
+        raise ValueError("builds must share one codeword table to share draws")
     params, derived = table.params, table.derived
     seed = params.master_seed if master_seed is None else master_seed
     caches = [
@@ -125,7 +124,7 @@ def run_ber(
     while done < n_pulses and any(map(any, active)):
         size = min(batch, n_pulses - done)
         ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
-        draw_trials(seed, done, n_members, ranks, h, noise)
+        draw_trials(seed, done, 1 << derived.B, ranks, h, noise)
         for b, cache in enumerate(caches):
             if not any(active[b]):
                 continue

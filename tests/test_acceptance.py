@@ -64,9 +64,9 @@ def iv_builds(default_table):
 
 
 @pytest.fixture(scope="module")
-def iv_curves(default_table, iv_builds):
+def iv_curves(iv_builds):
     """Pilot the baseline, pick the span grid, measure all five schemes."""
-    pilot = run_ber([iv_builds[Scheme.BASELINE]], default_table, PILOT_GRID, PILOT_PULSES)
+    pilot = run_ber([iv_builds[Scheme.BASELINE]], PILOT_GRID, PILOT_PULSES)
     lo = max((r.snr_db for r in pilot if r.ber >= 1e-2), default=float(PILOT_GRID[0]))
     hi = min((r.snr_db for r in pilot if r.ber <= 1e-4), default=float(PILOT_GRID[-1]))
     # one step past the pilot crossing so the full-resolution curve still
@@ -75,7 +75,7 @@ def iv_curves(default_table, iv_builds):
     assert hi > lo, "pilot did not bracket the 1e-2..1e-4 span"
     grid = np.arange(lo, hi + GRID_STEP / 2, GRID_STEP)
     # the five schemes share one grid, so one run draws every chunk for all
-    records = run_ber([iv_builds[scheme] for scheme in Scheme], default_table, grid, POINT_PULSES)
+    records = run_ber([iv_builds[scheme] for scheme in Scheme], grid, POINT_PULSES)
     curves = {
         scheme: records[i * len(grid) : (i + 1) * len(grid)] for i, scheme in enumerate(Scheme)
     }
@@ -136,17 +136,17 @@ def test_2_scheme_ordering(iv_curves):
     )
 
 
-def _full_curve(build, table, curve_1e4):
+def _full_curve(build, curve_1e4):
     crossing = snr_at_ber(curve_1e4, 1e-3)
     lo = math.floor(crossing) - 1.0
     mini_grid = [lo, lo + 1.0, lo + 2.0, lo + 3.0]
-    return run_ber([build], table, mini_grid, FULL_PULSES)
+    return run_ber([build], mini_grid, FULL_PULSES)
 
 
-def test_3_reference_gains(default_table, iv_builds, iv_curves, tmp_path_factory):
+def test_3_reference_gains(iv_builds, iv_curves, tmp_path_factory):
     _, curves = iv_curves
     full = {
-        scheme: _full_curve(iv_builds[scheme], default_table, curves[scheme])
+        scheme: _full_curve(iv_builds[scheme], curves[scheme])
         for scheme in (Scheme.BASELINE, Scheme.CRPS_ONLY, Scheme.CRPS_THEN_CODEBOOK)
     }
     gains = [
@@ -183,20 +183,19 @@ def test_3_reference_gains(default_table, iv_builds, iv_curves, tmp_path_factory
     assert ok, line
 
 
-def _anchor_snr(build, table):
+def _anchor_snr(build):
     """SNR where the scheme's pilot curve crosses the middle of 1e-3..1e-2."""
-    pilot = run_ber([build], table, PILOT_GRID, PILOT_PULSES)
+    pilot = run_ber([build], PILOT_GRID, PILOT_PULSES)
     return snr_at_ber(pilot, 10**-2.5)
 
 
 def test_4a_carrier_count_trend():
-    tables, builds = {}, {}
+    builds = {}
     for m in (4, 6, 8):
         params = SystemParams(M=m)
-        tables[m] = build_table(params, derive(params))
-        builds[m] = build_scheme(Scheme.CRPS_THEN_CODEBOOK, tables[m])
-    snr = _anchor_snr(builds[6], tables[6])
-    recs = {m: run_ber([builds[m]], tables[m], [snr], POINT_PULSES)[0] for m in (4, 6, 8)}
+        builds[m] = build_scheme(Scheme.CRPS_THEN_CODEBOOK, build_table(params, derive(params)))
+    snr = _anchor_snr(builds[6])
+    recs = {m: run_ber([builds[m]], [snr], POINT_PULSES)[0] for m in (4, 6, 8)}
     anchor_ok = 1e-3 <= recs[6].ber <= 1e-2
     violations = [
         f"M={hi} ber {recs[hi].ber:.3e} > M={lo} ber {recs[lo].ber:.3e} beyond CI"
@@ -214,26 +213,21 @@ def test_4a_carrier_count_trend():
     assert ok, line
 
 
-def test_4b_antenna_sweep_beats_baseline(default_table, iv_builds):
+def test_4b_antenna_sweep_beats_baseline(iv_builds):
     cases = {}
     for l_r in (4, 8):
         params = SystemParams(L_R=l_r)
         table = build_table(params, derive(params))
         cases[l_r] = (
-            table,
             build_scheme(Scheme.CRPS_THEN_CODEBOOK, table),
             build_scheme(Scheme.BASELINE, table),
         )
-    cases[6] = (
-        default_table,
-        iv_builds[Scheme.CRPS_THEN_CODEBOOK],
-        iv_builds[Scheme.BASELINE],
-    )
+    cases[6] = (iv_builds[Scheme.CRPS_THEN_CODEBOOK], iv_builds[Scheme.BASELINE])
     pieces, problems = [], []
     for l_r in (4, 6, 8):
-        table, scheme_build, base_build = cases[l_r]
-        snr = _anchor_snr(scheme_build, table)
-        s, b = run_ber([scheme_build, base_build], table, [snr], POINT_PULSES)
+        scheme_build, base_build = cases[l_r]
+        snr = _anchor_snr(scheme_build)
+        s, b = run_ber([scheme_build, base_build], [snr], POINT_PULSES)
         pieces.append(f"L_R={l_r} @ {snr:+.2f} dB: {s.ber:.3e} vs baseline {b.ber:.3e}")
         if not (1e-3 <= s.ber <= 1e-2):
             problems.append(f"L_R={l_r} anchor ber {s.ber:.3e} outside 1e-3..1e-2")
@@ -258,7 +252,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     failures = []
 
     # (a) noiseless transmission is error free for every scheme
-    noiseless = run_ber(list(iv_builds.values()), default_table, [math.inf], 1000)
+    noiseless = run_ber(list(iv_builds.values()), [math.inf], 1000)
     for scheme, rec in zip(iv_builds, noiseless):
         if rec.ber != 0.0:
             failures.append(f"(a) {scheme.value} noiseless ber {rec.ber:g}")

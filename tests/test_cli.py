@@ -2,7 +2,9 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
+import math
 import platform
 from fractions import Fraction
 
@@ -149,6 +151,10 @@ class TestRunConfig:
             {"snr_start": 4.0, "snr_stop": 0.0},
             {"schemes": ()},
             {"pulses": 0},
+            {"snr_step": math.inf},
+            {"snr_stop": math.inf},
+            {"snr_start": -math.inf},
+            {"snr_start": math.nan},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -381,7 +387,23 @@ def default_run_counted(tmp_path_factory):
     return result, calls, meta
 
 
+@pytest.fixture(scope="module")
+def channel_aware_run():
+    config = RunConfig(snr_start=-10.0, snr_stop=-8.0, snr_step=2.0, pulses=64, channel_aware_med=True)
+    return execute_run(config)
+
+
 class TestSharedCodebooks:
+    def test_links_exactly_the_bit_equal_codebooks(self, default_run_counted, channel_aware_run):
+        for result in (default_run_counted[0], channel_aware_run):
+            shared, builds = result.shared_codebooks, result.builds
+            for a, b in itertools.combinations(builds, 2):
+                same = np.array_equal(builds[a].member_matrices, builds[b].member_matrices)
+                assert (shared.get(a, a) == shared.get(b, b)) == same, (a, b)
+
+    def test_channel_aware_map(self, channel_aware_run):
+        assert channel_aware_run.shared_codebooks == {"codebook_then_crps": "codebook_only"}
+
     def test_simulates_each_distinct_codebook_once(self, default_run_counted):
         _, calls, _ = default_run_counted
         assert calls == [["baseline", "codebook_only"]]
@@ -552,9 +574,33 @@ class TestMainCommands:
         assert "--scheme:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("snr", ["0:1:inf", "0:inf:1", "-inf:0:1", "nan:0:1"])
+    def test_non_finite_snr_flag_exits_2_before_design(self, snr, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_design_inputs", _no_design)
+        out = tmp_path / "run"
+        assert main(["ber", f"--snr={snr}", "--pulses", "1", "--out", str(out)]) == 2
+        assert "config error: --snr: bad value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["f_c = inf", "f_c = nan", "delta_f = inf", "t_p = nan", "t_r = inf"]
+    )
+    def test_non_finite_param_exits_2_before_design(self, line, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_design_inputs", _no_design)
+        path, out = tmp_path / "run.cfg", tmp_path / "run"
+        path.write_text(f"{line}\n")
+        assert main(["ber", "--config", str(path), "--pulses", "1", "--out", str(out)]) == 2
+        key = line.split()[0]
+        assert f"{key} must be positive and finite" in capsys.readouterr().err.lower()
+        assert not out.exists()
+
     def test_flag_errors_name_the_flag(self, capsys):
         assert main(["derive", "--snr", "1:2"]) == 2
         assert "config error: --snr: bad value '1:2' for 'snr_db'" in capsys.readouterr().err
+
+
+def _no_design(config):
+    raise AssertionError("the design ran")
 
 
 CONFIG_KEYS = {

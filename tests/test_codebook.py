@@ -112,8 +112,11 @@ class TestPairRowDistances:
         rng = np.random.default_rng(13)
         mats = _random_mats(rng, 7, 3, 5)
         dist = distance_matrix(mats)
-        i_idx, j_idx, rowdist = pair_row_distances(mats)
-        assert i_idx.size == 7 * 6 // 2
+        rowdist = pair_row_distances(mats)
+        i_idx, j_idx = np.triu_indices(7, 1)
+        # the upper-triangle mask gathers pairs in triu_indices order, bit for bit
+        expect = np.stack([_gram_distances(mats[:, l, :])[i_idx, j_idx] for l in range(3)], axis=1)
+        assert np.array_equal(rowdist, expect)
         total = rowdist.sum(axis=1)
         for p in range(i_idx.size):
             assert total[p] == pytest.approx(dist[i_idx[p], j_idx[p]], rel=1e-9, abs=1e-9)
@@ -121,7 +124,8 @@ class TestPairRowDistances:
     def test_row_entries_match_oracle(self):
         rng = np.random.default_rng(14)
         mats = _random_mats(rng, 4, 3, 5)
-        i_idx, j_idx, rowdist = pair_row_distances(mats)
+        rowdist = pair_row_distances(mats)
+        i_idx, j_idx = np.triu_indices(4, 1)
         for p in range(i_idx.size):
             for l in range(3):
                 expect = np.sum(np.abs(mats[i_idx[p], l] - mats[j_idx[p], l]) ** 2)

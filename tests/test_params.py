@@ -61,6 +61,11 @@ def test_small_scenario(small_derived):
         {"D": 0},
         {"master_seed": -1},
         {"theta": math.inf},
+        {"f_c": math.inf},
+        {"f_c": math.nan},
+        {"delta_f": math.inf},
+        {"T_p": math.nan},
+        {"T_r": math.inf},
     ],
 )
 def test_invalid_params_rejected(kwargs):

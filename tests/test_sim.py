@@ -1,5 +1,6 @@
 """Monte Carlo engine tests: determinism, accounting, interpolation, gains."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from imjrc.channel import (
 )
 from imjrc.crps import Scheme, build_scheme
 from imjrc.detector import noise_linear_terms
+from imjrc.enumeration import build_table
+from imjrc.params import derive
 from imjrc.sim import (
     EARLY_STOP_BIT_ERRORS,
     BerRecord,
@@ -45,14 +48,14 @@ def _rec(snr_db, ber, scheme="baseline", pulses=10000, b=8):
     )
 
 
-def _gram_run_ber(build, table, snr_db_grid, n_pulses, master_seed=None, early_stop=False, batch=1024):
+def _gram_run_ber(build, snr_db_grid, n_pulses, master_seed=None, early_stop=False, batch=1024):
     """The chunk loop run_ber ran before the noise-linear split, as a reference.
 
     It forms Y = H X_s + sigma N at every SNR point and decides it through
     the Gram expansion ||Y||^2 - 2 Re<H^H Y, X_r> + ||H X_r||^2 over the
     flattened hypotheses, with the same draws and early-stop cuts.
     """
-    params, derived = table.params, table.derived
+    params, derived = build.table.params, build.table.derived
     seed = params.master_seed if master_seed is None else master_seed
     mats = build.member_matrices
     n = mats.shape[0]
@@ -110,7 +113,7 @@ class TestMatchesGramReference:
     def test_small_scenario(self, small_table, seed, batch, early_stop):
         build = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0, math.inf]
-        args = (small_table, grid, 3000)
+        args = (grid, 3000)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
         records = run_ber([build], *args, **kwargs)
         assert records == _gram_run_ber(build, *args, **kwargs)
@@ -123,7 +126,7 @@ class TestMatchesGramReference:
     def test_default_scenario(self, default_table, seed, batch, early_stop):
         build = build_scheme(Scheme.CODEBOOK_ONLY, default_table)
         grid = [-16.0, -12.0, -8.0, -4.0]
-        args = (default_table, grid, 2048)
+        args = (grid, 2048)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
         records = run_ber([build], *args, **kwargs)
         assert records == _gram_run_ber(build, *args, **kwargs)
@@ -133,10 +136,10 @@ class TestMatchesGramReference:
 
     @pytest.mark.parametrize("early_stop", [False, True])
     @pytest.mark.parametrize("seed", EXACTNESS_SEEDS[:2])
-    def test_scaled_codebook(self, default_table, default_scaled_build, seed, early_stop):
+    def test_scaled_codebook(self, default_scaled_build, seed, early_stop):
         assert default_scaled_build.tps.d_index != 0
         grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
-        args = (default_table, grid, 2048)
+        args = (grid, 2048)
         kwargs = dict(master_seed=seed, early_stop=early_stop, batch=1024)
         records = run_ber([default_scaled_build], *args, **kwargs)
         assert records == _gram_run_ber(default_scaled_build, *args, **kwargs)
@@ -157,8 +160,8 @@ class TestSharedDraws:
         ]
         grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
         kwargs = dict(master_seed=2718, early_stop=early_stop, batch=batch)
-        together = run_ber(builds, default_table, grid, 2048, **kwargs)
-        alone = [r for build in builds for r in run_ber([build], default_table, grid, 2048, **kwargs)]
+        together = run_ber(builds, grid, 2048, **kwargs)
+        alone = [r for build in builds for r in run_ber([build], grid, 2048, **kwargs)]
         assert together == alone
         assert [r.scheme for r in together] == [b.scheme.value for b in builds for _ in grid]
         if early_stop:
@@ -169,8 +172,8 @@ class TestSharedDraws:
         builds = [build_scheme(Scheme.CODEBOOK_ONLY, small_table), small_baseline]
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
         kwargs = dict(early_stop=early_stop, batch=256)
-        together = run_ber(builds, small_table, grid, 3000, **kwargs)
-        alone = [r for build in builds for r in run_ber([build], small_table, grid, 3000, **kwargs)]
+        together = run_ber(builds, grid, 3000, **kwargs)
+        alone = [r for build in builds for r in run_ber([build], grid, 3000, **kwargs)]
         assert together == alone
 
     def test_a_stopped_build_leaves_the_others_running(self, small_table, small_baseline, monkeypatch):
@@ -178,7 +181,7 @@ class TestSharedDraws:
         # before codebook_only does, so codebook_only runs on alone
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
         kwargs = dict(early_stop=True, batch=16)
-        alone = [run_ber([build], small_table, [-12.0], 3000, **kwargs)[0] for build in builds]
+        alone = [run_ber([build], [-12.0], 3000, **kwargs)[0] for build in builds]
         assert alone[0].pulses < alone[1].pulses
         calls = 0
 
@@ -188,28 +191,31 @@ class TestSharedDraws:
             return noise_linear_terms(*args)
 
         monkeypatch.setattr(sim, "noise_linear_terms", counting_terms)
-        assert run_ber(builds, small_table, [-12.0], 3000, **kwargs) == alone
+        assert run_ber(builds, [-12.0], 3000, **kwargs) == alone
         # a build whose every cell has stopped is not decided again
         assert calls == sum(r.pulses // 16 for r in alone)
 
-    def test_rejects_builds_that_cannot_share_draws(self, small_baseline, small_table, default_table):
+    def test_rejects_builds_that_cannot_share_draws(self, small_baseline, small_params, default_table):
         with pytest.raises(ValueError):
-            run_ber([], small_table, [0.0], 10)
-        larger = build_scheme(Scheme.BASELINE, default_table)
-        with pytest.raises(ValueError):
-            run_ber([small_baseline, larger], small_table, [0.0], 10)
+            run_ber([], [0.0], 10)
+        # another scenario's table, and the same scenario's under another seed
+        reseeded = dataclasses.replace(small_params, master_seed=small_params.master_seed + 1)
+        for table in (default_table, build_table(reseeded, derive(reseeded))):
+            other = build_scheme(Scheme.BASELINE, table)
+            with pytest.raises(ValueError, match="one codeword table"):
+                run_ber([small_baseline, other], [0.0], 10)
 
 
 class TestRunBer:
-    def test_noiseless_gives_zero_errors(self, small_baseline, small_table):
-        records = run_ber([small_baseline], small_table, [math.inf], 200)
+    def test_noiseless_gives_zero_errors(self, small_baseline):
+        records = run_ber([small_baseline], [math.inf], 200)
         assert len(records) == 1
         assert records[0].bit_errors == 0
         assert records[0].ber == 0.0
         assert records[0].pulses == 200
 
-    def test_record_accounting(self, small_baseline, small_table, small_derived):
-        records = run_ber([small_baseline], small_table, [-10.0, 0.0], 300)
+    def test_record_accounting(self, small_baseline, small_derived):
+        records = run_ber([small_baseline], [-10.0, 0.0], 300)
         assert [r.snr_db for r in records] == [-10.0, 0.0]
         for r in records:
             n_bits = r.pulses * small_derived.B
@@ -218,29 +224,29 @@ class TestRunBer:
             assert r.ci_halfwidth == pytest.approx(binomial_halfwidth(r.ber, n_bits))
             assert r.scheme == "baseline"
 
-    def test_replay_is_bitwise_identical(self, small_baseline, small_table):
-        a = run_ber([small_baseline], small_table, [-5.0, 0.0], 400)
-        b = run_ber([small_baseline], small_table, [-5.0, 0.0], 400)
+    def test_replay_is_bitwise_identical(self, small_baseline):
+        a = run_ber([small_baseline], [-5.0, 0.0], 400)
+        b = run_ber([small_baseline], [-5.0, 0.0], 400)
         assert a == b
 
-    def test_chunking_does_not_change_results(self, small_baseline, small_table):
-        a = run_ber([small_baseline], small_table, [-3.0], 257, batch=7)
-        b = run_ber([small_baseline], small_table, [-3.0], 257, batch=64)
+    def test_chunking_does_not_change_results(self, small_baseline):
+        a = run_ber([small_baseline], [-3.0], 257, batch=7)
+        b = run_ber([small_baseline], [-3.0], 257, batch=64)
         assert a == b
 
     @pytest.mark.parametrize("early_stop", [False, True])
     @pytest.mark.parametrize("batch", [256, 1024])
     def test_grid_records_match_single_point_runs(
-        self, small_baseline, small_table, early_stop, batch
+        self, small_baseline, early_stop, batch
     ):
         # the grid spans points that stop after one chunk, after several,
         # and never, so the per-point early-stop cuts are all exercised
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
         together = run_ber(
-            [small_baseline], small_table, grid, 3000, early_stop=early_stop, batch=batch
+            [small_baseline], grid, 3000, early_stop=early_stop, batch=batch
         )
         alone = [
-            run_ber([small_baseline], small_table, [snr], 3000, early_stop=early_stop, batch=batch)[0]
+            run_ber([small_baseline], [snr], 3000, early_stop=early_stop, batch=batch)[0]
             for snr in grid
         ]
         assert together == alone
@@ -259,20 +265,20 @@ class TestRunBer:
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
         grid = [-16.0 + 2.0 * k for k in range(11)]
-        records = run_ber(builds, small_table, grid, 300, batch=64)
+        records = run_ber(builds, grid, 300, batch=64)
         assert [r.pulses for r in records] == [300] * 22
         assert drawn == list(range(300))
 
-    def test_explicit_master_seed_overrides_scenario_seed(self, small_baseline, small_table):
-        a = run_ber([small_baseline], small_table, [0.0], 300)
-        b = run_ber([small_baseline], small_table, [0.0], 300, master_seed=4242)
-        c = run_ber([small_baseline], small_table, [0.0], 300, master_seed=4242)
+    def test_explicit_master_seed_overrides_scenario_seed(self, small_baseline):
+        a = run_ber([small_baseline], [0.0], 300)
+        b = run_ber([small_baseline], [0.0], 300, master_seed=4242)
+        c = run_ber([small_baseline], [0.0], 300, master_seed=4242)
         assert b == c
         assert a != b
 
-    def test_early_stop_truncates_noisy_points(self, small_baseline, small_table):
-        full = run_ber([small_baseline], small_table, [-20.0], 20000)
-        stopped = run_ber([small_baseline], small_table, [-20.0], 20000, early_stop=True, batch=256)
+    def test_early_stop_truncates_noisy_points(self, small_baseline):
+        full = run_ber([small_baseline], [-20.0], 20000)
+        stopped = run_ber([small_baseline], [-20.0], 20000, early_stop=True, batch=256)
         assert stopped[0].bit_errors >= EARLY_STOP_BIT_ERRORS
         assert stopped[0].pulses < full[0].pulses
         assert stopped[0].pulses % 256 == 0
@@ -280,18 +286,18 @@ class TestRunBer:
         gap = abs(stopped[0].ber - full[0].ber)
         assert gap <= stopped[0].ci_halfwidth + full[0].ci_halfwidth
 
-    def test_rejects_bad_arguments(self, small_baseline, small_table):
+    def test_rejects_bad_arguments(self, small_baseline):
         with pytest.raises(ValueError):
-            run_ber([small_baseline], small_table, [0.0], 0)
+            run_ber([small_baseline], [0.0], 0)
         with pytest.raises(ValueError):
-            run_ber([small_baseline], small_table, [0.0], 10, batch=0)
+            run_ber([small_baseline], [0.0], 10, batch=0)
         with pytest.raises(ValueError):
-            run_ber([small_baseline], small_table, [], 10)
+            run_ber([small_baseline], [], 10)
 
     def test_high_snr_floor(self, default_table):
         # at +30 dB the default scenario must be effectively error free
         build = build_scheme(Scheme.BASELINE, default_table)
-        records = run_ber([build], default_table, [30.0], 10000)
+        records = run_ber([build], [30.0], 10000)
         assert records[0].ber < 1e-4
 
 
