@@ -10,7 +10,8 @@ rates of ML detection over Rayleigh fading.
 __version__ = "0.1.0"
 
 from .codebook import Codebook, distance_matrix, greedy_prune, med
-from .crps import Scheme, SchemeBuild, TpsFactor, apply_tps, build_scheme, generate_tps, select_tps
+from .crps import Scheme, SchemeBuild, TpsFactor, apply_tps, build_scheme, build_schemes
+from .crps import generate_tps, select_tps
 from .enumeration import CodewordTable, build_table
 from .params import DerivedParams, SystemParams, derive
 from .sim import BerRecord, GainReport, measure_gain, run_ber
@@ -27,6 +28,7 @@ __all__ = [
     "TpsFactor",
     "apply_tps",
     "build_scheme",
+    "build_schemes",
     "build_table",
     "derive",
     "distance_matrix",

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from .codebook import export_codebook_csv
-from .crps import Scheme, SchemeBuild, TpsFactor, build_scheme
+from .crps import Scheme, SchemeBuild, TpsFactor, build_schemes
 from .enumeration import CodewordTable, build_table, export_table_csv
 from .params import DerivedParams, SystemParams, derive
 from .sim import BerRecord, GainReport, measure_gain, run_ber
@@ -249,8 +249,9 @@ def execute_run(config: RunConfig) -> RunResult:
     # fixes the transmitted matrices (no factor is index 0, the identity);
     # common random numbers make a twin's curve identical, so it is copied
     first_of: dict[tuple, str] = {}
-    for scheme in config.schemes:
-        build = builds[scheme.value] = build_scheme(scheme, table, design_channel=design_channel)
+    for build in build_schemes(config.schemes, table, design_channel=design_channel):
+        scheme = build.scheme
+        builds[scheme.value] = build
         key = (build.codebook.member_ids, build.tps.d_index if build.tps else 0)
         twin = first_of.setdefault(key, scheme.value)
         if twin != scheme.value:
@@ -532,8 +533,8 @@ def _cmd_design(args: argparse.Namespace) -> int:
     table, design_channel = _design_inputs(config)
     os.makedirs(config.out, exist_ok=True)
     export_table_csv(table, os.path.join(config.out, "table.csv"))
-    for scheme in config.schemes:
-        build = build_scheme(scheme, table, design_channel=design_channel)
+    for build in build_schemes(config.schemes, table, design_channel=design_channel):
+        scheme = build.scheme
         export_codebook_csv(
             build.codebook, table, os.path.join(config.out, f"codebook_{scheme.value}.csv")
         )

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imjrc import cli
+from imjrc import cli, crps
 from imjrc.cli import (
     ConfigError,
     RunConfig,
@@ -391,6 +391,22 @@ def default_run_counted(tmp_path_factory):
 def channel_aware_run():
     config = RunConfig(snr_start=-10.0, snr_stop=-8.0, snr_step=2.0, pulses=64, channel_aware_med=True)
     return execute_run(config)
+
+
+def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
+    # the schemes share one unscaled distance matrix and its one pruning;
+    # on the default scenario every selected factor is the identity
+    sizes = {"distance_matrix": [], "greedy_prune": []}
+    for name, original in [(name, getattr(crps, name)) for name in sizes]:
+
+        def counted(first, *args, _name=name, _original=original, **kwargs):
+            sizes[_name].append(len(first))
+            return _original(first, *args, **kwargs)
+
+        monkeypatch.setattr(crps, name, counted)
+    result = execute_run(RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8))
+    assert len(result.builds) == 5
+    assert sizes == {"distance_matrix": [420], "greedy_prune": [420]}
 
 
 class TestSharedCodebooks:

@@ -15,6 +15,7 @@ from imjrc.crps import (
     Scheme,
     apply_tps,
     build_scheme,
+    build_schemes,
     candidate_meds,
     design_bytes,
     generate_tps,
@@ -26,6 +27,11 @@ from imjrc.params import SystemParams, derive
 
 def _random_mats(rng, n, l_r, l_t):
     return rng.standard_normal((n, l_r, l_t)) + 1j * rng.standard_normal((n, l_r, l_t))
+
+
+def _meds(pool, mats, channel=None):
+    """Candidate MEDs of one member set: every row of ``mats``."""
+    return candidate_meds(pool, mats, [np.arange(len(mats))], channel=channel)[0]
 
 
 class TestGenerateTps:
@@ -92,7 +98,7 @@ class TestCandidateScoring:
         rng = np.random.default_rng(5)
         mats = _random_mats(rng, 5, 4, 6)
         pool = generate_tps(6, 4, rng)
-        meds = candidate_meds(pool, mats)
+        meds = _meds(pool, mats)
         for d, alpha in enumerate(pool):
             dist = distance_matrix(apply_tps(mats, alpha))
             expect, _ = med(dist, range(5))
@@ -103,7 +109,7 @@ class TestCandidateScoring:
         mats = _random_mats(rng, 4, 3, 5)
         h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         pool = generate_tps(5, 3, rng)
-        meds = candidate_meds(pool, mats, channel=h)
+        meds = _meds(pool, mats, channel=h)
         for d, alpha in enumerate(pool):
             dist = distance_matrix(apply_tps(mats, alpha), channel=h)
             expect, _ = med(dist, range(4))
@@ -123,7 +129,7 @@ class TestCandidateScoring:
         ):
             h = draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))
             pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
-            meds = candidate_meds(pool, mats, channel=h)
+            meds = _meds(pool, mats, channel=h)
             expect = [
                 med(distance_matrix(apply_tps(mats, alpha), channel=h), range(mats.shape[0]))[0]
                 for alpha in pool
@@ -135,7 +141,7 @@ class TestCandidateScoring:
         mats = _random_mats(rng, 6, 4, 5)
         pool = generate_tps(20, 4, rng)
         tps, best = select_tps(pool, mats)
-        meds = candidate_meds(pool, mats)
+        meds = _meds(pool, mats)
         assert best >= meds[0]
         assert best == pytest.approx(meds.max(), rel=1e-12)
         assert np.array_equal(tps.alpha, pool[tps.d_index])
@@ -159,7 +165,7 @@ class TestCandidateScoring:
         boosted = np.array([np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)], dtype=complex)
         identity = np.ones(3, dtype=complex)
         tps, best = select_tps([identity, boosted], mats)
-        meds = candidate_meds([identity], mats)
+        meds = _meds([identity], mats)
         assert tps.d_index == 1
         assert best == pytest.approx(2.0 * meds[0], rel=1e-9)
 
@@ -172,7 +178,7 @@ class TestCandidateScoring:
         for candidates in (pool, pool[:1], pool[1:2]):
             weights = np.stack([np.abs(a) ** 2 for a in candidates])
             expect = (rowdist @ weights.T).min(axis=0)
-            assert np.array_equal(candidate_meds(candidates, mats), expect)
+            assert np.array_equal(_meds(candidates, mats), expect)
 
     @pytest.mark.parametrize("block", [4, 5, 10, 20])
     @pytest.mark.parametrize("count", [1, 6])
@@ -186,7 +192,7 @@ class TestCandidateScoring:
             pool = generate_tps(count + 1, 8, rng)[1:]
             rowdist = pair_row_distances(mats)
             weights = np.stack([np.abs(a) ** 2 for a in pool])
-            assert np.array_equal(candidate_meds(pool, mats), (rowdist @ weights.T).min(axis=0))
+            assert np.array_equal(_meds(pool, mats), (rowdist @ weights.T).min(axis=0))
 
     def test_scoring_memory_does_not_grow_with_pool(self, default_table, default_params):
         # the whole pairs x D product would take 87,990 x 400 x 8 B = 282 MB;
@@ -196,19 +202,45 @@ class TestCandidateScoring:
         pairs = mats.shape[0] * (mats.shape[0] - 1) // 2
         tracemalloc.start()
         try:
-            candidate_meds(pool, mats)
+            _meds(pool, mats)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < pairs * len(pool) * 8 // 8
 
+    def test_member_sets_read_their_pairs_from_the_union(self, default_table, default_params):
+        # build_schemes scores every member set from the pair quantities of
+        # their union.  That gives each set's own values only if the BLAS
+        # computes a Gram entry the same whatever other rows are in the
+        # product; a BLAS that does not fails here instead of moving designs.
+        full = default_table.matrices
+        n_valid = 1 << default_table.derived.B
+        dist0 = distance_matrix(full)
+        pruned, _ = greedy_prune(dist0, n_valid)
+        sets = [np.arange(n_valid), np.asarray(pruned.member_ids)]
+        assert not np.array_equal(sets[0], sets[1])
+        rowdist = pair_row_distances(full)
+        h = _design_channel(default_params)
+        pool = generate_tps(
+            default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
+        )
+        plain = candidate_meds(pool, full, sets)
+        through_h = candidate_meds(pool, full, sets, channel=h)
+        for s, ids in enumerate(sets):
+            alone = full[ids]
+            assert np.array_equal(dist0[np.ix_(ids, ids)], distance_matrix(alone))
+            positions = crps._pair_positions(ids, len(full))
+            assert np.array_equal(rowdist[positions], pair_row_distances(alone))
+            assert np.array_equal(plain[s], _meds(pool, alone))
+            assert np.array_equal(through_h[s], _meds(pool, alone, channel=h))
+
     def test_rejects_degenerate_input(self):
         rng = np.random.default_rng(10)
         mats = _random_mats(rng, 3, 2, 4)
         with pytest.raises(ValueError):
-            candidate_meds([], mats)
+            candidate_meds([], mats, [range(3)])
         with pytest.raises(ValueError):
-            candidate_meds([np.ones(2, dtype=complex)], mats[:1])
+            candidate_meds([np.ones(2, dtype=complex)], mats, [range(3), [1]])
 
 
 class TestBuildScheme:
@@ -321,6 +353,56 @@ class TestBuildScheme:
         assert Scheme("crps_then_codebook") is Scheme.CRPS_THEN_CODEBOOK
         with pytest.raises(ValueError):
             Scheme("not_a_scheme")
+
+
+def _fingerprint(build):
+    """Every field a design chooses, floats as their repr and bytes."""
+    tps = build.tps
+    return (
+        build.scheme,
+        build.codebook.member_ids,
+        repr(build.codebook.med),
+        build.codebook.provenance,
+        None if tps is None else (tps.d_index, tps.alpha.tobytes()),
+    )
+
+
+class TestBuildSchemes:
+    """The schemes of one pass against each scheme designed alone."""
+
+    @pytest.mark.parametrize("aware", [False, True], ids=["no_channel", "design_channel"])
+    @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
+    def test_one_pass_equals_one_scheme_calls(self, table_name, aware, request):
+        table = request.getfixturevalue(table_name)
+        h = _design_channel(table.params) if aware else None
+        shared = build_schemes(list(Scheme), table, design_channel=h)
+        alone = [build_scheme(scheme, table, design_channel=h) for scheme in Scheme]
+        assert [_fingerprint(b) for b in shared] == [_fingerprint(b) for b in alone]
+        if aware:
+            # a scaled factor makes crps_then_codebook prune its own distances
+            assert shared[-1].tps.d_index != 0
+
+    def test_order_and_subsets_do_not_change_a_design(self, small_table, small_params):
+        h = _design_channel(small_params)
+        every = {b.scheme: _fingerprint(b) for b in build_schemes(list(Scheme), small_table, h)}
+        for schemes in (list(Scheme)[::-1], [Scheme.CRPS_ONLY, Scheme.CODEBOOK_THEN_CRPS]):
+            builds = build_schemes(schemes, small_table, design_channel=h)
+            assert [_fingerprint(b) for b in builds] == [every[s] for s in schemes]
+
+    def test_refuses_an_over_budget_scheme_before_any_work(self, default_table, monkeypatch):
+        # the baseline fits this budget and comes first; codebook_only does
+        # not, and is refused before any distance is computed
+        params, derived = default_table.params, default_table.derived
+        budget = design_bytes(Scheme.BASELINE, params, derived)
+        monkeypatch.setattr(crps, "DESIGN_BUDGET_BYTES", budget)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("design work started before every budget was checked")
+
+        for name in ("distance_matrix", "pair_row_distances", "greedy_prune"):
+            monkeypatch.setattr(crps, name, refuse)
+        with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
+            build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table)
 
 
 def _design_channel(params):
