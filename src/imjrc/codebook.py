@@ -1,15 +1,19 @@
 """Pairwise distances and greedy worst-codeword elimination.
 
 All distances are squared Frobenius distances between codeword matrices.
-The design objective everywhere is the minimum pairwise distance (MED) of
-a member set; the greedy pass below removes, one at a time, whichever
-endpoint of the current closest pair is easier to separate from the rest,
-until only the target count survives.
+Without a channel they follow from carrier words alone
+(:func:`pair_patterns`), exactly; through a channel they are taken from
+the matrices (:func:`distance_matrix`).  The design objective everywhere
+is the minimum pairwise distance (MED) of a member set; the greedy pass
+below removes, one at a time, whichever endpoint of the current closest
+pair is easier to separate from the rest, until only the target count
+survives.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,22 +79,81 @@ def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.n
     return dist + dist.T
 
 
-def pair_row_distances(mats: np.ndarray) -> np.ndarray:
-    """Per-antenna-row squared distances for every unordered codeword pair.
+@dataclass(frozen=True)
+class PairPatterns:
+    """The row-difference pattern of every pair of n codewords.
 
-    rowdist[p, l] is ||mats[i, l] - mats[j, l]||^2 for the p-th pair i < j
-    of ``np.triu_indices(n, 1)``.  Weighting rowdist by |alpha_l|^2 and
-    summing over l gives the pair distance after row pre-scaling, which is
-    what makes candidate scoring cheap.
+    ``levels`` are the distinct squared distances between two sampled
+    carrier waveforms, 0 first.  ``patterns[p, l]`` indexes the level of
+    row l in the p-th distinct pattern, and ``index[i, j]`` is the pattern
+    of codewords i and j (all zero on the diagonal).
     """
-    mats = np.asarray(mats)
-    n, l_r = mats.shape[0], mats.shape[1]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    rowdist = np.empty((n * (n - 1) // 2, l_r))
-    dist, gram = np.empty((n, n)), np.empty((n, n), dtype=mats.dtype)
-    for l in range(l_r):
-        rowdist[:, l] = _gram_distances(mats[:, l, :], out=dist, gram=gram)[upper]
-    return rowdist
+
+    levels: np.ndarray
+    patterns: np.ndarray
+    index: np.ndarray
+
+    def distances(self, alphas: np.ndarray) -> np.ndarray:
+        """Distance of each pattern under each row factor, (patterns, factors).
+
+        The sum over levels k, in increasing order, of ``levels[k]`` times
+        the summed |alpha_l|^2 of the rows at level k, divided by L_R once,
+        last.  Under the identity those sums are row counts, so equal
+        multisets of levels give bit-equal distances: exact rationals,
+        correctly rounded, when the levels are integers.  No sum uses BLAS.
+        """
+        weights = np.abs(np.atleast_2d(alphas)) ** 2
+        dist = np.zeros((len(self.patterns), len(weights)))
+        for k in range(1, self.levels.size):
+            at_level = np.zeros_like(dist)
+            for l, row in enumerate(self.patterns.T):
+                at_level[row == k] += weights[:, l]
+            dist += self.levels[k] * at_level
+        return dist / self.patterns.shape[1]
+
+    def matrix(self, alpha: np.ndarray) -> np.ndarray:
+        """All-pairs distances under one row factor: exactly symmetric, zero diagonal."""
+        return self.distances(alpha)[:, 0][self.index]
+
+    def meds(self, alphas: list[np.ndarray], member_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """MED of each set of distinct codewords under each row factor, one row per set."""
+        dist, meds = self.distances(alphas), []
+        for ids in member_sets:
+            sub = self.index.take(ids, axis=0).take(ids, axis=1)
+            np.fill_diagonal(sub, sub[0, 1])  # the diagonal holds no pair
+            meds.append(dist[np.isin(np.arange(len(dist)), sub)].min(axis=0))
+        return np.stack(meds)
+
+
+def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
+    """The row-difference patterns of the codewords with carrier words ``carriers`` (n, L_R).
+
+    Row l of a codeword is a unit-modulus steering weight over sqrt(L_R)
+    times the waveform of its carrier.  Carriers a and b are
+    2 L_T - 2 sum_{t < L_T mod M} cos(2 pi k t / M) apart, k = (a - b) mod M
+    folded onto min(k, M - k), as full periods of M samples cancel; every
+    k != 0 gives 2 (L_T - 1) when L_T = 1 (mod M).  Patterns are numbers in
+    base (level count), row 0 the most significant digit, in increasing
+    order: a code space no larger than the n x n pairs is marked, a larger
+    one sorted.
+    """
+    k, t = np.arange(m), np.arange(l_t % m)
+    gaps = [2.0 * l_t - 2.0 * math.fsum(np.cos(2 * np.pi * c * t / m)) for c in k[1 : m // 2 + 1]]
+    levels, level = np.unique([0.0, *gaps], return_inverse=True)
+    n, l_r = carriers.shape
+    base, space = levels.size, levels.size**l_r
+    code = np.zeros((n, n), dtype=np.min_scalar_type(space - 1))
+    level = level.astype(code.dtype)[np.minimum(k, m - k)[(k[:, None] - k[None, :]) % m]]
+    for c in carriers.T:
+        code *= code.dtype.type(base)
+        code += np.take(level[c], c, axis=1)
+    if space <= code.size:
+        seen = np.isin(np.arange(space), code)
+        codes, index = np.flatnonzero(seen), (np.cumsum(seen) - 1).astype(code.dtype)[code]
+    else:
+        codes, index = np.unique(code, return_inverse=True)
+    patterns = codes[:, None].astype(np.int64) // base ** np.arange(l_r - 1, -1, -1) % base
+    return PairPatterns(levels=levels, patterns=patterns, index=index.reshape(n, n))
 
 
 def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int]]:
@@ -102,7 +165,7 @@ def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int
     idx = np.asarray(sorted(members))
     if idx.size < 2:
         raise ValueError("MED needs at least two members")
-    sub = dist[np.ix_(idx, idx)].copy()
+    sub = dist[np.ix_(idx, idx)]
     np.fill_diagonal(sub, np.inf)
     flat = int(np.argmin(sub))
     a, b = divmod(flat, idx.size)

@@ -30,14 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import (
-    Codebook,
-    _gram_distances,
-    distance_matrix,
-    greedy_prune,
-    med,
-    pair_row_distances,
-)
+from .codebook import Codebook, _gram_distances, distance_matrix, greedy_prune, med, pair_patterns
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import DerivedParams, SystemParams
 
@@ -104,100 +97,48 @@ def apply_tps(mats: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return mats * alpha.reshape((1,) * (mats.ndim - 2) + (-1, 1))
 
 
-_SCORE_BLOCK = 4096
-"""Pairs whose weighted distances candidate scoring holds at once."""
-
-
-def _pair_positions(ids: np.ndarray, n: int) -> np.ndarray:
-    """Where each pair of ``ids`` sits in the ``np.triu_indices(n, 1)`` order.
-
-    ``ids`` are sorted row indices; their pairs come in their own
-    ``triu_indices`` order, so a gather by these positions lists the pairs
-    in the order they would have over the rows ``ids`` alone.
-    """
-    i, j = ids[np.array(np.triu_indices(ids.size, 1))]
-    return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
 def candidate_meds(
     candidates: list[np.ndarray],
     mats: np.ndarray,
     member_sets: Sequence[Sequence[int]],
     channel: np.ndarray | None = None,
 ) -> np.ndarray:
-    """MED of each member set under each candidate pre-scaling, one row per set.
+    """MED of each member set (sorted rows of ``mats``) under each candidate.
 
-    ``member_sets`` holds sorted, distinct row indices of ``mats``.  Pair
-    quantities are computed once over all of ``mats`` and each set reads
-    its own pairs, which equal those of the set alone: a Gram entry does
-    not depend on the other rows of the product.
-
-    Without a design channel every candidate is a weighted sum of the pair
-    row distances, a set's gathered by pair position.  The sums are taken
-    ``_SCORE_BLOCK`` pairs at a time and folded into a running minimum, so
-    besides the row distances the scoring holds one block of pairs x
-    candidates, however large the pool.  With a design channel, each
-    candidate is scored through the channel directly.
+    Each candidate repeats the operations of ``distance_matrix`` (through
+    ``channel`` when given) on the union of the sets, whose Gram entries do
+    not depend on the other rows, in buffers allocated once per call: an
+    n x n block freed per candidate is handed back to the system and
+    faulted in again by the next, which made the design time grow with D.
     """
-    mats = np.asarray(mats)
     sets = [np.asarray(ids, dtype=np.intp) for ids in member_sets]
     if any(ids.size < 2 for ids in sets):
         raise ValueError("candidate scoring needs at least two members")
     if not candidates:
         raise ValueError("candidate pool is empty")
-    n = mats.shape[0]
+    mats = np.asarray(mats)
+    inside = np.zeros(mats.shape[0], dtype=bool)
+    for ids in sets:
+        inside[ids] = True
+    union = np.flatnonzero(inside)
+    rows = mats if union.size == mats.shape[0] else mats[union]
+    n = rows.shape[0]
+    scaled = np.empty(rows.shape, dtype=np.result_type(rows, *candidates))
+    images = scaled
     if channel is not None:
-        return _channel_meds(candidates, mats, sets, channel)
-    rowdist = pair_row_distances(mats)
-    weights = np.stack([np.abs(a) ** 2 for a in candidates])
-    meds = np.full((len(sets), len(candidates)), np.inf)
-    for ids, out in zip(sets, meds):
-        rows = rowdist if ids.size == n else rowdist[_pair_positions(ids, n)]
-        pairs = rows.shape[0]
-        # a product with one row or one column goes through gemv, which can
-        # round differently in a block than in the whole product: one
-        # candidate is scored in one block (pairs floats, one column of
-        # rows), and a last block of one pair joins the block before it
-        block = pairs if len(candidates) == 1 else _SCORE_BLOCK
-        edges = list(range(0, pairs, block)) + [pairs]
-        if len(edges) > 2 and edges[-1] - edges[-2] == 1:
-            del edges[-2]
-        for start, stop in zip(edges, edges[1:]):
-            np.minimum(out, (rows[start:stop] @ weights.T).min(axis=0), out=out)
-    return meds
-
-
-def _channel_meds(
-    candidates: list[np.ndarray],
-    mats: np.ndarray,
-    sets: list[np.ndarray],
-    channel: np.ndarray,
-) -> np.ndarray:
-    """Candidate MEDs of each set through ``channel``, as ``distance_matrix`` measures them.
-
-    Every candidate repeats the operations of ``distance_matrix`` on all
-    of ``mats``, in buffers allocated once per call, so no n x n matrix is
-    allocated and freed per candidate: freed blocks that size are handed
-    back to the system and faulted in again by the next candidate, which
-    made the design's system time and its spread grow with the pool.
-    """
-    n = mats.shape[0]
-    scaled = np.empty(mats.shape, dtype=np.result_type(mats, *candidates))
-    images = np.empty((n, channel.shape[0], mats.shape[2]), dtype=np.result_type(channel, scaled))
+        images = np.empty((n, channel.shape[0], rows.shape[2]), dtype=np.result_type(channel, scaled))
     flat = images.reshape(n, -1)
     gram = np.empty((n, n), dtype=flat.dtype)
     dist = np.empty((n, n))
     # distance_matrix keeps the upper triangle and mirrors it, so a set's
     # MED is the minimum over its pairs i < j
-    pair_masks = []
-    for ids in sets:
-        inside = np.zeros(n, dtype=bool)
-        inside[ids] = True
-        pair_masks.append(np.triu(np.outer(inside, inside), 1))
+    in_set = [np.isin(union, ids) for ids in sets]
+    pair_masks = [np.triu(np.outer(mask, mask), 1) for mask in in_set]
     meds = np.empty((len(sets), len(candidates)))
     for d, alpha in enumerate(candidates):
-        np.multiply(mats, np.asarray(alpha).reshape(1, -1, 1), out=scaled)
-        np.einsum("cr,nrt->nct", channel, scaled, out=images)
+        np.multiply(rows, np.asarray(alpha).reshape(1, -1, 1), out=scaled)
+        if channel is not None:
+            np.einsum("cr,nrt->nct", channel, scaled, out=images)
         _gram_distances(flat, out=dist, gram=gram)
         for s, mask in enumerate(pair_masks):
             meds[s, d] = np.min(dist, where=mask, initial=np.inf)
@@ -250,18 +191,15 @@ _RECIPES = {
 def design_bytes(scheme: Scheme, params: SystemParams, derived: DerivedParams) -> int:
     """Estimated bytes of a scheme's largest live design allocation.
 
-    A scheme that prunes, or selects its factor over the full table, works
-    on all C_total codewords; the others work on the 2^B members.  Over n
-    codewords the design holds about three dense n x n float64 distance
-    matrices at once, plus the n(n-1)/2 x L_R float64 pair row distances
-    of candidate scoring.  :func:`build_schemes` frees the unscaled
-    distance matrix before candidate scoring starts, so a pass over several
-    schemes never holds that matrix and the row distances of the union of
-    its scored member sets at once.
+    Pruning, or selecting a factor over the full table, works on all C_total
+    codewords, else on the 2^B members.  Over n codewords the design holds
+    three n x n arrays of at most 8-byte entries: a distance matrix, its
+    pruning copy, and the pairs' pattern index (or, through a design
+    channel, a complex Gram matrix in place of the last two).
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
-    return 3 * n * n * 8 + n * (n - 1) // 2 * params.L_R * 8
+    return 3 * n * n * 8
 
 
 def _scaled(mats: np.ndarray, tps: TpsFactor | None) -> np.ndarray:
@@ -278,22 +216,13 @@ def build_schemes(
 ) -> list[SchemeBuild]:
     """Design each of ``schemes``, in the order given: its member set of ``table`` and factor.
 
-    The schemes share their stages, each computed once.  One unscaled
-    distance matrix, of the full table when a scheme prunes it unscaled and
-    of the baseline set otherwise, gives the baseline MED and the unscaled
-    pruning; it is freed before any candidate is scored.  Every member set
-    a factor is selected over is scored in one :func:`candidate_meds` call
-    over their union.  Only a pruning under a selected factor other than
-    the identity computes distances of its own.  Each design equals the one
-    the scheme gets alone.
-
-    ``design_channel``, when given, makes every design-time distance a
-    post-channel distance (detection is unaffected).  The pre-scaling
-    candidate pool is drawn from a dedicated substream of the scenario's
-    master seed, so all schemes of a scenario score the same pool.  A
-    codebook's MED is the one its last design stage measured.  Every
-    scheme's estimate is checked against the design budget before anything
-    is allocated.
+    The schemes share their stages, each computed once, and each design
+    equals the one the scheme gets alone.  Without ``design_channel`` every
+    distance follows exactly from the carrier words (:func:`pair_patterns`);
+    with one, from the codeword matrices after the channel (detection is
+    unaffected).  All schemes score one candidate pool, drawn from a
+    substream of the master seed.  A codebook's MED is the one its last
+    design stage measured.  Every budget is checked before any work.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
@@ -311,13 +240,29 @@ def build_schemes(
     recipes = [_RECIPES[s] for s in schemes]
     baseline_ids = tuple(range(n_valid))
     every_id = tuple(range(derived.C_total))
+    rows = derived.C_total if any(r.prune or r.crps == "before" for r in recipes) else n_valid
+
+    # among the first ``rows`` codewords: every pair's distance under a
+    # factor, and each member set's MED under each candidate
+    if design_channel is None:
+        patterns = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
+        scores = patterns.meds
+
+        def matrix(tps):
+            return patterns.matrix(np.ones(params.L_R) if tps is None else tps.alpha)
+    else:
+        def scores(candidates, sets):
+            return candidate_meds(candidates, table.matrices, sets, channel=design_channel)
+
+        def matrix(tps):
+            return distance_matrix(_scaled(table.matrices[:rows], tps), channel=design_channel)
+
     baseline_med = None
     # greedy pruning of the table under each selected factor index
     pruned: dict[int, Codebook] = {}
     prune_unscaled = any(r.prune and r.crps != "before" for r in recipes)
     if prune_unscaled or Scheme.BASELINE in schemes:
-        rows = table.matrices if prune_unscaled else table.matrices[:n_valid]
-        dist = distance_matrix(rows, channel=design_channel)
+        dist = matrix(None)
         if Scheme.BASELINE in schemes:
             baseline_med, _ = med(dist, baseline_ids)
         if prune_unscaled:
@@ -325,7 +270,6 @@ def build_schemes(
         del dist
 
     # each member set a CRPS scheme selects its factor over, scored once
-    # from the rows of their union
     selected_over = list(
         dict.fromkeys(
             every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
@@ -335,14 +279,7 @@ def build_schemes(
     )
     if selected_over:
         candidates = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
-        inside = np.zeros(derived.C_total, dtype=bool)
-        for ids in selected_over:
-            inside[list(ids)] = True
-        union = np.flatnonzero(inside)
-        rows = table.matrices if union.size == derived.C_total else table.matrices[union]
-        positions = [np.searchsorted(union, ids) for ids in selected_over]
-        meds = candidate_meds(candidates, rows, positions, channel=design_channel)
-        scored = dict(zip(selected_over, meds))
+        scored = dict(zip(selected_over, scores(candidates, selected_over)))
 
     builds = []
     for scheme, recipe in zip(schemes, recipes):
@@ -352,8 +289,7 @@ def build_schemes(
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
-                dist = distance_matrix(_scaled(table.matrices, tps), channel=design_channel)
-                pruned[index], _ = greedy_prune(dist, n_valid)
+                pruned[index], _ = greedy_prune(matrix(tps), n_valid)
             member_ids, book_med = pruned[index].member_ids, pruned[index].med
         if recipe.crps == "after":
             tps, book_med = _best(candidates, scored[member_ids])

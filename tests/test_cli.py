@@ -5,7 +5,11 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import pathlib
 import platform
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -394,9 +398,10 @@ def channel_aware_run():
 
 
 def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
-    # the schemes share one unscaled distance matrix and its one pruning;
-    # on the default scenario every selected factor is the identity
-    sizes = {"distance_matrix": [], "greedy_prune": []}
+    # the schemes share one set of pair patterns and its one pruning; on
+    # the default scenario every selected factor is the identity, and no
+    # distance is taken through the codeword matrices
+    sizes = {"pair_patterns": [], "distance_matrix": [], "greedy_prune": []}
     for name, original in [(name, getattr(crps, name)) for name in sizes]:
 
         def counted(first, *args, _name=name, _original=original, **kwargs):
@@ -406,7 +411,31 @@ def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
         monkeypatch.setattr(crps, name, counted)
     result = execute_run(RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8))
     assert len(result.builds) == 5
-    assert sizes == {"distance_matrix": [420], "greedy_prune": [420]}
+    assert sizes == {"pair_patterns": [420], "distance_matrix": [], "greedy_prune": [420]}
+
+
+def test_design_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # without a design channel every design distance is exact arithmetic on
+    # carrier words, so the BLAS cannot move a tie and with it a codebook
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(
+                p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+            ),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "imjrc.cli", "design", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs[threads] = {
+            p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith(("codebook_", "tps_"))
+        }
+    assert len(outputs["1"]) == 5 + 3  # a codebook per scheme, a factor per CRPS scheme
+    assert outputs["1"] == outputs["2"]
 
 
 class TestSharedCodebooks:

@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from imjrc.codebook import (
     export_codebook_csv,
     greedy_prune,
     med,
-    pair_row_distances,
+    pair_patterns,
 )
+from imjrc.crps import apply_tps, generate_tps
+from imjrc.enumeration import build_table
+from imjrc.params import SystemParams, derive
 
 
 def _points_to_dist(points):
@@ -107,29 +111,91 @@ class TestDistanceMatrix:
             assert np.array_equal(got.view(np.uint64), _gram_distances(flat).view(np.uint64))
 
 
-class TestPairRowDistances:
-    def test_rows_sum_to_pair_distance(self):
-        rng = np.random.default_rng(13)
-        mats = _random_mats(rng, 7, 3, 5)
-        dist = distance_matrix(mats)
-        rowdist = pair_row_distances(mats)
-        i_idx, j_idx = np.triu_indices(7, 1)
-        # the upper-triangle mask gathers pairs in triu_indices order, bit for bit
-        expect = np.stack([_gram_distances(mats[:, l, :])[i_idx, j_idx] for l in range(3)], axis=1)
-        assert np.array_equal(rowdist, expect)
-        total = rowdist.sum(axis=1)
-        for p in range(i_idx.size):
-            assert total[p] == pytest.approx(dist[i_idx[p], j_idx[p]], rel=1e-9, abs=1e-9)
+def _patterns(table):
+    return pair_patterns(table.carriers, table.params.M, table.derived.L_T)
 
-    def test_row_entries_match_oracle(self):
-        rng = np.random.default_rng(14)
-        mats = _random_mats(rng, 4, 3, 5)
-        rowdist = pair_row_distances(mats)
-        i_idx, j_idx = np.triu_indices(4, 1)
-        for p in range(i_idx.size):
-            for l in range(3):
-                expect = np.sum(np.abs(mats[i_idx[p], l] - mats[j_idx[p], l]) ** 2)
-                assert rowdist[p, l] == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+# L_T = 64 = 4 (mod 6): the waveform distance depends on the carrier difference
+LT_NOT_ONE = SystemParams(M=6, delta_f=10.5e6)
+
+
+class TestPairPatterns:
+    """Distances from carrier words against the codeword matrices."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, small_table, default_table):
+        return {
+            "small": small_table,
+            "default": default_table,
+            "lt_not_one": build_table(LT_NOT_ONE, derive(LT_NOT_ONE)),
+        }
+
+    def test_levels_of_an_lt_not_one_scenario(self):
+        assert derive(LT_NOT_ONE).L_T == 64
+        # one-row carrier words 0..5: the pair (0, d) differs by carrier d,
+        # at 128, 126, 128 for d = 1, 2, 3, and d and 6 - d alike
+        patterns = pair_patterns(np.arange(6)[:, None], 6, 64)
+        assert patterns.levels.tolist() == [0.0, 126.0, 128.0]
+        at_d = patterns.levels[patterns.patterns[patterns.index[0], 0]]
+        assert at_d.tolist() == [0.0, 128.0, 126.0, 128.0, 126.0, 128.0]
+
+    @pytest.mark.parametrize("name", ["small", "default", "lt_not_one"])
+    def test_matches_distance_matrix(self, name, tables):
+        table = tables[name]
+        dist = _patterns(table).matrix(np.ones(table.params.L_R))
+        assert np.allclose(dist, distance_matrix(table.matrices), rtol=0.0, atol=1e-9)
+        assert np.array_equal(dist, dist.T)
+        assert np.all(np.diag(dist) == 0.0)
+
+    def test_row_entries_match_oracle(self, tables):
+        # one level per pair row: the row's squared distance times L_R
+        table = tables["lt_not_one"]
+        patterns = _patterns(table)
+        mats, l_r = table.matrices, table.params.L_R
+        rng = np.random.default_rng(15)
+        for i, j in rng.integers(0, len(table), size=(200, 2)):
+            rows = patterns.levels[patterns.patterns[patterns.index[i, j]]] / l_r
+            expect = np.sum(np.abs(mats[i] - mats[j]) ** 2, axis=1)
+            assert rows == pytest.approx(expect, rel=1e-9, abs=1e-9)
+
+    def test_rows_sum_to_pair_distance(self, tables):
+        # the level-weighted sum is the distance under any row pre-scaling
+        for table in (tables["small"], tables["lt_not_one"]):
+            patterns = _patterns(table)
+            for alpha in generate_tps(4, table.params.L_R, np.random.default_rng(16)):
+                dist = patterns.matrix(alpha)
+                expect = distance_matrix(apply_tps(table.matrices, alpha))
+                assert np.allclose(dist, expect, rtol=0.0, atol=1e-9)
+
+    def test_small_table_distances_are_exact(self, small_table):
+        patterns = _patterns(small_table)
+        l_r = small_table.params.L_R
+        exact = np.empty(patterns.index.shape, dtype=object)
+        for (i, j), p in np.ndenumerate(patterns.index):
+            exact[i, j] = Fraction(int(patterns.levels[patterns.patterns[p]].sum()), l_r)
+        dist = patterns.matrix(np.ones(l_r))
+        assert all(dist[ij] == float(exact[ij]) for ij in np.ndindex(dist.shape))
+        target = 1 << small_table.derived.B
+        assert greedy_prune(dist, target)[0].member_ids == greedy_prune(exact, target)[0].member_ids
+
+    def test_pairs_with_equal_level_counts_are_bit_equal(self, default_table):
+        # L_T = 71 = 1 (mod 7): one level, 140, so a distance is 140/6 times
+        # the number of differing rows, whichever rows those are
+        patterns = _patterns(default_table)
+        assert patterns.levels.tolist() == [0.0, 140.0]
+        dist = patterns.matrix(np.ones(6))
+        differing = (patterns.patterns != 0).sum(axis=1)[patterns.index]
+        for rows in np.unique(differing):
+            assert set(dist[differing == rows].tolist()) == {float(Fraction(140 * int(rows), 6))}
+
+    def test_sorted_and_marked_codes_agree(self, default_table):
+        # 7 codewords have fewer pairs than the 2^6 code space, so their
+        # codes are sorted; the whole table's are marked
+        ids = np.arange(0, 420, 60)
+        assert len(ids) ** 2 < 2**6 < len(default_table) ** 2
+        whole, part = _patterns(default_table), pair_patterns(default_table.carriers[ids], 7, 71)
+        for p_part, p_whole in zip(part.index.ravel(), whole.index[np.ix_(ids, ids)].ravel()):
+            assert np.array_equal(part.patterns[p_part], whole.patterns[p_whole])
 
 
 class TestMed:

@@ -1,6 +1,7 @@
 """Pre-scaling pool generation, candidate scoring, and scheme assembly tests."""
 
 import dataclasses
+import itertools
 import tracemalloc
 import types
 
@@ -9,7 +10,7 @@ import pytest
 
 from imjrc import crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import distance_matrix, greedy_prune, med, pair_row_distances
+from imjrc.codebook import distance_matrix, greedy_prune, med, pair_patterns
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
@@ -118,23 +119,23 @@ class TestCandidateScoring:
     def test_channel_path_is_bit_equal_to_med(
         self, small_table, small_params, default_table, default_params
     ):
-        # the channel path scores in reused buffers and takes the minimum of
-        # the upper triangle; it must give med()'s value exactly, or the
-        # selected factor could move.  The full default table (420
-        # codewords) is what crps_then_codebook scores.
+        # scoring runs in reused buffers and takes the minimum of the upper
+        # triangle; it must give med()'s value exactly, with or without a
+        # channel, or the selected factor could move.  The full default
+        # table (420 codewords) is what crps_then_codebook scores.
         small_members = small_table.matrices[: 1 << small_table.derived.B]
         for mats, params, seed in (
             (small_members, small_params, 3),
             (default_table.matrices, default_params, 1729),
         ):
-            h = draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))
             pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
-            meds = _meds(pool, mats, channel=h)
-            expect = [
-                med(distance_matrix(apply_tps(mats, alpha), channel=h), range(mats.shape[0]))[0]
-                for alpha in pool
-            ]
-            assert meds.tolist() == expect
+            for h in (None, draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))):
+                meds = _meds(pool, mats, channel=h)
+                expect = [
+                    med(distance_matrix(apply_tps(mats, alpha), channel=h), range(mats.shape[0]))[0]
+                    for alpha in pool
+                ]
+                assert meds.tolist() == expect
 
     def test_select_never_below_identity(self):
         rng = np.random.default_rng(7)
@@ -169,34 +170,53 @@ class TestCandidateScoring:
         assert tps.d_index == 1
         assert best == pytest.approx(2.0 * meds[0], rel=1e-9)
 
-    def test_blocked_scoring_is_exact(self, default_table, default_params):
-        # 87,990 pairs: more than one block, and a ragged last block
+    def test_pattern_scoring_is_exact(self, default_table, default_params):
+        # the design without a channel scores 87,990 pairs through 57
+        # patterns; the Gram loop is the reference
         mats = default_table.matrices
         pool = generate_tps(default_params.D, default_params.L_R, substream(1729, TAG_TPS))
-        rowdist = pair_row_distances(mats)
-        assert rowdist.shape[0] > crps._SCORE_BLOCK and rowdist.shape[0] % crps._SCORE_BLOCK
-        for candidates in (pool, pool[:1], pool[1:2]):
-            weights = np.stack([np.abs(a) ** 2 for a in candidates])
-            expect = (rowdist @ weights.T).min(axis=0)
-            assert np.array_equal(_meds(candidates, mats), expect)
+        patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
+        meds = patterns.meds(pool, [range(len(mats))])[0]
+        assert np.allclose(meds, _meds(pool, mats), rtol=0.0, atol=1e-9)
+        assert meds[0] == 140 / 3
+
+    def test_one_pair_or_one_candidate_is_scored_as_in_the_pool(self, small_table, small_params):
+        # no BLAS product sums the pattern scores, so a candidate scored
+        # alone, or a set of one pair, gets the bits it gets in the whole
+        patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
+        pool = generate_tps(6, small_params.L_R, np.random.default_rng(12))
+        sets = [range(len(small_table)), [0, 5], [3, 17]]
+        whole = patterns.meds(pool, sets)
+        for d, alpha in enumerate(pool):
+            assert np.array_equal(patterns.meds([alpha], sets)[:, 0], whole[:, d])
+            dist = patterns.matrix(alpha)
+            assert whole[1, d] == dist[0, 5] and whole[2, d] == dist[3, 17]
 
     @pytest.mark.parametrize("block", [4, 5, 10, 20])
     @pytest.mark.parametrize("count", [1, 6])
-    def test_one_pair_or_one_candidate_blocks_are_exact(self, block, count, monkeypatch):
-        # 21 pairs leave one pair after the last full block of each size;
-        # one-row and one-column products round differently in BLAS
-        monkeypatch.setattr(crps, "_SCORE_BLOCK", block)
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            mats = _random_mats(rng, 7, 8, 5)
-            pool = generate_tps(count + 1, 8, rng)[1:]
-            rowdist = pair_row_distances(mats)
-            weights = np.stack([np.abs(a) ** 2 for a in pool])
-            assert np.array_equal(_meds(pool, mats), (rowdist @ weights.T).min(axis=0))
+    def test_one_pair_or_one_candidate_blocks_are_exact(
+        self, block, count, small_table, small_params
+    ):
+        # member sets of `block` consecutive codewords (the last one ragged)
+        # and a set of one pair: each set's pattern MED is the minimum of
+        # its own pair distances, bit for bit, and agrees with the Gram loop
+        patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
+        mats = small_table.matrices
+        n = len(mats)
+        sets = [range(s, min(s + block, n)) for s in range(0, n, block)] + [[n - 2, n - 1]]
+        pool = generate_tps(count + 1, small_params.L_R, np.random.default_rng(12))[1:]
+        meds = patterns.meds(pool, sets)
+        for d, alpha in enumerate(pool):
+            dist = patterns.matrix(alpha)
+            for s, ids in enumerate(sets):
+                ids = np.asarray(ids)
+                sub = dist[np.ix_(ids, ids)][np.triu_indices(ids.size, 1)]
+                assert meds[s, d] == sub.min()
+        assert np.allclose(meds, candidate_meds(pool, mats, sets), rtol=0.0, atol=1e-9)
 
     def test_scoring_memory_does_not_grow_with_pool(self, default_table, default_params):
         # the whole pairs x D product would take 87,990 x 400 x 8 B = 282 MB;
-        # block-wise scoring must stay far below it (18 MB measured)
+        # scoring one candidate at a time in reused buffers stays far below
         mats = default_table.matrices
         pool = generate_tps(400, default_params.L_R, np.random.default_rng(13))
         pairs = mats.shape[0] * (mats.shape[0] - 1) // 2
@@ -209,7 +229,7 @@ class TestCandidateScoring:
         assert peak < pairs * len(pool) * 8 // 8
 
     def test_member_sets_read_their_pairs_from_the_union(self, default_table, default_params):
-        # build_schemes scores every member set from the pair quantities of
+        # candidate_meds scores every member set from the Gram entries of
         # their union.  That gives each set's own values only if the BLAS
         # computes a Gram entry the same whatever other rows are in the
         # product; a BLAS that does not fails here instead of moving designs.
@@ -219,7 +239,6 @@ class TestCandidateScoring:
         pruned, _ = greedy_prune(dist0, n_valid)
         sets = [np.arange(n_valid), np.asarray(pruned.member_ids)]
         assert not np.array_equal(sets[0], sets[1])
-        rowdist = pair_row_distances(full)
         h = _design_channel(default_params)
         pool = generate_tps(
             default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
@@ -229,8 +248,6 @@ class TestCandidateScoring:
         for s, ids in enumerate(sets):
             alone = full[ids]
             assert np.array_equal(dist0[np.ix_(ids, ids)], distance_matrix(alone))
-            positions = crps._pair_positions(ids, len(full))
-            assert np.array_equal(rowdist[positions], pair_row_distances(alone))
             assert np.array_equal(plain[s], _meds(pool, alone))
             assert np.array_equal(through_h[s], _meds(pool, alone, channel=h))
 
@@ -399,14 +416,100 @@ class TestBuildSchemes:
         def refuse(*args, **kwargs):
             raise AssertionError("design work started before every budget was checked")
 
-        for name in ("distance_matrix", "pair_row_distances", "greedy_prune"):
+        for name in ("pair_patterns", "distance_matrix", "candidate_meds", "greedy_prune"):
             monkeypatch.setattr(crps, name, refuse)
         with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
             build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table)
 
+    def test_reported_meds_match_distance_matrix(self, default_table):
+        # without a design channel the design measures distances from the
+        # carrier words; on the default scenario they are exact rationals
+        builds = build_schemes(list(Scheme), default_table)
+        n_valid = 1 << default_table.derived.B
+        for build in builds:
+            expect, _ = med(distance_matrix(build.member_matrices), range(n_valid))
+            assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
+        assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+    def test_design_stays_within_its_budget(self, scheme, design_large_table):
+        params, derived = design_large_table.params, design_large_table.derived
+        tracemalloc.start()
+        try:
+            build_schemes([scheme], design_large_table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design_bytes(scheme, params, derived)
+
+
+@pytest.fixture(scope="module")
+def design_large_table():
+    params = SystemParams(M=8, L_R=8)
+    return build_table(params, derive(params))
+
+
+class TestIdentityArgument:
+    """README "Known divergences": why the identity factor wins without a channel.
+
+    Every minimum-distance pair of the baseline set and of the full table
+    differs in exactly two antenna rows, and every row pair hosts one, so
+    a power-normalized factor cannot raise the MED above the identity's.
+    """
+
+    @pytest.fixture(params=["default", "design-large"])
+    def table(self, request, default_table, design_large_table):
+        return default_table if request.param == "default" else design_large_table
+
+    def test_minimum_distance_pairs_cover_every_row_pair_in_two_rows(self, table):
+        patterns = pair_patterns(table.carriers, table.params.M, table.derived.L_T)
+        l_r = table.params.L_R
+        for n in (1 << table.derived.B, len(table)):
+            used = np.unique(patterns.index[:n, :n][np.triu_indices(n, 1)])
+            dist = patterns.distances(np.ones(l_r))[used, 0]
+            differing = patterns.patterns[used[dist == dist.min()]] != 0
+            assert np.all(differing.sum(axis=1) == 2)
+            hosted = {tuple(np.flatnonzero(rows)) for rows in differing}
+            assert hosted == set(itertools.combinations(range(l_r), 2))
+
+    def test_identity_has_the_largest_med_of_the_pool(self, table):
+        params = table.params
+        patterns = pair_patterns(table.carriers, params.M, table.derived.L_T)
+        pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
+        for meds in patterns.meds(pool, [range(1 << table.derived.B), range(len(table))]):
+            assert meds[0] == meds.max()
+
 
 def _design_channel(params):
     return draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
+
+
+def _stages(table, h):
+    """A design's two distance stages, run by hand over ``table``.
+
+    ``matrix(alpha)`` is every pair's distance under a factor, and
+    ``select(pool, ids)`` the selected candidate index and its MED over a
+    member set: through the codeword matrices with a design channel, and
+    from the carrier words without one.
+    """
+    if h is not None:
+
+        def matrix(alpha):
+            return distance_matrix(apply_tps(table.matrices, alpha), channel=h)
+
+        def select(pool, ids):
+            tps, best = select_tps(pool, table.matrices[ids], channel=h)
+            return tps.d_index, best
+
+        return matrix, select
+    patterns = pair_patterns(table.carriers, table.params.M, table.derived.L_T)
+
+    def select(pool, ids):
+        meds = patterns.meds(pool, [ids])[0]
+        best = int(np.argmax(meds))
+        return best, float(meds[best])
+
+    return patterns.matrix, select
 
 
 class TestRecipes:
@@ -426,24 +529,25 @@ class TestRecipes:
         ids = np.asarray(build.codebook.member_ids)
         rows = small_table.matrices[ids]
         pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
+        matrix, select = _stages(small_table, h)
 
         if scheme in self.SAME_MEMBERS:
             twin = build_scheme(self.SAME_MEMBERS[scheme], small_table, design_channel=h)
             assert build.codebook.member_ids == twin.codebook.member_ids
-            tps, best = select_tps(pool, rows, channel=h)
-            assert build.tps.d_index == tps.d_index
-            assert build.codebook.med == best
+            assert (build.tps.d_index, build.codebook.med) == select(pool, ids)
         elif scheme is Scheme.CRPS_THEN_CODEBOOK:
-            tps, _ = select_tps(pool, small_table.matrices, channel=h)
-            assert build.tps.d_index == tps.d_index
-            dist = distance_matrix(apply_tps(small_table.matrices, tps.alpha), channel=h)
+            d_index, _ = select(pool, np.arange(len(small_table)))
+            assert build.tps.d_index == d_index
+            dist = matrix(pool[d_index])
             pruned, _ = greedy_prune(dist, n_valid)
             assert build.codebook.member_ids == pruned.member_ids
             assert build.codebook.med == med(dist, pruned.member_ids)[0]
         else:
             assert build.tps is None
-            full = small_table.matrices[:n_valid] if scheme is Scheme.BASELINE else small_table.matrices
-            assert build.codebook.med == med(distance_matrix(full, channel=h), ids)[0]
+            assert build.codebook.med == med(matrix(pool[0]), ids)[0]
+        # whichever path designed it, the MED is the one the matrices have
+        expect, _ = med(distance_matrix(build.member_matrices, channel=h), range(n_valid))
+        assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
 
         if build.tps is None or build.tps.d_index == 0:
             assert np.array_equal(build.member_matrices, rows)
