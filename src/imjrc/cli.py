@@ -531,9 +531,10 @@ def _cmd_derive(args: argparse.Namespace) -> int:
 def _cmd_design(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     table, design_channel = _design_inputs(config)
+    builds = build_schemes(config.schemes, table, design_channel=design_channel)
     os.makedirs(config.out, exist_ok=True)
     export_table_csv(table, os.path.join(config.out, "table.csv"))
-    for build in build_schemes(config.schemes, table, design_channel=design_channel):
+    for build in builds:
         scheme = build.scheme
         export_codebook_csv(
             build.codebook, table, os.path.join(config.out, f"codebook_{scheme.value}.csv")

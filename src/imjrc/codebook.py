@@ -259,14 +259,4 @@ def export_codebook_csv(book: Codebook, table: CodewordTable, path: str) -> None
         )
         for rank, g in enumerate(book.member_ids):
             bits = "".join(map(str, rank_to_bits(rank, b)))
-            writer.writerow(
-                [
-                    rank,
-                    bits,
-                    g,
-                    "-".join(map(str, table.subset_of(g))),
-                    "-".join(map(str, table.allocation_of(g))),
-                    book.provenance,
-                    repr(book.med),
-                ]
-            )
+            writer.writerow([rank, bits, g, *table.text_of(g), book.provenance, repr(book.med)])

@@ -61,9 +61,19 @@ class SchemeBuild:
     tps: TpsFactor | None
 
     @property
+    def alpha(self) -> np.ndarray | None:
+        return _alpha(self.tps)
+
+    @property
     def member_matrices(self) -> np.ndarray:
         """Each rank's transmitted codeword, pre-scaled; computed on each access."""
-        return _scaled(self.table.matrices[np.asarray(self.codebook.member_ids)], self.tps)
+        mats = self.table.codewords(self.codebook.member_ids)
+        return mats if self.alpha is None else apply_tps(mats, self.alpha)
+
+
+def _alpha(tps: TpsFactor | None) -> np.ndarray | None:
+    """The factor codewords are sent under; None for none or the identity (index 0)."""
+    return None if tps is None or tps.d_index == 0 else tps.alpha
 
 
 def generate_tps(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -188,25 +198,23 @@ _RECIPES = {
 }
 
 
-def design_bytes(scheme: Scheme, params: SystemParams, derived: DerivedParams) -> int:
+def design_bytes(
+    scheme: Scheme, params: SystemParams, derived: DerivedParams, channel: bool = False
+) -> int:
     """Estimated bytes of a scheme's largest live design allocation.
 
     Pruning, or selecting a factor over the full table, works on all C_total
     codewords, else on the 2^B members.  Over n codewords the design holds
     three n x n arrays of at most 8-byte entries: a distance matrix, its
-    pruning copy, and the pairs' pattern index (or, through a design
-    channel, a complex Gram matrix in place of the last two).
+    pruning copy, and the pairs' pattern index.  Through a design ``channel``
+    it holds four (a distance matrix, a complex Gram and pair masks) and the
+    synthesised and scaled codewords, their image and its conjugate, n x
+    (2 L_R + 2 L_C) x L_T complex.
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
-    return 3 * n * n * 8
-
-
-def _scaled(mats: np.ndarray, tps: TpsFactor | None) -> np.ndarray:
-    """``mats`` under the factor; the identity (index 0) leaves them as they are."""
-    if tps is None or tps.d_index == 0:
-        return mats
-    return apply_tps(mats, tps.alpha)
+    per_codeword = 4 * n + 4 * derived.L_T * (params.L_R + params.L_C) if channel else 3 * n
+    return 8 * n * per_codeword
 
 
 def build_schemes(
@@ -230,7 +238,7 @@ def build_schemes(
         raise ValueError("scenario carries no information: fewer than two valid codewords")
     schemes = [Scheme(s) for s in schemes]
     for scheme in schemes:
-        need = design_bytes(scheme, params, derived)
+        need = design_bytes(scheme, params, derived, channel=design_channel is not None)
         if need > DESIGN_BUDGET_BYTES:
             raise ValueError(
                 f"{scheme.value} design needs about {need / 2**30:.1f} GiB "
@@ -248,14 +256,17 @@ def build_schemes(
         patterns = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
         scores = patterns.meds
 
-        def matrix(tps):
-            return patterns.matrix(np.ones(params.L_R) if tps is None else tps.alpha)
+        def matrix(alpha):
+            return patterns.matrix(np.ones(params.L_R) if alpha is None else alpha)
     else:
-        def scores(candidates, sets):
-            return candidate_meds(candidates, table.matrices, sets, channel=design_channel)
+        mats = table.codewords(range(rows))
 
-        def matrix(tps):
-            return distance_matrix(_scaled(table.matrices[:rows], tps), channel=design_channel)
+        def scores(candidates, sets):
+            return candidate_meds(candidates, mats, sets, channel=design_channel)
+
+        def matrix(alpha):
+            scaled = mats if alpha is None else apply_tps(mats, alpha)
+            return distance_matrix(scaled, channel=design_channel)
 
     baseline_med = None
     # greedy pruning of the table under each selected factor index
@@ -289,7 +300,7 @@ def build_schemes(
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
-                pruned[index], _ = greedy_prune(matrix(tps), n_valid)
+                pruned[index], _ = greedy_prune(matrix(_alpha(tps)), n_valid)
             member_ids, book_med = pruned[index].member_ids, pruned[index].med
         if recipe.crps == "after":
             tps, book_med = _best(candidates, scored[member_ids])

@@ -14,14 +14,13 @@ where <A, B> = sum A conj(B).  Both (batch x n) terms are computed once per
 chunk; each SNR point is then one axpy and one argmin.
 
 The inner products are taken in the carrier domain.  Antenna row l of
-member r is a coefficient times one of the M sampled waveforms W (M x
-L_T), coef[r, l] W[c[r, l]], so <V, X_r> = sum_l conj(coef[r, l])
-(V W^H)[l, c[r, l]].  A pulse's L_R x L_T matrix V reduces to the L_R x M
-matrix V W^H, and the carrier map, an (L_R M x n) matrix holding
-conj(coef[r, l]) at row l M + c[r, l] of column r, turns those L_R M
-numbers into all n inner products with one matmul.  ||H X_r||^2 is
-<H^H H, X_r X_r^H> over the L_R x L_R row Grams in the same way.  Exact
-ties resolve to the smallest rank.
+member r is the row's coefficient times one of the M sampled waveforms W
+(M x L_T), coef[l] W[c[r, l]], so <V, X_r> = sum_l conj(coef[l]) (V W^H)[l,
+c[r, l]].  A pulse's L_R x L_T matrix V reduces to the L_R x M matrix V W^H,
+and the carrier map, an (L_R M x n) matrix holding conj(coef[l]) at row
+l M + c[r, l] of column r, turns those L_R M numbers into all n inner
+products with one matmul.  ||H X_r||^2 is <H^H H, X_r X_r^H> over the row
+Grams in the same way.  Exact ties resolve to the smallest rank.
 """
 
 from __future__ import annotations
@@ -53,27 +52,26 @@ def _real_rows(m: np.ndarray) -> np.ndarray:
     return np.stack([m.real, -m.imag], axis=1).reshape(-1, m.shape[1])
 
 
-def gram_cache(member_mats: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) -> GramCache:
-    """Precompute the maps of a codebook whose rows are coefficients times waveforms.
+def gram_cache(coef: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) -> GramCache:
+    """Precompute the maps of a codebook from its row coefficient and carrier words.
 
-    ``carriers[r, l]`` indexes the row of ``waveforms`` (M x L_T) that
-    antenna row l of ``member_mats[r]`` is a multiple of.  Every waveform's
-    sample 0 is exactly 1, so the coefficient, steering weight and any
-    pre-scaling included, is ``member_mats[r, l, 0]``.
+    Antenna row l of member r is ``coef[l] * waveforms[carriers[r, l]]``,
+    ``waveforms`` (M x L_T).  Member spectra are ``coef[l] G[c_rl, :]`` and
+    row Grams ``coef[l] conj(coef[q]) G[c_rl, c_rq]``, with G = W W^H.
     """
-    member_mats = np.asarray(member_mats)
     carriers = np.asarray(carriers)
-    n, l_r, _ = member_mats.shape
+    if carriers.ndim != 2 or coef.shape != carriers.shape[1:]:
+        raise ValueError(f"expected (n, {coef.size}) carrier indices, got shape {carriers.shape}")
+    n, l_r = carriers.shape
     m = waveforms.shape[0]
-    if carriers.shape != (n, l_r):
-        raise ValueError(f"expected ({n}, {l_r}) carrier indices, got shape {carriers.shape}")
     waveforms_h = np.ascontiguousarray(waveforms.conj().T)
-    row_gram = np.einsum("nrt,nqt->nrq", member_mats, member_mats.conj())
+    g = waveforms @ waveforms_h
+    row_gram = np.outer(coef, coef.conj()) * g[carriers[:, :, None], carriers[:, None, :]]
     cmap = np.zeros((l_r * m, n), dtype=complex)
-    cmap[np.arange(l_r) * m + carriers, np.arange(n)[:, None]] = member_mats[:, :, 0].conj()
+    cmap[np.arange(l_r) * m + carriers, np.arange(n)[:, None]] = coef.conj()
     return GramCache(
         waveforms_h=waveforms_h,
-        member_spectra=member_mats @ waveforms_h,
+        member_spectra=coef[:, None] * g[carriers],
         gram_map=_real_rows(row_gram.reshape(n, -1).conj().T),
         carrier_map=_real_rows(cmap),
     )

@@ -64,25 +64,33 @@ def enumerate_allocations(l_r: int, k: int) -> list[tuple[int, ...]]:
 
 @dataclass
 class CodewordTable:
-    """Every codeword of a scenario, in global-index order.
+    """Every codeword of a scenario, in global-index order, as carrier words.
 
-    ``matrices`` has shape (C_total, L_R, L_T); row g is the codeword with
-    global index g.  ``carriers[g, l]`` is the carrier offset antenna l of
-    codeword g transmits on, and ``waveforms[c]`` is the sampled waveform of
-    offset c, so antenna row l of codeword g is its steering weight over
-    sqrt(L_R) times ``waveforms[carriers[g, l]]``.
+    Antenna row l of codeword g is ``steering[l]`` over sqrt(L_R) times
+    ``waveforms[carriers[g, l]]``, the sampled waveform of the carrier offset
+    that antenna transmits on; :meth:`codewords` forms the matrices.
     """
 
     params: SystemParams
     derived: DerivedParams
     subsets: tuple[tuple[int, ...], ...]
     allocations: tuple[tuple[int, ...], ...]
-    matrices: np.ndarray
     carriers: np.ndarray  # (C_total, L_R) carrier offset indices
     waveforms: np.ndarray  # (M, L_T) sampled carrier waveforms
+    steering: np.ndarray  # (L_R,) unit-modulus antenna weights
 
     def __len__(self) -> int:
-        return self.matrices.shape[0]
+        return self.carriers.shape[0]
+
+    def codewords(self, ids: Sequence[int]) -> np.ndarray:
+        """The (len(ids), L_R, L_T) matrices of codewords ``ids``."""
+        mats = self.steering[:, None] * self.waveforms[self.carriers[list(ids)]]
+        return np.divide(mats, np.sqrt(self.params.L_R), out=mats)
+
+    def coefficients(self, alpha: np.ndarray | None = None) -> np.ndarray:
+        """Each row's coefficient, times ``alpha`` if given: sample 0 of its rows, bit for bit."""
+        coef = self.steering / np.sqrt(self.params.L_R)
+        return coef if alpha is None else coef * alpha
 
     def id_of(self, global_index: int) -> CodewordId:
         if not 0 <= global_index < len(self):
@@ -99,38 +107,37 @@ class CodewordTable:
     def allocation_of(self, global_index: int) -> tuple[int, ...]:
         return self.allocations[self.id_of(global_index).allocation_index]
 
+    def text_of(self, global_index: int) -> list[str]:
+        """Its carrier subset and antenna allocation as CSV text, e.g. ``0-1``, ``0-0-1-1``."""
+        words = (self.subset_of(global_index), self.allocation_of(global_index))
+        return ["-".join(map(str, w)) for w in words]
+
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
-    """Materialize all C_total codeword matrices.
+    """Enumerate all C_total codewords as carrier words.
 
-    Synthesis holds two (C_total, L_R, L_T) complex128 arrays at once, the
-    gathered waveforms and the table.  If they would exceed the design
-    budget, the table is refused before anything is enumerated.
+    The words and the gather that forms them, two (C_total, L_R) 8-byte
+    integer arrays, must fit the design budget before anything is enumerated.
     """
-    need = 2 * derived.C_total * params.L_R * derived.L_T * 16
+    need = 2 * derived.C_total * params.L_R * 8
     if need > DESIGN_BUDGET_BYTES:
         raise ValueError(
             f"codeword table needs about {need / 2**30:.1f} GiB "
-            f"(C_total={derived.C_total}, L_T={derived.L_T}), over the "
+            f"(C_total={derived.C_total}, L_R={params.L_R}), over the "
             f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
         )
     subsets = enumerate_subsets(params.M, params.K)
     allocations = enumerate_allocations(params.L_R, params.K)
-    waveforms = np.stack([sampled_waveform(c, params, derived) for c in range(params.M)])
-    w = steering_vector(params)
-    subset_arr = np.asarray(subsets)
-    alloc_arr = np.asarray(allocations)
     # carrier offset of each antenna, in global-index order: (C_total, L_R)
-    freq_idx = subset_arr[:, alloc_arr].reshape(derived.C_total, params.L_R)
-    mats = w[None, :, None] * waveforms[freq_idx] / np.sqrt(params.L_R)
+    carriers = np.asarray(subsets)[:, np.asarray(allocations)].reshape(derived.C_total, params.L_R)
     return CodewordTable(
         params=params,
         derived=derived,
         subsets=tuple(subsets),
         allocations=tuple(allocations),
-        matrices=mats,
-        carriers=freq_idx,
-        waveforms=waveforms,
+        carriers=carriers,
+        waveforms=np.stack([sampled_waveform(c, params, derived) for c in range(params.M)]),
+        steering=steering_vector(params),
     )
 
 
@@ -162,12 +169,4 @@ def export_table_csv(table: CodewordTable, path: str) -> None:
         )
         for g in range(len(table)):
             cid = table.id_of(g)
-            writer.writerow(
-                [
-                    g,
-                    cid.subset_index,
-                    cid.allocation_index,
-                    "-".join(map(str, table.subsets[cid.subset_index])),
-                    "-".join(map(str, table.allocations[cid.allocation_index])),
-                ]
-            )
+            writer.writerow([g, cid.subset_index, cid.allocation_index, *table.text_of(g)])

@@ -4,7 +4,7 @@ A codeword is the L_R x L_T complex baseband matrix one pulse transmits:
 row l carries the steering weight of antenna l times the sampled waveform
 of whichever active carrier that antenna is allocated to, scaled by
 1/sqrt(L_R) so every codeword has Frobenius norm squared L_T.
-:func:`imjrc.enumeration.build_table` synthesises every codeword from these.
+:meth:`imjrc.enumeration.CodewordTable.codewords` synthesises codewords from these.
 """
 
 from __future__ import annotations

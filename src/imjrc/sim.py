@@ -101,14 +101,10 @@ def run_ber(
         raise ValueError("builds must share one codeword table to share draws")
     params, derived = table.params, table.derived
     seed = params.master_seed if master_seed is None else master_seed
-    caches = [
-        gram_cache(
-            build.member_matrices,
-            table.carriers[np.asarray(build.codebook.member_ids)],
-            table.waveforms,
-        )
-        for build in builds
-    ]
+    caches = []
+    for build in builds:
+        carriers = table.carriers[list(build.codebook.member_ids)]
+        caches.append(gram_cache(table.coefficients(build.alpha), carriers, table.waveforms))
 
     noise_scales = [math.sqrt(snr_to_sigma2(float(snr_db))) for snr_db in snr_db_grid]
     bit_errors = [[0] * len(noise_scales) for _ in builds]

@@ -258,7 +258,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
             failures.append(f"(a) {scheme.value} noiseless ber {rec.ber:g}")
 
     # (b) MED trajectory is non-decreasing across all Q eliminations
-    dist = distance_matrix(default_table.matrices)
+    dist = distance_matrix(default_table.codewords(range(len(default_table))))
     book, meds = greedy_prune(dist, 1 << default_derived.B)
     if meds.shape != (default_derived.Q + 1,):
         failures.append(f"(b) trajectory length {meds.shape}")
@@ -269,7 +269,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     candidates = generate_tps(
         default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
     )
-    first_set = default_table.matrices[: 1 << default_derived.B]
+    first_set = default_table.codewords(range(1 << default_derived.B))
     members = range(first_set.shape[0])
     tps, best = select_tps(candidates, first_set)
     identity_med, _ = med(distance_matrix(first_set), members)
@@ -283,10 +283,11 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
 
     # (d) every codeword, scaled or not, carries Frobenius-norm^2 = L_T
     l_t = default_derived.L_T
+    every = default_table.codewords(range(len(default_table)))
     for label, mats in (
-        ("plain", default_table.matrices),
-        ("selected-tps", apply_tps(default_table.matrices, tps.alpha)),
-        ("random-tps", apply_tps(default_table.matrices, candidates[1])),
+        ("plain", every),
+        ("selected-tps", apply_tps(every, tps.alpha)),
+        ("random-tps", apply_tps(every, candidates[1])),
     ):
         norms = np.einsum("nrt,nrt->n", mats, mats.conj()).real
         if not np.allclose(norms, l_t, rtol=1e-9):
@@ -308,7 +309,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
         noise[trial] = (n_rng.standard_normal((4, 71)) + 1j * n_rng.standard_normal((4, 71))) / np.sqrt(2)
     ranks = np.array([trial % mats.shape[0] for trial in trials])
     carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
-    cache = gram_cache(mats, carriers, default_table.waveforms)
+    cache = gram_cache(default_table.coefficients(build.alpha), carriers, default_table.waveforms)
     base, cross = noise_linear_terms(h, ranks, noise, cache)
     for sigma in (0.6, 4.0):
         got = decide(base, cross, sigma)

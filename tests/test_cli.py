@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -549,6 +550,15 @@ class TestMainCommands:
         assert (out_dir / "codebook_baseline.csv").exists()
         assert (out_dir / "codebook_crps_only.csv").exists()
         assert (out_dir / "tps_crps_only.json").exists()
+
+    def test_refused_design_writes_nothing(self, tmp_path, capsys):
+        # 16,632 codewords: the table fits the budget, but every scheme's
+        # design needs several GiB and is refused before any file is written
+        path, out = tmp_path / "run.cfg", tmp_path / "design"
+        path.write_text("m = 12\nl_r = 10\n")
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 2
+        assert re.search(r"design needs about \d+\.\d GiB", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_ber_run_writes_results(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "run"

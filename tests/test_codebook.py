@@ -84,7 +84,7 @@ class TestDistanceMatrix:
 
     def test_negated_codeword_distance(self, small_table, small_derived):
         # ||X - (-X)||^2 = 4 ||X||^2 = 4 L_T for synthesized codewords
-        x = small_table.matrices[5]
+        x = small_table.codewords([5])[0]
         dist = distance_matrix(np.stack([x, -x]))
         assert dist[0, 1] == pytest.approx(4.0 * small_derived.L_T, rel=1e-12)
 
@@ -143,7 +143,8 @@ class TestPairPatterns:
     def test_matches_distance_matrix(self, name, tables):
         table = tables[name]
         dist = _patterns(table).matrix(np.ones(table.params.L_R))
-        assert np.allclose(dist, distance_matrix(table.matrices), rtol=0.0, atol=1e-9)
+        mats = table.codewords(range(len(table)))
+        assert np.allclose(dist, distance_matrix(mats), rtol=0.0, atol=1e-9)
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
 
@@ -151,7 +152,7 @@ class TestPairPatterns:
         # one level per pair row: the row's squared distance times L_R
         table = tables["lt_not_one"]
         patterns = _patterns(table)
-        mats, l_r = table.matrices, table.params.L_R
+        mats, l_r = table.codewords(range(len(table))), table.params.L_R
         rng = np.random.default_rng(15)
         for i, j in rng.integers(0, len(table), size=(200, 2)):
             rows = patterns.levels[patterns.patterns[patterns.index[i, j]]] / l_r
@@ -164,7 +165,7 @@ class TestPairPatterns:
             patterns = _patterns(table)
             for alpha in generate_tps(4, table.params.L_R, np.random.default_rng(16)):
                 dist = patterns.matrix(alpha)
-                expect = distance_matrix(apply_tps(table.matrices, alpha))
+                expect = distance_matrix(apply_tps(table.codewords(range(len(table))), alpha))
                 assert np.allclose(dist, expect, rtol=0.0, atol=1e-9)
 
     def test_small_table_distances_are_exact(self, small_table):
@@ -271,7 +272,7 @@ class TestGreedyPrune:
         assert list(meds) == [4.0]
 
     def test_small_scenario_counts(self, small_table, small_derived):
-        dist = distance_matrix(small_table.matrices)
+        dist = distance_matrix(small_table.codewords(range(len(small_table))))
         book, meds = greedy_prune(dist, 1 << small_derived.B)
         assert len(book.member_ids) == 16
         assert meds.shape == (small_derived.Q + 1,)
@@ -343,18 +344,20 @@ class TestGreedyMatchesDenseArgmin:
         assert ties["pair"] > 0 and ties["second"] > 0
 
     def test_small_table(self, small_table, small_derived):
-        self._assert_same(distance_matrix(small_table.matrices), 1 << small_derived.B)
+        mats = small_table.codewords(range(len(small_table)))
+        self._assert_same(distance_matrix(mats), 1 << small_derived.B)
 
     def test_small_table_through_design_channel(self, small_table, small_params, small_derived):
         h = draw_channel(
             small_params.L_C, small_params.L_R, substream(small_params.master_seed, TAG_DESIGN_CHANNEL)
         )
-        self._assert_same(distance_matrix(small_table.matrices, channel=h), 1 << small_derived.B)
+        mats = small_table.codewords(range(len(small_table)))
+        self._assert_same(distance_matrix(mats, channel=h), 1 << small_derived.B)
 
 
 class TestExportCodebookCsv:
     def test_rows_and_labels(self, small_table, small_derived, tmp_path):
-        dist = distance_matrix(small_table.matrices)
+        dist = distance_matrix(small_table.codewords(range(len(small_table))))
         book, _ = greedy_prune(dist, 1 << small_derived.B)
         path = tmp_path / "codebook.csv"
         export_codebook_csv(book, small_table, str(path))

@@ -85,7 +85,7 @@ class TestApplyTps:
         # power-normalized factor keeps the Frobenius norm at L_T
         pool = generate_tps(6, 4, np.random.default_rng(4))
         for alpha in pool:
-            scaled = apply_tps(small_table.matrices, alpha)
+            scaled = apply_tps(small_table.codewords(range(len(small_table))), alpha)
             norms = np.einsum("nrt,nrt->n", scaled, scaled.conj()).real
             assert np.allclose(norms, small_derived.L_T, rtol=1e-9)
 
@@ -123,10 +123,10 @@ class TestCandidateScoring:
         # triangle; it must give med()'s value exactly, with or without a
         # channel, or the selected factor could move.  The full default
         # table (420 codewords) is what crps_then_codebook scores.
-        small_members = small_table.matrices[: 1 << small_table.derived.B]
+        small_members = small_table.codewords(range(1 << small_table.derived.B))
         for mats, params, seed in (
             (small_members, small_params, 3),
-            (default_table.matrices, default_params, 1729),
+            (default_table.codewords(range(len(default_table))), default_params, 1729),
         ):
             pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
             for h in (None, draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))):
@@ -173,7 +173,7 @@ class TestCandidateScoring:
     def test_pattern_scoring_is_exact(self, default_table, default_params):
         # the design without a channel scores 87,990 pairs through 57
         # patterns; the Gram loop is the reference
-        mats = default_table.matrices
+        mats = default_table.codewords(range(len(default_table)))
         pool = generate_tps(default_params.D, default_params.L_R, substream(1729, TAG_TPS))
         patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
         meds = patterns.meds(pool, [range(len(mats))])[0]
@@ -201,7 +201,7 @@ class TestCandidateScoring:
         # and a set of one pair: each set's pattern MED is the minimum of
         # its own pair distances, bit for bit, and agrees with the Gram loop
         patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
-        mats = small_table.matrices
+        mats = small_table.codewords(range(len(small_table)))
         n = len(mats)
         sets = [range(s, min(s + block, n)) for s in range(0, n, block)] + [[n - 2, n - 1]]
         pool = generate_tps(count + 1, small_params.L_R, np.random.default_rng(12))[1:]
@@ -217,7 +217,7 @@ class TestCandidateScoring:
     def test_scoring_memory_does_not_grow_with_pool(self, default_table, default_params):
         # the whole pairs x D product would take 87,990 x 400 x 8 B = 282 MB;
         # scoring one candidate at a time in reused buffers stays far below
-        mats = default_table.matrices
+        mats = default_table.codewords(range(len(default_table)))
         pool = generate_tps(400, default_params.L_R, np.random.default_rng(13))
         pairs = mats.shape[0] * (mats.shape[0] - 1) // 2
         tracemalloc.start()
@@ -233,7 +233,7 @@ class TestCandidateScoring:
         # their union.  That gives each set's own values only if the BLAS
         # computes a Gram entry the same whatever other rows are in the
         # product; a BLAS that does not fails here instead of moving designs.
-        full = default_table.matrices
+        full = default_table.codewords(range(len(default_table)))
         n_valid = 1 << default_table.derived.B
         dist0 = distance_matrix(full)
         pruned, _ = greedy_prune(dist0, n_valid)
@@ -281,21 +281,21 @@ class TestBuildScheme:
         n_valid = 1 << small_derived.B
         assert build.codebook.member_ids == tuple(range(n_valid))
         assert build.tps is None
-        assert np.array_equal(build.member_matrices, small_table.matrices[:n_valid])
+        assert np.array_equal(build.member_matrices, small_table.codewords(range(n_valid)))
 
     def test_identity_selection_leaves_matrices_untouched(self, small_table):
         # without a design channel the identity wins (README "Known divergences")
         build = build_scheme(Scheme.CRPS_ONLY, small_table)
         n = build.member_matrices.shape[0]
         assert build.tps.d_index == 0
-        assert np.array_equal(build.member_matrices, small_table.matrices[:n])
+        assert np.array_equal(build.member_matrices, small_table.codewords(range(n)))
 
     def test_scaled_selection_scales_member_matrices(self, small_table, small_params):
         build = build_scheme(
             Scheme.CRPS_THEN_CODEBOOK, small_table, design_channel=_design_channel(small_params)
         )
         assert build.tps.d_index != 0
-        rows = small_table.matrices[np.asarray(build.codebook.member_ids)]
+        rows = small_table.codewords(np.asarray(build.codebook.member_ids))
         assert np.array_equal(build.member_matrices, apply_tps(rows, build.tps.alpha))
 
     def test_deterministic_rebuild(self, small_table):
@@ -336,7 +336,7 @@ class TestBuildScheme:
         # lives on a different scale; membership may or may not change, but
         # the build must stay well formed
         assert len(aware.codebook.member_ids) == len(plain.codebook.member_ids)
-        dist = distance_matrix(small_table.matrices, channel=h)
+        dist = distance_matrix(small_table.codewords(range(len(small_table))), channel=h)
         expect, _ = med(dist, aware.codebook.member_ids)
         assert aware.codebook.med == pytest.approx(expect, rel=1e-12)
 
@@ -348,9 +348,9 @@ class TestBuildScheme:
 
     def test_refuses_oversized_design_up_front(self):
         # C_total = 369,600: the dense design would need terabytes.  The
-        # table is a stub without matrices, so nothing is allocated.
+        # table is a stub without carrier words, so nothing is allocated.
         params = SystemParams(M=12, K=3, L_R=9)
-        stub = types.SimpleNamespace(params=params, derived=derive(params), matrices=None)
+        stub = types.SimpleNamespace(params=params, derived=derive(params))
         for scheme in Scheme:
             assert design_bytes(scheme, params, stub.derived) > DESIGN_BUDGET_BYTES
             with pytest.raises(ValueError, match=r"needs about \d+\.\d GiB"):
@@ -421,6 +421,26 @@ class TestBuildSchemes:
         with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
             build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table)
 
+    def test_each_path_has_its_own_budget(self, monkeypatch):
+        # M=10, L_R=10 (11,340 codewords): pruning from the carrier words
+        # fits the budget, but the codeword arrays of a design through a
+        # channel do not; the design without one stops at its first step
+        params = SystemParams(M=10, L_R=10)
+        table = build_table(params, derive(params))
+
+        class Started(Exception):
+            pass
+
+        def start(*args, **kwargs):
+            raise Started
+
+        for name in ("pair_patterns", "distance_matrix"):
+            monkeypatch.setattr(crps, name, start)
+        with pytest.raises(Started):
+            build_schemes([Scheme.CODEBOOK_ONLY], table)
+        with pytest.raises(ValueError, match=r"codebook_only design needs about 4\.3 GiB"):
+            build_schemes([Scheme.CODEBOOK_ONLY], table, design_channel=_design_channel(params))
+
     def test_reported_meds_match_distance_matrix(self, default_table):
         # without a design channel the design measures distances from the
         # carrier words; on the default scenario they are exact rationals
@@ -432,15 +452,21 @@ class TestBuildSchemes:
         assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
 
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
-    def test_design_stays_within_its_budget(self, scheme, design_large_table):
-        params, derived = design_large_table.params, design_large_table.derived
-        tracemalloc.start()
-        try:
-            build_schemes([scheme], design_large_table)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < design_bytes(scheme, params, derived)
+    def test_design_stays_within_its_budget(self, scheme, design_large_table, default_table):
+        # each path against its own estimate; through a design channel the
+        # codeword arrays are a large share of the peak on the default
+        # table, so that path is measured there
+        for table, h in (
+            (design_large_table, None),
+            (default_table, _design_channel(default_table.params)),
+        ):
+            tracemalloc.start()
+            try:
+                build_schemes([scheme], table, design_channel=h)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < design_bytes(scheme, table.params, table.derived, channel=h is not None)
 
 
 @pytest.fixture(scope="module")
@@ -495,10 +521,10 @@ def _stages(table, h):
     if h is not None:
 
         def matrix(alpha):
-            return distance_matrix(apply_tps(table.matrices, alpha), channel=h)
+            return distance_matrix(apply_tps(table.codewords(range(len(table))), alpha), channel=h)
 
         def select(pool, ids):
-            tps, best = select_tps(pool, table.matrices[ids], channel=h)
+            tps, best = select_tps(pool, table.codewords(ids), channel=h)
             return tps.d_index, best
 
         return matrix, select
@@ -527,7 +553,7 @@ class TestRecipes:
         # a build holds what its design chose; its matrices are derived on access
         assert not any(isinstance(getattr(build, f.name), np.ndarray) for f in dataclasses.fields(build))
         ids = np.asarray(build.codebook.member_ids)
-        rows = small_table.matrices[ids]
+        rows = small_table.codewords(ids)
         pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
         matrix, select = _stages(small_table, h)
 

@@ -22,7 +22,7 @@ def _brute_force(y, h, member_mats):
 
 class TestDetect:
     def test_noiseless_recovers_every_rank(self, small_table):
-        mats = small_table.matrices[:16]
+        mats = small_table.codewords(range(16))
         for trial in range(100):
             h = draw_channel(2, 4, substream(5, TAG_CHANNEL, trial))
             rank = trial % 16
@@ -34,7 +34,7 @@ class TestDetect:
         # the origin is exactly midway between A and -A, and negating a
         # hypothesis negates its image bit for bit, so both residuals are
         # identical and the scan must keep the smaller rank
-        a = small_table.matrices[2]
+        a = small_table.codewords([2])[0]
         mats = np.stack([5.0 * a, a, 4.0 * a, -a])
         h = draw_channel(2, 4, substream(6, TAG_CHANNEL, 0))
         y = np.zeros((2, 13), dtype=complex)
@@ -42,14 +42,14 @@ class TestDetect:
         assert result.rank == 1
 
     def test_duplicate_hypotheses_take_smallest_rank(self, small_table):
-        mats = small_table.matrices[:6].copy()
+        mats = small_table.codewords(range(6))
         mats[4] = mats[2]
         h = draw_channel(2, 4, substream(7, TAG_CHANNEL, 0))
         result = detect(h @ mats[4], h, mats)
         assert result.rank == 2
 
     def test_agrees_with_brute_force(self, small_table):
-        mats = small_table.matrices[:16]
+        mats = small_table.codewords(range(16))
         for trial in range(100):
             h = draw_channel(2, 4, substream(8, TAG_CHANNEL, trial))
             rank = int(substream(8, TAG_BITS, trial).integers(16))
@@ -62,7 +62,7 @@ class TestDetect:
 
     def test_alpha_argument_matches_prescaled_hypotheses(self, small_table):
         rng = np.random.default_rng(9)
-        mats = small_table.matrices[:8]
+        mats = small_table.codewords(range(8))
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         h = draw_channel(2, 4, rng)
         y = h @ apply_tps(mats[5], alpha) + 0.1 * complex_normal(rng, (2, 13))
@@ -73,7 +73,7 @@ class TestDetect:
 
     def test_argmin_scale_invariance(self, small_table):
         rng = np.random.default_rng(10)
-        mats = small_table.matrices[:16]
+        mats = small_table.codewords(range(16))
         h = draw_channel(2, 4, rng)
         y = h @ mats[7] + 0.7 * complex_normal(rng, (2, 13))
         plain = detect(y, h, mats)
@@ -81,7 +81,7 @@ class TestDetect:
         assert plain.rank == scaled.rank
 
     def test_rejects_mismatched_dimensions(self, small_table):
-        mats = small_table.matrices[:4]
+        mats = small_table.codewords(range(4))
         rng = np.random.default_rng(11)
         good_h = draw_channel(2, 4, rng)
         good_y = good_h @ mats[0]
@@ -93,11 +93,10 @@ class TestDetect:
             detect(good_y, good_h, mats[0])
 
 
-def _cache(table, member_ids, mats=None):
-    """Gram cache of table rows ``member_ids``, or of ``mats`` built on them."""
-    ids = np.asarray(member_ids)
-    mats = table.matrices[ids] if mats is None else mats
-    return gram_cache(mats, table.carriers[ids], table.waveforms)
+def _cache(table, member_ids, alpha=None):
+    """Gram cache of table rows ``member_ids``, unscaled or with rows times ``alpha``."""
+    carriers = table.carriers[np.asarray(member_ids)]
+    return gram_cache(table.coefficients(alpha), carriers, table.waveforms)
 
 
 def _draw(seed, trials, n, l_c, l_r, l_t):
@@ -126,28 +125,39 @@ class TestCarrierDomain:
     def test_coefficients_times_waveforms_reproduce_members(self, default_table, default_builds, kind):
         build = default_builds[kind]
         assert (build.tps is not None and build.tps.d_index != 0) == (kind == "scaled")
-        mats = build.member_matrices
+        mats, coef = build.member_matrices, default_table.coefficients(build.alpha)
+        # every waveform's sample 0 is exactly 1: the coefficient is sample 0 of each row
+        assert np.array_equal(mats[:, :, 0], np.broadcast_to(coef, mats.shape[:2]))
         carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
-        rebuilt = mats[:, :, 0, None] * default_table.waveforms[carriers]
+        rebuilt = coef[:, None] * default_table.waveforms[carriers]
         assert np.abs(rebuilt - mats).max() < 1e-12
 
     def test_carrier_map_layout(self, small_table):
         ids = [0, 5, 9, 17]
-        cache = _cache(small_table, ids)
-        m = small_table.params.M
-        cmap = cache.carrier_map[0::2] - 1j * cache.carrier_map[1::2]
-        assert cmap.shape == (small_table.params.L_R * m, len(ids))
-        expect = np.zeros_like(cmap)
-        for r, g in enumerate(ids):
-            for l, c in enumerate(small_table.carriers[g]):
-                expect[l * m + c, r] = np.conj(small_table.matrices[g, l, 0])
-        assert np.array_equal(cmap, expect)
+        p = small_table.params
+        m = p.M
+        z = np.random.default_rng(3).standard_normal((2, p.L_R))
+        for alpha in (None, z[0] + 1j * z[1]):
+            cache = _cache(small_table, ids, alpha)
+            cmap = cache.carrier_map[0::2] - 1j * cache.carrier_map[1::2]
+            assert cmap.shape == (p.L_R * m, len(ids))
+            coef = small_table.steering / np.sqrt(p.L_R)
+            coef = coef if alpha is None else coef * alpha
+            expect = np.zeros_like(cmap)
+            for r, g in enumerate(ids):
+                row = small_table.codewords([g])
+                row0 = (row if alpha is None else apply_tps(row, alpha))[0, :, 0]
+                for l, c in enumerate(small_table.carriers[g]):
+                    expect[l * m + c, r] = np.conj(coef[l])
+                    # bit-equal to sample 0 of the codeword row it stands for
+                    assert np.conj(row0[l]) == expect[l * m + c, r]
+            assert np.array_equal(cmap, expect)
 
     @pytest.mark.parametrize("kind", ["baseline", "pruned", "scaled"])
     def test_terms_match_direct_inner_products(self, default_table, default_builds, kind):
         build = default_builds[kind]
         mats = build.member_matrices
-        cache = _cache(default_table, build.codebook.member_ids, mats)
+        cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
         base, cross = noise_linear_terms(h, ranks, noise, cache)
@@ -165,22 +175,30 @@ class TestCarrierDomain:
         # sigma = 0 is the math.inf grid point of acceptance check 5(a)
         build = default_builds[kind]
         mats = build.member_matrices
-        cache = _cache(default_table, build.codebook.member_ids, mats)
+        cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
         base, cross = noise_linear_terms(h, ranks, noise, cache)
         assert np.array_equal(decide(base, cross, 0.0), ranks)
 
     def test_rejects_misshapen_carriers(self, small_table):
-        with pytest.raises(ValueError):
-            gram_cache(small_table.matrices[:4], small_table.carriers[:3], small_table.waveforms)
+        coef, carriers = small_table.coefficients(), small_table.carriers[:4]
+        w = small_table.waveforms
+        for bad_coef, bad_carriers in (
+            (coef, carriers[:, :3]),  # one carrier short per member
+            (coef, carriers[0]),  # not one carrier word per member
+            (np.append(coef, coef[0]), carriers),  # a coefficient too many
+            (coef[:3], carriers),  # a coefficient short
+        ):
+            with pytest.raises(ValueError):
+                gram_cache(bad_coef, bad_carriers, w)
 
 
 class TestDetectBatch:
     """The noise-linear batch decision against the reference :func:`detect`."""
 
     def test_rank_identical_to_reference_on_audit(self, small_table):
-        mats = small_table.matrices[:16]
+        mats = small_table.codewords(range(16))
         cache = _cache(small_table, range(16))
         ranks_tx, h, noise = _draw(12, 1000, 16, 2, 4, 13)
         base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
@@ -194,7 +212,7 @@ class TestDetectBatch:
             assert metric == pytest.approx(single.metric, rel=1e-6, abs=1e-9)
 
     def test_noiseless_batch(self, small_table):
-        mats = small_table.matrices[:16]
+        mats = small_table.codewords(range(16))
         cache = _cache(small_table, range(16))
         rng = np.random.default_rng(14)
         ranks_tx = rng.integers(16, size=64)

@@ -1,5 +1,7 @@
 """Enumeration order, table construction, and bit-label mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,13 +61,15 @@ def test_allocations_three_slots():
 
 def test_table_shape_and_indexing(default_table, default_derived):
     assert len(default_table) == 420
-    assert default_table.matrices.shape == (420, 6, 71)
+    assert default_table.carriers.shape == (420, 6)
+    assert default_table.codewords(range(420)).shape == (420, 6, 71)
     cid = default_table.id_of(47)
     assert cid.subset_index == 2
     assert cid.allocation_index == 7
     assert default_table.subset_of(0) == (0, 1)
     assert default_table.allocation_of(0) == (0, 0, 0, 1, 1, 1)
     assert default_table.allocation_of(419) == (1, 1, 1, 0, 0, 0)
+    assert default_table.text_of(419) == ["5-6", "1-1-1-0-0-0"]
     with pytest.raises(ValueError):
         default_table.id_of(420)
 
@@ -78,11 +82,15 @@ def test_table_matches_synthesis(default_table, default_params, default_derived)
             default_params,
             default_derived,
         )
-        np.testing.assert_array_equal(default_table.matrices[g], expected)
+        np.testing.assert_array_equal(default_table.codewords([g])[0], expected)
+    # a batch is synthesised as each codeword alone, bit for bit
+    ids = [0, 1, 19, 20, 137, 419]
+    batch = default_table.codewords(ids)
+    np.testing.assert_array_equal(batch, np.stack([default_table.codewords([g])[0] for g in ids]))
 
 
 def test_table_codewords_distinct(small_table):
-    flat = small_table.matrices.reshape(len(small_table), -1)
+    flat = small_table.codewords(range(len(small_table))).reshape(len(small_table), -1)
     gram = flat @ flat.conj().T
     sq = np.real(np.diag(gram))
     dist = sq[:, None] + sq[None, :] - 2 * gram.real
@@ -93,29 +101,47 @@ def test_table_codewords_distinct(small_table):
 def test_table_deterministic(small_params, small_derived):
     a = build_table(small_params, small_derived)
     b = build_table(small_params, small_derived)
-    np.testing.assert_array_equal(a.matrices, b.matrices)
+    np.testing.assert_array_equal(a.carriers, b.carriers)
+    np.testing.assert_array_equal(a.codewords(range(len(a))), b.codewords(range(len(b))))
 
 
 def test_table_size_cap():
-    params = SystemParams(M=16, K=2, L_R=16, L_C=2)
+    # 144M codewords: the carrier words alone are 21 GiB
+    params = SystemParams(M=40, K=2, L_R=20)
     derived = derive(params)
     with pytest.raises(ValueError, match=r"table needs about \d+\.\d GiB"):
         build_table(params, derived)
 
 
 def test_oversized_table_refused_before_enumeration(monkeypatch):
-    # C_total = 369,600 is a modest count, but at L_T = 121 the complex
-    # table alone is 6.4 GB; the budget must refuse it before any codeword,
-    # subset or allocation is enumerated
+    # C_total = 144,109,680 (780 subsets x 184,756 allocations): the budget
+    # must refuse the table before any codeword, subset or allocation is
+    # enumerated
     def enumerated(*args):
         raise AssertionError("enumerated an oversized table")
 
     monkeypatch.setattr(enumeration, "enumerate_subsets", enumerated)
-    params = SystemParams(M=12, K=3, L_R=9)
+    monkeypatch.setattr(enumeration, "enumerate_allocations", enumerated)
+    params = SystemParams(M=40, K=2, L_R=20)
     derived = derive(params)
-    assert (derived.C_total, derived.L_T) == (369_600, 121)
+    assert (derived.C_total, derived.L_T) == (144_109_680, 401)
     with pytest.raises(ValueError, match=r"table needs about \d+\.\d GiB"):
         build_table(params, derived)
+
+
+def test_table_holds_carrier_words_only():
+    # M=8, L_R=8: 1,960 codewords of 8 x 81 samples, 20 MB as matrices;
+    # the table is their 125 kB of carrier words
+    params = SystemParams(M=8, L_R=8)
+    derived = derive(params)
+    tracemalloc.start()
+    try:
+        table = build_table(params, derived)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.carriers.shape == (1960, 8)
+    assert peak < 1 << 20
 
 
 def test_bit_labels_examples():
