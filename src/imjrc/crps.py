@@ -34,6 +34,13 @@ from .codebook import Codebook, _gram_distances, distance_matrix, greedy_prune, 
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import DerivedParams, SystemParams
 
+SHORTLIST_RTOL = 1e-9
+"""Through a design channel, the candidates whose MED in the carrier basis is
+within this fraction of a member set's best are scored again on the codeword
+matrices, and the set's factor is selected from those scores.  The two
+scores differ by rounding alone, on the default scenario by under 3e-14 of
+a set's best MED."""
+
 
 @dataclass
 class TpsFactor:
@@ -120,6 +127,8 @@ def candidate_meds(
     not depend on the other rows, in buffers allocated once per call: an
     n x n block freed per candidate is handed back to the system and
     faulted in again by the next, which made the design time grow with D.
+    Any orthonormal basis of the samples keeps every distance, so
+    :func:`build_schemes` scores in the carrier basis and rescores the near-best.
     """
     sets = [np.asarray(ids, dtype=np.intp) for ids in member_sets]
     if any(ids.size < 2 for ids in sets):
@@ -207,13 +216,17 @@ def design_bytes(
     codewords, else on the 2^B members.  Over n codewords the design holds
     three n x n arrays of at most 8-byte entries: a distance matrix, its
     pruning copy, and the pairs' pattern index.  Through a design ``channel``
-    it holds four (a distance matrix, a complex Gram and pair masks) and the
-    synthesised and scaled codewords, their image and its conjugate, n x
-    (2 L_R + 2 L_C) x L_T complex.
+    it holds four (a distance matrix, a complex Gram and pair masks), the
+    codewords over the carrier basis, n x L_R x min(M, L_T) complex, and the
+    exact rescore's and pruning's synthesised and scaled codewords, their
+    image and its conjugate, n x (2 L_R + 2 L_C) x L_T complex.  The rough
+    pass's scaled copy, image and conjugate span min(M, L_T) samples and
+    are freed before those are allocated.
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
-    per_codeword = 4 * n + 4 * derived.L_T * (params.L_R + params.L_C) if channel else 3 * n
+    basis = 2 * params.L_R * min(params.M, derived.L_T)
+    per_codeword = 4 * n + 4 * derived.L_T * (params.L_R + params.L_C) + basis if channel else 3 * n
     return 8 * n * per_codeword
 
 
@@ -228,7 +241,9 @@ def build_schemes(
     equals the one the scheme gets alone.  Without ``design_channel`` every
     distance follows exactly from the carrier words (:func:`pair_patterns`);
     with one, from the codeword matrices after the channel (detection is
-    unaffected).  All schemes score one candidate pool, drawn from a
+    unaffected), except that candidates are scored in the carrier basis and
+    only those within :data:`SHORTLIST_RTOL` of a set's best are rescored
+    on the matrices.  All schemes score one candidate pool, drawn from a
     substream of the master seed.  A codebook's MED is the one its last
     design stage measured.  Every budget is checked before any work.
     """
@@ -262,7 +277,17 @@ def build_schemes(
         mats = table.codewords(range(rows))
 
         def scores(candidates, sets):
-            return candidate_meds(candidates, mats, sets, channel=design_channel)
+            # candidates off every shortlist score -inf: _best picks an exact score
+            coords, _ = table.carrier_basis()
+            basis = table.codewords(range(rows), coords)
+            rough = candidate_meds(candidates, basis, sets, channel=design_channel)
+            near = rough >= (1.0 - SHORTLIST_RTOL) * rough.max(axis=1, keepdims=True)
+            shortlist = np.flatnonzero(near.any(axis=0))
+            meds = np.full_like(rough, -np.inf)
+            meds[:, shortlist] = candidate_meds(
+                [candidates[d] for d in shortlist], mats, sets, channel=design_channel
+            )
+            return meds
 
         def matrix(alpha):
             scaled = mats if alpha is None else apply_tps(mats, alpha)

@@ -82,10 +82,22 @@ class CodewordTable:
     def __len__(self) -> int:
         return self.carriers.shape[0]
 
-    def codewords(self, ids: Sequence[int]) -> np.ndarray:
-        """The (len(ids), L_R, L_T) matrices of codewords ``ids``."""
-        mats = self.steering[:, None] * self.waveforms[self.carriers[list(ids)]]
+    def codewords(self, ids: Sequence[int], waveforms: np.ndarray | None = None) -> np.ndarray:
+        """The (len(ids), L_R, L_T) matrices of codewords ``ids``, or with rows
+        taken from ``waveforms`` (one per carrier offset) in place of the sampled ones."""
+        w = self.waveforms if waveforms is None else waveforms
+        mats = self.steering[:, None] * w[self.carriers[list(ids)]]
         return np.divide(mats, np.sqrt(self.params.L_R), out=mats)
+
+    def carrier_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The waveforms over an orthonormal basis: ``(coords, q)``, ``waveforms = coords @ q^H``.
+
+        From the reduced QR ``waveforms^H = q r``, coords is r^H.  q has
+        orthonormal columns, so ``codewords(ids, coords)``, min(M, L_T) samples
+        wide, keeps every Frobenius distance, also after any map of the rows.
+        """
+        q, r = np.linalg.qr(self.waveforms.conj().T)
+        return r.conj().T, q
 
     def coefficients(self, alpha: np.ndarray | None = None) -> np.ndarray:
         """Each row's coefficient, times ``alpha`` if given: sample 0 of its rows, bit for bit."""
@@ -116,10 +128,10 @@ class CodewordTable:
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     """Enumerate all C_total codewords as carrier words.
 
-    The words and the gather that forms them, two (C_total, L_R) 8-byte
-    integer arrays, must fit the design budget before anything is enumerated.
+    The words, one (C_total, L_R) 8-byte integer array gathered in place,
+    must fit the design budget before anything is enumerated.
     """
-    need = 2 * derived.C_total * params.L_R * 8
+    need = derived.C_total * params.L_R * 8
     if need > DESIGN_BUDGET_BYTES:
         raise ValueError(
             f"codeword table needs about {need / 2**30:.1f} GiB "
@@ -128,8 +140,13 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
         )
     subsets = enumerate_subsets(params.M, params.K)
     allocations = enumerate_allocations(params.L_R, params.K)
-    # carrier offset of each antenna, in global-index order: (C_total, L_R)
-    carriers = np.asarray(subsets)[:, np.asarray(allocations)].reshape(derived.C_total, params.L_R)
+    # carrier offset of each antenna, in global-index order: (C_total, L_R).
+    # Every index is in range, so "clip" changes none; it lets take write
+    # into ``carriers`` directly instead of through a buffer of its size.
+    slots = np.asarray(subsets)
+    carriers = np.empty((derived.C_total, params.L_R), dtype=slots.dtype)
+    out = carriers.reshape(len(subsets), -1, params.L_R)
+    np.take(slots, allocations, axis=1, out=out, mode="clip")
     return CodewordTable(
         params=params,
         derived=derived,

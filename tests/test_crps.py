@@ -469,6 +469,78 @@ class TestBuildSchemes:
             assert peak < design_bytes(scheme, table.params, table.derived, channel=h is not None)
 
 
+class TestShortlist:
+    """Through a design channel: the pool scored in the carrier basis, the near-best exactly."""
+
+    @pytest.mark.parametrize("seed", [1729, 2718, 4242])
+    @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
+    def test_selects_as_exact_scoring_of_the_pool(self, table_name, seed, request):
+        table = request.getfixturevalue(table_name)
+        table = dataclasses.replace(table, params=dataclasses.replace(table.params, master_seed=seed))
+        params, n = table.params, len(table)
+        h = _design_channel(params)
+        builds = build_schemes(list(Scheme), table, design_channel=h)
+        # the reference scores every candidate on the codeword matrices
+        mats = table.codewords(range(n))
+        pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
+        sets = list(dict.fromkeys(b.codebook.member_ids for b in builds[2:4])) + [tuple(range(n))]
+        exact = candidate_meds(pool, mats, sets, channel=h)
+        picked = {ids: crps._best(pool, meds) for ids, meds in zip(sets, exact)}
+        for build in builds[2:4]:  # crps_only, codebook_then_crps
+            tps, best = picked[build.codebook.member_ids]
+            assert (build.tps.d_index, build.codebook.med) == (tps.d_index, best)
+        tps, _ = picked[sets[-1]]
+        before = builds[4]  # crps_then_codebook
+        assert before.tps.d_index == tps.d_index
+        pruned, _ = greedy_prune(distance_matrix(apply_tps(mats, tps.alpha), channel=h), 1 << table.derived.B)
+        assert (before.codebook.member_ids, before.codebook.med) == (pruned.member_ids, pruned.med)
+        # the shortlist needs the rough scores within SHORTLIST_RTOL / 2 of
+        # the exact ones, relative to a set's best; they sit 1000x closer
+        coords, _ = table.carrier_basis()
+        rough = candidate_meds(pool, table.codewords(range(n), coords), sets, channel=h)
+        gap = np.abs(rough - exact).max(axis=1) / exact.max(axis=1)
+        assert np.all(gap * 1000 <= crps.SHORTLIST_RTOL)
+
+    @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
+    def test_ties_go_to_the_smallest_index(self, table_name, request, monkeypatch):
+        # the identity repeated at index 1 and each selected candidate again
+        # at the end: shortlists of two bit-equal scores, won by the first
+        table = request.getfixturevalue(table_name)
+        h = _design_channel(table.params)
+        plain = build_schemes(list(Scheme), table, design_channel=h)
+        pool = generate_tps(table.params.D, table.params.L_R, substream(table.params.master_seed, TAG_TPS))
+        chosen = [b.tps.d_index for b in plain if b.tps is not None]
+        tied = [pool[0], pool[0].copy(), *pool[1:], *(pool[d].copy() for d in chosen)]
+        scored = []
+
+        def scoring(candidates, *args, **kwargs):
+            scored.append(len(candidates))
+            return candidate_meds(candidates, *args, **kwargs)
+
+        monkeypatch.setattr(crps, "generate_tps", lambda *args: tied)
+        monkeypatch.setattr(crps, "candidate_meds", scoring)
+        builds = build_schemes(list(Scheme), table, design_channel=h)
+        assert scored[0] == len(tied) and scored[1] >= 2
+        for build, alone in zip(builds, plain):
+            expect = _fingerprint(alone)
+            if alone.tps is not None and alone.tps.d_index:
+                expect = (*expect[:-1], (alone.tps.d_index + 1, alone.tps.alpha.tobytes()))
+            assert _fingerprint(build) == expect
+
+    def test_distances_through_a_channel_are_kept(self, default_table):
+        # the carrier basis is orthonormal, so a channel image of a codeword
+        # difference has one norm in either basis
+        h = _design_channel(default_table.params)
+        ids = range(len(default_table))
+        coords, _ = default_table.carrier_basis()
+        alpha = generate_tps(2, default_table.params.L_R, np.random.default_rng(14))[1]
+        for factor in (np.ones(default_table.params.L_R), alpha):
+            exact = distance_matrix(apply_tps(default_table.codewords(ids), factor), channel=h)
+            rough = distance_matrix(apply_tps(default_table.codewords(ids, coords), factor), channel=h)
+            off = ~np.eye(len(ids), dtype=bool)
+            np.testing.assert_allclose(rough[off], exact[off], rtol=1e-12, atol=0)
+
+
 @pytest.fixture(scope="module")
 def design_large_table():
     params = SystemParams(M=8, L_R=8)

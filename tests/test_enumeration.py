@@ -89,6 +89,19 @@ def test_table_matches_synthesis(default_table, default_params, default_derived)
     np.testing.assert_array_equal(batch, np.stack([default_table.codewords([g])[0] for g in ids]))
 
 
+@pytest.mark.parametrize("table_name", ["small_table", "default_table"])
+def test_carrier_basis_reproduces_codewords(table_name, request):
+    # codewords over the carrier basis, times q^H, are the codewords
+    table = request.getfixturevalue(table_name)
+    m, l_t = table.params.M, table.derived.L_T
+    coords, q = table.carrier_basis()
+    assert coords.shape == (m, min(m, l_t)) and q.shape == (l_t, min(m, l_t))
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-13)
+    ids = range(len(table))
+    basis = table.codewords(ids, coords)
+    np.testing.assert_allclose(basis @ q.conj().T, table.codewords(ids), rtol=0, atol=1e-13)
+
+
 def test_table_codewords_distinct(small_table):
     flat = small_table.codewords(range(len(small_table))).reshape(len(small_table), -1)
     gram = flat @ flat.conj().T
@@ -131,7 +144,8 @@ def test_oversized_table_refused_before_enumeration(monkeypatch):
 
 def test_table_holds_carrier_words_only():
     # M=8, L_R=8: 1,960 codewords of 8 x 81 samples, 20 MB as matrices;
-    # the table is their 125 kB of carrier words
+    # the table is their 125 kB of carrier words, gathered in place: a
+    # temporary of their size would double the peak
     params = SystemParams(M=8, L_R=8)
     derived = derive(params)
     tracemalloc.start()
@@ -141,7 +155,10 @@ def test_table_holds_carrier_words_only():
     finally:
         tracemalloc.stop()
     assert table.carriers.shape == (1960, 8)
-    assert peak < 1 << 20
+    assert peak < 1.5 * table.carriers.nbytes
+    slots = np.asarray(table.subsets)[:, np.asarray(table.allocations)]
+    np.testing.assert_array_equal(table.carriers, slots.reshape(len(table), params.L_R))
+    assert table.carriers.dtype == slots.dtype
 
 
 def test_bit_labels_examples():
