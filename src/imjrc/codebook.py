@@ -3,11 +3,12 @@
 All distances are squared Frobenius distances between codeword matrices.
 Without a channel they follow from carrier words alone
 (:func:`pair_patterns`), exactly; through a channel they are taken from
-the matrices (:func:`distance_matrix`).  The design objective everywhere
-is the minimum pairwise distance (MED) of a member set; the greedy pass
-below removes, one at a time, whichever endpoint of the current closest
-pair is easier to separate from the rest, until only the target count
-survives.
+the matrices (:func:`distance_matrix`) or, to score many row factors at
+once, from classes of pairs (:func:`pair_classes`).  The design
+objective everywhere is the minimum pairwise distance (MED) of a member
+set; the greedy pass below removes, one at a time, whichever endpoint of
+the current closest pair is easier to separate from the rest, until only
+the target count survives.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -79,6 +80,53 @@ def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.n
     return dist + dist.T
 
 
+_CLASS_BLOCK = 2048
+"""Classes whose distances under every factor are held at once while the
+minimum over each member set's classes is taken."""
+
+
+def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``code``, increasing, and each entry's position among them.
+
+    A value space no larger than ``code`` is marked, and the positions take
+    the smallest integer type that holds them; a larger space is sorted.
+    """
+    if space <= code.size:
+        seen = np.isin(np.arange(space), code)
+        codes = np.flatnonzero(seen)
+        return codes, (np.cumsum(seen) - 1).astype(np.min_scalar_type(codes.size - 1))[code]
+    codes, index = np.unique(code, return_inverse=True)
+    return codes, index.reshape(code.shape)
+
+
+def _set_minima(
+    index: np.ndarray,
+    count: int,
+    distances: Callable[[slice], np.ndarray],
+    member_sets: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Minimum distance of each set of distinct codewords under each factor, one row per set.
+
+    ``index[i, j]`` is the class, one of ``count``, of codewords i and j,
+    and ``distances(block)`` the (classes, factors) distances of a slice of
+    the classes, :data:`_CLASS_BLOCK` at a time.  A minimum is exact in any
+    order, so the blocks change no value.
+    """
+    present = []
+    for ids in member_sets:
+        sub = index.take(ids, axis=0).take(ids, axis=1)
+        np.fill_diagonal(sub, sub[0, 1])  # the diagonal holds no pair
+        mask = np.zeros(count, dtype=bool)
+        mask[sub] = True
+        present.append(mask)
+    meds = []
+    for start in range(0, count, _CLASS_BLOCK):
+        block = slice(start, start + _CLASS_BLOCK)
+        dist = distances(block)
+        meds.append([dist[mask[block]].min(axis=0, initial=np.inf) for mask in present])
+    return np.min(meds, axis=0)
+
+
 @dataclass(frozen=True)
 class PairPatterns:
     """The row-difference pattern of every pair of n codewords.
@@ -93,8 +141,8 @@ class PairPatterns:
     patterns: np.ndarray
     index: np.ndarray
 
-    def distances(self, alphas: np.ndarray) -> np.ndarray:
-        """Distance of each pattern under each row factor, (patterns, factors).
+    def distances(self, alphas: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """Distance of each pattern in ``block`` under each row factor, (patterns, factors).
 
         The sum over levels k, in increasing order, of ``levels[k]`` times
         the summed |alpha_l|^2 of the rows at level k, divided by L_R once,
@@ -103,13 +151,14 @@ class PairPatterns:
         correctly rounded, when the levels are integers.  No sum uses BLAS.
         """
         weights = np.abs(np.atleast_2d(alphas)) ** 2
-        dist = np.zeros((len(self.patterns), len(weights)))
+        patterns = self.patterns[block]
+        dist = np.zeros((len(patterns), len(weights)))
         for k in range(1, self.levels.size):
             at_level = np.zeros_like(dist)
-            for l, row in enumerate(self.patterns.T):
+            for l, row in enumerate(patterns.T):
                 at_level[row == k] += weights[:, l]
             dist += self.levels[k] * at_level
-        return dist / self.patterns.shape[1]
+        return dist / patterns.shape[1]
 
     def matrix(self, alpha: np.ndarray) -> np.ndarray:
         """All-pairs distances under one row factor: exactly symmetric, zero diagonal."""
@@ -117,12 +166,9 @@ class PairPatterns:
 
     def meds(self, alphas: list[np.ndarray], member_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """MED of each set of distinct codewords under each row factor, one row per set."""
-        dist, meds = self.distances(alphas), []
-        for ids in member_sets:
-            sub = self.index.take(ids, axis=0).take(ids, axis=1)
-            np.fill_diagonal(sub, sub[0, 1])  # the diagonal holds no pair
-            meds.append(dist[np.isin(np.arange(len(dist)), sub)].min(axis=0))
-        return np.stack(meds)
+        return _set_minima(
+            self.index, len(self.patterns), lambda block: self.distances(alphas, block), member_sets
+        )
 
 
 def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
@@ -133,9 +179,8 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     2 L_T - 2 sum_{t < L_T mod M} cos(2 pi k t / M) apart, k = (a - b) mod M
     folded onto min(k, M - k), as full periods of M samples cancel; every
     k != 0 gives 2 (L_T - 1) when L_T = 1 (mod M).  Patterns are numbers in
-    base (level count), row 0 the most significant digit, in increasing
-    order: a code space no larger than the n x n pairs is marked, a larger
-    one sorted.
+    base (level count), row 0 the most significant digit, numbered in
+    increasing order.
     """
     k, t = np.arange(m), np.arange(l_t % m)
     gaps = [2.0 * l_t - 2.0 * math.fsum(np.cos(2 * np.pi * c * t / m)) for c in k[1 : m // 2 + 1]]
@@ -147,13 +192,84 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     for c in carriers.T:
         code *= code.dtype.type(base)
         code += np.take(level[c], c, axis=1)
-    if space <= code.size:
-        seen = np.isin(np.arange(space), code)
-        codes, index = np.flatnonzero(seen), (np.cumsum(seen) - 1).astype(code.dtype)[code]
-    else:
-        codes, index = np.unique(code, return_inverse=True)
+    codes, index = _numbered(code, space)
     patterns = codes[:, None].astype(np.int64) // base ** np.arange(l_r - 1, -1, -1) % base
-    return PairPatterns(levels=levels, patterns=patterns, index=index.reshape(n, n))
+    return PairPatterns(levels=levels, patterns=patterns, index=index)
+
+
+def _hermitian_parts(h: np.ndarray, off_diagonal: float = 1.0) -> np.ndarray:
+    """L^2 reals of each Hermitian (.., L, L) matrix: its diagonal, then the
+    real and the imaginary parts of its upper triangle times ``off_diagonal``."""
+    i, j = np.triu_indices(h.shape[-1], 1)
+    upper = off_diagonal * h[..., i, j]
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+@dataclass(frozen=True)
+class PairClasses:
+    """Every pair of n codewords, in classes of equal distance through any channel.
+
+    Row l of a codeword is a coefficient times the waveform of its carrier
+    a_l, so under a row map B (L_C x L_R: a channel times the row
+    coefficients, each times its factor) codewords a and b are
+    sum_{l,q} P[l, q] K[q, l] apart, with P = B^H B and
+    K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q], where
+    ``gram`` G = W W^H of the M sampled waveforms W.  G[x, y] depends only
+    on (x - y) mod M, so K stays when both words shift by one carrier
+    offset, or swap.  ``words[c]`` are the two carrier words (2, L_R) of
+    class c, the first starting at carrier 0, and ``index[i, j]`` is the
+    class of codewords i and j; class 0, a word and itself, holds the diagonal.
+    """
+
+    gram: np.ndarray
+    words: np.ndarray
+    index: np.ndarray
+
+    def distances(self, maps: np.ndarray, block: slice = slice(None)) -> np.ndarray:
+        """Distance of each class in ``block`` under each row map, (classes, maps), at least zero.
+
+        K and P are Hermitian, so the sum is that of the diagonal products
+        and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
+        reals of each class's K with L_R^2 reals of each map's P.
+        """
+        a, b = self.words[block, 0], self.words[block, 1]
+        g = self.gram
+        k = g[a[:, :, None], a[:, None, :]] - g[a[:, :, None], b[:, None, :]]
+        k -= g[b[:, :, None], a[:, None, :]]
+        k += g[b[:, :, None], b[:, None, :]]
+        maps = np.asarray(maps)
+        p = np.einsum("dcl,dcq->dlq", maps.conj(), maps)
+        dist = _hermitian_parts(k) @ _hermitian_parts(p, 2.0).T
+        return np.maximum(dist, 0.0, out=dist)
+
+    def meds(self, maps: np.ndarray, member_sets: Sequence[Sequence[int]]) -> np.ndarray:
+        """MED of each set of distinct codewords under each row map, one row per set."""
+        return _set_minima(
+            self.index, len(self.words), lambda block: self.distances(maps, block), member_sets
+        )
+
+
+def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
+    """The pair classes of the codewords with carrier words ``carriers`` (n, L_R).
+
+    A word's shape is its carriers less its first, mod M.  A pair's code is
+    (shape of i, shape of j, first carrier of j less that of i mod M) as one
+    number, the smaller of the pair's two orders: below n^2 M, so no word
+    length overflows it.  Codes are numbered in increasing order, the
+    diagonal's, set to 0, first.
+    """
+    m = len(waveforms)
+    shapes, shape = np.unique((carriers - carriers[:, :1]) % m, axis=0, return_inverse=True)
+    shape, count, first = shape.reshape(-1), len(shapes), carriers[:, 0]
+    code = (shape[:, None] * count + shape) * m + (first - first[:, None]) % m
+    code = np.minimum(code, code.T)
+    np.fill_diagonal(code, 0)
+    codes, index = _numbered(code, count * count * m)
+    pair, offset = np.divmod(codes, m)
+    kind = np.min_scalar_type(2 * m - 2)  # a carrier plus an offset
+    shapes, offset = shapes.astype(kind), offset.astype(kind)
+    words = np.stack([shapes[pair // count], (shapes[pair % count] + offset[:, None]) % m], axis=1)
+    return PairClasses(gram=waveforms @ waveforms.conj().T, words=words, index=index)
 
 
 def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int]]:

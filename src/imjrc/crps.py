@@ -30,16 +30,25 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import Codebook, _gram_distances, distance_matrix, greedy_prune, med, pair_patterns
+from .codebook import (
+    _CLASS_BLOCK,
+    Codebook,
+    _gram_distances,
+    distance_matrix,
+    greedy_prune,
+    med,
+    pair_classes,
+    pair_patterns,
+)
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import DerivedParams, SystemParams
 
 SHORTLIST_RTOL = 1e-9
-"""Through a design channel, the candidates whose MED in the carrier basis is
-within this fraction of a member set's best are scored again on the codeword
-matrices, and the set's factor is selected from those scores.  The two
-scores differ by rounding alone, on the default scenario by under 3e-14 of
-a set's best MED."""
+"""Through a design channel, the candidates whose MED from the pair classes
+is within this fraction of a member set's best are scored again on the
+codeword matrices, and the set's factor is selected from those scores.  The
+two scores differ by rounding alone, on the default scenario by under 3e-14
+of a set's best MED."""
 
 
 @dataclass
@@ -122,45 +131,42 @@ def candidate_meds(
 ) -> np.ndarray:
     """MED of each member set (sorted rows of ``mats``) under each candidate.
 
-    Each candidate repeats the operations of ``distance_matrix`` (through
-    ``channel`` when given) on the union of the sets, whose Gram entries do
-    not depend on the other rows, in buffers allocated once per call: an
-    n x n block freed per candidate is handed back to the system and
-    faulted in again by the next, which made the design time grow with D.
-    Any orthonormal basis of the samples keeps every distance, so
-    :func:`build_schemes` scores in the carrier basis and rescores the near-best.
+    Each set is scored on its own rows alone: each candidate repeats the
+    operations of ``distance_matrix`` (through ``channel`` when given) in
+    buffers allocated once per call, since an n x n block freed per
+    candidate is handed back to the system and faulted in again by the
+    next, which made the design time grow with D.  A set's MED is the
+    minimum over its pairs i < j, the triangle ``distance_matrix`` keeps.
+    Through a design channel :func:`build_schemes` ranks the pool by pair
+    classes and scores here only the near-best.
     """
-    sets = [np.asarray(ids, dtype=np.intp) for ids in member_sets]
+    mats = np.asarray(mats)
+    # each set's rows as indexing resolves them, so "clip" below clips none
+    sets = [np.arange(len(mats))[np.asarray(ids, dtype=np.intp)] for ids in member_sets]
     if any(ids.size < 2 for ids in sets):
         raise ValueError("candidate scoring needs at least two members")
     if not candidates:
         raise ValueError("candidate pool is empty")
-    mats = np.asarray(mats)
-    inside = np.zeros(mats.shape[0], dtype=bool)
-    for ids in sets:
-        inside[ids] = True
-    union = np.flatnonzero(inside)
-    rows = mats if union.size == mats.shape[0] else mats[union]
-    n = rows.shape[0]
-    scaled = np.empty(rows.shape, dtype=np.result_type(rows, *candidates))
+    most = max((ids.size for ids in sets), default=0)
+    scaled = np.empty((most, *mats.shape[1:]), dtype=np.result_type(mats, *candidates))
     images = scaled
     if channel is not None:
-        images = np.empty((n, channel.shape[0], rows.shape[2]), dtype=np.result_type(channel, scaled))
-    flat = images.reshape(n, -1)
-    gram = np.empty((n, n), dtype=flat.dtype)
-    dist = np.empty((n, n))
-    # distance_matrix keeps the upper triangle and mirrors it, so a set's
-    # MED is the minimum over its pairs i < j
-    in_set = [np.isin(union, ids) for ids in sets]
-    pair_masks = [np.triu(np.outer(mask, mask), 1) for mask in in_set]
+        images = np.empty((most, channel.shape[0], mats.shape[2]), dtype=np.result_type(channel, scaled))
+    gram = np.empty(most * most, dtype=images.dtype)
+    dist = np.empty(most * most)
     meds = np.empty((len(sets), len(candidates)))
-    for d, alpha in enumerate(candidates):
-        np.multiply(rows, np.asarray(alpha).reshape(1, -1, 1), out=scaled)
-        if channel is not None:
-            np.einsum("cr,nrt->nct", channel, scaled, out=images)
-        _gram_distances(flat, out=dist, gram=gram)
-        for s, mask in enumerate(pair_masks):
-            meds[s, d] = np.min(dist, where=mask, initial=np.inf)
+    for s, ids in enumerate(sets):
+        n = ids.size
+        rows, image, square = scaled[:n], images[:n], dist[: n * n].reshape(n, n)
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        for d, alpha in enumerate(candidates):
+            # "clip" lets take write into rows without a buffer of its size
+            np.take(mats, ids, axis=0, out=rows, mode="clip")
+            rows *= np.asarray(alpha).reshape(1, -1, 1)
+            if channel is not None:
+                np.einsum("cr,nrt->nct", channel, rows, out=image)
+            _gram_distances(image.reshape(n, -1), out=square, gram=gram[: n * n].reshape(n, n))
+            meds[s, d] = np.min(square, where=upper, initial=np.inf)
     return meds
 
 
@@ -216,18 +222,24 @@ def design_bytes(
     codewords, else on the 2^B members.  Over n codewords the design holds
     three n x n arrays of at most 8-byte entries: a distance matrix, its
     pruning copy, and the pairs' pattern index.  Through a design ``channel``
-    it holds four (a distance matrix, a complex Gram and pair masks), the
-    codewords over the carrier basis, n x L_R x min(M, L_T) complex, and the
-    exact rescore's and pruning's synthesised and scaled codewords, their
-    image and its conjugate, n x (2 L_R + 2 L_C) x L_T complex.  The rough
-    pass's scaled copy, image and conjugate span min(M, L_T) samples and
-    are freed before those are allocated.
+    it holds four (a distance matrix, a complex Gram and a pair mask) and
+    the exact rescore's and pruning's synthesised and scaled codewords,
+    their image and its conjugate, n x (2 L_R + 2 L_C) x L_T complex.
+    Before those, a scheme that selects a factor through a channel holds the
+    pair-class pass: the synthesised codewords, six n x n arrays (the pairs'
+    codes, the sort that numbers them, and their class index), and one
+    block of :data:`_CLASS_BLOCK` classes of 6 L_R^2 + 2 D entries each
+    (a class's K, its features, and its distances under the D candidates).
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
-    basis = 2 * params.L_R * min(params.M, derived.L_T)
-    per_codeword = 4 * n + 4 * derived.L_T * (params.L_R + params.L_C) + basis if channel else 3 * n
-    return 8 * n * per_codeword
+    if not channel:
+        return 8 * n * 3 * n
+    exact = n * (4 * n + 4 * derived.L_T * (params.L_R + params.L_C))
+    if recipe.crps is None:
+        return 8 * exact
+    block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D)
+    return 8 * max(exact, n * (6 * n + 2 * params.L_R * derived.L_T) + block)
 
 
 def build_schemes(
@@ -241,11 +253,12 @@ def build_schemes(
     equals the one the scheme gets alone.  Without ``design_channel`` every
     distance follows exactly from the carrier words (:func:`pair_patterns`);
     with one, from the codeword matrices after the channel (detection is
-    unaffected), except that candidates are scored in the carrier basis and
-    only those within :data:`SHORTLIST_RTOL` of a set's best are rescored
-    on the matrices.  All schemes score one candidate pool, drawn from a
-    substream of the master seed.  A codebook's MED is the one its last
-    design stage measured.  Every budget is checked before any work.
+    unaffected), except that candidates are ranked by pair classes
+    (:func:`pair_classes`) and only those within :data:`SHORTLIST_RTOL` of a
+    set's best are rescored on the matrices.  All schemes score one
+    candidate pool, drawn from a substream of the master seed.  A
+    codebook's MED is the one its last design stage measured.  Every budget
+    is checked before any work.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
@@ -278,9 +291,8 @@ def build_schemes(
 
         def scores(candidates, sets):
             # candidates off every shortlist score -inf: _best picks an exact score
-            coords, _ = table.carrier_basis()
-            basis = table.codewords(range(rows), coords)
-            rough = candidate_meds(candidates, basis, sets, channel=design_channel)
+            maps = [design_channel * table.coefficients(alpha) for alpha in candidates]
+            rough = pair_classes(table.carriers[:rows], table.waveforms).meds(maps, sets)
             near = rough >= (1.0 - SHORTLIST_RTOL) * rough.max(axis=1, keepdims=True)
             shortlist = np.flatnonzero(near.any(axis=0))
             meds = np.full_like(rough, -np.inf)

@@ -82,22 +82,10 @@ class CodewordTable:
     def __len__(self) -> int:
         return self.carriers.shape[0]
 
-    def codewords(self, ids: Sequence[int], waveforms: np.ndarray | None = None) -> np.ndarray:
-        """The (len(ids), L_R, L_T) matrices of codewords ``ids``, or with rows
-        taken from ``waveforms`` (one per carrier offset) in place of the sampled ones."""
-        w = self.waveforms if waveforms is None else waveforms
-        mats = self.steering[:, None] * w[self.carriers[list(ids)]]
+    def codewords(self, ids: Sequence[int]) -> np.ndarray:
+        """The (len(ids), L_R, L_T) matrices of codewords ``ids``."""
+        mats = self.steering[:, None] * self.waveforms[self.carriers[list(ids)]]
         return np.divide(mats, np.sqrt(self.params.L_R), out=mats)
-
-    def carrier_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """The waveforms over an orthonormal basis: ``(coords, q)``, ``waveforms = coords @ q^H``.
-
-        From the reduced QR ``waveforms^H = q r``, coords is r^H.  q has
-        orthonormal columns, so ``codewords(ids, coords)``, min(M, L_T) samples
-        wide, keeps every Frobenius distance, also after any map of the rows.
-        """
-        q, r = np.linalg.qr(self.waveforms.conj().T)
-        return r.conj().T, q
 
     def coefficients(self, alpha: np.ndarray | None = None) -> np.ndarray:
         """Each row's coefficient, times ``alpha`` if given: sample 0 of its rows, bit for bit."""

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from imjrc import codebook
 from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
@@ -15,6 +16,7 @@ from imjrc.codebook import (
     export_codebook_csv,
     greedy_prune,
     med,
+    pair_classes,
     pair_patterns,
 )
 from imjrc.crps import apply_tps, generate_tps
@@ -197,6 +199,68 @@ class TestPairPatterns:
         whole, part = _patterns(default_table), pair_patterns(default_table.carriers[ids], 7, 71)
         for p_part, p_whole in zip(part.index.ravel(), whole.index[np.ix_(ids, ids)].ravel()):
             assert np.array_equal(part.patterns[p_part], whole.patterns[p_whole])
+
+
+def _class_key(a, b, m):
+    """Two carrier words less the first carrier, the smaller of their two orders, as Python ints."""
+    a, b = [int(c) for c in a], [int(c) for c in b]
+    return min(tuple((c - x[0]) % m for c in x + y) for x, y in ((a, b), (b, a)))
+
+
+class TestPairClasses:
+    """Pairs in classes of equal distance through any channel."""
+
+    def test_pairs_sharing_a_class_are_equally_far(self, default_table, default_params):
+        # every shift of both words by one carrier offset is a pair of the
+        # table, so the 87,990 pairs fall into 12,570 classes of 7
+        classes = pair_classes(default_table.carriers, default_table.waveforms)
+        n = len(default_table)
+        upper = np.triu_indices(n, 1)
+        index = classes.index[upper]
+        assert len(classes.words) == 12_571 and np.all(np.diag(classes.index) == 0)
+        assert np.all(np.bincount(index, minlength=len(classes.words))[1:] == 7)
+        h = draw_channel(4, 6, substream(default_params.master_seed, TAG_DESIGN_CHANNEL))
+        alpha = generate_tps(2, 6, np.random.default_rng(18))[1]
+        mats = apply_tps(default_table.codewords(range(n)), alpha)
+        dist = distance_matrix(mats, channel=h)[upper]
+        lo, hi = np.full(len(classes.words), np.inf), np.zeros(len(classes.words))
+        np.minimum.at(lo, index, dist)
+        np.maximum.at(hi, index, dist)
+        assert np.all(hi[1:] - lo[1:] <= 1e-12 * hi[1:])
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    def test_set_minima_read_every_block(self, block, small_table, monkeypatch):
+        # each set's MED is the minimum over its own pairs' class distances,
+        # whichever blocks the classes are scored in; sets of one pair miss
+        # any class a block skips
+        monkeypatch.setattr(codebook, "_CLASS_BLOCK", block)
+        classes = pair_classes(small_table.carriers, small_table.waveforms)
+        assert len(classes.words) > 2 * 7
+        h = draw_channel(2, 4, substream(99, TAG_DESIGN_CHANNEL))
+        maps = [h * small_table.coefficients(a) for a in generate_tps(5, 4, np.random.default_rng(20))]
+        n = len(small_table)
+        sets = [range(s, min(s + 5, n)) for s in range(0, n, 5)]
+        sets += [list(pair) for pair in itertools.combinations(range(n), 2)]
+        meds, dist = classes.meds(maps, sets), classes.distances(maps)
+        for got, ids in zip(meds, sets):
+            pairs = classes.index[np.ix_(ids, ids)][np.triu_indices(len(ids), 1)]
+            np.testing.assert_allclose(got, dist[pairs].min(axis=0), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("m,l_r", [(12, 8), (16, 9)])
+    def test_codes_do_not_overflow(self, m, l_r):
+        # as 2 L_R - 1 base-M digits, a pair's code would span 12^15 < 2^63
+        # and 16^17 > 2^63 values; classes must be exactly the pair keys
+        carriers = np.random.default_rng(19).integers(0, m, size=(60, l_r))
+        waveforms = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(2 * m + 1)) / m)
+        classes = pair_classes(carriers, waveforms)
+        keys = collections.defaultdict(set)
+        for i, j in itertools.combinations(range(len(carriers)), 2):
+            keys[classes.index[i, j]].add(_class_key(carriers[i], carriers[j], m))
+        assert all(len(key) == 1 for key in keys.values())
+        assert len(set.union(*keys.values())) == len(keys) == len(classes.words) - 1
+        for c, (key,) in keys.items():
+            a, b = classes.words[c]
+            assert a[0] == 0 and _class_key(a, b, m) == key
 
 
 class TestMed:

@@ -10,7 +10,7 @@ import pytest
 
 from imjrc import crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import distance_matrix, greedy_prune, med, pair_patterns
+from imjrc.codebook import distance_matrix, greedy_prune, med, pair_classes, pair_patterns
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
@@ -229,10 +229,10 @@ class TestCandidateScoring:
         assert peak < pairs * len(pool) * 8 // 8
 
     def test_member_sets_read_their_pairs_from_the_union(self, default_table, default_params):
-        # candidate_meds scores every member set from the Gram entries of
-        # their union.  That gives each set's own values only if the BLAS
-        # computes a Gram entry the same whatever other rows are in the
-        # product; a BLAS that does not fails here instead of moving designs.
+        # candidate_meds scores each member set on its own rows, so a set
+        # scored beside others reads what it reads alone, bit for bit, also
+        # when the BLAS rounds a Gram entry by which other rows are in the
+        # product (as OpenBLAS does with one thread)
         full = default_table.codewords(range(len(default_table)))
         n_valid = 1 << default_table.derived.B
         dist0 = distance_matrix(full)
@@ -470,9 +470,9 @@ class TestBuildSchemes:
 
 
 class TestShortlist:
-    """Through a design channel: the pool scored in the carrier basis, the near-best exactly."""
+    """Through a design channel: the pool scored by pair classes, the near-best exactly."""
 
-    @pytest.mark.parametrize("seed", [1729, 2718, 4242])
+    @pytest.mark.parametrize("seed", [1729, 2718, 4242, 7, 31337])
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
     def test_selects_as_exact_scoring_of_the_pool(self, table_name, seed, request):
         table = request.getfixturevalue(table_name)
@@ -496,8 +496,8 @@ class TestShortlist:
         assert (before.codebook.member_ids, before.codebook.med) == (pruned.member_ids, pruned.med)
         # the shortlist needs the rough scores within SHORTLIST_RTOL / 2 of
         # the exact ones, relative to a set's best; they sit 1000x closer
-        coords, _ = table.carrier_basis()
-        rough = candidate_meds(pool, table.codewords(range(n), coords), sets, channel=h)
+        classes = pair_classes(table.carriers, table.waveforms)
+        rough = classes.meds([h * table.coefficients(alpha) for alpha in pool], sets)
         gap = np.abs(rough - exact).max(axis=1) / exact.max(axis=1)
         assert np.all(gap * 1000 <= crps.SHORTLIST_RTOL)
 
@@ -520,25 +520,28 @@ class TestShortlist:
         monkeypatch.setattr(crps, "generate_tps", lambda *args: tied)
         monkeypatch.setattr(crps, "candidate_meds", scoring)
         builds = build_schemes(list(Scheme), table, design_channel=h)
-        assert scored[0] == len(tied) and scored[1] >= 2
+        # the pool is ranked by pair classes: only the shortlist is scored here
+        assert len(scored) == 1 and scored[0] >= 2
         for build, alone in zip(builds, plain):
             expect = _fingerprint(alone)
             if alone.tps is not None and alone.tps.d_index:
                 expect = (*expect[:-1], (alone.tps.d_index + 1, alone.tps.alpha.tobytes()))
             assert _fingerprint(build) == expect
 
-    def test_distances_through_a_channel_are_kept(self, default_table):
-        # the carrier basis is orthonormal, so a channel image of a codeword
-        # difference has one norm in either basis
-        h = _design_channel(default_table.params)
-        ids = range(len(default_table))
-        coords, _ = default_table.carrier_basis()
-        alpha = generate_tps(2, default_table.params.L_R, np.random.default_rng(14))[1]
-        for factor in (np.ones(default_table.params.L_R), alpha):
-            exact = distance_matrix(apply_tps(default_table.codewords(ids), factor), channel=h)
-            rough = distance_matrix(apply_tps(default_table.codewords(ids, coords), factor), channel=h)
-            off = ~np.eye(len(ids), dtype=bool)
-            np.testing.assert_allclose(rough[off], exact[off], rtol=1e-12, atol=0)
+    def test_distances_through_a_channel_are_kept(self, small_table, default_table):
+        # each pair's class distance under a row map is its codewords'
+        # distance through the channel, scaled or not
+        for table in (small_table, default_table):
+            h = _design_channel(table.params)
+            ids = range(len(table))
+            classes = pair_classes(table.carriers, table.waveforms)
+            alpha = generate_tps(2, table.params.L_R, np.random.default_rng(14))[1]
+            for factor in (np.ones(table.params.L_R), alpha):
+                exact = distance_matrix(apply_tps(table.codewords(ids), factor), channel=h)
+                dist = classes.distances([h * table.coefficients(factor)])[classes.index, 0]
+                off = ~np.eye(len(ids), dtype=bool)
+                np.testing.assert_allclose(dist[off], exact[off], rtol=1e-12, atol=0)
+                assert np.all(np.diag(dist) == 0.0)
 
 
 @pytest.fixture(scope="module")

@@ -89,19 +89,6 @@ def test_table_matches_synthesis(default_table, default_params, default_derived)
     np.testing.assert_array_equal(batch, np.stack([default_table.codewords([g])[0] for g in ids]))
 
 
-@pytest.mark.parametrize("table_name", ["small_table", "default_table"])
-def test_carrier_basis_reproduces_codewords(table_name, request):
-    # codewords over the carrier basis, times q^H, are the codewords
-    table = request.getfixturevalue(table_name)
-    m, l_t = table.params.M, table.derived.L_T
-    coords, q = table.carrier_basis()
-    assert coords.shape == (m, min(m, l_t)) and q.shape == (l_t, min(m, l_t))
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-13)
-    ids = range(len(table))
-    basis = table.codewords(ids, coords)
-    np.testing.assert_allclose(basis @ q.conj().T, table.codewords(ids), rtol=0, atol=1e-13)
-
-
 def test_table_codewords_distinct(small_table):
     flat = small_table.codewords(range(len(small_table))).reshape(len(small_table), -1)
     gram = flat @ flat.conj().T
