@@ -2,7 +2,8 @@
 
 All distances are squared Frobenius distances between codeword matrices.
 Without a channel they follow from carrier words alone
-(:func:`pair_patterns`), exactly; through a channel they are taken from
+(:func:`pair_patterns`), exactly, and pruning reads them as ranks
+(:meth:`PairPatterns.ranks`); through a channel they are taken from
 the matrices (:func:`distance_matrix`) or, to score many row factors at
 once, from classes of pairs (:func:`pair_classes`).  The design
 objective everywhere is the minimum pairwise distance (MED) of a member
@@ -133,8 +134,11 @@ class PairPatterns:
 
     ``levels`` are the distinct squared distances between two sampled
     carrier waveforms, 0 first.  ``patterns[p, l]`` indexes the level of
-    row l in the p-th distinct pattern, and ``index[i, j]`` is the pattern
-    of codewords i and j (all zero on the diagonal).
+    row l in pattern p, and ``index[i, j]``, an n x n array of small
+    unsigned integers, is the pattern of codewords i and j (pattern 0, no
+    row differing, on the diagonal).  Patterns are numbered in increasing
+    order of their codes, and when every code fits below n the number is
+    the code itself, so some patterns may be held by no pair.
     """
 
     levels: np.ndarray
@@ -164,11 +168,30 @@ class PairPatterns:
         """All-pairs distances under one row factor: exactly symmetric, zero diagonal."""
         return self.distances(alpha)[:, 0][self.index]
 
+    def ranks(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs distances under one row factor as ranks, and the distances they rank.
+
+        See :func:`_ranked`; ``values[ranks]`` is :meth:`matrix`, bit for bit.
+        """
+        return _ranked(self.distances(alpha)[:, 0], self.index)
+
     def meds(self, alphas: list[np.ndarray], member_sets: Sequence[Sequence[int]]) -> np.ndarray:
         """MED of each set of distinct codewords under each row factor, one row per set."""
         return _set_minima(
             self.index, len(self.patterns), lambda block: self.distances(alphas, block), member_sets
         )
+
+
+def _ranked(distances: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of ``distances[index]`` as its position among the distinct ``distances``, and those.
+
+    The positions keep order and ties, equal positions being bit-equal
+    distances, and take the smallest unsigned type that also holds one
+    value above them: the unused largest value :func:`greedy_prune` and
+    :func:`med` mark excluded entries with.
+    """
+    values, rank = np.unique(distances, return_inverse=True)
+    return rank.astype(np.min_scalar_type(values.size))[index], values
 
 
 def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
@@ -178,8 +201,13 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     times the waveform of its carrier.  Carriers a and b are
     2 L_T - 2 sum_{t < L_T mod M} cos(2 pi k t / M) apart, k = (a - b) mod M
     folded onto min(k, M - k), as full periods of M samples cancel; every
-    k != 0 gives 2 (L_T - 1) when L_T = 1 (mod M).  Patterns are numbers in
-    base (level count), row 0 the most significant digit, numbered in
+    k != 0 gives 2 (L_T - 1) when L_T = 1 (mod M).  A pair's code is its
+    row levels as a number in base (level count), row 0 the most
+    significant digit, in the smallest unsigned type that holds every code.
+    The rows split into two halves, and each half's code is read from a
+    table over the pairs of that half's distinct words: two n x n gathers
+    in all.  When the code space is no larger than n a code is its
+    pattern's number; otherwise the codes that occur are numbered in
     increasing order.
     """
     k, t = np.arange(m), np.arange(l_t % m)
@@ -189,10 +217,16 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     base, space = levels.size, levels.size**l_r
     code = np.zeros((n, n), dtype=np.min_scalar_type(space - 1))
     level = level.astype(code.dtype)[np.minimum(k, m - k)[(k[:, None] - k[None, :]) % m]]
-    for c in carriers.T:
-        code *= code.dtype.type(base)
-        code += np.take(level[c], c, axis=1)
-    codes, index = _numbered(code, space)
+    for half in (carriers[:, : l_r // 2], carriers[:, l_r // 2 :]):
+        words, word = np.unique(half, axis=0, return_inverse=True)
+        pairs = np.zeros((len(words), len(words)), dtype=code.dtype)
+        for c in words.T:
+            pairs *= code.dtype.type(base)
+            pairs += np.take(level[c], c, axis=1)
+        word = word.reshape(-1)
+        code *= code.dtype.type(base ** half.shape[1])
+        code += np.take(pairs[word], word, axis=1)
+    codes, index = (np.arange(space), code) if space <= n else _numbered(code, space)
     patterns = codes[:, None].astype(np.int64) // base ** np.arange(l_r - 1, -1, -1) % base
     return PairPatterns(levels=levels, patterns=patterns, index=index)
 
@@ -272,26 +306,36 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     return PairClasses(gram=waveforms @ waveforms.conj().T, words=words, index=index)
 
 
-def med(dist: np.ndarray, members: Sequence[int]) -> tuple[float, tuple[int, int]]:
+def _beyond(dtype: np.dtype):
+    """The value that marks an excluded entry: the largest of an integer type, else inf."""
+    return np.iinfo(dtype).max if dtype.kind in "iu" else np.inf
+
+
+def med(
+    dist: np.ndarray, members: Sequence[int], values: np.ndarray | None = None
+) -> tuple[float, tuple[int, int]]:
     """Minimum pairwise distance over a member set and the pair achieving it.
 
-    Ties resolve to the lexicographically smallest (i, j) pair of global
-    indices, i < j.
+    ``dist`` is a distance matrix or, with ``values``, a rank matrix of
+    :func:`_ranked`, whose distances are ``values[dist]``.  Ties resolve to
+    the lexicographically smallest (i, j) pair of global indices, i < j.
     """
     idx = np.asarray(sorted(members))
     if idx.size < 2:
         raise ValueError("MED needs at least two members")
     sub = dist[np.ix_(idx, idx)]
-    np.fill_diagonal(sub, np.inf)
+    np.fill_diagonal(sub, _beyond(sub.dtype))
     flat = int(np.argmin(sub))
     a, b = divmod(flat, idx.size)
     i, j = int(idx[a]), int(idx[b])
     if i > j:
         i, j = j, i
-    return float(sub[a, b]), (i, j)
+    return float(sub[a, b] if values is None else values[sub[a, b]]), (i, j)
 
 
-def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
+def greedy_prune(
+    dist: np.ndarray, target: int, values: np.ndarray | None = None
+) -> tuple[Codebook, np.ndarray]:
     """Eliminate codewords one at a time until ``target`` remain.
 
     Each step finds the closest surviving pair, then removes the endpoint
@@ -300,19 +344,25 @@ def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
     tie removes the larger global index.  MED ties pick the
     lexicographically smallest pair.
 
+    ``dist`` is a distance matrix or, with ``values``, a rank matrix of
+    :func:`_ranked`, whose distances are ``values[dist]``.  Only order and
+    ties decide a step, and ranks keep both, so the two give the same
+    codebook.  A removed or diagonal entry holds inf in a float matrix and
+    the largest value of its type, unused by any rank, in a rank matrix.
+
     The closest pair comes from cached row minima instead of a scan of the
     whole matrix.  ``rowmin[r]`` and ``rowarg[r]`` are the minimum of row r
     of the working matrix and its first column.  ``argmin(rowmin)`` is the
     first row holding the global minimum, and ``rowarg`` of that row is its
     first column holding it: the same pair a row-major ``argmin`` over the
-    whole matrix returns.  Removing a codeword sets its row and column to
-    inf, which changes the cached minimum only of rows whose ``rowarg`` was
-    that column, so only those rows are scanned again.
+    whole matrix returns.  Removing a codeword excludes its row and column,
+    which changes the cached minimum only of rows whose ``rowarg`` was that
+    column, so only those rows are scanned again.
 
-    Returns the codebook, labelled "pruned", and the MED trajectory: entry
-    0 is the MED of the full set, entry q the MED after q eliminations.  The
-    trajectory is non-decreasing because removing a codeword never shrinks
-    any surviving pair's distance.
+    Returns the codebook, labelled "pruned", and the MED trajectory, in
+    distances: entry 0 is the MED of the full set, entry q the MED after q
+    eliminations.  The trajectory is non-decreasing because removing a
+    codeword never shrinks any surviving pair's distance.
     """
     n = dist.shape[0]
     if dist.shape != (n, n):
@@ -323,11 +373,12 @@ def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
         raise ValueError(f"target {target} exceeds {n} available codewords")
 
     work = dist.copy()
-    np.fill_diagonal(work, np.inf)
+    far = _beyond(work.dtype)
+    np.fill_diagonal(work, far)
     rowarg = work.argmin(axis=1)
     rowmin = work[np.arange(n), rowarg]
     alive = np.ones(n, dtype=bool)
-    meds = np.empty(n - target + 1)
+    meds = np.empty(n - target + 1, dtype=work.dtype)
 
     for step in range(n - target):
         i = int(np.argmin(rowmin))
@@ -338,20 +389,20 @@ def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
         # second-smallest distance of each endpoint, partner excluded
         row_i = work[i]
         saved = row_i[j]
-        row_i[j] = np.inf
+        row_i[j] = far
         second_i = row_i.min()
         row_i[j] = saved
         row_j = work[j]
         saved = row_j[i]
-        row_j[i] = np.inf
+        row_j[i] = far
         second_j = row_j.min()
         row_j[i] = saved
         # the more crowded endpoint goes; on a tie the larger index goes
         drop = i if second_i < second_j else j
         alive[drop] = False
-        work[drop, :] = np.inf
-        work[:, drop] = np.inf
-        rowmin[drop] = np.inf
+        work[drop, :] = far
+        work[:, drop] = far
+        rowmin[drop] = far
         stale = np.flatnonzero(alive & (rowarg == drop))
         if stale.size:
             args = work[stale].argmin(axis=1)
@@ -359,8 +410,9 @@ def greedy_prune(dist: np.ndarray, target: int) -> tuple[Codebook, np.ndarray]:
             rowmin[stale] = work[stale, args]
 
     survivors = tuple(int(g) for g in np.flatnonzero(alive))
-    # eliminated rows are inf, so this is the survivor MED
+    # eliminated rows are excluded, so this is the survivor MED
     meds[-1] = rowmin.min()
+    meds = meds.astype(float) if values is None else values[meds]
     book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance="pruned")
     return book, meds
 

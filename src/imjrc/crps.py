@@ -219,9 +219,13 @@ def design_bytes(
     """Estimated bytes of a scheme's largest live design allocation.
 
     Pruning, or selecting a factor over the full table, works on all C_total
-    codewords, else on the 2^B members.  Over n codewords the design holds
-    three n x n arrays of at most 8-byte entries: a distance matrix, its
-    pruning copy, and the pairs' pattern index.  Through a design ``channel``
+    codewords, else on the 2^B members.  Over n codewords without a channel
+    the design holds n x n arrays of small unsigned integers: the pairs'
+    codes and the gather that assembles them, which index their patterns,
+    and a rank matrix and its pruning copy (one byte each on M=8, L_R=8).
+    The estimate is still three n x n arrays of 8-byte entries, the float
+    distance matrix, its pruning copy and the pattern index this path once
+    held, so the budget admits the tables it did.  Through a design ``channel``
     it holds four (a distance matrix, a complex Gram and a pair mask) and
     the exact rescore's and pruning's synthesised and scaled codewords,
     their image and its conjugate, n x (2 L_R + 2 L_C) x L_T complex.
@@ -279,13 +283,15 @@ def build_schemes(
     rows = derived.C_total if any(r.prune or r.crps == "before" for r in recipes) else n_valid
 
     # among the first ``rows`` codewords: every pair's distance under a
-    # factor, and each member set's MED under each candidate
+    # factor, as a matrix of ranks and the distances they rank (through a
+    # channel, of distances and None), and each member set's MED under each
+    # candidate
     if design_channel is None:
         patterns = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
         scores = patterns.meds
 
         def matrix(alpha):
-            return patterns.matrix(np.ones(params.L_R) if alpha is None else alpha)
+            return patterns.ranks(np.ones(params.L_R) if alpha is None else alpha)
     else:
         mats = table.codewords(range(rows))
 
@@ -303,18 +309,18 @@ def build_schemes(
 
         def matrix(alpha):
             scaled = mats if alpha is None else apply_tps(mats, alpha)
-            return distance_matrix(scaled, channel=design_channel)
+            return distance_matrix(scaled, channel=design_channel), None
 
     baseline_med = None
     # greedy pruning of the table under each selected factor index
     pruned: dict[int, Codebook] = {}
     prune_unscaled = any(r.prune and r.crps != "before" for r in recipes)
     if prune_unscaled or Scheme.BASELINE in schemes:
-        dist = matrix(None)
+        dist, values = matrix(None)
         if Scheme.BASELINE in schemes:
-            baseline_med, _ = med(dist, baseline_ids)
+            baseline_med, _ = med(dist, baseline_ids, values)
         if prune_unscaled:
-            pruned[0], _ = greedy_prune(dist, n_valid)
+            pruned[0], _ = greedy_prune(dist, n_valid, values)
         del dist
 
     # each member set a CRPS scheme selects its factor over, scored once
@@ -337,7 +343,8 @@ def build_schemes(
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
-                pruned[index], _ = greedy_prune(matrix(_alpha(tps)), n_valid)
+                dist, values = matrix(_alpha(tps))
+                pruned[index], _ = greedy_prune(dist, n_valid, values)
             member_ids, book_med = pruned[index].member_ids, pruned[index].med
         if recipe.crps == "after":
             tps, book_med = _best(candidates, scored[member_ids])

@@ -1,4 +1,4 @@
-"""Shared fixtures: the default scenario and a small fast one."""
+"""Shared fixtures: the default scenario, a small fast one and the design-large table."""
 
 import pytest
 
@@ -53,6 +53,13 @@ def small_derived(small_params):
 @pytest.fixture(scope="session")
 def small_table(small_params, small_derived):
     return build_table(small_params, small_derived)
+
+
+@pytest.fixture(scope="session")
+def design_large_table():
+    # M=8, L_R=8: 1,960 codewords, 1,024 valid
+    params = SystemParams(M=8, L_R=8)
+    return build_table(params, derive(params))
 
 
 @pytest.fixture(scope="session")

@@ -2,12 +2,15 @@
 
 Each one computes a quantity the package computes in a faster or
 restructured form: one codeword from its definition, one received pulse
-``Y = H X + N``, and ML detection as a residual scan over every hypothesis.
+``Y = H X + N``, ML detection as a residual scan over every hypothesis,
+and each pair's row-difference code built one antenna row at a time.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
+
+import math
 
 import numpy as np
 
@@ -107,3 +110,24 @@ def detect(
     metrics = np.einsum("nct,nct->n", diff, diff.conj()).real
     rank = int(np.argmin(metrics))
     return DetectionResult(rank=rank, metric=float(metrics[rank]))
+
+
+def pair_pattern_codes(carriers: np.ndarray, m: int, l_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The waveform distance levels and each pair's pattern code, one n x n gather per row.
+
+    Carriers a and b are 2 L_T - 2 sum_{t < L_T mod M} cos(2 pi k t / M)
+    apart, k = (a - b) mod M folded onto min(k, M - k).  A pair's code is
+    its row levels as a number in base (level count), row 0 the most
+    significant digit.
+    """
+    k, t = np.arange(m), np.arange(l_t % m)
+    gaps = [2.0 * l_t - 2.0 * math.fsum(np.cos(2 * np.pi * c * t / m)) for c in k[1 : m // 2 + 1]]
+    levels, level = np.unique([0.0, *gaps], return_inverse=True)
+    n, l_r = carriers.shape
+    base, space = levels.size, levels.size**l_r
+    code = np.zeros((n, n), dtype=np.min_scalar_type(space - 1))
+    level = level.astype(code.dtype)[np.minimum(k, m - k)[(k[:, None] - k[None, :]) % m]]
+    for c in carriers.T:
+        code *= code.dtype.type(base)
+        code += np.take(level[c], c, axis=1)
+    return levels, code

@@ -12,6 +12,7 @@ from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
     _gram_distances,
+    _ranked,
     distance_matrix,
     export_codebook_csv,
     greedy_prune,
@@ -22,6 +23,7 @@ from imjrc.codebook import (
 from imjrc.crps import apply_tps, generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
+from oracles import pair_pattern_codes
 
 
 def _points_to_dist(points):
@@ -199,6 +201,30 @@ class TestPairPatterns:
         whole, part = _patterns(default_table), pair_patterns(default_table.carriers[ids], 7, 71)
         for p_part, p_whole in zip(part.index.ravel(), whole.index[np.ix_(ids, ids)].ravel()):
             assert np.array_equal(part.patterns[p_part], whole.patterns[p_whole])
+
+    @pytest.mark.parametrize(
+        "m,l_t,l_r,n",
+        [
+            (8, 65, 1, 40),  # one row: the first half is empty
+            (8, 65, 2, 40),
+            (8, 65, 3, 40),
+            (8, 65, 6, 100),
+            (8, 65, 8, 300),  # 256 codes below n: the code is the pattern
+            (8, 65, 8, 100),  # 256 codes above n, marked
+            (6, 64, 4, 100),  # LT_NOT_ONE: 3 levels, 81 codes below n
+            (6, 64, 8, 50),  # 3^8 codes above n^2, sorted
+        ],
+    )
+    def test_half_word_codes_match_the_row_loop(self, m, l_t, l_r, n):
+        # each pair's pattern holds the digits of its code built row by row
+        carriers = np.random.default_rng(l_r * n).integers(0, m, size=(n, l_r))
+        levels, code = pair_pattern_codes(carriers, m, l_t)
+        patterns = pair_patterns(carriers, m, l_t)
+        assert np.array_equal(patterns.levels, levels)
+        digits = code[..., None].astype(np.int64) // levels.size ** np.arange(l_r - 1, -1, -1) % levels.size
+        assert np.array_equal(patterns.patterns[patterns.index], digits)
+        if levels.size**l_r <= n:
+            assert np.array_equal(patterns.index, code)
 
 
 def _class_key(a, b, m):
@@ -417,6 +443,60 @@ class TestGreedyMatchesDenseArgmin:
         )
         mats = small_table.codewords(range(len(small_table)))
         self._assert_same(distance_matrix(mats, channel=h), 1 << small_derived.B)
+
+
+def _distinct_symmetric(rng, n, count):
+    # exactly `count` distinct values, 0 among them, each nonzero one on
+    # several pairs, so closest pairs and second minima tie
+    i, j = np.triu_indices(n, 1)
+    dist = np.zeros((n, n))
+    dist[i, j] = rng.permutation(np.resize(np.arange(1.0, count), i.size)) / 7
+    return dist + dist.T
+
+
+class TestRanks:
+    """Pruning and MEDs on ranks and their values against the float matrix."""
+
+    def _assert_same(self, dist, target):
+        n = len(dist)
+        rank, values = _ranked(dist.ravel(), np.arange(n * n).reshape(n, n))
+        assert np.array_equal(values[rank].view(np.uint64), dist.view(np.uint64))
+        book, meds = greedy_prune(rank, target, values)
+        ref_book, ref_meds = greedy_prune(dist, target)
+        assert book.member_ids == ref_book.member_ids
+        assert np.array_equal(meds.view(np.uint64), ref_meds.view(np.uint64))
+        assert book.med == ref_book.med
+        for members in (range(n), book.member_ids, range(0, n, 3)):
+            assert med(rank, members, values) == med(dist, members)
+        return rank
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tied_matrices(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        n = int(rng.integers(10, 60))
+        dist = _tied_symmetric(rng, n)
+        assert self._assert_same(dist, 2).dtype == np.uint8
+        self._assert_same(dist, n // 2)
+
+    @pytest.mark.parametrize("count,dtype", [(255, np.uint8), (256, np.uint16)])
+    def test_largest_value_is_left_free(self, count, dtype):
+        # 255 ranks leave 255 free in a byte; 256 need a wider type
+        rng = np.random.default_rng(count)
+        dist = _distinct_symmetric(rng, 60, count)
+        assert np.unique(dist).size == count
+        for target in (2, 30):
+            assert self._assert_same(dist, target).dtype == dtype
+
+    def test_design_table(self, design_large_table):
+        # the pruning the design runs, against the float pattern matrix
+        patterns = pair_patterns(design_large_table.carriers, 8, design_large_table.derived.L_T)
+        for alpha in generate_tps(2, 8, np.random.default_rng(23)):
+            rank, values = patterns.ranks(alpha)
+            dist = patterns.matrix(alpha)
+            assert np.array_equal(values[rank], dist)
+            book, meds = greedy_prune(rank, 1 << design_large_table.derived.B, values)
+            ref_book, ref_meds = greedy_prune(dist, 1 << design_large_table.derived.B)
+            assert book == ref_book and np.array_equal(meds, ref_meds)
 
 
 class TestExportCodebookCsv:

@@ -451,6 +451,19 @@ class TestBuildSchemes:
             assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
         assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
 
+    def test_design_without_a_channel_holds_no_float_square(self, design_large_table):
+        # pair codes, pattern index, ranks and the pruning copy are small
+        # unsigned integers: all five schemes peak below one n x n float64
+        # (29.3 MiB), where float distances and their pruning copy took 62.6
+        n = len(design_large_table)
+        tracemalloc.start()
+        try:
+            build_schemes(list(Scheme), design_large_table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+
     @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
     def test_design_stays_within_its_budget(self, scheme, design_large_table, default_table):
         # each path against its own estimate; through a design channel the
@@ -542,12 +555,6 @@ class TestShortlist:
                 off = ~np.eye(len(ids), dtype=bool)
                 np.testing.assert_allclose(dist[off], exact[off], rtol=1e-12, atol=0)
                 assert np.all(np.diag(dist) == 0.0)
-
-
-@pytest.fixture(scope="module")
-def design_large_table():
-    params = SystemParams(M=8, L_R=8)
-    return build_table(params, derive(params))
 
 
 class TestIdentityArgument:
