@@ -113,6 +113,8 @@ def _set_minima(
     the classes, :data:`_CLASS_BLOCK` at a time.  A minimum is exact in any
     order, so the blocks change no value.
     """
+    if any(len(ids) < 2 for ids in member_sets):
+        raise ValueError("candidate scoring needs at least two members")
     present = []
     for ids in member_sets:
         sub = index.take(ids, axis=0).take(ids, axis=1)
@@ -231,12 +233,14 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     return PairPatterns(levels=levels, patterns=patterns, index=index)
 
 
-def _hermitian_parts(h: np.ndarray, off_diagonal: float = 1.0) -> np.ndarray:
-    """L^2 reals of each Hermitian (.., L, L) matrix: its diagonal, then the
-    real and the imaginary parts of its upper triangle times ``off_diagonal``."""
-    i, j = np.triu_indices(h.shape[-1], 1)
-    upper = off_diagonal * h[..., i, j]
-    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+def _map_features(maps: np.ndarray) -> np.ndarray:
+    """L_R^2 reals of P = B^H B for each row map B (maps, L_R^2): its diagonal, then
+    the real and the imaginary parts of its upper triangle, each times two."""
+    maps = np.asarray(maps)
+    p = np.einsum("dcl,dcq->dlq", maps.conj(), maps)
+    i, j = np.triu_indices(p.shape[-1], 1)
+    upper = 2.0 * p[:, i, j]
+    return np.concatenate([np.diagonal(p, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -248,14 +252,17 @@ class PairClasses:
     coefficients, each times its factor) codewords a and b are
     sum_{l,q} P[l, q] K[q, l] apart, with P = B^H B and
     K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q], where
-    ``gram`` G = W W^H of the M sampled waveforms W.  G[x, y] depends only
-    on (x - y) mod M, so K stays when both words shift by one carrier
-    offset, or swap.  ``words[c]`` are the two carrier words (2, L_R) of
-    class c, the first starting at carrier 0, and ``index[i, j]`` is the
-    class of codewords i and j; class 0, a word and itself, holds the diagonal.
+    G = W W^H of the M sampled waveforms W.  G[x, y] depends only on
+    (x - y) mod M, so K stays when both words shift by one carrier offset,
+    or swap.  ``words[c]`` are the two carrier words (2, L_R) of class c,
+    the first starting at carrier 0, and ``index[i, j]`` is the class of
+    codewords i and j; class 0, a word and itself, holds the diagonal.
+    ``table`` (M^2, M^2) holds that four-term sum for every two carrier
+    pairs: ``table[x M + y, u M + v]`` = G[x, u] - G[x, v] - G[y, u] + G[y, v],
+    so K[l, q] = ``table[r_l, r_q]`` with r_l = a_l M + b_l.
     """
 
-    gram: np.ndarray
+    table: np.ndarray
     words: np.ndarray
     index: np.ndarray
 
@@ -266,20 +273,32 @@ class PairClasses:
         and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
         reals of each class's K with L_R^2 reals of each map's P.
         """
-        a, b = self.words[block, 0], self.words[block, 1]
-        g = self.gram
-        k = g[a[:, :, None], a[:, None, :]] - g[a[:, :, None], b[:, None, :]]
-        k -= g[b[:, :, None], a[:, None, :]]
-        k += g[b[:, :, None], b[:, None, :]]
-        maps = np.asarray(maps)
-        p = np.einsum("dcl,dcq->dlq", maps.conj(), maps)
-        dist = _hermitian_parts(k) @ _hermitian_parts(p, 2.0).T
+        return self._distances(_map_features(maps), block)
+
+    def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
+        # each of a class's L_R^2 reals (K's diagonal, then the real and the
+        # imaginary parts of its upper triangle) is one entry of ``table``,
+        # read as interleaved real and imaginary parts: one gather a block
+        pairs = len(self.table)
+        words = self.words[block].astype(np.intp)
+        rows = words[:, 0] * math.isqrt(pairs) + words[:, 1]
+        i, j = np.triu_indices(rows.shape[1], 1)
+        upper = 2 * (rows[:, i] * pairs + rows[:, j])
+        at = np.concatenate([2 * (pairs + 1) * rows, upper, upper + 1], axis=1)
+        dist = self.table.reshape(-1).view(np.float64)[at] @ map_features.T
         return np.maximum(dist, 0.0, out=dist)
 
     def meds(self, maps: np.ndarray, member_sets: Sequence[Sequence[int]]) -> np.ndarray:
-        """MED of each set of distinct codewords under each row map, one row per set."""
+        """MED of each set of distinct codewords under each row map, one row per set.
+
+        The maps' features are formed once; the classes' a block at a time.
+        """
+        map_features = _map_features(maps)
         return _set_minima(
-            self.index, len(self.words), lambda block: self.distances(maps, block), member_sets
+            self.index,
+            len(self.words),
+            lambda block: self._distances(map_features, block),
+            member_sets,
         )
 
 
@@ -303,7 +322,9 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     kind = np.min_scalar_type(2 * m - 2)  # a carrier plus an offset
     shapes, offset = shapes.astype(kind), offset.astype(kind)
     words = np.stack([shapes[pair // count], (shapes[pair % count] + offset[:, None]) % m], axis=1)
-    return PairClasses(gram=waveforms @ waveforms.conj().T, words=words, index=index)
+    g = waveforms @ waveforms.conj().T
+    table = g[:, None, :, None] - g[:, None, None, :] - g[None, :, :, None] + g[None, :, None, :]
+    return PairClasses(table=table.reshape(m * m, m * m), words=words, index=index)
 
 
 def _beyond(dtype: np.dtype):

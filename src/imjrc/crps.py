@@ -45,10 +45,13 @@ from .params import DerivedParams, SystemParams
 
 SHORTLIST_RTOL = 1e-9
 """Through a design channel, the candidates whose MED from the pair classes
-is within this fraction of a member set's best are scored again on the
-codeword matrices, and the set's factor is selected from those scores.  The
-two scores differ by rounding alone, on the default scenario by under 3e-14
-of a set's best MED."""
+is within this fraction of a member set's best are that set's shortlist,
+and the set's factor is selected from it alone.  The shortlist is scored
+again on the codeword matrices, unless it holds one candidate and no
+scheme reports the set's MED (the full table of crps_then_codebook); that
+candidate then wins without a rescore.  The two scores differ by rounding
+alone, on the default scenario by under 3e-14 of a set's best MED, so a
+candidate off the shortlist cannot win."""
 
 
 @dataclass
@@ -97,19 +100,18 @@ def generate_tps(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.nd
 
     Random entries are i.i.d. circularly-symmetric complex Gaussian,
     rescaled so each vector satisfies sum_l |alpha_l|^2 = L_R (the identity
-    meets this by construction, so total transmit power is preserved).
+    meets this by construction, so total transmit power is preserved).  The
+    normals of all random vectors come from one draw, in candidate order,
+    real parts before imaginary parts.
     """
     if d_count < 1:
         raise ValueError(f"candidate count must be >= 1, got {d_count}")
     if l_r < 1:
         raise ValueError(f"L_R must be >= 1, got {l_r}")
-    candidates = [np.ones(l_r, dtype=complex)]
-    for _ in range(d_count - 1):
-        z = rng.standard_normal((2, l_r))
-        alpha = (z[0] + 1j * z[1]) / np.sqrt(2.0)
-        power = np.sum(np.abs(alpha) ** 2)
-        candidates.append(alpha * np.sqrt(l_r / power))
-    return candidates
+    z = rng.standard_normal((d_count - 1, 2, l_r))
+    alpha = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
+    power = np.sum(np.abs(alpha) ** 2, axis=1, keepdims=True)
+    return [np.ones(l_r, dtype=complex), *(alpha * np.sqrt(l_r / power))]
 
 
 def apply_tps(mats: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -138,7 +140,7 @@ def candidate_meds(
     next, which made the design time grow with D.  A set's MED is the
     minimum over its pairs i < j, the triangle ``distance_matrix`` keeps.
     Through a design channel :func:`build_schemes` ranks the pool by pair
-    classes and scores here only the near-best.
+    classes and scores here each member set alone, on its own shortlist.
     """
     mats = np.asarray(mats)
     # each set's rows as indexing resolves them, so "clip" below clips none
@@ -232,8 +234,12 @@ def design_bytes(
     Before those, a scheme that selects a factor through a channel holds the
     pair-class pass: the synthesised codewords, six n x n arrays (the pairs'
     codes, the sort that numbers them, and their class index), and one
-    block of :data:`_CLASS_BLOCK` classes of 6 L_R^2 + 2 D entries each
-    (a class's K, its features, and its distances under the D candidates).
+    block of :data:`_CLASS_BLOCK` classes: a class's carrier-pair rows, the
+    positions its L_R^2 features are gathered from, the features and its
+    distances under the D candidates, about 3 L_R^2 + D entries.  The
+    estimate keeps 6 L_R^2 + 2 D entries a class, what a block held when
+    each K was gathered from the waveform Gram, so the budget admits the
+    tables it did.
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
@@ -259,8 +265,10 @@ def build_schemes(
     with one, from the codeword matrices after the channel (detection is
     unaffected), except that candidates are ranked by pair classes
     (:func:`pair_classes`) and only those within :data:`SHORTLIST_RTOL` of a
-    set's best are rescored on the matrices.  All schemes score one
-    candidate pool, drawn from a substream of the master seed.  A
+    set's best are rescored on the matrices, each set on its own shortlist;
+    a shortlist of one candidate is not rescored when no scheme reports the
+    set's MED, which the recipes, not the set's ids, decide.  All schemes
+    score one candidate pool, drawn from a substream of the master seed.  A
     codebook's MED is the one its last design stage measured.  Every budget
     is checked before any work.
     """
@@ -284,27 +292,33 @@ def build_schemes(
 
     # among the first ``rows`` codewords: every pair's distance under a
     # factor, as a matrix of ranks and the distances they rank (through a
-    # channel, of distances and None), and each member set's MED under each
-    # candidate
+    # channel, of distances and None), and the MED of each member set of
+    # ``reported`` under each candidate
     if design_channel is None:
         patterns = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
-        scores = patterns.meds
+
+        def scores(candidates, reported):
+            return patterns.meds(candidates, list(reported))
 
         def matrix(alpha):
             return patterns.ranks(np.ones(params.L_R) if alpha is None else alpha)
     else:
         mats = table.codewords(range(rows))
 
-        def scores(candidates, sets):
-            # candidates off every shortlist score -inf: _best picks an exact score
+        def scores(candidates, reported):
+            # candidates off a set's shortlist score -inf, so _best picks from
+            # the shortlist; a lone candidate whose MED is not reported wins
+            # on its rough score
             maps = [design_channel * table.coefficients(alpha) for alpha in candidates]
-            rough = pair_classes(table.carriers[:rows], table.waveforms).meds(maps, sets)
+            rough = pair_classes(table.carriers[:rows], table.waveforms).meds(maps, list(reported))
             near = rough >= (1.0 - SHORTLIST_RTOL) * rough.max(axis=1, keepdims=True)
-            shortlist = np.flatnonzero(near.any(axis=0))
-            meds = np.full_like(rough, -np.inf)
-            meds[:, shortlist] = candidate_meds(
-                [candidates[d] for d in shortlist], mats, sets, channel=design_channel
-            )
+            meds = np.where(near, rough, -np.inf)
+            for (ids, read), row, mask in zip(reported.items(), meds, near):
+                shortlist = np.flatnonzero(mask)
+                if read or shortlist.size > 1:
+                    row[shortlist] = candidate_meds(
+                        [candidates[d] for d in shortlist], mats, [ids], channel=design_channel
+                    )[0]
             return meds
 
         def matrix(alpha):
@@ -323,17 +337,16 @@ def build_schemes(
             pruned[0], _ = greedy_prune(dist, n_valid, values)
         del dist
 
-    # each member set a CRPS scheme selects its factor over, scored once
-    selected_over = list(
-        dict.fromkeys(
-            every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
-            for r in recipes
-            if r.crps is not None
-        )
-    )
-    if selected_over:
+    # each member set a CRPS scheme selects its factor over, scored once, and
+    # whether a scheme reports the selected factor's MED on it
+    reported: dict[tuple[int, ...], bool] = {}
+    for r in recipes:
+        if r.crps is not None:
+            ids = every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
+            reported[ids] = reported.get(ids, False) or r.crps == "after"
+    if reported:
         candidates = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
-        scored = dict(zip(selected_over, scores(candidates, selected_over)))
+        scored = dict(zip(reported, scores(candidates, reported)))
 
     builds = []
     for scheme, recipe in zip(schemes, recipes):

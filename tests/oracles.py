@@ -3,7 +3,10 @@
 Each one computes a quantity the package computes in a faster or
 restructured form: one codeword from its definition, one received pulse
 ``Y = H X + N``, ML detection as a residual scan over every hypothesis,
-and each pair's row-difference code built one antenna row at a time.
+each pair's row-difference code built one antenna row at a time, each
+pair class's distance from four gathers of the waveform Gram, the union
+shortlist of channel-aware candidate scoring, and the candidate pool drawn
+one candidate at a time.
 """
 
 from __future__ import annotations
@@ -131,3 +134,67 @@ def pair_pattern_codes(carriers: np.ndarray, m: int, l_t: int) -> tuple[np.ndarr
         code *= code.dtype.type(base)
         code += np.take(level[c], c, axis=1)
     return levels, code
+
+
+def _hermitian_parts(h: np.ndarray, off_diagonal: float = 1.0) -> np.ndarray:
+    """L^2 reals of each Hermitian (.., L, L) matrix: its diagonal, then the
+    real and the imaginary parts of its upper triangle times ``off_diagonal``."""
+    i, j = np.triu_indices(h.shape[-1], 1)
+    upper = off_diagonal * h[..., i, j]
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
+
+
+def class_distances(
+    words: np.ndarray, waveforms: np.ndarray, maps: Sequence[np.ndarray], block: slice = slice(None)
+) -> np.ndarray:
+    """Distance of each pair class in ``block`` under each row map, (classes, maps), at least zero.
+
+    Each class's K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q]
+    is gathered from the Gram G = W W^H of the waveforms, four (classes, L_R,
+    L_R) gathers, and its L_R^2 reals meet those of each P = B^H B in one product.
+    """
+    a, b = words[block, 0], words[block, 1]
+    g = waveforms @ waveforms.conj().T
+    k = g[a[:, :, None], a[:, None, :]] - g[a[:, :, None], b[:, None, :]]
+    k -= g[b[:, :, None], a[:, None, :]]
+    k += g[b[:, :, None], b[:, None, :]]
+    maps = np.asarray(maps)
+    p = np.einsum("dcl,dcq->dlq", maps.conj(), maps)
+    dist = _hermitian_parts(k) @ _hermitian_parts(p, 2.0).T
+    return np.maximum(dist, 0.0, out=dist)
+
+
+def tps_pool(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The identity, then d_count - 1 random power-normalised factors, one draw each."""
+    candidates = [np.ones(l_r, dtype=complex)]
+    for _ in range(d_count - 1):
+        z = rng.standard_normal((2, l_r))
+        alpha = (z[0] + 1j * z[1]) / np.sqrt(2.0)
+        power = np.sum(np.abs(alpha) ** 2)
+        candidates.append(alpha * np.sqrt(l_r / power))
+    return candidates
+
+
+def union_shortlist_meds(
+    rough: np.ndarray,
+    candidates: Sequence[np.ndarray],
+    mats: np.ndarray,
+    member_sets: Sequence[Sequence[int]],
+    channel: np.ndarray,
+    rtol: float,
+) -> np.ndarray:
+    """Each set's exact MED under the union of every set's shortlist, -inf off it.
+
+    ``rough`` are the sets' MEDs from the pair classes; a set's shortlist
+    is the candidates within ``rtol`` of its best, and every set is scored
+    on the matrices under every candidate of any shortlist.
+    """
+    from imjrc.crps import candidate_meds
+
+    near = rough >= (1.0 - rtol) * rough.max(axis=1, keepdims=True)
+    shortlist = np.flatnonzero(near.any(axis=0))
+    meds = np.full_like(rough, -np.inf)
+    meds[:, shortlist] = candidate_meds(
+        [candidates[d] for d in shortlist], mats, member_sets, channel=channel
+    )
+    return meds

@@ -415,6 +415,28 @@ def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
     assert sizes == {"pair_patterns": [420], "distance_matrix": [], "greedy_prune": [420]}
 
 
+def test_channel_aware_run_rescores_only_reported_meds(monkeypatch):
+    # through the design channel each member set is rescored on its own
+    # shortlist: crps_then_codebook's full table has one near candidate and
+    # reports no scored MED, so only the two sets whose MEDs are reported
+    # reach the matrices, with one candidate each
+    calls = []
+    original = crps.candidate_meds
+
+    def counted(candidates, mats, member_sets, *args, **kwargs):
+        calls.append((len(candidates), [tuple(ids) for ids in member_sets]))
+        return original(candidates, mats, member_sets, *args, **kwargs)
+
+    monkeypatch.setattr(crps, "candidate_meds", counted)
+    result = execute_run(
+        RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8, channel_aware_med=True)
+    )
+    reported = [
+        result.builds[s.value].codebook.member_ids for s in (Scheme.CRPS_ONLY, Scheme.CODEBOOK_THEN_CRPS)
+    ]
+    assert sorted(calls) == sorted((1, [ids]) for ids in reported)
+
+
 def test_design_does_not_depend_on_the_blas_thread_count(tmp_path):
     # without a design channel every design distance is exact arithmetic on
     # carrier words, so the BLAS cannot move a tie and with it a codebook

@@ -23,7 +23,7 @@ from imjrc.codebook import (
 from imjrc.crps import apply_tps, generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
-from oracles import pair_pattern_codes
+from oracles import class_distances, pair_pattern_codes
 
 
 def _points_to_dist(points):
@@ -272,6 +272,30 @@ class TestPairClasses:
             pairs = classes.index[np.ix_(ids, ids)][np.triu_indices(len(ids), 1)]
             np.testing.assert_allclose(got, dist[pairs].min(axis=0), rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("block", [7, 2048])
+    @pytest.mark.parametrize(
+        "table_name,rows", [("small_table", None), ("default_table", None), ("design_large_table", 1024)]
+    )
+    def test_carrier_table_matches_four_gathers(self, table_name, rows, block, request):
+        # each class's features are gathered from the one carrier-pair table;
+        # the distances are those of four gathers of the waveform Gram, bit
+        # for bit (234,220 classes on the first 1,024 rows of M=8, L_R=8)
+        table = request.getfixturevalue(table_name)
+        params = table.params
+        classes = pair_classes(table.carriers[:rows], table.waveforms)
+        assert classes.table.shape == (params.M**2, params.M**2)
+        h = draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
+        alpha = generate_tps(2, params.L_R, np.random.default_rng(24))[1]
+        maps = [h * table.coefficients(a) for a in (np.ones(params.L_R), alpha)]
+        count = len(classes.words)
+        # every block (every 64th block of 7 on the largest table) and the
+        # last, ragged one
+        step = block * (64 if block == 7 and count > 50_000 else 1)
+        for start in [*range(0, count, step), count - count % block]:
+            part = slice(start, start + block)
+            got = classes.distances(maps, part)
+            assert got.tobytes() == class_distances(classes.words, table.waveforms, maps, part).tobytes()
+
     @pytest.mark.parametrize("m,l_r", [(12, 8), (16, 9)])
     def test_codes_do_not_overflow(self, m, l_r):
         # as 2 L_R - 1 base-M digits, a pair's code would span 12^15 < 2^63
@@ -287,6 +311,17 @@ class TestPairClasses:
         for c, (key,) in keys.items():
             a, b = classes.words[c]
             assert a[0] == 0 and _class_key(a, b, m) == key
+
+
+def test_set_scores_need_two_members(small_table):
+    # a set of one codeword has no pair; both class scorings refuse it as
+    # candidate_meds does, rather than fail on an index
+    patterns = pair_patterns(small_table.carriers, small_table.params.M, small_table.derived.L_T)
+    classes = pair_classes(small_table.carriers, small_table.waveforms)
+    h = draw_channel(2, 4, substream(99, TAG_DESIGN_CHANNEL))
+    for score, factor in ((patterns.meds, np.ones(4)), (classes.meds, h)):
+        with pytest.raises(ValueError, match="needs at least two members"):
+            score([factor], [range(4), [3]])
 
 
 class TestMed:

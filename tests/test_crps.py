@@ -24,6 +24,7 @@ from imjrc.crps import (
 )
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
+from oracles import tps_pool, union_shortlist_meds
 
 
 def _random_mats(rng, n, l_r, l_t):
@@ -56,6 +57,15 @@ class TestGenerateTps:
         b = generate_tps(10, 4, substream(1234, TAG_TPS))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("seed", [0, 1729, 31337])
+    @pytest.mark.parametrize("l_r", [1, 3, 6, 8])
+    @pytest.mark.parametrize("d_count", [1, 2, 100])
+    def test_one_draw_equals_one_draw_per_candidate(self, d_count, l_r, seed):
+        pool = generate_tps(d_count, l_r, np.random.default_rng(seed))
+        expect = tps_pool(d_count, l_r, np.random.default_rng(seed))
+        assert [a.shape for a in pool] == [a.shape for a in expect]
+        assert [a.tobytes() for a in pool] == [a.tobytes() for a in expect]
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -514,6 +524,65 @@ class TestShortlist:
         gap = np.abs(rough - exact).max(axis=1) / exact.max(axis=1)
         assert np.all(gap * 1000 <= crps.SHORTLIST_RTOL)
 
+    @pytest.mark.parametrize("seed", [1729, 2718, 4242, 7, 31337])
+    def test_own_shortlists_select_as_the_union(self, seed, default_table):
+        # each set rescored on its own shortlist, or not at all, selects the
+        # factor and reports the MED that rescoring every set on the union
+        # of the shortlists does, for the five schemes together and alone
+        table = dataclasses.replace(
+            default_table, params=dataclasses.replace(default_table.params, master_seed=seed)
+        )
+        params, every = table.params, tuple(range(len(table)))
+        h = _design_channel(params)
+        mats = table.codewords(every)
+        pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
+        classes = pair_classes(table.carriers, table.waveforms)
+        maps = [h * table.coefficients(alpha) for alpha in pool]
+        together = build_schemes(list(Scheme), table, design_channel=h)
+        alone = [build_scheme(scheme, table, design_channel=h) for scheme in Scheme]
+        for builds, grouped in ((together, True), (alone, False)):
+            scaled = [b for b in builds if b.tps is not None]
+            sets = [every if b.scheme is Scheme.CRPS_THEN_CODEBOOK else b.codebook.member_ids for b in scaled]
+            picked = {}
+            for group in [list(dict.fromkeys(sets))] if grouped else [[ids] for ids in sets]:
+                union = union_shortlist_meds(
+                    classes.meds(maps, group), pool, mats, group, h, crps.SHORTLIST_RTOL
+                )
+                picked.update((ids, crps._best(pool, meds)) for ids, meds in zip(group, union))
+            assert len(scaled) == 3
+            for build, ids in zip(scaled, sets):
+                tps, best = picked[ids]
+                assert build.tps.d_index == tps.d_index
+                if build.scheme is not Scheme.CRPS_THEN_CODEBOOK:
+                    assert repr(build.codebook.med) == repr(best)
+
+    def test_a_reported_full_table_med_is_rescored(self, monkeypatch):
+        # with no eliminations the full table is also crps_only's member
+        # set: its MED is reported, so it is rescored on the matrices even
+        # when crps_then_codebook selects over it too
+        params = SystemParams(M=8, K=1, L_R=4, L_C=2, D=16, master_seed=5)
+        table = build_table(params, derive(params))
+        assert table.derived.Q == 0
+        h = _design_channel(params)
+        pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
+        mats = table.codewords(range(len(table)))
+        tps, best = crps._best(pool, candidate_meds(pool, mats, [range(len(table))], channel=h)[0])
+        scored = []
+
+        def scoring(candidates, *args, **kwargs):
+            scored.append(len(candidates))
+            return candidate_meds(candidates, *args, **kwargs)
+
+        monkeypatch.setattr(crps, "candidate_meds", scoring)
+        both = [Scheme.CRPS_THEN_CODEBOOK, Scheme.CRPS_ONLY]
+        for schemes in (both, both[::-1]):
+            scored.clear()
+            builds = {b.scheme: b for b in build_schemes(schemes, table, design_channel=h)}
+            assert len(scored) == 1
+            only = builds[Scheme.CRPS_ONLY]
+            assert (only.tps.d_index, repr(only.codebook.med)) == (tps.d_index, repr(best))
+            assert builds[Scheme.CRPS_THEN_CODEBOOK].tps.d_index == tps.d_index
+
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
     def test_ties_go_to_the_smallest_index(self, table_name, request, monkeypatch):
         # the identity repeated at index 1 and each selected candidate again
@@ -533,8 +602,9 @@ class TestShortlist:
         monkeypatch.setattr(crps, "generate_tps", lambda *args: tied)
         monkeypatch.setattr(crps, "candidate_meds", scoring)
         builds = build_schemes(list(Scheme), table, design_channel=h)
-        # the pool is ranked by pair classes: only the shortlist is scored here
-        assert len(scored) == 1 and scored[0] >= 2
+        # the pool is ranked by pair classes: each of the three member sets
+        # is rescored here on its own shortlist, which the ties make two long
+        assert len(scored) == 3 and min(scored) >= 2
         for build, alone in zip(builds, plain):
             expect = _fingerprint(alone)
             if alone.tps is not None and alone.tps.d_index:
