@@ -9,9 +9,8 @@ rates of ML detection over Rayleigh fading.
 
 __version__ = "0.1.0"
 
-from .codebook import Codebook, distance_matrix, greedy_prune, med
-from .crps import Scheme, SchemeBuild, TpsFactor, apply_tps, build_scheme, build_schemes
-from .crps import generate_tps, select_tps
+from .codebook import Codebook, greedy_prune, med
+from .crps import Scheme, SchemeBuild, TpsFactor, build_scheme, build_schemes, generate_tps
 from .enumeration import CodewordTable, build_table
 from .params import DerivedParams, SystemParams, derive
 from .sim import BerRecord, GainReport, measure_gain, run_ber
@@ -26,16 +25,13 @@ __all__ = [
     "SchemeBuild",
     "SystemParams",
     "TpsFactor",
-    "apply_tps",
     "build_scheme",
     "build_schemes",
     "build_table",
     "derive",
-    "distance_matrix",
     "generate_tps",
     "greedy_prune",
     "measure_gain",
     "med",
     "run_ber",
-    "select_tps",
 ]

@@ -1,15 +1,14 @@
 """Pairwise distances and greedy worst-codeword elimination.
 
-All distances are squared Frobenius distances between codeword matrices.
-Without a channel they follow from carrier words alone
-(:func:`pair_patterns`), exactly, and pruning reads them as ranks
-(:meth:`PairPatterns.ranks`); through a channel they are taken from
-the matrices (:func:`distance_matrix`) or, to score many row factors at
-once, from classes of pairs (:func:`pair_classes`).  The design
-objective everywhere is the minimum pairwise distance (MED) of a member
-set; the greedy pass below removes, one at a time, whichever endpoint of
-the current closest pair is easier to separate from the rest, until only
-the target count survives.
+All distances are squared Frobenius distances between codeword matrices,
+taken from carrier words alone: without a channel from each pair's
+row-difference pattern (:func:`pair_patterns`), exactly, and through a
+channel from each pair's class (:func:`pair_classes`).  Pruning reads
+either as ranks (:meth:`PairPatterns.ranks`, :meth:`PairClasses.ranks`),
+and no codeword matrix is formed.  The design objective everywhere is the
+minimum pairwise distance (MED) of a member set; the greedy pass below
+removes, one at a time, whichever endpoint of the current closest pair is
+easier to separate from the rest, until only the target count survives.
 """
 
 from __future__ import annotations
@@ -36,54 +35,10 @@ class Codebook:
     provenance: str
 
 
-def _gram_distances(
-    flat: np.ndarray,
-    out: np.ndarray | None = None,
-    gram: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared distances between the rows of ``flat``, clamped at zero.
-
-    Uses the Gram identity ||u - v||^2 = ||u||^2 + ||v||^2 - 2 Re<u, v>,
-    one matmul for all pairs; rounding can leave tiny negatives, which the
-    clamp removes.  ``out`` (n x n, float) and ``gram`` (n x n, the dtype
-    of ``flat``), when given, are filled instead of allocated, so a caller
-    that scores many matrices of one size reuses the same memory.
-    """
-    conj = flat.conj()
-    sq = np.einsum("nt,nt->n", flat, conj).real
-    gram = np.matmul(flat, conj.T, out=gram)
-    dist = np.add(sq[:, None], sq[None, :], out=out)
-    twice = gram.real
-    twice *= 2.0
-    dist -= twice
-    return np.maximum(dist, 0.0, out=dist)
-
-
-def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.ndarray:
-    """All-pairs squared Frobenius distances between codeword matrices.
-
-    Parameters
-    ----------
-    mats : (n, L_R, L_T) complex array of codewords.  To measure distances
-        after pre-scaling, pass the scaled matrices.
-    channel : optional (L_C, L_R) matrix; distances are computed between
-        channel @ mats[i] instead of the codewords themselves.
-
-    The result is exactly symmetric with a zero diagonal and no negative
-    entries.
-    """
-    mats = np.asarray(mats)
-    if mats.ndim != 3:
-        raise ValueError(f"expected (n, L_R, L_T) matrices, got shape {mats.shape}")
-    if channel is not None:
-        mats = np.einsum("cr,nrt->nct", channel, mats)
-    dist = np.triu(_gram_distances(mats.reshape(mats.shape[0], -1)), 1)
-    return dist + dist.T
-
-
 _CLASS_BLOCK = 2048
-"""Classes whose distances under every factor are held at once while the
-minimum over each member set's classes is taken."""
+"""Classes whose distances are held at once: under every factor while the
+minimum over each member set's classes is taken, or under one row map
+while they are ranked."""
 
 
 def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +230,25 @@ class PairClasses:
         """
         return self._distances(_map_features(maps), block)
 
-    def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
+    def ranks(self, map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """All-pairs distances under one row map as ranks, and the distances they rank.
+
+        A class's distance is the sum of its L_R^2 feature products in the
+        order of :meth:`distances`, added one feature at a time over a block
+        of :data:`_CLASS_BLOCK` classes.  No BLAS product takes part: its
+        rounding of a class can follow the thread count and the class's place
+        in the product, and a tie with it.  The distances agree with
+        ``distances([map])`` to rounding.  See :func:`_ranked`.
+        """
+        (weights,) = _map_features([map])
+        dist = np.zeros(len(self.words))
+        for start in range(0, dist.size, _CLASS_BLOCK):
+            block = slice(start, start + _CLASS_BLOCK)
+            for column, weight in zip(self._features(block).T, weights):
+                dist[block] += column * weight
+        return _ranked(np.maximum(dist, 0.0, out=dist), self.index)
+
+    def _features(self, block: slice) -> np.ndarray:
         # each of a class's L_R^2 reals (K's diagonal, then the real and the
         # imaginary parts of its upper triangle) is one entry of ``table``,
         # read as interleaved real and imaginary parts: one gather a block
@@ -285,7 +258,10 @@ class PairClasses:
         i, j = np.triu_indices(rows.shape[1], 1)
         upper = 2 * (rows[:, i] * pairs + rows[:, j])
         at = np.concatenate([2 * (pairs + 1) * rows, upper, upper + 1], axis=1)
-        dist = self.table.reshape(-1).view(np.float64)[at] @ map_features.T
+        return self.table.reshape(-1).view(np.float64)[at]
+
+    def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
+        dist = self._features(block) @ map_features.T
         return np.maximum(dist, 0.0, out=dist)
 
     def meds(self, maps: np.ndarray, member_sets: Sequence[Sequence[int]]) -> np.ndarray:

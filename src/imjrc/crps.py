@@ -30,29 +30,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import (
-    _CLASS_BLOCK,
-    Codebook,
-    _gram_distances,
-    distance_matrix,
-    greedy_prune,
-    med,
-    pair_classes,
-    pair_patterns,
-)
+from .codebook import _CLASS_BLOCK, Codebook, greedy_prune, med, pair_classes, pair_patterns
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import DerivedParams, SystemParams
-
-SHORTLIST_RTOL = 1e-9
-"""Through a design channel, the candidates whose MED from the pair classes
-is within this fraction of a member set's best are that set's shortlist,
-and the set's factor is selected from it alone.  The shortlist is scored
-again on the codeword matrices, unless it holds one candidate and no
-scheme reports the set's MED (the full table of crps_then_codebook); that
-candidate then wins without a rescore.  The two scores differ by rounding
-alone, on the default scenario by under 3e-14 of a set's best MED, so a
-candidate off the shortlist cannot win."""
-
 
 @dataclass
 class TpsFactor:
@@ -87,7 +67,7 @@ class SchemeBuild:
     def member_matrices(self) -> np.ndarray:
         """Each rank's transmitted codeword, pre-scaled; computed on each access."""
         mats = self.table.codewords(self.codebook.member_ids)
-        return mats if self.alpha is None else apply_tps(mats, self.alpha)
+        return mats if self.alpha is None else mats * self.alpha[:, None]
 
 
 def _alpha(tps: TpsFactor | None) -> np.ndarray | None:
@@ -114,82 +94,10 @@ def generate_tps(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.nd
     return [np.ones(l_r, dtype=complex), *(alpha * np.sqrt(l_r / power))]
 
 
-def apply_tps(mats: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Scale antenna row l of each codeword by alpha[l]."""
-    mats = np.asarray(mats)
-    alpha = np.asarray(alpha)
-    if mats.shape[-2] != alpha.shape[0]:
-        raise ValueError(
-            f"alpha length {alpha.shape[0]} does not match row count {mats.shape[-2]}"
-        )
-    return mats * alpha.reshape((1,) * (mats.ndim - 2) + (-1, 1))
-
-
-def candidate_meds(
-    candidates: list[np.ndarray],
-    mats: np.ndarray,
-    member_sets: Sequence[Sequence[int]],
-    channel: np.ndarray | None = None,
-) -> np.ndarray:
-    """MED of each member set (sorted rows of ``mats``) under each candidate.
-
-    Each set is scored on its own rows alone: each candidate repeats the
-    operations of ``distance_matrix`` (through ``channel`` when given) in
-    buffers allocated once per call, since an n x n block freed per
-    candidate is handed back to the system and faulted in again by the
-    next, which made the design time grow with D.  A set's MED is the
-    minimum over its pairs i < j, the triangle ``distance_matrix`` keeps.
-    Through a design channel :func:`build_schemes` ranks the pool by pair
-    classes and scores here each member set alone, on its own shortlist.
-    """
-    mats = np.asarray(mats)
-    # each set's rows as indexing resolves them, so "clip" below clips none
-    sets = [np.arange(len(mats))[np.asarray(ids, dtype=np.intp)] for ids in member_sets]
-    if any(ids.size < 2 for ids in sets):
-        raise ValueError("candidate scoring needs at least two members")
-    if not candidates:
-        raise ValueError("candidate pool is empty")
-    most = max((ids.size for ids in sets), default=0)
-    scaled = np.empty((most, *mats.shape[1:]), dtype=np.result_type(mats, *candidates))
-    images = scaled
-    if channel is not None:
-        images = np.empty((most, channel.shape[0], mats.shape[2]), dtype=np.result_type(channel, scaled))
-    gram = np.empty(most * most, dtype=images.dtype)
-    dist = np.empty(most * most)
-    meds = np.empty((len(sets), len(candidates)))
-    for s, ids in enumerate(sets):
-        n = ids.size
-        rows, image, square = scaled[:n], images[:n], dist[: n * n].reshape(n, n)
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        for d, alpha in enumerate(candidates):
-            # "clip" lets take write into rows without a buffer of its size
-            np.take(mats, ids, axis=0, out=rows, mode="clip")
-            rows *= np.asarray(alpha).reshape(1, -1, 1)
-            if channel is not None:
-                np.einsum("cr,nrt->nct", channel, rows, out=image)
-            _gram_distances(image.reshape(n, -1), out=square, gram=gram[: n * n].reshape(n, n))
-            meds[s, d] = np.min(square, where=upper, initial=np.inf)
-    return meds
-
-
 def _best(candidates: list[np.ndarray], meds: np.ndarray) -> tuple[TpsFactor, float]:
     """The candidate of largest MED; ties go to the smallest index."""
     best = int(np.argmax(meds))
     return TpsFactor(alpha=candidates[best], d_index=best), float(meds[best])
-
-
-def select_tps(
-    candidates: list[np.ndarray],
-    member_mats: np.ndarray,
-    channel: np.ndarray | None = None,
-) -> tuple[TpsFactor, float]:
-    """Pick the candidate maximizing the member-set MED.
-
-    Ties go to the smallest candidate index, so the identity (index 0)
-    wins over random candidates that merely match it.
-    """
-    every = np.arange(np.shape(member_mats)[0])
-    return _best(candidates, candidate_meds(candidates, member_mats, [every], channel=channel)[0])
 
 
 class _Recipe(NamedTuple):
@@ -227,29 +135,22 @@ def design_bytes(
     and a rank matrix and its pruning copy (one byte each on M=8, L_R=8).
     The estimate is still three n x n arrays of 8-byte entries, the float
     distance matrix, its pruning copy and the pattern index this path once
-    held, so the budget admits the tables it did.  Through a design ``channel``
-    it holds four (a distance matrix, a complex Gram and a pair mask) and
-    the exact rescore's and pruning's synthesised and scaled codewords,
-    their image and its conjugate, n x (2 L_R + 2 L_C) x L_T complex.
-    Before those, a scheme that selects a factor through a channel holds the
-    pair-class pass: the synthesised codewords, six n x n arrays (the pairs'
-    codes, the sort that numbers them, and their class index), and one
-    block of :data:`_CLASS_BLOCK` classes: a class's carrier-pair rows, the
-    positions its L_R^2 features are gathered from, the features and its
-    distances under the D candidates, about 3 L_R^2 + D entries.  The
-    estimate keeps 6 L_R^2 + 2 D entries a class, what a block held when
-    each K was gathered from the waveform Gram, so the budget admits the
-    tables it did.
+    held, so the budget admits the tables it did.  Through a design
+    ``channel`` the pair-class pass peaks at three n x n arrays of 8-byte
+    entries (the pairs' codes, their minimum with the transpose, and the
+    sort that numbers them: 24.0 bytes per pair under tracemalloc at n = 420,
+    720 and 1,960), and then holds the class index, the rank matrix and its
+    pruning copy, each of a smaller integer type.  One block of
+    :data:`_CLASS_BLOCK` classes comes on top: a class's carrier-pair rows,
+    the positions its L_R^2 features are gathered from, the features and its
+    distances, about 4.5 L_R^2 entries when one row map is ranked and
+    3 L_R^2 + 2 D when D candidates are scored; the estimate keeps
+    6 L_R^2 + 2 D entries a class.
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
-    if not channel:
-        return 8 * n * 3 * n
-    exact = n * (4 * n + 4 * derived.L_T * (params.L_R + params.L_C))
-    if recipe.crps is None:
-        return 8 * exact
-    block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D)
-    return 8 * max(exact, n * (6 * n + 2 * params.L_R * derived.L_T) + block)
+    block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D) if channel else 0
+    return 8 * (3 * n * n + block)
 
 
 def build_schemes(
@@ -260,17 +161,16 @@ def build_schemes(
     """Design each of ``schemes``, in the order given: its member set of ``table`` and factor.
 
     The schemes share their stages, each computed once, and each design
-    equals the one the scheme gets alone.  Without ``design_channel`` every
-    distance follows exactly from the carrier words (:func:`pair_patterns`);
-    with one, from the codeword matrices after the channel (detection is
-    unaffected), except that candidates are ranked by pair classes
-    (:func:`pair_classes`) and only those within :data:`SHORTLIST_RTOL` of a
-    set's best are rescored on the matrices, each set on its own shortlist;
-    a shortlist of one candidate is not rescored when no scheme reports the
-    set's MED, which the recipes, not the set's ids, decide.  All schemes
-    score one candidate pool, drawn from a substream of the master seed.  A
-    codebook's MED is the one its last design stage measured.  Every budget
-    is checked before any work.
+    equals the one the scheme gets alone.  Every distance follows from the
+    carrier words: without ``design_channel`` exactly, from each pair's
+    row-difference pattern (:func:`pair_patterns`); with one, from each
+    pair's class (:func:`pair_classes`) under the row map of the channel
+    times the scaled row coefficients (detection is unaffected).  Both kinds
+    of pairs score every candidate and give the ranks greedy pruning reads.
+    All schemes score one candidate pool, drawn from a substream of the
+    master seed, and each member set picks its best candidate from those
+    scores.  A codebook's MED is the one its last design stage measured.
+    Every budget is checked before any work.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
@@ -290,63 +190,41 @@ def build_schemes(
     every_id = tuple(range(derived.C_total))
     rows = derived.C_total if any(r.prune or r.crps == "before" for r in recipes) else n_valid
 
-    # among the first ``rows`` codewords: every pair's distance under a
-    # factor, as a matrix of ranks and the distances they rank (through a
-    # channel, of distances and None), and the MED of each member set of
-    # ``reported`` under each candidate
+    # the pairs of the first ``rows`` codewords, and what a factor is to
+    # them: a row factor to their patterns, a row map to their classes
     if design_channel is None:
-        patterns = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
+        pairs = pair_patterns(table.carriers[:rows], params.M, derived.L_T)
 
-        def scores(candidates, reported):
-            return patterns.meds(candidates, list(reported))
-
-        def matrix(alpha):
-            return patterns.ranks(np.ones(params.L_R) if alpha is None else alpha)
+        def factor(alpha):
+            return np.ones(params.L_R) if alpha is None else alpha
     else:
-        mats = table.codewords(range(rows))
+        pairs = pair_classes(table.carriers[:rows], table.waveforms)
 
-        def scores(candidates, reported):
-            # candidates off a set's shortlist score -inf, so _best picks from
-            # the shortlist; a lone candidate whose MED is not reported wins
-            # on its rough score
-            maps = [design_channel * table.coefficients(alpha) for alpha in candidates]
-            rough = pair_classes(table.carriers[:rows], table.waveforms).meds(maps, list(reported))
-            near = rough >= (1.0 - SHORTLIST_RTOL) * rough.max(axis=1, keepdims=True)
-            meds = np.where(near, rough, -np.inf)
-            for (ids, read), row, mask in zip(reported.items(), meds, near):
-                shortlist = np.flatnonzero(mask)
-                if read or shortlist.size > 1:
-                    row[shortlist] = candidate_meds(
-                        [candidates[d] for d in shortlist], mats, [ids], channel=design_channel
-                    )[0]
-            return meds
-
-        def matrix(alpha):
-            scaled = mats if alpha is None else apply_tps(mats, alpha)
-            return distance_matrix(scaled, channel=design_channel), None
+        def factor(alpha):
+            return design_channel * table.coefficients(alpha)
 
     baseline_med = None
     # greedy pruning of the table under each selected factor index
     pruned: dict[int, Codebook] = {}
     prune_unscaled = any(r.prune and r.crps != "before" for r in recipes)
     if prune_unscaled or Scheme.BASELINE in schemes:
-        dist, values = matrix(None)
+        dist, values = pairs.ranks(factor(None))
         if Scheme.BASELINE in schemes:
             baseline_med, _ = med(dist, baseline_ids, values)
         if prune_unscaled:
             pruned[0], _ = greedy_prune(dist, n_valid, values)
         del dist
 
-    # each member set a CRPS scheme selects its factor over, scored once, and
-    # whether a scheme reports the selected factor's MED on it
-    reported: dict[tuple[int, ...], bool] = {}
-    for r in recipes:
-        if r.crps is not None:
-            ids = every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
-            reported[ids] = reported.get(ids, False) or r.crps == "after"
-    if reported:
+    # each member set a CRPS scheme selects its factor over, scored once
+    sets = [
+        every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
+        for r in recipes
+        if r.crps is not None
+    ]
+    sets = list(dict.fromkeys(sets))
+    if sets:
         candidates = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
-        scored = dict(zip(reported, scores(candidates, reported)))
+        scored = dict(zip(sets, pairs.meds([factor(alpha) for alpha in candidates], sets)))
 
     builds = []
     for scheme, recipe in zip(schemes, recipes):
@@ -356,7 +234,7 @@ def build_schemes(
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
-                dist, values = matrix(_alpha(tps))
+                dist, values = pairs.ranks(factor(_alpha(tps)))
                 pruned[index], _ = greedy_prune(dist, n_valid, values)
             member_ids, book_med = pruned[index].member_ids, pruned[index].med
         if recipe.crps == "after":

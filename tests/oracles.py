@@ -3,10 +3,11 @@
 Each one computes a quantity the package computes in a faster or
 restructured form: one codeword from its definition, one received pulse
 ``Y = H X + N``, ML detection as a residual scan over every hypothesis,
-each pair's row-difference code built one antenna row at a time, each
-pair class's distance from four gathers of the waveform Gram, the union
-shortlist of channel-aware candidate scoring, and the candidate pool drawn
-one candidate at a time.
+every pair's distance from the codeword matrices, through a channel if
+given, and each candidate's MED from those, each pair's row-difference
+code built one antenna row at a time, each pair class's distance from four
+gathers of the waveform Gram, in one product or one feature at a time,
+and the candidate pool drawn one candidate at a time.
 """
 
 from __future__ import annotations
@@ -115,6 +116,39 @@ def detect(
     return DetectionResult(rank=rank, metric=float(metrics[rank]))
 
 
+def distance_matrix(mats: np.ndarray, channel: np.ndarray | None = None) -> np.ndarray:
+    """All-pairs squared Frobenius distances between codeword matrices (n, L_R, L_T).
+
+    Through ``channel`` (L_C, L_R) the distances are those of ``channel @ mats``.
+    From the Gram of the flattened matrices, ||u - v||^2 = ||u||^2 + ||v||^2
+    - 2 Re<u, v>, clamped at zero, its upper triangle mirrored: exactly
+    symmetric with a zero diagonal.
+    """
+    mats = np.asarray(mats)
+    if mats.ndim != 3:
+        raise ValueError(f"expected (n, L_R, L_T) matrices, got shape {mats.shape}")
+    flat = (mats if channel is None else channel @ mats).reshape(len(mats), -1)
+    sq = np.sum(np.abs(flat) ** 2, axis=1)
+    dist = np.triu(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (flat @ flat.conj().T).real, 0.0), 1)
+    return dist + dist.T
+
+
+def candidate_meds(
+    candidates: Sequence[np.ndarray],
+    mats: np.ndarray,
+    member_sets: Sequence[Sequence[int]],
+    channel: np.ndarray | None = None,
+) -> np.ndarray:
+    """MED of each member set (rows of ``mats``) under each row factor, one row per set."""
+    meds = np.empty((len(member_sets), len(candidates)))
+    for d, alpha in enumerate(candidates):
+        dist = distance_matrix(mats * np.asarray(alpha)[:, None], channel)
+        for s, ids in enumerate(member_sets):
+            ids = np.asarray(ids)
+            meds[s, d] = dist[np.ix_(ids, ids)][np.triu_indices(ids.size, 1)].min()
+    return meds
+
+
 def pair_pattern_codes(carriers: np.ndarray, m: int, l_t: int) -> tuple[np.ndarray, np.ndarray]:
     """The waveform distance levels and each pair's pattern code, one n x n gather per row.
 
@@ -144,23 +178,40 @@ def _hermitian_parts(h: np.ndarray, off_diagonal: float = 1.0) -> np.ndarray:
     return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
 
 
-def class_distances(
-    words: np.ndarray, waveforms: np.ndarray, maps: Sequence[np.ndarray], block: slice = slice(None)
-) -> np.ndarray:
-    """Distance of each pair class in ``block`` under each row map, (classes, maps), at least zero.
-
-    Each class's K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q]
-    is gathered from the Gram G = W W^H of the waveforms, four (classes, L_R,
-    L_R) gathers, and its L_R^2 reals meet those of each P = B^H B in one product.
-    """
+def _class_parts(words: np.ndarray, waveforms: np.ndarray, block: slice) -> np.ndarray:
+    """L_R^2 reals of each class's K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q],
+    gathered from the Gram G = W W^H of the waveforms, four (classes, L_R, L_R) gathers."""
     a, b = words[block, 0], words[block, 1]
     g = waveforms @ waveforms.conj().T
     k = g[a[:, :, None], a[:, None, :]] - g[a[:, :, None], b[:, None, :]]
     k -= g[b[:, :, None], a[:, None, :]]
     k += g[b[:, :, None], b[:, None, :]]
+    return _hermitian_parts(k)
+
+
+def _map_parts(maps: Sequence[np.ndarray]) -> np.ndarray:
+    """L_R^2 reals of each P = B^H B, off-diagonal parts twice, one row per row map B."""
     maps = np.asarray(maps)
-    p = np.einsum("dcl,dcq->dlq", maps.conj(), maps)
-    dist = _hermitian_parts(k) @ _hermitian_parts(p, 2.0).T
+    return _hermitian_parts(np.einsum("dcl,dcq->dlq", maps.conj(), maps), 2.0)
+
+
+def class_distances(
+    words: np.ndarray, waveforms: np.ndarray, maps: Sequence[np.ndarray], block: slice = slice(None)
+) -> np.ndarray:
+    """Distance of each pair class in ``block`` under each row map, (classes, maps), at least zero.
+
+    The L_R^2 reals of each class's K meet those of each P in one product.
+    """
+    dist = _class_parts(words, waveforms, block) @ _map_parts(maps).T
+    return np.maximum(dist, 0.0, out=dist)
+
+
+def class_distances_in_order(words: np.ndarray, waveforms: np.ndarray, row_map: np.ndarray) -> np.ndarray:
+    """Distance of each pair class under one row map, at least zero: its L_R^2
+    products with the map's reals added one at a time, in the order of the reals."""
+    dist = np.zeros(len(words))
+    for column, weight in zip(_class_parts(words, waveforms, slice(None)).T, _map_parts([row_map])[0]):
+        dist += column * weight
     return np.maximum(dist, 0.0, out=dist)
 
 
@@ -173,28 +224,3 @@ def tps_pool(d_count: int, l_r: int, rng: np.random.Generator) -> list[np.ndarra
         power = np.sum(np.abs(alpha) ** 2)
         candidates.append(alpha * np.sqrt(l_r / power))
     return candidates
-
-
-def union_shortlist_meds(
-    rough: np.ndarray,
-    candidates: Sequence[np.ndarray],
-    mats: np.ndarray,
-    member_sets: Sequence[Sequence[int]],
-    channel: np.ndarray,
-    rtol: float,
-) -> np.ndarray:
-    """Each set's exact MED under the union of every set's shortlist, -inf off it.
-
-    ``rough`` are the sets' MEDs from the pair classes; a set's shortlist
-    is the candidates within ``rtol`` of its best, and every set is scored
-    on the matrices under every candidate of any shortlist.
-    """
-    from imjrc.crps import candidate_meds
-
-    near = rough >= (1.0 - rtol) * rough.max(axis=1, keepdims=True)
-    shortlist = np.flatnonzero(near.any(axis=0))
-    meds = np.full_like(rough, -np.inf)
-    meds[:, shortlist] = candidate_meds(
-        [candidates[d] for d in shortlist], mats, member_sets, channel=channel
-    )
-    return meds

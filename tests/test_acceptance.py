@@ -24,12 +24,13 @@ from imjrc.cli import (
     reference_gain_lines,
     write_divergence_report,
 )
-from imjrc.codebook import distance_matrix, greedy_prune, med
-from imjrc.crps import Scheme, apply_tps, build_scheme, generate_tps, select_tps
+from imjrc.codebook import greedy_prune, med
+from imjrc.crps import Scheme, build_scheme, generate_tps
 from imjrc.detector import decide, gram_cache, noise_linear_terms
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import measure_gain, run_ber, snr_at_ber
+from oracles import distance_matrix
 
 PILOT_GRID = np.arange(-20.0, 8.1, 2.0)
 PILOT_PULSES = 2000
@@ -271,12 +272,13 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     )
     first_set = default_table.codewords(range(1 << default_derived.B))
     members = range(first_set.shape[0])
-    tps, best = select_tps(candidates, first_set)
+    crps_only = build_scheme(Scheme.CRPS_ONLY, default_table)
+    tps, best = crps_only.tps, crps_only.codebook.med
     identity_med, _ = med(distance_matrix(first_set), members)
     if best < identity_med * (1.0 - 1e-12):
         failures.append(f"(c) selected med {best:.6g} below identity med {identity_med:.6g}")
     exhaustive = max(
-        med(distance_matrix(apply_tps(first_set, alpha)), members)[0] for alpha in candidates
+        med(distance_matrix(first_set * alpha[:, None]), members)[0] for alpha in candidates
     )
     if not math.isclose(best, exhaustive, rel_tol=1e-9):
         failures.append(f"(c) selected med {best:.6g} != exhaustive max {exhaustive:.6g}")
@@ -286,8 +288,8 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     every = default_table.codewords(range(len(default_table)))
     for label, mats in (
         ("plain", every),
-        ("selected-tps", apply_tps(every, tps.alpha)),
-        ("random-tps", apply_tps(every, candidates[1])),
+        ("selected-tps", every * tps.alpha[:, None]),
+        ("random-tps", every * candidates[1][:, None]),
     ):
         norms = np.einsum("nrt,nrt->n", mats, mats.conj()).real
         if not np.allclose(norms, l_t, rtol=1e-9):

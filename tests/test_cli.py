@@ -401,8 +401,8 @@ def channel_aware_run():
 def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
     # the schemes share one set of pair patterns and its one pruning; on
     # the default scenario every selected factor is the identity, and no
-    # distance is taken through the codeword matrices
-    sizes = {"pair_patterns": [], "distance_matrix": [], "greedy_prune": []}
+    # distance is taken through a channel
+    sizes = {"pair_patterns": [], "pair_classes": [], "greedy_prune": []}
     for name, original in [(name, getattr(crps, name)) for name in sizes]:
 
         def counted(first, *args, _name=name, _original=original, **kwargs):
@@ -412,53 +412,34 @@ def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
         monkeypatch.setattr(crps, name, counted)
     result = execute_run(RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8))
     assert len(result.builds) == 5
-    assert sizes == {"pair_patterns": [420], "distance_matrix": [], "greedy_prune": [420]}
-
-
-def test_channel_aware_run_rescores_only_reported_meds(monkeypatch):
-    # through the design channel each member set is rescored on its own
-    # shortlist: crps_then_codebook's full table has one near candidate and
-    # reports no scored MED, so only the two sets whose MEDs are reported
-    # reach the matrices, with one candidate each
-    calls = []
-    original = crps.candidate_meds
-
-    def counted(candidates, mats, member_sets, *args, **kwargs):
-        calls.append((len(candidates), [tuple(ids) for ids in member_sets]))
-        return original(candidates, mats, member_sets, *args, **kwargs)
-
-    monkeypatch.setattr(crps, "candidate_meds", counted)
-    result = execute_run(
-        RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8, channel_aware_med=True)
-    )
-    reported = [
-        result.builds[s.value].codebook.member_ids for s in (Scheme.CRPS_ONLY, Scheme.CODEBOOK_THEN_CRPS)
-    ]
-    assert sorted(calls) == sorted((1, [ids]) for ids in reported)
+    assert sizes == {"pair_patterns": [420], "pair_classes": [], "greedy_prune": [420]}
 
 
 def test_design_does_not_depend_on_the_blas_thread_count(tmp_path):
     # without a design channel every design distance is exact arithmetic on
-    # carrier words, so the BLAS cannot move a tie and with it a codebook
-    outputs = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads_{threads}"
-        env = dict(
-            os.environ,
-            OPENBLAS_NUM_THREADS=threads,
-            PYTHONPATH=os.pathsep.join(
-                p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
-            ),
-        )
-        subprocess.run(
-            [sys.executable, "-m", "imjrc.cli", "design", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
-        )
-        outputs[threads] = {
-            p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith(("codebook_", "tps_"))
-        }
-    assert len(outputs["1"]) == 5 + 3  # a codebook per scheme, a factor per CRPS scheme
-    assert outputs["1"] == outputs["2"]
+    # carrier words; through one, pruning sums each pair class's products
+    # in a fixed order, and candidates are scored by one BLAS product per
+    # block of classes, whose entries must not follow the thread count
+    # either, or a tie and with it a codebook could move
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+        ),
+    )
+    for flags in ([], ["--channel-aware-med"]):
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}{''.join(flags)}"
+            subprocess.run(
+                [sys.executable, "-m", "imjrc.cli", "design", *flags, "--out", str(out)],
+                env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=300,
+            )
+            outputs[threads] = {
+                p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith(("codebook_", "tps_"))
+            }
+        assert len(outputs["1"]) == 5 + 3  # a codebook per scheme, a factor per CRPS scheme
+        assert outputs["1"] == outputs["2"], flags
 
 
 class TestSharedCodebooks:

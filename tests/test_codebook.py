@@ -11,19 +11,17 @@ from imjrc import codebook
 from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
-    _gram_distances,
     _ranked,
-    distance_matrix,
     export_codebook_csv,
     greedy_prune,
     med,
     pair_classes,
     pair_patterns,
 )
-from imjrc.crps import apply_tps, generate_tps
+from imjrc.crps import generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
-from oracles import class_distances, pair_pattern_codes
+from oracles import class_distances, class_distances_in_order, distance_matrix, pair_pattern_codes
 
 
 def _points_to_dist(points):
@@ -69,6 +67,8 @@ def _dense_greedy_prune(dist, target, ties=None):
 
 
 class TestDistanceMatrix:
+    """The reference distances the design's pair distances are checked against."""
+
     def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(7)
         mats = _random_mats(rng, 6, 3, 5)
@@ -102,17 +102,6 @@ class TestDistanceMatrix:
                 expect = np.sum(np.abs(h @ mats[i] - h @ mats[j]) ** 2)
                 assert dist[i, j] == pytest.approx(expect, rel=1e-9, abs=1e-9)
 
-
-    def test_gram_distances_fill_given_buffers_bit_equal(self):
-        # candidate scoring reuses its buffers across candidates; the filled
-        # result must be the allocating call's, bit for bit
-        rng = np.random.default_rng(14)
-        flat = _random_mats(rng, 9, 4, 7).reshape(9, -1)
-        out, gram = np.full((9, 9), np.nan), np.full((9, 9), np.nan, dtype=complex)
-        for _ in range(2):
-            got = _gram_distances(flat, out=out, gram=gram)
-            assert got is out
-            assert np.array_equal(got.view(np.uint64), _gram_distances(flat).view(np.uint64))
 
 
 def _patterns(table):
@@ -169,7 +158,7 @@ class TestPairPatterns:
             patterns = _patterns(table)
             for alpha in generate_tps(4, table.params.L_R, np.random.default_rng(16)):
                 dist = patterns.matrix(alpha)
-                expect = distance_matrix(apply_tps(table.codewords(range(len(table))), alpha))
+                expect = distance_matrix(table.codewords(range(len(table))) * alpha[:, None])
                 assert np.allclose(dist, expect, rtol=0.0, atol=1e-9)
 
     def test_small_table_distances_are_exact(self, small_table):
@@ -247,7 +236,7 @@ class TestPairClasses:
         assert np.all(np.bincount(index, minlength=len(classes.words))[1:] == 7)
         h = draw_channel(4, 6, substream(default_params.master_seed, TAG_DESIGN_CHANNEL))
         alpha = generate_tps(2, 6, np.random.default_rng(18))[1]
-        mats = apply_tps(default_table.codewords(range(n)), alpha)
+        mats = default_table.codewords(range(n)) * alpha[:, None]
         dist = distance_matrix(mats, channel=h)[upper]
         lo, hi = np.full(len(classes.words), np.inf), np.zeros(len(classes.words))
         np.minimum.at(lo, index, dist)
@@ -314,8 +303,8 @@ class TestPairClasses:
 
 
 def test_set_scores_need_two_members(small_table):
-    # a set of one codeword has no pair; both class scorings refuse it as
-    # candidate_meds does, rather than fail on an index
+    # a set of one codeword has no pair; both scorings refuse it rather
+    # than fail on an index
     patterns = pair_patterns(small_table.carriers, small_table.params.M, small_table.derived.L_T)
     classes = pair_classes(small_table.carriers, small_table.waveforms)
     h = draw_channel(2, 4, substream(99, TAG_DESIGN_CHANNEL))
@@ -532,6 +521,27 @@ class TestRanks:
             book, meds = greedy_prune(rank, 1 << design_large_table.derived.B, values)
             ref_book, ref_meds = greedy_prune(dist, 1 << design_large_table.derived.B)
             assert book == ref_book and np.array_equal(meds, ref_meds)
+
+    @pytest.mark.parametrize("block", [7, 2048])
+    @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
+    def test_class_ranks(self, table_name, block, request, monkeypatch):
+        # the pruning a design through a channel runs: each class distance
+        # a fixed-order sum whatever the blocks, so values[ranks] is the
+        # in-order oracle bit for bit, and the product's distances to rounding
+        monkeypatch.setattr(codebook, "_CLASS_BLOCK", block)
+        table = request.getfixturevalue(table_name)
+        params = table.params
+        classes = pair_classes(table.carriers, table.waveforms)
+        h = draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
+        for alpha in generate_tps(2, params.L_R, np.random.default_rng(25)):
+            row_map = h * table.coefficients(alpha)
+            rank, values = classes.ranks(row_map)
+            dist = values[rank]
+            expect = class_distances_in_order(classes.words, table.waveforms, row_map)[classes.index]
+            assert np.array_equal(dist.view(np.uint64), expect.view(np.uint64))
+            product = classes.distances([row_map])[:, 0][classes.index]
+            np.testing.assert_allclose(dist, product, rtol=1e-12, atol=0)
+            self._assert_same(dist, 1 << table.derived.B)
 
 
 class TestExportCodebookCsv:

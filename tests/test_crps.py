@@ -8,32 +8,32 @@ import types
 import numpy as np
 import pytest
 
-from imjrc import crps
+from imjrc import codebook, crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import distance_matrix, greedy_prune, med, pair_classes, pair_patterns
+from imjrc.codebook import Codebook, greedy_prune, med, pair_classes, pair_patterns
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
-    apply_tps,
+    SchemeBuild,
+    TpsFactor,
     build_scheme,
     build_schemes,
-    candidate_meds,
     design_bytes,
     generate_tps,
-    select_tps,
 )
-from imjrc.enumeration import build_table
+from imjrc.enumeration import CodewordTable, build_table
 from imjrc.params import SystemParams, derive
-from oracles import tps_pool, union_shortlist_meds
+from oracles import candidate_meds, distance_matrix, tps_pool
 
 
-def _random_mats(rng, n, l_r, l_t):
-    return rng.standard_normal((n, l_r, l_t)) + 1j * rng.standard_normal((n, l_r, l_t))
+def _scaled(table, ids, alpha):
+    """A build of codewords ``ids`` of ``table`` sent under factor ``alpha``."""
+    return SchemeBuild(Scheme.CRPS_ONLY, table, Codebook(tuple(ids), 0.0, "crps_only"), TpsFactor(alpha, 1))
 
 
-def _meds(pool, mats, channel=None):
-    """Candidate MEDs of one member set: every row of ``mats``."""
-    return candidate_meds(pool, mats, [np.arange(len(mats))], channel=channel)[0]
+def _maps(table, h, pool):
+    """The row map of each candidate through design channel ``h``."""
+    return [h * table.coefficients(alpha) for alpha in pool]
 
 
 class TestGenerateTps:
@@ -75,119 +75,127 @@ class TestGenerateTps:
 
 
 class TestApplyTps:
-    def test_elementwise_oracle(self):
+    """A selected factor scales the rows of the matrices a build sends."""
+
+    def test_elementwise_oracle(self, small_table):
         rng = np.random.default_rng(2)
-        mats = _random_mats(rng, 3, 4, 5)
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        scaled = apply_tps(mats, alpha)
+        scaled = _scaled(small_table, range(3), alpha).member_matrices
+        mats = small_table.codewords(range(3))
         for n in range(3):
             for l in range(4):
                 assert np.allclose(scaled[n, l], alpha[l] * mats[n, l], rtol=1e-15)
 
-    def test_single_matrix_broadcast(self):
+    def test_single_matrix_broadcast(self, small_table):
+        # sample 0 of each scaled row is its scaled coefficient, bit for bit:
+        # the row maps a design scores through are the rows a build sends
         rng = np.random.default_rng(3)
-        mat = rng.standard_normal((4, 5)) + 0j
-        alpha = np.arange(1, 5).astype(complex)
-        assert np.array_equal(apply_tps(mat, alpha), mat * alpha[:, None])
+        alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        for g in (0, 7, len(small_table) - 1):
+            (mat,) = _scaled(small_table, [g], alpha).member_matrices
+            assert np.array_equal(mat[:, 0], small_table.coefficients(alpha))
 
     def test_codeword_energy_preserved(self, small_table, small_derived):
         # rows of a synthesized codeword carry equal energy, so any
         # power-normalized factor keeps the Frobenius norm at L_T
         pool = generate_tps(6, 4, np.random.default_rng(4))
         for alpha in pool:
-            scaled = apply_tps(small_table.codewords(range(len(small_table))), alpha)
+            scaled = _scaled(small_table, range(len(small_table)), alpha).member_matrices
             norms = np.einsum("nrt,nrt->n", scaled, scaled.conj()).real
             assert np.allclose(norms, small_derived.L_T, rtol=1e-9)
 
-    def test_length_mismatch_rejected(self):
+    def test_length_mismatch_rejected(self, small_table):
+        alpha = np.ones(5, dtype=complex)
         with pytest.raises(ValueError):
-            apply_tps(np.zeros((2, 3, 4), dtype=complex), np.ones(5, dtype=complex))
+            small_table.coefficients(alpha)
+        with pytest.raises(ValueError):
+            _scaled(small_table, range(3), alpha).member_matrices
 
 
 class TestCandidateScoring:
-    def test_matches_full_reevaluation(self):
-        rng = np.random.default_rng(5)
-        mats = _random_mats(rng, 5, 4, 6)
-        pool = generate_tps(6, 4, rng)
-        meds = _meds(pool, mats)
-        for d, alpha in enumerate(pool):
-            dist = distance_matrix(apply_tps(mats, alpha))
-            expect, _ = med(dist, range(5))
-            assert meds[d] == pytest.approx(expect, rel=1e-9)
+    """The pool scored by pair patterns and pair classes against the codeword matrices."""
 
-    def test_channel_path_matches_reevaluation(self):
+    def test_matches_full_reevaluation(self, small_table, small_params):
+        patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
+        mats = small_table.codewords(range(len(small_table)))
+        pool = generate_tps(6, 4, np.random.default_rng(5))
+        sets = [range(len(mats)), range(0, len(mats), 3)]
+        np.testing.assert_allclose(
+            patterns.meds(pool, sets), candidate_meds(pool, mats, sets), rtol=1e-9, atol=0
+        )
+
+    def test_channel_path_matches_reevaluation(self, small_table, small_params):
+        classes = pair_classes(small_table.carriers, small_table.waveforms)
+        mats = small_table.codewords(range(len(small_table)))
         rng = np.random.default_rng(6)
-        mats = _random_mats(rng, 4, 3, 5)
-        h = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        pool = generate_tps(5, 3, rng)
-        meds = _meds(pool, mats, channel=h)
-        for d, alpha in enumerate(pool):
-            dist = distance_matrix(apply_tps(mats, alpha), channel=h)
-            expect, _ = med(dist, range(4))
-            assert meds[d] == pytest.approx(expect, rel=1e-9)
+        h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        pool = generate_tps(5, 4, rng)
+        sets = [range(len(mats)), range(0, len(mats), 3)]
+        np.testing.assert_allclose(
+            classes.meds(_maps(small_table, h, pool), sets),
+            candidate_meds(pool, mats, sets, channel=h),
+            rtol=1e-9,
+            atol=0,
+        )
 
-    def test_channel_path_is_bit_equal_to_med(
-        self, small_table, small_params, default_table, default_params
-    ):
-        # scoring runs in reused buffers and takes the minimum of the upper
-        # triangle; it must give med()'s value exactly, with or without a
-        # channel, or the selected factor could move.  The full default
-        # table (420 codewords) is what crps_then_codebook scores.
-        small_members = small_table.codewords(range(1 << small_table.derived.B))
-        for mats, params, seed in (
-            (small_members, small_params, 3),
-            (default_table.codewords(range(len(default_table))), default_params, 1729),
-        ):
-            pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
-            for h in (None, draw_channel(params.L_C, params.L_R, substream(seed, TAG_DESIGN_CHANNEL))):
-                meds = _meds(pool, mats, channel=h)
-                expect = [
-                    med(distance_matrix(apply_tps(mats, alpha), channel=h), range(mats.shape[0]))[0]
-                    for alpha in pool
-                ]
-                assert meds.tolist() == expect
+    def test_channel_path_is_bit_equal_to_med(self, small_table, default_table):
+        # a set's score is med() over the distances it is taken from, bit
+        # for bit, with or without a channel, or the selected factor could
+        # move; the classes are measured in the blocks the scoring uses.
+        # The full default table (420 codewords) is what crps_then_codebook
+        # scores.
+        for table, ids in ((small_table, range(1 << small_table.derived.B)), (default_table, range(420))):
+            params = table.params
+            pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
+            patterns = pair_patterns(table.carriers, params.M, table.derived.L_T)
+            expect = [med(patterns.matrix(alpha), ids)[0] for alpha in pool]
+            assert patterns.meds(pool, [ids])[0].tolist() == expect
+            classes = pair_classes(table.carriers, table.waveforms)
+            maps = _maps(table, _design_channel(params), pool)
+            blocks = range(0, len(classes.words), codebook._CLASS_BLOCK)
+            dist = np.concatenate([classes.distances(maps, slice(b, b + codebook._CLASS_BLOCK)) for b in blocks])
+            expect = [med(dist[:, d][classes.index], ids)[0] for d in range(len(pool))]
+            assert classes.meds(maps, [ids])[0].tolist() == expect
 
-    def test_select_never_below_identity(self):
-        rng = np.random.default_rng(7)
-        mats = _random_mats(rng, 6, 4, 5)
-        pool = generate_tps(20, 4, rng)
-        tps, best = select_tps(pool, mats)
-        meds = _meds(pool, mats)
-        assert best >= meds[0]
-        assert best == pytest.approx(meds.max(), rel=1e-12)
-        assert np.array_equal(tps.alpha, pool[tps.d_index])
+    def test_select_never_below_identity(self, small_table, small_params):
+        h = _design_channel(small_params)
+        pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
+        classes = pair_classes(small_table.carriers, small_table.waveforms)
+        builds = build_schemes(list(Scheme), small_table, design_channel=h)
+        for build in builds[2:4]:  # crps_only, codebook_then_crps
+            meds = classes.meds(_maps(small_table, h, pool), [build.codebook.member_ids])[0]
+            assert build.codebook.med >= meds[0]
+            assert build.codebook.med == meds.max()
+            assert np.array_equal(build.tps.alpha, pool[build.tps.d_index])
 
-    def test_select_breaks_ties_toward_first(self):
-        rng = np.random.default_rng(8)
-        mats = _random_mats(rng, 4, 3, 5)
-        identity = np.ones(3, dtype=complex)
-        tps, _ = select_tps([identity, identity.copy()], mats)
-        assert tps.d_index == 0
+    def test_select_breaks_ties_toward_first(self, small_table, small_params, monkeypatch):
+        identity = np.ones(small_params.L_R, dtype=complex)
+        monkeypatch.setattr(crps, "generate_tps", lambda *args: [identity, identity.copy()])
+        builds = build_schemes(list(Scheme), small_table, design_channel=_design_channel(small_params))
+        assert [b.tps.d_index for b in builds if b.tps is not None] == [0, 0, 0]
 
-    def test_constructed_amplification_wins(self):
-        # two members that differ only on row 0: pushing power into that
-        # row grows the (single) pairwise distance, so the non-identity
-        # candidate must be selected
-        rng = np.random.default_rng(9)
-        base = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        other = base.copy()
-        other[0] = base[0] + (rng.standard_normal(5) + 1j * rng.standard_normal(5))
-        mats = np.stack([base, other])
-        boosted = np.array([np.sqrt(2.0), np.sqrt(0.5), np.sqrt(0.5)], dtype=complex)
-        identity = np.ones(3, dtype=complex)
-        tps, best = select_tps([identity, boosted], mats)
-        meds = _meds([identity], mats)
+    def test_constructed_amplification_wins(self, small_table, small_params):
+        # two codewords that differ only on rows 0 and 1: pushing power into
+        # those rows grows their (single) pairwise distance, so the
+        # non-identity candidate must be selected
+        patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
+        differing = patterns.patterns[patterns.index] != 0
+        i, j = np.argwhere(np.all(differing == [True, True, False, False], axis=2))[0]
+        identity = np.ones(4, dtype=complex)
+        boosted = np.sqrt([1.5, 1.5, 0.5, 0.5]).astype(complex)
+        meds = patterns.meds([identity, boosted], [[i, j]])[0]
+        tps, best = crps._best([identity, boosted], meds)
         assert tps.d_index == 1
-        assert best == pytest.approx(2.0 * meds[0], rel=1e-9)
+        assert best == pytest.approx(1.5 * meds[0], rel=1e-12)
 
     def test_pattern_scoring_is_exact(self, default_table, default_params):
         # the design without a channel scores 87,990 pairs through 57
-        # patterns; the Gram loop is the reference
+        # patterns; the codeword matrices are the reference
         mats = default_table.codewords(range(len(default_table)))
         pool = generate_tps(default_params.D, default_params.L_R, substream(1729, TAG_TPS))
         patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
         meds = patterns.meds(pool, [range(len(mats))])[0]
-        assert np.allclose(meds, _meds(pool, mats), rtol=0.0, atol=1e-9)
+        assert np.allclose(meds, candidate_meds(pool, mats, [range(len(mats))])[0], rtol=0.0, atol=1e-9)
         assert meds[0] == 140 / 3
 
     def test_one_pair_or_one_candidate_is_scored_as_in_the_pool(self, small_table, small_params):
@@ -209,7 +217,7 @@ class TestCandidateScoring:
     ):
         # member sets of `block` consecutive codewords (the last one ragged)
         # and a set of one pair: each set's pattern MED is the minimum of
-        # its own pair distances, bit for bit, and agrees with the Gram loop
+        # its own pair distances, bit for bit, and agrees with the matrices
         patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
         mats = small_table.codewords(range(len(small_table)))
         n = len(mats)
@@ -226,48 +234,46 @@ class TestCandidateScoring:
 
     def test_scoring_memory_does_not_grow_with_pool(self, default_table, default_params):
         # the whole pairs x D product would take 87,990 x 400 x 8 B = 282 MB;
-        # scoring one candidate at a time in reused buffers stays far below
-        mats = default_table.codewords(range(len(default_table)))
+        # scoring the classes a block at a time stays far below
+        classes = pair_classes(default_table.carriers, default_table.waveforms)
         pool = generate_tps(400, default_params.L_R, np.random.default_rng(13))
-        pairs = mats.shape[0] * (mats.shape[0] - 1) // 2
+        maps = _maps(default_table, _design_channel(default_params), pool)
+        n = len(default_table)
+        pairs = n * (n - 1) // 2
         tracemalloc.start()
         try:
-            _meds(pool, mats)
+            classes.meds(maps, [range(n)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < pairs * len(pool) * 8 // 8
 
     def test_member_sets_read_their_pairs_from_the_union(self, default_table, default_params):
-        # candidate_meds scores each member set on its own rows, so a set
-        # scored beside others reads what it reads alone, bit for bit, also
-        # when the BLAS rounds a Gram entry by which other rows are in the
-        # product (as OpenBLAS does with one thread)
-        full = default_table.codewords(range(len(default_table)))
+        # a set scored beside others reads what it reads alone, bit for bit,
+        # by pair patterns and through a channel by pair classes
         n_valid = 1 << default_table.derived.B
-        dist0 = distance_matrix(full)
-        pruned, _ = greedy_prune(dist0, n_valid)
-        sets = [np.arange(n_valid), np.asarray(pruned.member_ids)]
+        patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
+        rank, values = patterns.ranks(np.ones(default_params.L_R))
+        pruned, _ = greedy_prune(rank, n_valid, values)
+        sets = [np.arange(n_valid), np.asarray(pruned.member_ids), np.arange(len(default_table))]
         assert not np.array_equal(sets[0], sets[1])
-        h = _design_channel(default_params)
         pool = generate_tps(
             default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
         )
-        plain = candidate_meds(pool, full, sets)
-        through_h = candidate_meds(pool, full, sets, channel=h)
-        for s, ids in enumerate(sets):
-            alone = full[ids]
-            assert np.array_equal(dist0[np.ix_(ids, ids)], distance_matrix(alone))
-            assert np.array_equal(plain[s], _meds(pool, alone))
-            assert np.array_equal(through_h[s], _meds(pool, alone, channel=h))
+        classes = pair_classes(default_table.carriers, default_table.waveforms)
+        maps = _maps(default_table, _design_channel(default_params), pool)
+        for score, factors in ((patterns.meds, pool), (classes.meds, maps)):
+            together = score(factors, sets)
+            for s, ids in enumerate(sets):
+                assert np.array_equal(together[s], score(factors, [ids])[0])
 
-    def test_rejects_degenerate_input(self):
-        rng = np.random.default_rng(10)
-        mats = _random_mats(rng, 3, 2, 4)
-        with pytest.raises(ValueError):
-            candidate_meds([], mats, [range(3)])
-        with pytest.raises(ValueError):
-            candidate_meds([np.ones(2, dtype=complex)], mats, [range(3), [1]])
+    def test_rejects_degenerate_input(self, small_params):
+        # a scenario of fewer than two valid codewords is refused through a
+        # design channel too
+        params = SystemParams(M=1, K=1, L_R=2, delta_f=4e6)
+        table = build_table(params, derive(params))
+        with pytest.raises(ValueError, match="fewer than two valid codewords"):
+            build_scheme(Scheme.BASELINE, table, design_channel=np.ones((2, 2), dtype=complex))
 
 
 class TestBuildScheme:
@@ -306,7 +312,7 @@ class TestBuildScheme:
         )
         assert build.tps.d_index != 0
         rows = small_table.codewords(np.asarray(build.codebook.member_ids))
-        assert np.array_equal(build.member_matrices, apply_tps(rows, build.tps.alpha))
+        assert np.array_equal(build.member_matrices, rows * build.tps.alpha[:, None])
 
     def test_deterministic_rebuild(self, small_table):
         a = build_scheme(Scheme.CRPS_THEN_CODEBOOK, small_table)
@@ -417,39 +423,67 @@ class TestBuildSchemes:
             assert [_fingerprint(b) for b in builds] == [every[s] for s in schemes]
 
     def test_refuses_an_over_budget_scheme_before_any_work(self, default_table, monkeypatch):
-        # the baseline fits this budget and comes first; codebook_only does
-        # not, and is refused before any distance is computed
+        # the baseline fits its path's budget and comes first; codebook_only
+        # does not, and is refused before any distance is computed
         params, derived = default_table.params, default_table.derived
-        budget = design_bytes(Scheme.BASELINE, params, derived)
-        monkeypatch.setattr(crps, "DESIGN_BUDGET_BYTES", budget)
 
         def refuse(*args, **kwargs):
             raise AssertionError("design work started before every budget was checked")
 
-        for name in ("pair_patterns", "distance_matrix", "candidate_meds", "greedy_prune"):
+        for name in ("pair_patterns", "pair_classes", "greedy_prune"):
             monkeypatch.setattr(crps, name, refuse)
-        with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
-            build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table)
+        for h in (None, _design_channel(params)):
+            budget = design_bytes(Scheme.BASELINE, params, derived, channel=h is not None)
+            monkeypatch.setattr(crps, "DESIGN_BUDGET_BYTES", budget)
+            with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
+                build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table, design_channel=h)
 
     def test_each_path_has_its_own_budget(self, monkeypatch):
-        # M=10, L_R=10 (11,340 codewords): pruning from the carrier words
-        # fits the budget, but the codeword arrays of a design through a
-        # channel do not; the design without one stops at its first step
-        params = SystemParams(M=10, L_R=10)
-        table = build_table(params, derive(params))
-
+        # both paths peak at three n x n arrays of 8-byte entries; through a
+        # channel one block of pair classes comes on top.  M=10, L_R=10
+        # (11,340 codewords, 2.9 GiB) fits either way, and both stop at
+        # their first step; M=11, L_R=10 (13,860) fits neither
         class Started(Exception):
             pass
 
         def start(*args, **kwargs):
             raise Started
 
-        for name in ("pair_patterns", "distance_matrix"):
+        for name in ("pair_patterns", "pair_classes"):
             monkeypatch.setattr(crps, name, start)
-        with pytest.raises(Started):
-            build_schemes([Scheme.CODEBOOK_ONLY], table)
-        with pytest.raises(ValueError, match=r"codebook_only design needs about 4\.3 GiB"):
-            build_schemes([Scheme.CODEBOOK_ONLY], table, design_channel=_design_channel(params))
+        for m, started in ((10, True), (11, False)):
+            params = SystemParams(M=m, L_R=10)
+            table, h = build_table(params, derive(params)), _design_channel(params)
+            for scheme in Scheme:
+                plain = design_bytes(scheme, params, table.derived)
+                aware = design_bytes(scheme, params, table.derived, channel=True)
+                assert aware - plain == 8 * crps._CLASS_BLOCK * (6 * 10**2 + 2 * params.D)
+            for channel in (None, h):
+                if started:
+                    with pytest.raises(Started):
+                        build_schemes([Scheme.CODEBOOK_ONLY], table, design_channel=channel)
+                else:
+                    with pytest.raises(ValueError, match=r"codebook_only design needs about 4\.3 GiB"):
+                        build_schemes([Scheme.CODEBOOK_ONLY], table, design_channel=channel)
+
+    def test_design_through_a_channel_classes_the_pairs_once(self, default_table, monkeypatch):
+        # one pair-class pass over the full table serves every stage, and no
+        # codeword matrix is formed
+        calls = []
+        original_classes, original_codewords = crps.pair_classes, CodewordTable.codewords
+
+        def classes(carriers, waveforms):
+            calls.append(("pair_classes", len(carriers)))
+            return original_classes(carriers, waveforms)
+
+        def codewords(table, ids):
+            calls.append(("codewords", len(ids)))
+            return original_codewords(table, ids)
+
+        monkeypatch.setattr(crps, "pair_classes", classes)
+        monkeypatch.setattr(CodewordTable, "codewords", codewords)
+        build_schemes(list(Scheme), default_table, design_channel=_design_channel(default_table.params))
+        assert calls == [("pair_classes", len(default_table))]
 
     def test_reported_meds_match_distance_matrix(self, default_table):
         # without a design channel the design measures distances from the
@@ -493,7 +527,7 @@ class TestBuildSchemes:
 
 
 class TestShortlist:
-    """Through a design channel: the pool scored by pair classes, the near-best exactly."""
+    """Through a design channel: the whole pool scored by pair classes, against the matrices."""
 
     @pytest.mark.parametrize("seed", [1729, 2718, 4242, 7, 31337])
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
@@ -511,100 +545,62 @@ class TestShortlist:
         picked = {ids: crps._best(pool, meds) for ids, meds in zip(sets, exact)}
         for build in builds[2:4]:  # crps_only, codebook_then_crps
             tps, best = picked[build.codebook.member_ids]
-            assert (build.tps.d_index, build.codebook.med) == (tps.d_index, best)
+            assert build.tps.d_index == tps.d_index
+            assert build.codebook.med == pytest.approx(best, rel=1e-12)
         tps, _ = picked[sets[-1]]
         before = builds[4]  # crps_then_codebook
         assert before.tps.d_index == tps.d_index
-        pruned, _ = greedy_prune(distance_matrix(apply_tps(mats, tps.alpha), channel=h), 1 << table.derived.B)
+        # pruned under the selected factor's class distances, whose MED
+        # the matrices confirm
+        rank, values = pair_classes(table.carriers, table.waveforms).ranks(h * table.coefficients(tps.alpha))
+        pruned, _ = greedy_prune(rank, 1 << table.derived.B, values)
         assert (before.codebook.member_ids, before.codebook.med) == (pruned.member_ids, pruned.med)
-        # the shortlist needs the rough scores within SHORTLIST_RTOL / 2 of
-        # the exact ones, relative to a set's best; they sit 1000x closer
+        dist = distance_matrix(mats * tps.alpha[:, None], channel=h)
+        assert pruned.med == pytest.approx(med(dist, pruned.member_ids)[0], rel=1e-12)
+        # the class scores sit within 1e-12 of the exact ones, relative to a
+        # set's best
         classes = pair_classes(table.carriers, table.waveforms)
-        rough = classes.meds([h * table.coefficients(alpha) for alpha in pool], sets)
-        gap = np.abs(rough - exact).max(axis=1) / exact.max(axis=1)
-        assert np.all(gap * 1000 <= crps.SHORTLIST_RTOL)
+        gap = np.abs(classes.meds(_maps(table, h, pool), sets) - exact).max(axis=1) / exact.max(axis=1)
+        assert np.all(gap <= 1e-12)
 
     @pytest.mark.parametrize("seed", [1729, 2718, 4242, 7, 31337])
     def test_own_shortlists_select_as_the_union(self, seed, default_table):
-        # each set rescored on its own shortlist, or not at all, selects the
-        # factor and reports the MED that rescoring every set on the union
-        # of the shortlists does, for the five schemes together and alone
+        # each member set scored on its own selects the factor and reports
+        # the MED that scoring every set together does, for the five
+        # schemes together and alone
         table = dataclasses.replace(
             default_table, params=dataclasses.replace(default_table.params, master_seed=seed)
         )
         params, every = table.params, tuple(range(len(table)))
         h = _design_channel(params)
-        mats = table.codewords(every)
         pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
         classes = pair_classes(table.carriers, table.waveforms)
-        maps = [h * table.coefficients(alpha) for alpha in pool]
+        maps = _maps(table, h, pool)
         together = build_schemes(list(Scheme), table, design_channel=h)
         alone = [build_scheme(scheme, table, design_channel=h) for scheme in Scheme]
-        for builds, grouped in ((together, True), (alone, False)):
+        for builds in (together, alone):
             scaled = [b for b in builds if b.tps is not None]
             sets = [every if b.scheme is Scheme.CRPS_THEN_CODEBOOK else b.codebook.member_ids for b in scaled]
-            picked = {}
-            for group in [list(dict.fromkeys(sets))] if grouped else [[ids] for ids in sets]:
-                union = union_shortlist_meds(
-                    classes.meds(maps, group), pool, mats, group, h, crps.SHORTLIST_RTOL
-                )
-                picked.update((ids, crps._best(pool, meds)) for ids, meds in zip(group, union))
+            union = dict(zip(sets, classes.meds(maps, list(dict.fromkeys(sets)))))
             assert len(scaled) == 3
             for build, ids in zip(scaled, sets):
-                tps, best = picked[ids]
+                tps, best = crps._best(pool, union[ids])
                 assert build.tps.d_index == tps.d_index
                 if build.scheme is not Scheme.CRPS_THEN_CODEBOOK:
                     assert repr(build.codebook.med) == repr(best)
 
-    def test_a_reported_full_table_med_is_rescored(self, monkeypatch):
-        # with no eliminations the full table is also crps_only's member
-        # set: its MED is reported, so it is rescored on the matrices even
-        # when crps_then_codebook selects over it too
-        params = SystemParams(M=8, K=1, L_R=4, L_C=2, D=16, master_seed=5)
-        table = build_table(params, derive(params))
-        assert table.derived.Q == 0
-        h = _design_channel(params)
-        pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
-        mats = table.codewords(range(len(table)))
-        tps, best = crps._best(pool, candidate_meds(pool, mats, [range(len(table))], channel=h)[0])
-        scored = []
-
-        def scoring(candidates, *args, **kwargs):
-            scored.append(len(candidates))
-            return candidate_meds(candidates, *args, **kwargs)
-
-        monkeypatch.setattr(crps, "candidate_meds", scoring)
-        both = [Scheme.CRPS_THEN_CODEBOOK, Scheme.CRPS_ONLY]
-        for schemes in (both, both[::-1]):
-            scored.clear()
-            builds = {b.scheme: b for b in build_schemes(schemes, table, design_channel=h)}
-            assert len(scored) == 1
-            only = builds[Scheme.CRPS_ONLY]
-            assert (only.tps.d_index, repr(only.codebook.med)) == (tps.d_index, repr(best))
-            assert builds[Scheme.CRPS_THEN_CODEBOOK].tps.d_index == tps.d_index
-
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
     def test_ties_go_to_the_smallest_index(self, table_name, request, monkeypatch):
         # the identity repeated at index 1 and each selected candidate again
-        # at the end: shortlists of two bit-equal scores, won by the first
+        # at the end: each tie of two bit-equal scores is won by the first
         table = request.getfixturevalue(table_name)
         h = _design_channel(table.params)
         plain = build_schemes(list(Scheme), table, design_channel=h)
         pool = generate_tps(table.params.D, table.params.L_R, substream(table.params.master_seed, TAG_TPS))
         chosen = [b.tps.d_index for b in plain if b.tps is not None]
         tied = [pool[0], pool[0].copy(), *pool[1:], *(pool[d].copy() for d in chosen)]
-        scored = []
-
-        def scoring(candidates, *args, **kwargs):
-            scored.append(len(candidates))
-            return candidate_meds(candidates, *args, **kwargs)
-
         monkeypatch.setattr(crps, "generate_tps", lambda *args: tied)
-        monkeypatch.setattr(crps, "candidate_meds", scoring)
         builds = build_schemes(list(Scheme), table, design_channel=h)
-        # the pool is ranked by pair classes: each of the three member sets
-        # is rescored here on its own shortlist, which the ties make two long
-        assert len(scored) == 3 and min(scored) >= 2
         for build, alone in zip(builds, plain):
             expect = _fingerprint(alone)
             if alone.tps is not None and alone.tps.d_index:
@@ -620,7 +616,7 @@ class TestShortlist:
             classes = pair_classes(table.carriers, table.waveforms)
             alpha = generate_tps(2, table.params.L_R, np.random.default_rng(14))[1]
             for factor in (np.ones(table.params.L_R), alpha):
-                exact = distance_matrix(apply_tps(table.codewords(ids), factor), channel=h)
+                exact = distance_matrix(table.codewords(ids) * factor[:, None], channel=h)
                 dist = classes.distances([h * table.coefficients(factor)])[classes.index, 0]
                 off = ~np.eye(len(ids), dtype=bool)
                 np.testing.assert_allclose(dist[off], exact[off], rtol=1e-12, atol=0)
@@ -667,27 +663,31 @@ def _stages(table, h):
 
     ``matrix(alpha)`` is every pair's distance under a factor, and
     ``select(pool, ids)`` the selected candidate index and its MED over a
-    member set: through the codeword matrices with a design channel, and
-    from the carrier words without one.
+    member set: from the pair classes through a design channel, and from
+    the pair patterns without one.
     """
     if h is not None:
+        classes = pair_classes(table.carriers, table.waveforms)
 
         def matrix(alpha):
-            return distance_matrix(apply_tps(table.codewords(range(len(table))), alpha), channel=h)
+            rank, values = classes.ranks(h * table.coefficients(alpha))
+            return values[rank]
 
-        def select(pool, ids):
-            tps, best = select_tps(pool, table.codewords(ids), channel=h)
-            return tps.d_index, best
+        def meds(pool, ids):
+            return classes.meds(_maps(table, h, pool), [ids])[0]
+    else:
+        patterns = pair_patterns(table.carriers, table.params.M, table.derived.L_T)
+        matrix = patterns.matrix
 
-        return matrix, select
-    patterns = pair_patterns(table.carriers, table.params.M, table.derived.L_T)
+        def meds(pool, ids):
+            return patterns.meds(pool, [ids])[0]
 
     def select(pool, ids):
-        meds = patterns.meds(pool, [ids])[0]
-        best = int(np.argmax(meds))
-        return best, float(meds[best])
+        scores = meds(pool, ids)
+        best = int(np.argmax(scores))
+        return best, float(scores[best])
 
-    return patterns.matrix, select
+    return matrix, select
 
 
 class TestRecipes:
@@ -731,7 +731,7 @@ class TestRecipes:
             assert np.array_equal(build.member_matrices, rows)
         else:
             assert np.array_equal(build.tps.alpha, pool[build.tps.d_index])
-            assert np.array_equal(build.member_matrices, apply_tps(rows, build.tps.alpha))
+            assert np.array_equal(build.member_matrices, rows * build.tps.alpha[:, None])
 
     def test_design_channel_selects_a_scaled_factor(self, small_table, small_params):
         # without this the scaled branch of every recipe above could go unrun
