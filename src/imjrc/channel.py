@@ -9,9 +9,10 @@ bit for bit.
 
 :func:`draw_trials` draws a chunk of per-pulse streams without building a
 ``SeedSequence`` per stream.  It ports numpy's documented ``SeedSequence``
-mixing to uint32 arrays, vectorised over the chunk's keys, derives each
-stream's PCG64 ``(state, inc)`` from it, and sets that state on one reused
-``PCG64``.  The draws are the ones ``substream`` gives, bit for bit.
+mixing to uint32 arrays, vectorised over all of the chunk's keys at once,
+derives each stream's PCG64 ``(state, inc)`` from it, and sets those two
+integers on one reused ``PCG64`` through one reused state dict.  The draws
+are the ones ``substream`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -46,8 +47,9 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK128 = (1 << 128) - 1
 
-# trials seeded and combined per block: large enough to amortise the
-# vectorised seeding, small enough that its states and temporaries stay small
+# trials whose states are formed and whose normals are combined per block:
+# the chunk's seed words are mixed at once, but its 128-bit states and
+# complex temporaries stay small
 _DRAW_BLOCK = 64
 
 
@@ -103,16 +105,16 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])])
 
 
-def _stream_states(master_seed: int, tags: Sequence[int], start: int, size: int) -> list[list[dict]]:
-    """PCG64 state of ``substream(master_seed, tag, trial)``, as ``PCG64.state`` gives it.
+def _stream_seeds(master_seed: int, tags: Sequence[int], start: int, size: int) -> np.ndarray:
+    """PCG64 seed words of ``substream(master_seed, tag, trial)``, (4, tags, trials) uint64.
 
-    One list per tag, over trials ``start .. start + size - 1``.  Keys are
-    mixed in groups of equal word count, since a trial index at or above
-    2^32 spans more than one uint32 word.
+    Covers trials ``start .. start + size - 1``.  Keys are mixed in groups
+    of equal word count, since a trial index at or above 2^32 spans more
+    than one uint32 word.
     """
     run = _uint32_words(int(master_seed))
     run += [0] * (_POOL_SIZE - len(run))
-    states: list[list[dict]] = [[] for _ in tags]
+    seeds = np.empty((_POOL_SIZE, len(tags), size), dtype=np.uint64)
     trial, stop = start, start + size
     while trial < stop:
         n_words = len(_uint32_words(trial))
@@ -122,20 +124,26 @@ def _stream_states(master_seed: int, tags: Sequence[int], start: int, size: int)
         entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None, None]
         entropy[len(run)] = np.array(tags, dtype=np.uint32)[:, None]
         entropy[len(run) + 1 :] = trial_words[:, None, :]
-        seeds = _pcg64_seeds(entropy.reshape(entropy.shape[0], -1)).tolist()
-        for k, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*seeds)):
-            # pcg64_set_seed, then pcg_setseq_128_srandom_r
-            inc = (((i_hi << 64) | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-            states[k // len(group)].append(
-                {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
-            )
+        words = _pcg64_seeds(entropy.reshape(entropy.shape[0], -1))
+        seeds[:, :, group.start - start : group.stop - start] = words.reshape(_POOL_SIZE, len(tags), -1)
         trial = group.stop
+    return seeds
+
+
+def _stream_states(seeds: np.ndarray) -> list[list[tuple[int, int]]]:
+    """PCG64 ``(state, inc)`` of each stream of (4, tags, trials) seed words, one list per tag.
+
+    These are the ``state`` and ``inc`` of ``PCG64.state`` for a generator
+    seeded with those words.
+    """
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*seeds.tolist()):
+        tag_states = []
+        for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
+            # pcg64_set_seed, then pcg_setseq_128_srandom_r
+            inc = (((ih << 64) | il) << 1 | 1) & _MASK128
+            tag_states.append((((inc + ((sh << 64) | sl)) * _PCG_MULT + inc) & _MASK128, inc))
+        states.append(tag_states)
     return states
 
 
@@ -156,10 +164,11 @@ def draw_trials(
         draw_channel(L_C, L_R, substream(master_seed, TAG_CHANNEL, t))
         complex_normal(substream(master_seed, TAG_NOISE, t), (L_C, L_T))
 
-    ``h`` and ``noise`` must be C-contiguous complex arrays.  Each trial's
-    raw normals are drawn into the bytes of its own slot, and each block of
-    trials is combined into complex entries there, so no scratch or
-    temporary grows with the chunk.
+    ``h`` and ``noise`` must be C-contiguous complex arrays.  The chunk's
+    seed words are mixed in one pass.  Each trial's raw normals are drawn
+    into the bytes of its own slot, and each block of trials is combined
+    into complex entries there, so no scratch or temporary grows with the
+    chunk.
     """
     size = len(ranks)
     if h.shape[0] != size or noise.shape[0] != size:
@@ -168,17 +177,23 @@ def draw_trials(
         raise ValueError("h and noise must be C-contiguous")
     raw_h = h.view(float).reshape(size, 2, *h.shape[1:])
     raw_noise = noise.view(float).reshape(size, 2, *noise.shape[1:])
+    seeds = _stream_seeds(master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start, size)
     bitgen = np.random.PCG64(0)
     rng = np.random.Generator(bitgen)
+    # one state dict, fresh as a seeded PCG64's, takes every stream's words
+    state = bitgen.state
+    words = state["state"]
     for s in range(0, size, _DRAW_BLOCK):
         e = min(size, s + _DRAW_BLOCK)
-        states = _stream_states(master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start + s, e - s)
-        for i, (bits, channel, unit_noise) in enumerate(zip(*states), start=s):
-            bitgen.state = bits
+        for i, (bits, channel, unit_noise) in enumerate(zip(*_stream_states(seeds[:, :, s:e])), start=s):
+            words["state"], words["inc"] = bits
+            bitgen.state = state
             ranks[i] = rng.integers(n_members)
-            bitgen.state = channel
+            words["state"], words["inc"] = channel
+            bitgen.state = state
             rng.standard_normal(out=raw_h[i])
-            bitgen.state = unit_noise
+            words["state"], words["inc"] = unit_noise
+            bitgen.state = state
             rng.standard_normal(out=raw_noise[i])
         # the right-hand sides read the block's raw normals before they are overwritten
         h[s:e] = (raw_h[s:e, 0] + 1j * raw_h[s:e, 1]) / np.sqrt(2.0)

@@ -259,7 +259,10 @@ def execute_run(config: RunConfig) -> RunResult:
     distinct = [builds[name] for name in first_of.values()]
     t1 = time.perf_counter()
     grid = config.snr_grid()
-    simulated = run_ber(distinct, grid, config.effective_pulses(), early_stop=config.early_stop)
+    stage_timings: dict[str, float] = {}
+    simulated = run_ber(
+        distinct, grid, config.effective_pulses(), early_stop=config.early_stop, timings=stage_timings
+    )
     curves = {
         build.scheme.value: simulated[i * len(grid) : (i + 1) * len(grid)]
         for i, build in enumerate(distinct)
@@ -269,7 +272,7 @@ def execute_run(config: RunConfig) -> RunResult:
         for scheme in config.schemes
         for r in curves[shared_codebooks.get(scheme.value, scheme.value)]
     ]
-    timings = {"design_s": t1 - t0, "simulate_s": time.perf_counter() - t1}
+    timings = {"design_s": t1 - t0, "simulate_s": time.perf_counter() - t1, **stage_timings}
 
     gains: list[GainReport] = []
     if Scheme.BASELINE in config.schemes:

@@ -10,8 +10,13 @@ every hypothesis, so the decision is the argmin over r of
     base  = ||H X_r||^2 - 2 Re<H^H H X_s, X_r>,
     cross = Re<H^H N, X_r>,
 
-where <A, B> = sum A conj(B).  Both (batch x n) terms are computed once per
-chunk; each SNR point is then one axpy and one argmin.
+where <A, B> = sum A conj(B).  The work splits in two stages.
+:func:`channel_terms` forms H^H H and H^H N W^H, which no codebook changes,
+once per chunk.  :func:`codebook_terms` writes one codebook's two
+(batch x n) terms into buffers the caller owns, so a run that reuses them
+allocates no (batch x n) array per chunk; each SNR point is then one axpy
+into a third buffer and one argmin, :func:`decide`.
+:func:`noise_linear_terms` composes the two stages for a single chunk.
 
 The inner products are taken in the carrier domain.  Antenna row l of
 member r is the row's coefficient times one of the M sampled waveforms W
@@ -34,10 +39,10 @@ class GramCache(NamedTuple):
     """Codebook-dependent precomputation shared by every pulse.
 
     The two maps are stored in the real form :func:`_real_rows` gives, so
-    the real part of a complex product is one real matmul.
+    the real part of a complex product is one real matmul.  W^H is the
+    same for every codebook and is not kept here; see :func:`channel_terms`.
     """
 
-    waveforms_h: np.ndarray  # (L_T, M), W^H
     member_spectra: np.ndarray  # (n, L_R, M), X_r W^H
     gram_map: np.ndarray  # (2 L_R^2, n), conjugated row Grams X_r X_r^H
     carrier_map: np.ndarray  # (2 L_R M, n), the carrier map
@@ -64,54 +69,92 @@ def gram_cache(coef: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) ->
         raise ValueError(f"expected (n, {coef.size}) carrier indices, got shape {carriers.shape}")
     n, l_r = carriers.shape
     m = waveforms.shape[0]
-    waveforms_h = np.ascontiguousarray(waveforms.conj().T)
-    g = waveforms @ waveforms_h
+    g = waveforms @ np.ascontiguousarray(waveforms.conj().T)
     row_gram = np.outer(coef, coef.conj()) * g[carriers[:, :, None], carriers[:, None, :]]
     cmap = np.zeros((l_r * m, n), dtype=complex)
     cmap[np.arange(l_r) * m + carriers, np.arange(n)[:, None]] = coef.conj()
     return GramCache(
-        waveforms_h=waveforms_h,
         member_spectra=coef[:, None] * g[carriers],
         gram_map=_real_rows(row_gram.reshape(n, -1).conj().T),
         carrier_map=_real_rows(cmap),
     )
 
 
+def channel_terms(
+    h: np.ndarray, noise: np.ndarray, waveforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H^H H, H^H N W^H) of a chunk, (batch, L_R, L_R) and (batch, L_R, M).
+
+    ``h`` is (batch, L_C, L_R), ``noise`` (batch, L_C, L_T) the unit noise
+    N and ``waveforms`` the (M, L_T) W.  Neither term depends on the
+    codebook, so a chunk needs them once.
+    """
+    h = np.asarray(h)
+    noise = np.asarray(noise)
+    if h.ndim != 3 or noise.ndim != 3 or h.shape[0] != noise.shape[0]:
+        raise ValueError(f"batch shapes disagree: h {h.shape}, noise {noise.shape}")
+    batch, l_c, l_t = noise.shape
+    h_adj = np.conj(h).transpose(0, 2, 1)
+    # N W^H as one (batch L_C, L_T) x (L_T, M) product
+    noise_w = noise.reshape(-1, l_t) @ np.ascontiguousarray(waveforms.conj().T)
+    return h_adj @ h, h_adj @ noise_w.reshape(batch, l_c, -1)
+
+
+def codebook_terms(
+    hh: np.ndarray,
+    noise_spec: np.ndarray,
+    ranks: np.ndarray,
+    cache: GramCache,
+    base: np.ndarray,
+    cross: np.ndarray,
+) -> None:
+    """Write (base, cross) of one codebook into the given (batch, n) buffers.
+
+    ``hh`` and ``noise_spec`` come from :func:`channel_terms` and ``ranks``
+    are the sent ranks s.  ||Y - H X_r||^2 - ||Y||^2 equals
+    base - 2 sigma cross at every sigma; see :func:`decide`.
+    """
+    batch = hh.shape[0]
+    if not len(ranks) == batch == noise_spec.shape[0] == len(base) == len(cross):
+        raise ValueError(
+            f"batch shapes disagree: {len(ranks)} ranks, terms {hh.shape} and {noise_spec.shape}, "
+            f"buffers {base.shape} and {cross.shape}"
+        )
+    signal = hh @ cache.member_spectra[ranks]  # H^H H X_s W^H
+    # base = image_norm - 2 * signal_term, formed in place: a - 2b and
+    # (-2b) + a round the same; cross holds image_norm until it is added
+    np.matmul(signal.reshape(batch, -1).view(float), cache.carrier_map, out=base)
+    base *= -2.0
+    base += np.matmul(hh.reshape(batch, -1).view(float), cache.gram_map, out=cross)
+    np.matmul(noise_spec.reshape(batch, -1).view(float), cache.carrier_map, out=cross)
+
+
 def noise_linear_terms(
     h: np.ndarray,
     ranks: np.ndarray,
     noise: np.ndarray,
+    waveforms: np.ndarray,
     cache: GramCache,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(base, cross) of a chunk of pulses Y = H X_s + sigma N, each (batch, n).
+    """(base, cross) of one chunk of pulses Y = H X_s + sigma N, each (batch, n).
 
-    ``h`` is (batch, L_C, L_R), ``ranks`` the sent ranks s and ``noise``
-    (batch, L_C, L_T) the unit noise N.  ||Y - H X_r||^2 - ||Y||^2 equals
-    base - 2 sigma cross at every sigma; see :func:`decide`.
+    The two stages of :func:`channel_terms` and :func:`codebook_terms` on
+    fresh buffers; ``waveforms`` is the (M, L_T) W.
     """
-    h = np.asarray(h)
-    noise = np.asarray(noise)
-    if h.ndim != 3 or noise.ndim != 3 or not h.shape[0] == len(ranks) == noise.shape[0]:
-        raise ValueError(
-            f"batch shapes disagree: h {h.shape}, ranks {np.shape(ranks)}, noise {noise.shape}"
-        )
-    batch = h.shape[0]
-    h_adj = np.conj(h).transpose(0, 2, 1)
-    hh = h_adj @ h  # (batch, L_R, L_R)
-    signal = hh @ cache.member_spectra[ranks]  # H^H H X_s W^H
-    noise_spec = h_adj @ (noise @ cache.waveforms_h)  # H^H N W^H
-    # base = image_norm - 2 * signal_term, formed in place: a - 2b and
-    # (-2b) + a round the same, and no (batch x n) temporary is left over
-    base = signal.reshape(batch, -1).view(float) @ cache.carrier_map
-    base *= -2.0
-    base += hh.reshape(batch, -1).view(float) @ cache.gram_map
-    cross = noise_spec.reshape(batch, -1).view(float) @ cache.carrier_map
+    hh, noise_spec = channel_terms(h, noise, waveforms)
+    base, cross = (np.empty((len(ranks), cache.carrier_map.shape[1])) for _ in range(2))
+    codebook_terms(hh, noise_spec, ranks, cache, base, cross)
     return base, cross
 
 
-def decide(base: np.ndarray, cross: np.ndarray, noise_scale: float) -> np.ndarray:
-    """ML ranks at noise scale sigma: argmin over r of base - 2 sigma cross."""
-    # (-2 sigma cross) + base rounds as base - 2 sigma cross, with one temporary
-    metric = cross * (-2.0 * noise_scale)
+def decide(
+    base: np.ndarray, cross: np.ndarray, noise_scale: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """ML ranks at noise scale sigma: argmin over r of base - 2 sigma cross.
+
+    The metric is formed in ``out``, a (batch, n) buffer, or in a new one.
+    """
+    # (-2 sigma cross) + base rounds as base - 2 sigma cross
+    metric = np.multiply(cross, -2.0 * noise_scale, out=out)
     metric += base
     return np.argmin(metric, axis=1)

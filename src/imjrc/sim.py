@@ -11,9 +11,11 @@ The loop is chunk-outer: a chunk of trials is drawn once and then decided
 for every codebook at every SNR point, instead of being redrawn for each
 codebook or point.  The received pulse is never formed.  Its ML metric is
 noise-linear: a noise-free term and a unit-noise term, both (batch x n),
-are computed once per chunk and codebook in the carrier domain (see
-:mod:`imjrc.detector`), and each SNR point decides the chunk with one
-axpy and one argmin.  Early stop is tracked per (codebook, SNR) cell at
+computed in the carrier domain (see :mod:`imjrc.detector`).  The channel
+and noise products they share are formed once per chunk, each codebook's
+two terms are written into (batch x n) buffers allocated once per run,
+and each SNR point decides the chunk with one axpy and one argmin into a
+third such buffer.  Early stop is tracked per (codebook, SNR) cell at
 chunk boundaries, so a cell's pulse count is the same as if it had been
 run alone.
 """
@@ -21,6 +23,7 @@ run alone.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channel import draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
-from .detector import decide, gram_cache, noise_linear_terms
+from .detector import channel_terms, codebook_terms, decide, gram_cache
 
 EARLY_STOP_BIT_ERRORS = 500
 """Bit errors after which an early-stopped SNR point may end."""
@@ -72,13 +75,15 @@ def run_ber(
     master_seed: int | None = None,
     early_stop: bool = False,
     batch: int = 1024,
+    timings: dict[str, float] | None = None,
 ) -> list[BerRecord]:
     """Measure BER at each SNR point for each build, on one set of draws.
 
     Returns the records build by build, in the order of ``builds``, each
     build's in grid order.  The loop runs chunk by chunk: each chunk of
-    ``batch`` trials is drawn once; then, one build at a time, its two
-    detector terms are computed and it is decided at every SNR point
+    ``batch`` trials is drawn once and its channel and noise products are
+    formed once; then, one build at a time, its two detector terms are
+    written into the run's buffers and it is decided at every SNR point
     still active for that build.  ``early_stop`` ends a (build, SNR) cell
     at the first chunk boundary with at least :data:`EARLY_STOP_BIT_ERRORS`
     bit errors; the record's ``pulses`` reflects the trials actually run
@@ -86,7 +91,8 @@ def run_ber(
     records equal those of a run over that build alone, and results are
     independent of ``batch``, because randomness is keyed by trial index.
     Every build must come from one codeword table, whose 2^B ranks the
-    draws pick from.
+    draws pick from.  If ``timings`` is given, the wall seconds spent in
+    :func:`~imjrc.channel.draw_trials` are stored in it under ``draw_s``.
     """
     if not builds:
         raise ValueError("no builds to simulate")
@@ -110,33 +116,42 @@ def run_ber(
     bit_errors = [[0] * len(noise_scales) for _ in builds]
     pulses = [[0] * len(noise_scales) for _ in builds]
     active = [[True] * len(noise_scales) for _ in builds]
-    # one set of draw buffers serves every chunk; allocating them per chunk
-    # fragments the heap and raises the peak resident memory of a run
-    width = min(batch, n_pulses)
+    # one working set serves every chunk and build: allocating it per chunk
+    # fragments the heap, and every fresh (batch x n) array faults its pages
+    # in again.  A chunk's noise is read only by channel_terms, before any
+    # detector term is written, so it lives in the detector buffers' memory.
+    width, n = min(batch, n_pulses), 1 << derived.B
+    noise_floats = 2 * params.L_C * derived.L_T
+    work = np.empty(width * max(3 * n, noise_floats))
+    base_buf, cross_buf, metric_buf = work[: 3 * width * n].reshape(3, width, n)
+    noise_buf = work[: width * noise_floats].view(complex).reshape(width, params.L_C, derived.L_T)
     ranks_buf = np.empty(width, dtype=np.int64)
     h_buf = np.empty((width, params.L_C, params.L_R), dtype=complex)
-    noise_buf = np.empty((width, params.L_C, derived.L_T), dtype=complex)
+    draw_s = 0.0
     done = 0
     while done < n_pulses and any(map(any, active)):
         size = min(batch, n_pulses - done)
         ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
-        draw_trials(seed, done, 1 << derived.B, ranks, h, noise)
+        base, cross, metric = base_buf[:size], cross_buf[:size], metric_buf[:size]
+        t0 = time.perf_counter()
+        draw_trials(seed, done, n, ranks, h, noise)
+        draw_s += time.perf_counter() - t0
+        hh, noise_spec = channel_terms(h, noise, table.waveforms)
         for b, cache in enumerate(caches):
             if not any(active[b]):
                 continue
-            base, cross = noise_linear_terms(h, ranks, noise, cache)
+            codebook_terms(hh, noise_spec, ranks, cache, base, cross)
             for k, noise_scale in enumerate(noise_scales):
                 if not active[b][k]:
                     continue
-                decoded = decide(base, cross, noise_scale)
+                decoded = decide(base, cross, noise_scale, metric)
                 bit_errors[b][k] += int(np.bitwise_count(ranks ^ decoded).sum())
                 pulses[b][k] += size
                 if early_stop and bit_errors[b][k] >= EARLY_STOP_BIT_ERRORS:
                     active[b][k] = False
-            # freed before the next build's terms, which would otherwise
-            # raise the run's peak memory by two (batch x n) arrays
-            del base, cross
         done += size
+    if timings is not None:
+        timings["draw_s"] = draw_s
 
     records = []
     for build, build_pulses, build_errors in zip(builds, pulses, bit_errors):

@@ -312,7 +312,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     ranks = np.array([trial % mats.shape[0] for trial in trials])
     carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
     cache = gram_cache(default_table.coefficients(build.alpha), carriers, default_table.waveforms)
-    base, cross = noise_linear_terms(h, ranks, noise, cache)
+    base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
     for sigma in (0.6, 4.0):
         got = decide(base, cross, sigma)
         wrong = []

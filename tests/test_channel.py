@@ -73,16 +73,19 @@ class TestBulkSeeding:
     @pytest.mark.parametrize("seed", BULK_SEEDS)
     def test_states_equal_seedsequence(self, seed):
         for start, size in BULK_TRIALS:
-            states = channel._stream_states(seed, ALL_TAGS, start, size)
+            states = channel._stream_states(channel._stream_seeds(seed, ALL_TAGS, start, size))
             for tag, tag_states in zip(ALL_TAGS, states):
-                assert tag_states == [
-                    substream(seed, tag, t).bit_generator.state
-                    for t in range(start, start + size)
-                ]
+                want = []
+                for t in range(start, start + size):
+                    state = substream(seed, tag, t).bit_generator.state
+                    # a freshly seeded generator holds no buffered half-word
+                    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+                    want.append((state["state"]["state"], state["state"]["inc"]))
+                assert tag_states == want
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
-            channel._stream_states(-1, (TAG_BITS,), 0, 1)
+            channel._stream_seeds(-1, (TAG_BITS,), 0, 1)
 
 
 class TestDrawTrials:

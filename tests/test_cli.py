@@ -442,6 +442,27 @@ def test_design_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert outputs["1"] == outputs["2"], flags
 
 
+def test_ber_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # the detector's products, among them N W^H as one 2-D product over a
+    # chunk's rows, must not follow the thread count, or a near-tie could
+    # decide differently; 1,100 pulses run a full chunk and a short one
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(
+            p for p in (str(pathlib.Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+        ),
+    )
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "imjrc.cli", "ber", "--channel-aware-med", "--pulses", "1100", "--out", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True, capture_output=True, timeout=300,
+        )
+        outputs[threads] = {name: (out / name).read_bytes() for name in ("ber.csv", "gains.csv")}
+    assert outputs["1"] == outputs["2"]
+
+
 class TestSharedCodebooks:
     def test_links_exactly_the_bit_equal_codebooks(self, default_run_counted, channel_aware_run):
         for result in (default_run_counted[0], channel_aware_run):
@@ -489,8 +510,10 @@ class TestRunTelemetry:
     def test_meta_records_stage_timings(self, default_run_counted):
         result, _, meta = default_run_counted
         assert meta["timings"] == result.timings
-        assert set(meta["timings"]) == {"design_s", "simulate_s"}
+        assert list(meta["timings"]) == ["design_s", "simulate_s", "draw_s"]
         assert all(value > 0.0 for value in meta["timings"].values())
+        # the draws are part of the Monte Carlo stage
+        assert meta["timings"]["draw_s"] < meta["timings"]["simulate_s"]
 
     def test_telemetry_follows_the_reproducible_fields(self, default_run_counted):
         _, _, meta = default_run_counted

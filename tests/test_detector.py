@@ -160,7 +160,7 @@ class TestCarrierDomain:
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
-        base, cross = noise_linear_terms(h, ranks, noise, cache)
+        base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
         images = np.einsum("bcr,nrt->bnct", h, mats)
         signal = images[np.arange(64), ranks]
         image_norm = np.einsum("bnct,bnct->bn", images, images.conj()).real
@@ -178,7 +178,7 @@ class TestCarrierDomain:
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
-        base, cross = noise_linear_terms(h, ranks, noise, cache)
+        base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
         assert np.array_equal(decide(base, cross, 0.0), ranks)
 
     def test_rejects_misshapen_carriers(self, small_table):
@@ -201,7 +201,7 @@ class TestDetectBatch:
         mats = small_table.codewords(range(16))
         cache = _cache(small_table, range(16))
         ranks_tx, h, noise = _draw(12, 1000, 16, 2, 4, 13)
-        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
+        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
         ranks = decide(base, cross, 1.0)
         for t in range(1000):
             y = h[t] @ mats[ranks_tx[t]] + noise[t]
@@ -218,7 +218,7 @@ class TestDetectBatch:
         ranks_tx = rng.integers(16, size=64)
         h = rng.standard_normal((64, 2, 4)) + 1j * rng.standard_normal((64, 2, 4))
         noise = rng.standard_normal((64, 2, 13)) + 1j * rng.standard_normal((64, 2, 13))
-        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
+        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
         ranks = decide(base, cross, 0.0)
         assert np.array_equal(ranks, ranks_tx)
         image_norm = np.sum(np.abs(np.einsum("bcr,brt->bct", h, mats[ranks_tx])) ** 2, axis=(1, 2))
@@ -230,9 +230,9 @@ class TestDetectBatch:
         h = rng.standard_normal((5, 2, 4)) + 0j
         noise = rng.standard_normal((4, 2, 13)) + 0j
         with pytest.raises(ValueError):
-            noise_linear_terms(h, np.zeros(4, dtype=np.int64), noise, cache)
+            noise_linear_terms(h, np.zeros(4, dtype=np.int64), noise, small_table.waveforms, cache)
         with pytest.raises(ValueError):
-            noise_linear_terms(h, np.zeros(5, dtype=np.int64), noise, cache)
+            noise_linear_terms(h, np.zeros(5, dtype=np.int64), noise, small_table.waveforms, cache)
 
     def test_symbol_errors_shrink_with_snr(self, small_table):
         # statistical harness: symbol error rate over the same trial seeds
@@ -241,7 +241,7 @@ class TestDetectBatch:
         cache = _cache(small_table, range(16))
         trials = 3000
         ranks_tx, h, noise = _draw(16, trials, 16, 2, 4, 13)
-        base, cross = noise_linear_terms(h, ranks_tx, noise, cache)
+        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
         sers, cis = [], []
         for snr_db in (-10.0, -5.0, 0.0, 5.0):
             ranks = decide(base, cross, 10 ** (-snr_db / 20.0))

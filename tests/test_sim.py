@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from imjrc import sim
 from imjrc.channel import (
     TAG_BITS,
     TAG_CHANNEL,
+    TAG_DESIGN_CHANNEL,
     TAG_NOISE,
     complex_normal,
     draw_channel,
@@ -17,8 +19,8 @@ from imjrc.channel import (
     snr_to_sigma2,
     substream,
 )
-from imjrc.crps import Scheme, build_scheme
-from imjrc.detector import noise_linear_terms
+from imjrc.crps import Scheme, build_scheme, build_schemes
+from imjrc.detector import channel_terms, codebook_terms
 from imjrc.enumeration import build_table
 from imjrc.params import derive
 from imjrc.sim import (
@@ -34,6 +36,24 @@ from imjrc.sim import (
 @pytest.fixture(scope="module")
 def small_baseline(small_table):
     return build_scheme(Scheme.BASELINE, small_table)
+
+
+@pytest.fixture(scope="module")
+def channel_aware_builds(default_params, default_table):
+    """The distinct codebooks of the five schemes designed through the seeded channel."""
+    channel = draw_channel(
+        default_params.L_C, default_params.L_R, substream(default_params.master_seed, TAG_DESIGN_CHANNEL)
+    )
+    distinct = {}
+    for build in build_schemes(list(Scheme), default_table, design_channel=channel):
+        distinct.setdefault((build.codebook.member_ids, build.tps.d_index if build.tps else 0), build)
+    assert len(distinct) == 4
+    return list(distinct.values())
+
+
+# the channel-aware benchmark's grid: at 2,048 pulses with early stop its
+# cells run one or two chunks of 1,024
+CHANNEL_AWARE_GRID = [-18.0, -14.0, -10.0, -6.0, -2.0, 2.0]
 
 
 def _rec(snr_db, ber, scheme="baseline", pulses=10000, b=8):
@@ -188,12 +208,36 @@ class TestSharedDraws:
         def counting_terms(*args):
             nonlocal calls
             calls += 1
-            return noise_linear_terms(*args)
+            return codebook_terms(*args)
 
-        monkeypatch.setattr(sim, "noise_linear_terms", counting_terms)
+        monkeypatch.setattr(sim, "codebook_terms", counting_terms)
         assert run_ber(builds, [-12.0], 3000, **kwargs) == alone
         # a build whose every cell has stopped is not decided again
         assert calls == sum(r.pulses // 16 for r in alone)
+
+    # below -6 dB every cell stops, and one build runs two chunks of 256 fewer
+    @pytest.mark.parametrize("points,batch", [(6, 1024), (3, 256)])
+    def test_chunk_terms_are_formed_once_per_chunk(self, channel_aware_builds, points, batch, monkeypatch):
+        calls = {"chunk": 0, "codebook": 0}
+
+        def counting(stage, fn):
+            def counted(*args):
+                calls[stage] += 1
+                return fn(*args)
+
+            return counted
+
+        monkeypatch.setattr(sim, "channel_terms", counting("chunk", channel_terms))
+        monkeypatch.setattr(sim, "codebook_terms", counting("codebook", codebook_terms))
+        grid = CHANNEL_AWARE_GRID[:points]
+        records = run_ber(channel_aware_builds, grid, 2048, early_stop=True, batch=batch)
+        # a build is decided in a chunk while any of its cells runs
+        chunks = [
+            max(r.pulses for r in records[i : i + points]) // batch for i in range(0, len(records), points)
+        ]
+        assert max(chunks) == 2048 // batch
+        assert (len(set(chunks)) > 1) == (batch == 256)
+        assert calls == {"chunk": max(chunks), "codebook": sum(chunks)}
 
     def test_rejects_builds_that_cannot_share_draws(self, small_baseline, small_params, default_table):
         with pytest.raises(ValueError):
@@ -207,6 +251,19 @@ class TestSharedDraws:
 
 
 class TestRunBer:
+    def test_traced_peak_of_the_channel_aware_builds(self, channel_aware_builds):
+        # the working set is allocated once, with each chunk's noise in the
+        # detector buffers' memory; allocating the (batch x n) terms per
+        # chunk and build peaked at 13.0 MiB
+        run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 64)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 2048, early_stop=True, batch=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5 * 2**20
+
     def test_noiseless_gives_zero_errors(self, small_baseline):
         records = run_ber([small_baseline], [math.inf], 200)
         assert len(records) == 1
