@@ -141,7 +141,11 @@ def _parse_entries(entries: Iterable[tuple[str, str, str]]) -> RunConfig:
 
 def _file_entries(path: str) -> Iterator[tuple[str, str, str]]:
     """The entries of a flat key=value config file (# starts a comment)."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw_line in enumerate(fh, start=1):
             line = raw_line.split("#", 1)[0].strip()
             if not line:
@@ -169,7 +173,6 @@ def estimate_complexity(
     params: SystemParams,
     derived: DerivedParams,
     n_pulses: int,
-    d_count: int | None = None,
 ) -> tuple[ComplexityEstimate, ComplexityEstimate]:
     """Closed-form operation counts for the two design pipelines.
 
@@ -181,9 +184,6 @@ def estimate_complexity(
     """
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    d = params.D if d_count is None else d_count
-    if d < 1:
-        raise ValueError(f"candidate count must be >= 1, got {d}")
     k, l_r, l_c, l_t = params.K, params.L_R, params.L_C, derived.L_T
     c, q, n = derived.C_total, derived.Q, n_pulses
 
@@ -200,7 +200,7 @@ def estimate_complexity(
     crps_score = Fraction(l_r**2 * l_t) + Fraction((3 * l_r * l_t + 1) * (c - 1), 2)
     crps_ops = (
         Fraction(synthesis)
-        + (crps_score * c + 1) * d
+        + (crps_score * c + 1) * params.D
         + Fraction(detect_per_codeword * c * n)
     )
 
@@ -516,10 +516,18 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 def read_ber_csv(path: str) -> list[BerRecord]:
     columns = get_type_hints(BerRecord)
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    with fh:
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing columns {', '.join(missing)}")
         return [
             BerRecord(**{name: convert(row[name]) for name, convert in columns.items()})
-            for row in csv.DictReader(fh)
+            for row in reader
         ]
 
 
@@ -602,10 +610,7 @@ def _cmd_gain(args: argparse.Namespace) -> int:
 def _cmd_complexity(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     derived = derive(config.params)
-    estimates = estimate_complexity(
-        config.params, derived, config.effective_pulses(), d_count=args.d_count
-    )
-    for est in estimates:
+    for est in estimate_complexity(config.params, derived, config.effective_pulses()):
         print(f"{est.label}: {est.operations:.6e} operations")
     return 0
 
@@ -628,9 +633,6 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, handler in _COMMON_VERBS:
         _add_common(sub.add_parser(name, help=help_text)).set_defaults(func=handler)
-    sub.choices["complexity"].add_argument(
-        "--d-count", type=int, help="pre-scaling candidate count override"
-    )
 
     sp = sub.add_parser("gain", help="measure SNR gain between two curves in a ber.csv")
     sp.add_argument("csv", help="path to a ber.csv")

@@ -121,14 +121,11 @@ class PairPatterns:
             dist += self.levels[k] * at_level
         return dist / patterns.shape[1]
 
-    def matrix(self, alpha: np.ndarray) -> np.ndarray:
-        """All-pairs distances under one row factor: exactly symmetric, zero diagonal."""
-        return self.distances(alpha)[:, 0][self.index]
-
     def ranks(self, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All-pairs distances under one row factor as ranks, and the distances they rank.
 
-        See :func:`_ranked`; ``values[ranks]`` is :meth:`matrix`, bit for bit.
+        ``values[ranks]`` is :meth:`distances` under ``alpha`` gathered
+        through ``index``: exactly symmetric, zero diagonal.  See :func:`_ranked`.
         """
         return _ranked(self.distances(alpha)[:, 0], self.index)
 
@@ -221,24 +218,15 @@ class PairClasses:
     words: np.ndarray
     index: np.ndarray
 
-    def distances(self, maps: np.ndarray, block: slice = slice(None)) -> np.ndarray:
-        """Distance of each class in ``block`` under each row map, (classes, maps), at least zero.
-
-        K and P are Hermitian, so the sum is that of the diagonal products
-        and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
-        reals of each class's K with L_R^2 reals of each map's P.
-        """
-        return self._distances(_map_features(maps), block)
-
     def ranks(self, map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All-pairs distances under one row map as ranks, and the distances they rank.
 
         A class's distance is the sum of its L_R^2 feature products in the
-        order of :meth:`distances`, added one feature at a time over a block
-        of :data:`_CLASS_BLOCK` classes.  No BLAS product takes part: its
+        order of :func:`_map_features`, added one feature at a time over a
+        block of :data:`_CLASS_BLOCK` classes.  No BLAS product takes part: its
         rounding of a class can follow the thread count and the class's place
-        in the product, and a tie with it.  The distances agree with
-        ``distances([map])`` to rounding.  See :func:`_ranked`.
+        in the product, and a tie with it.  The distances agree to rounding
+        with the product :meth:`meds` scores.  See :func:`_ranked`.
         """
         (weights,) = _map_features([map])
         dist = np.zeros(len(self.words))
@@ -261,6 +249,13 @@ class PairClasses:
         return self.table.reshape(-1).view(np.float64)[at]
 
     def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
+        """Distance of each class in ``block`` under each map, (classes, maps), at least zero.
+
+        K and P are Hermitian, so the sum is that of the diagonal products
+        and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
+        reals of each class's K with the L_R^2 reals of each map's P,
+        ``map_features`` (:func:`_map_features`).
+        """
         dist = self._features(block) @ map_features.T
         return np.maximum(dist, 0.0, out=dist)
 

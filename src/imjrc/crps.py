@@ -133,10 +133,10 @@ def design_bytes(
     the design holds n x n arrays of small unsigned integers: the pairs'
     codes and the gather that assembles them, which index their patterns,
     and a rank matrix and its pruning copy (one byte each on M=8, L_R=8).
-    The estimate is still three n x n arrays of 8-byte entries, the float
-    distance matrix, its pruning copy and the pattern index this path once
-    held, so the budget admits the tables it did.  Through a design
-    ``channel`` the pair-class pass peaks at three n x n arrays of 8-byte
+    The estimate is still three n x n arrays of 8-byte entries, a deliberate
+    overestimate: no test runs a table near the budget without a channel,
+    so the admitted scenarios stay as they are until one measures that
+    peak.  Through a design ``channel`` the pair-class pass peaks at three n x n arrays of 8-byte
     entries (the pairs' codes, their minimum with the transpose, and the
     sort that numbers them: 24.0 bytes per pair under tracemalloc at n = 420,
     720 and 1,960), and then holds the class index, the rank matrix and its

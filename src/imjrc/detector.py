@@ -16,7 +16,6 @@ once per chunk.  :func:`codebook_terms` writes one codebook's two
 (batch x n) terms into buffers the caller owns, so a run that reuses them
 allocates no (batch x n) array per chunk; each SNR point is then one axpy
 into a third buffer and one argmin, :func:`decide`.
-:func:`noise_linear_terms` composes the two stages for a single chunk.
 
 The inner products are taken in the carrier domain.  Antenna row l of
 member r is the row's coefficient times one of the M sampled waveforms W
@@ -127,24 +126,6 @@ def codebook_terms(
     base *= -2.0
     base += np.matmul(hh.reshape(batch, -1).view(float), cache.gram_map, out=cross)
     np.matmul(noise_spec.reshape(batch, -1).view(float), cache.carrier_map, out=cross)
-
-
-def noise_linear_terms(
-    h: np.ndarray,
-    ranks: np.ndarray,
-    noise: np.ndarray,
-    waveforms: np.ndarray,
-    cache: GramCache,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(base, cross) of one chunk of pulses Y = H X_s + sigma N, each (batch, n).
-
-    The two stages of :func:`channel_terms` and :func:`codebook_terms` on
-    fresh buffers; ``waveforms`` is the (M, L_T) W.
-    """
-    hh, noise_spec = channel_terms(h, noise, waveforms)
-    base, cross = (np.empty((len(ranks), cache.carrier_map.shape[1])) for _ in range(2))
-    codebook_terms(hh, noise_spec, ranks, cache, base, cross)
-    return base, cross
 
 
 def decide(

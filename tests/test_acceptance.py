@@ -26,7 +26,7 @@ from imjrc.cli import (
 )
 from imjrc.codebook import greedy_prune, med
 from imjrc.crps import Scheme, build_scheme, generate_tps
-from imjrc.detector import decide, gram_cache, noise_linear_terms
+from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import measure_gain, run_ber, snr_at_ber
@@ -312,9 +312,12 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     ranks = np.array([trial % mats.shape[0] for trial in trials])
     carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
     cache = gram_cache(default_table.coefficients(build.alpha), carriers, default_table.waveforms)
-    base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
+    # the chunk's terms, then the codebook's, then each noise level's metric,
+    # in buffers the caller owns
+    base, cross, metric_buf = np.empty((3, len(trials), mats.shape[0]))
+    codebook_terms(*channel_terms(h, noise, default_table.waveforms), ranks, cache, base, cross)
     for sigma in (0.6, 4.0):
-        got = decide(base, cross, sigma)
+        got = decide(base, cross, sigma, metric_buf)
         wrong = []
         for trial in trials:
             y = h[trial] @ mats[ranks[trial]] + sigma * noise[trial]

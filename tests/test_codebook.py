@@ -11,6 +11,7 @@ from imjrc import codebook
 from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
 from imjrc.codebook import (
     Codebook,
+    _map_features,
     _ranked,
     export_codebook_csv,
     greedy_prune,
@@ -22,6 +23,12 @@ from imjrc.crps import generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from oracles import class_distances, class_distances_in_order, distance_matrix, pair_pattern_codes
+
+
+def _pattern_matrix(patterns, alpha):
+    """All-pairs distances under one row factor, read through the ranks pruning reads."""
+    rank, values = patterns.ranks(alpha)
+    return values[rank]
 
 
 def _points_to_dist(points):
@@ -135,7 +142,7 @@ class TestPairPatterns:
     @pytest.mark.parametrize("name", ["small", "default", "lt_not_one"])
     def test_matches_distance_matrix(self, name, tables):
         table = tables[name]
-        dist = _patterns(table).matrix(np.ones(table.params.L_R))
+        dist = _pattern_matrix(_patterns(table), np.ones(table.params.L_R))
         mats = table.codewords(range(len(table)))
         assert np.allclose(dist, distance_matrix(mats), rtol=0.0, atol=1e-9)
         assert np.array_equal(dist, dist.T)
@@ -157,7 +164,7 @@ class TestPairPatterns:
         for table in (tables["small"], tables["lt_not_one"]):
             patterns = _patterns(table)
             for alpha in generate_tps(4, table.params.L_R, np.random.default_rng(16)):
-                dist = patterns.matrix(alpha)
+                dist = _pattern_matrix(patterns, alpha)
                 expect = distance_matrix(table.codewords(range(len(table))) * alpha[:, None])
                 assert np.allclose(dist, expect, rtol=0.0, atol=1e-9)
 
@@ -167,7 +174,7 @@ class TestPairPatterns:
         exact = np.empty(patterns.index.shape, dtype=object)
         for (i, j), p in np.ndenumerate(patterns.index):
             exact[i, j] = Fraction(int(patterns.levels[patterns.patterns[p]].sum()), l_r)
-        dist = patterns.matrix(np.ones(l_r))
+        dist = _pattern_matrix(patterns, np.ones(l_r))
         assert all(dist[ij] == float(exact[ij]) for ij in np.ndindex(dist.shape))
         target = 1 << small_table.derived.B
         assert greedy_prune(dist, target)[0].member_ids == greedy_prune(exact, target)[0].member_ids
@@ -177,7 +184,7 @@ class TestPairPatterns:
         # the number of differing rows, whichever rows those are
         patterns = _patterns(default_table)
         assert patterns.levels.tolist() == [0.0, 140.0]
-        dist = patterns.matrix(np.ones(6))
+        dist = _pattern_matrix(patterns, np.ones(6))
         differing = (patterns.patterns != 0).sum(axis=1)[patterns.index]
         for rows in np.unique(differing):
             assert set(dist[differing == rows].tolist()) == {float(Fraction(140 * int(rows), 6))}
@@ -256,7 +263,7 @@ class TestPairClasses:
         n = len(small_table)
         sets = [range(s, min(s + 5, n)) for s in range(0, n, 5)]
         sets += [list(pair) for pair in itertools.combinations(range(n), 2)]
-        meds, dist = classes.meds(maps, sets), classes.distances(maps)
+        meds, dist = classes.meds(maps, sets), class_distances(classes.words, small_table.waveforms, maps)
         for got, ids in zip(meds, sets):
             pairs = classes.index[np.ix_(ids, ids)][np.triu_indices(len(ids), 1)]
             np.testing.assert_allclose(got, dist[pairs].min(axis=0), rtol=1e-13, atol=0)
@@ -282,7 +289,7 @@ class TestPairClasses:
         step = block * (64 if block == 7 and count > 50_000 else 1)
         for start in [*range(0, count, step), count - count % block]:
             part = slice(start, start + block)
-            got = classes.distances(maps, part)
+            got = classes._distances(_map_features(maps), part)
             assert got.tobytes() == class_distances(classes.words, table.waveforms, maps, part).tobytes()
 
     @pytest.mark.parametrize("m,l_r", [(12, 8), (16, 9)])
@@ -516,7 +523,7 @@ class TestRanks:
         patterns = pair_patterns(design_large_table.carriers, 8, design_large_table.derived.L_T)
         for alpha in generate_tps(2, 8, np.random.default_rng(23)):
             rank, values = patterns.ranks(alpha)
-            dist = patterns.matrix(alpha)
+            dist = patterns.distances(alpha)[:, 0][patterns.index]
             assert np.array_equal(values[rank], dist)
             book, meds = greedy_prune(rank, 1 << design_large_table.derived.B, values)
             ref_book, ref_meds = greedy_prune(dist, 1 << design_large_table.derived.B)
@@ -539,7 +546,7 @@ class TestRanks:
             dist = values[rank]
             expect = class_distances_in_order(classes.words, table.waveforms, row_map)[classes.index]
             assert np.array_equal(dist.view(np.uint64), expect.view(np.uint64))
-            product = classes.distances([row_map])[:, 0][classes.index]
+            product = classes._distances(_map_features([row_map]), slice(None))[:, 0][classes.index]
             np.testing.assert_allclose(dist, product, rtol=1e-12, atol=0)
             self._assert_same(dist, 1 << table.derived.B)
 

@@ -31,6 +31,12 @@ def _scaled(table, ids, alpha):
     return SchemeBuild(Scheme.CRPS_ONLY, table, Codebook(tuple(ids), 0.0, "crps_only"), TpsFactor(alpha, 1))
 
 
+def _pattern_matrix(patterns, alpha):
+    """All-pairs distances under one row factor, read through the ranks pruning reads."""
+    rank, values = patterns.ranks(alpha)
+    return values[rank]
+
+
 def _maps(table, h, pool):
     """The row map of each candidate through design channel ``h``."""
     return [h * table.coefficients(alpha) for alpha in pool]
@@ -148,12 +154,13 @@ class TestCandidateScoring:
             params = table.params
             pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
             patterns = pair_patterns(table.carriers, params.M, table.derived.L_T)
-            expect = [med(patterns.matrix(alpha), ids)[0] for alpha in pool]
+            expect = [med(_pattern_matrix(patterns, alpha), ids)[0] for alpha in pool]
             assert patterns.meds(pool, [ids])[0].tolist() == expect
             classes = pair_classes(table.carriers, table.waveforms)
             maps = _maps(table, _design_channel(params), pool)
-            blocks = range(0, len(classes.words), codebook._CLASS_BLOCK)
-            dist = np.concatenate([classes.distances(maps, slice(b, b + codebook._CLASS_BLOCK)) for b in blocks])
+            features, block = codebook._map_features(maps), codebook._CLASS_BLOCK
+            starts = range(0, len(classes.words), block)
+            dist = np.concatenate([classes._distances(features, slice(b, b + block)) for b in starts])
             expect = [med(dist[:, d][classes.index], ids)[0] for d in range(len(pool))]
             assert classes.meds(maps, [ids])[0].tolist() == expect
 
@@ -207,7 +214,7 @@ class TestCandidateScoring:
         whole = patterns.meds(pool, sets)
         for d, alpha in enumerate(pool):
             assert np.array_equal(patterns.meds([alpha], sets)[:, 0], whole[:, d])
-            dist = patterns.matrix(alpha)
+            dist = _pattern_matrix(patterns, alpha)
             assert whole[1, d] == dist[0, 5] and whole[2, d] == dist[3, 17]
 
     @pytest.mark.parametrize("block", [4, 5, 10, 20])
@@ -225,7 +232,7 @@ class TestCandidateScoring:
         pool = generate_tps(count + 1, small_params.L_R, np.random.default_rng(12))[1:]
         meds = patterns.meds(pool, sets)
         for d, alpha in enumerate(pool):
-            dist = patterns.matrix(alpha)
+            dist = _pattern_matrix(patterns, alpha)
             for s, ids in enumerate(sets):
                 ids = np.asarray(ids)
                 sub = dist[np.ix_(ids, ids)][np.triu_indices(ids.size, 1)]
@@ -617,7 +624,8 @@ class TestShortlist:
             alpha = generate_tps(2, table.params.L_R, np.random.default_rng(14))[1]
             for factor in (np.ones(table.params.L_R), alpha):
                 exact = distance_matrix(table.codewords(ids) * factor[:, None], channel=h)
-                dist = classes.distances([h * table.coefficients(factor)])[classes.index, 0]
+                features = codebook._map_features([h * table.coefficients(factor)])
+                dist = classes._distances(features, slice(None))[classes.index, 0]
                 off = ~np.eye(len(ids), dtype=bool)
                 np.testing.assert_allclose(dist[off], exact[off], rtol=1e-12, atol=0)
                 assert np.all(np.diag(dist) == 0.0)
@@ -677,7 +685,9 @@ def _stages(table, h):
             return classes.meds(_maps(table, h, pool), [ids])[0]
     else:
         patterns = pair_patterns(table.carriers, table.params.M, table.derived.L_T)
-        matrix = patterns.matrix
+
+        def matrix(alpha):
+            return _pattern_matrix(patterns, alpha)
 
         def meds(pool, ids):
             return patterns.meds(pool, [ids])[0]

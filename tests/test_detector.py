@@ -5,7 +5,7 @@ import pytest
 
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
 from imjrc.crps import Scheme, build_scheme
-from imjrc.detector import decide, gram_cache, noise_linear_terms
+from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
 from oracles import detect
 
 
@@ -99,6 +99,14 @@ def _cache(table, member_ids, alpha=None):
     return gram_cache(table.coefficients(alpha), carriers, table.waveforms)
 
 
+def _terms(h, ranks, noise, waveforms, cache):
+    """(base, cross) of one chunk: the chunk's terms, then the codebook's, into the
+    caller's (batch, n) buffers, as :func:`imjrc.sim.run_ber` forms them."""
+    base, cross = np.empty((2, len(ranks), cache.carrier_map.shape[1]))
+    codebook_terms(*channel_terms(h, noise, waveforms), ranks, cache, base, cross)
+    return base, cross
+
+
 def _draw(seed, trials, n, l_c, l_r, l_t):
     ranks = np.empty(trials, dtype=np.int64)
     h = np.empty((trials, l_c, l_r), dtype=complex)
@@ -160,7 +168,7 @@ class TestCarrierDomain:
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
-        base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
+        base, cross = _terms(h, ranks, noise, default_table.waveforms, cache)
         images = np.einsum("bcr,nrt->bnct", h, mats)
         signal = images[np.arange(64), ranks]
         image_norm = np.einsum("bnct,bnct->bn", images, images.conj()).real
@@ -178,7 +186,7 @@ class TestCarrierDomain:
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
-        base, cross = noise_linear_terms(h, ranks, noise, default_table.waveforms, cache)
+        base, cross = _terms(h, ranks, noise, default_table.waveforms, cache)
         assert np.array_equal(decide(base, cross, 0.0), ranks)
 
     def test_rejects_misshapen_carriers(self, small_table):
@@ -201,7 +209,7 @@ class TestDetectBatch:
         mats = small_table.codewords(range(16))
         cache = _cache(small_table, range(16))
         ranks_tx, h, noise = _draw(12, 1000, 16, 2, 4, 13)
-        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
+        base, cross = _terms(h, ranks_tx, noise, small_table.waveforms, cache)
         ranks = decide(base, cross, 1.0)
         for t in range(1000):
             y = h[t] @ mats[ranks_tx[t]] + noise[t]
@@ -218,7 +226,7 @@ class TestDetectBatch:
         ranks_tx = rng.integers(16, size=64)
         h = rng.standard_normal((64, 2, 4)) + 1j * rng.standard_normal((64, 2, 4))
         noise = rng.standard_normal((64, 2, 13)) + 1j * rng.standard_normal((64, 2, 13))
-        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
+        base, cross = _terms(h, ranks_tx, noise, small_table.waveforms, cache)
         ranks = decide(base, cross, 0.0)
         assert np.array_equal(ranks, ranks_tx)
         image_norm = np.sum(np.abs(np.einsum("bcr,brt->bct", h, mats[ranks_tx])) ** 2, axis=(1, 2))
@@ -230,9 +238,32 @@ class TestDetectBatch:
         h = rng.standard_normal((5, 2, 4)) + 0j
         noise = rng.standard_normal((4, 2, 13)) + 0j
         with pytest.raises(ValueError):
-            noise_linear_terms(h, np.zeros(4, dtype=np.int64), noise, small_table.waveforms, cache)
-        with pytest.raises(ValueError):
-            noise_linear_terms(h, np.zeros(5, dtype=np.int64), noise, small_table.waveforms, cache)
+            channel_terms(h, noise, small_table.waveforms)
+        hh, noise_spec = channel_terms(h[:4], noise, small_table.waveforms)
+        base, cross = np.empty((2, 4, 4))
+        for ranks, buffers in (
+            (np.zeros(5, dtype=np.int64), (base, cross)),  # a rank too many
+            (np.zeros(4, dtype=np.int64), (base[:3], cross)),  # a buffer row short
+            (np.zeros(4, dtype=np.int64), (base, cross[:3])),
+        ):
+            with pytest.raises(ValueError):
+                codebook_terms(hh, noise_spec, ranks, cache, *buffers)
+
+    def test_reused_buffers_decide_like_the_reference(self, small_table):
+        # one working set, as run_ber holds it: a full chunk, then a shorter
+        # one through [:size] views that still hold the full chunk's terms
+        mats = small_table.codewords(range(16))
+        cache = _cache(small_table, range(16))
+        base_buf, cross_buf, metric_buf = np.empty((3, 64, 16))
+        for seed, size in ((17, 64), (18, 23)):
+            ranks_tx, h, noise = _draw(seed, size, 16, 2, 4, 13)
+            base, cross, metric = base_buf[:size], cross_buf[:size], metric_buf[:size]
+            codebook_terms(*channel_terms(h, noise, small_table.waveforms), ranks_tx, cache, base, cross)
+            for sigma in (0.5, 2.0):
+                ranks = decide(base, cross, sigma, metric)
+                ys = h @ mats[ranks_tx] + sigma * noise
+                assert ranks.tolist() == [detect(ys[t], h[t], mats).rank for t in range(size)]
+                assert np.array_equal(ranks, metric.argmin(axis=1))
 
     def test_symbol_errors_shrink_with_snr(self, small_table):
         # statistical harness: symbol error rate over the same trial seeds
@@ -241,7 +272,7 @@ class TestDetectBatch:
         cache = _cache(small_table, range(16))
         trials = 3000
         ranks_tx, h, noise = _draw(16, trials, 16, 2, 4, 13)
-        base, cross = noise_linear_terms(h, ranks_tx, noise, small_table.waveforms, cache)
+        base, cross = _terms(h, ranks_tx, noise, small_table.waveforms, cache)
         sers, cis = [], []
         for snr_db in (-10.0, -5.0, 0.0, 5.0):
             ranks = decide(base, cross, 10 ** (-snr_db / 20.0))
