@@ -525,10 +525,16 @@ def read_ber_csv(path: str) -> list[BerRecord]:
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing columns {', '.join(missing)}")
-        return [
-            BerRecord(**{name: convert(row[name]) for name, convert in columns.items()})
-            for row in reader
-        ]
+        records = []
+        for row in reader:
+            values = {}
+            for name, convert in columns.items():
+                try:
+                    values[name] = convert(row[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: column {name}: {exc}") from None
+            records.append(BerRecord(**values))
+        return records
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -539,8 +545,18 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that cannot be a directory, before any work is done."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"--out {out}: {path} is not a directory")
+
+
 def _cmd_design(args: argparse.Namespace) -> int:
     config = build_run_config(args)
+    _check_out(config.out)
     table, design_channel = _design_inputs(config)
     builds = build_schemes(config.schemes, table, design_channel=design_channel)
     os.makedirs(config.out, exist_ok=True)
@@ -566,6 +582,7 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 def _cmd_ber(args: argparse.Namespace) -> int:
     config = build_run_config(args)
+    _check_out(config.out)
     result = execute_run(config)
     for r in result.records:
         print(

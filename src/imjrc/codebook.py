@@ -40,6 +40,10 @@ _CLASS_BLOCK = 2048
 minimum over each member set's classes is taken, or under one row map
 while they are ranked."""
 
+_ROW_BLOCK = 128
+"""Rows of an n x n pair index read at once: while it is gathered into ranks,
+or while the classes a member set's pairs hold are marked."""
+
 
 def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``code``, increasing, and each entry's position among them.
@@ -55,6 +59,23 @@ def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     return codes, index.reshape(code.shape)
 
 
+def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``rows``, entries below ``base``, and each row's number among them.
+
+    The distinct rows come in lexicographic order, as ``np.unique(rows,
+    axis=0)`` gives them.  They are numbered one column at a time: a row's
+    number over its first c + 1 entries is the position of its number over
+    the first c, times ``base``, plus entry c.  So no integer reaches
+    n ``base``, however many columns there are.
+    """
+    number = np.zeros(len(rows), dtype=np.intp)
+    for column in rows.T:
+        _, number = np.unique(number * base + column, return_inverse=True)
+    distinct = np.zeros((number.max(initial=-1) + 1, rows.shape[1]), dtype=rows.dtype)
+    distinct[number] = rows
+    return distinct, number
+
+
 def _set_minima(
     index: np.ndarray,
     count: int,
@@ -64,18 +85,32 @@ def _set_minima(
     """Minimum distance of each set of distinct codewords under each factor, one row per set.
 
     ``index[i, j]`` is the class, one of ``count``, of codewords i and j,
-    and ``distances(block)`` the (classes, factors) distances of a slice of
-    the classes, :data:`_CLASS_BLOCK` at a time.  A minimum is exact in any
-    order, so the blocks change no value.
+    symmetric in i and j, and ``distances(block)`` the (classes, factors)
+    distances of a slice of the classes, :data:`_CLASS_BLOCK` at a time.  A
+    set's classes are marked :data:`_ROW_BLOCK` of its rows at a time, each
+    row from its own member on: the block's square, whose diagonal holds no
+    pair and is filled with the set's first pair, then the columns after it.
+    A set of the first codewords, in order, reads ``index`` in place.  A
+    minimum is exact in any order, so the blocks change no value.
     """
     if any(len(ids) < 2 for ids in member_sets):
         raise ValueError("candidate scoring needs at least two members")
     present = []
     for ids in member_sets:
-        sub = index.take(ids, axis=0).take(ids, axis=1)
-        np.fill_diagonal(sub, sub[0, 1])  # the diagonal holds no pair
+        ids = np.asarray(ids)
+        prefix = np.array_equal(ids, np.arange(ids.size))
+        first = index[ids[0], ids[1]]
         mask = np.zeros(count, dtype=bool)
-        mask[sub] = True
+        for start in range(0, ids.size, _ROW_BLOCK):
+            rows = ids[start : start + _ROW_BLOCK]
+            if prefix:
+                block = index[start : start + rows.size, start : ids.size]
+            else:
+                block = index.take(rows, axis=0).take(ids[start:], axis=1)
+            square = block[:, : rows.size].copy()
+            np.fill_diagonal(square, first)
+            mask[square] = True
+            mask[block[:, rows.size :]] = True
         present.append(mask)
     meds = []
     for start in range(0, count, _CLASS_BLOCK):
@@ -142,10 +177,18 @@ def _ranked(distances: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.nd
     The positions keep order and ties, equal positions being bit-equal
     distances, and take the smallest unsigned type that also holds one
     value above them: the unused largest value :func:`greedy_prune` and
-    :func:`med` mark excluded entries with.
+    :func:`med` mark excluded entries with.  Each class's position is
+    gathered through ``index`` :data:`_ROW_BLOCK` rows at a time, straight
+    into the result.
     """
     values, rank = np.unique(distances, return_inverse=True)
-    return rank.astype(np.min_scalar_type(values.size))[index], values
+    rank = rank.astype(np.min_scalar_type(values.size))
+    ranks = np.empty(index.shape, dtype=rank.dtype)
+    for start in range(0, len(index), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        # every class is in range; "clip" writes straight into ``out``
+        np.take(rank, index[rows], out=ranks[rows], mode="clip")
+    return ranks, values
 
 
 def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
@@ -159,8 +202,10 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     row levels as a number in base (level count), row 0 the most
     significant digit, in the smallest unsigned type that holds every code.
     The rows split into two halves, and each half's code is read from a
-    table over the pairs of that half's distinct words: two n x n gathers
-    in all.  When the code space is no larger than n a code is its
+    table over the pairs of that half's distinct words
+    (:func:`_distinct_rows`): the table's columns are gathered for each
+    codeword first, then whole contiguous rows, one n x n row gather a
+    half.  When the code space is no larger than n a code is its
     pattern's number; otherwise the codes that occur are numbered in
     increasing order.
     """
@@ -172,14 +217,13 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     code = np.zeros((n, n), dtype=np.min_scalar_type(space - 1))
     level = level.astype(code.dtype)[np.minimum(k, m - k)[(k[:, None] - k[None, :]) % m]]
     for half in (carriers[:, : l_r // 2], carriers[:, l_r // 2 :]):
-        words, word = np.unique(half, axis=0, return_inverse=True)
+        words, word = _distinct_rows(half, m)
         pairs = np.zeros((len(words), len(words)), dtype=code.dtype)
         for c in words.T:
             pairs *= code.dtype.type(base)
             pairs += np.take(level[c], c, axis=1)
-        word = word.reshape(-1)
         code *= code.dtype.type(base ** half.shape[1])
-        code += np.take(pairs[word], word, axis=1)
+        code += np.take(pairs, word, axis=1)[word]
     codes, index = (np.arange(space), code) if space <= n else _numbered(code, space)
     patterns = codes[:, None].astype(np.int64) // base ** np.arange(l_r - 1, -1, -1) % base
     return PairPatterns(levels=levels, patterns=patterns, index=index)
@@ -283,8 +327,8 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     diagonal's, set to 0, first.
     """
     m = len(waveforms)
-    shapes, shape = np.unique((carriers - carriers[:, :1]) % m, axis=0, return_inverse=True)
-    shape, count, first = shape.reshape(-1), len(shapes), carriers[:, 0]
+    shapes, shape = _distinct_rows((carriers - carriers[:, :1]) % m, m)
+    count, first = len(shapes), carriers[:, 0]
     code = (shape[:, None] * count + shape) * m + (first - first[:, None]) % m
     code = np.minimum(code, code.T)
     np.fill_diagonal(code, 0)
@@ -339,17 +383,22 @@ def greedy_prune(
     ``dist`` is a distance matrix or, with ``values``, a rank matrix of
     :func:`_ranked`, whose distances are ``values[dist]``.  Only order and
     ties decide a step, and ranks keep both, so the two give the same
-    codebook.  A removed or diagonal entry holds inf in a float matrix and
-    the largest value of its type, unused by any rank, in a rank matrix.
+    codebook.  Distances are finite.  A removed or diagonal entry holds inf
+    in a float matrix and the largest value of its type, unused by any rank,
+    in a rank matrix.
 
     The closest pair comes from cached row minima instead of a scan of the
     whole matrix.  ``rowmin[r]`` and ``rowarg[r]`` are the minimum of row r
-    of the working matrix and its first column.  ``argmin(rowmin)`` is the
-    first row holding the global minimum, and ``rowarg`` of that row is its
-    first column holding it: the same pair a row-major ``argmin`` over the
-    whole matrix returns.  Removing a codeword excludes its row and column,
-    which changes the cached minimum only of rows whose ``rowarg`` was that
-    column, so only those rows are scanned again.
+    of the working matrix and its first column, as of the last time row r
+    was scanned.  Removing a codeword only excludes entries, so a cached
+    minimum stays a lower bound of its row's, and it is exact while its
+    ``rowarg`` survives: then ``rowarg`` is still the row's first column
+    holding it.  Each step takes the first row of least bound, and scans it
+    again only if its ``rowarg`` was removed, until that row's ``rowarg``
+    survives.  That row holds the global minimum, as its exact minimum is
+    the least bound, and every row before it has a strictly larger bound,
+    so none holds the minimum; ``rowarg`` is its first column holding it.
+    That is the pair a row-major ``argmin`` over the whole matrix returns.
 
     Returns the codebook, labelled "pruned", and the MED trajectory, in
     distances: entry 0 is the MED of the full set, entry q the MED after q
@@ -372,12 +421,19 @@ def greedy_prune(
     alive = np.ones(n, dtype=bool)
     meds = np.empty(n - target + 1, dtype=work.dtype)
 
-    for step in range(n - target):
-        i = int(np.argmin(rowmin))
+    for step in range(n - target + 1):
+        i = int(rowmin.argmin())
+        while not alive[rowarg[i]]:
+            row = work[i]
+            rowarg[i] = row.argmin()
+            rowmin[i] = row[rowarg[i]]
+            i = int(rowmin.argmin())
         j = int(rowarg[i])
         if i > j:
             i, j = j, i
         meds[step] = work[i, j]
+        if step == n - target:
+            break  # the survivor MED
         # second-smallest distance of each endpoint, partner excluded
         row_i = work[i]
         saved = row_i[j]
@@ -395,15 +451,8 @@ def greedy_prune(
         work[drop, :] = far
         work[:, drop] = far
         rowmin[drop] = far
-        stale = np.flatnonzero(alive & (rowarg == drop))
-        if stale.size:
-            args = work[stale].argmin(axis=1)
-            rowarg[stale] = args
-            rowmin[stale] = work[stale, args]
 
     survivors = tuple(int(g) for g in np.flatnonzero(alive))
-    # eliminated rows are excluded, so this is the survivor MED
-    meds[-1] = rowmin.min()
     meds = meds.astype(float) if values is None else values[meds]
     book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance="pruned")
     return book, meds

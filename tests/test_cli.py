@@ -668,6 +668,29 @@ class TestMainCommands:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    def test_gain_command_names_a_bad_cell(self, tmp_path, capsys):
+        csv = tmp_path / "ber.csv"
+        rows = ["scheme,snr_db,pulses,bit_errors,ber,ci_halfwidth", "baseline,-10.0,10000,5,5e-4,0.0"]
+        csv.write_text("\n".join([*rows, "crps_only,-10.0,x,5,5e-4,0.0"]) + "\n")
+        assert main(["gain", str(csv), "--scheme", "crps_only"]) == 2
+        message = "invalid literal for int() with base 10: 'x'"
+        assert capsys.readouterr().err == f"error: {csv}:3: column pulses: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["design", "ber"])
+    @pytest.mark.parametrize("under", [None, "run"], ids=["file", "under_a_file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_design(
+        self, verb, under, config_file, tmp_path, capsys, monkeypatch
+    ):
+        # a regular file, or a path under one: one error line, no traceback,
+        # and no design run whose results would be lost
+        monkeypatch.setattr(cli, "_design_inputs", _no_design)
+        notadir = tmp_path / "notadir"
+        notadir.write_text("")
+        out = notadir if under is None else notadir / under
+        assert main([verb, "--config", config_file, "--pulses", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {notadir} is not a directory\n"
+        assert notadir.read_text() == ""
+
     @pytest.mark.parametrize(
         "text,message", [("bogus = 1\n", "bad.cfg:1"), (None, "bad.cfg: No such file or directory")],
         ids=["unknown_key", "missing_file"],

@@ -45,15 +45,22 @@ def _dense_greedy_prune(dist, target, ties=None):
 
     The reference for greedy_prune: same pair choice, same tie-breaks, same
     trajectory, found the slow way.  ``ties``, when given, counts the steps
-    with a tied closest pair ("pair") and with tied second minima ("second").
+    with a tied closest pair ("pair") and with tied second minima ("second"),
+    and the steps whose row has lost the column it was closest to when it
+    was last picked, or at the start ("refresh"): greedy_prune scans that
+    row's cached bound again at such a step or before it.
     """
     n = dist.shape[0]
     work = dist.copy()
     np.fill_diagonal(work, np.inf)
     alive = np.ones(n, dtype=bool)
     meds = np.empty(n - target + 1)
+    closest = work.argmin(axis=1)
     for step in range(n - target):
         i, j = divmod(int(np.argmin(work)), n)
+        if ties is not None:
+            ties["refresh"] += not alive[closest[i]]
+            closest[i] = j
         if i > j:
             i, j = j, i
         meds[step] = work[i, j]
@@ -209,6 +216,9 @@ class TestPairPatterns:
             (8, 65, 8, 100),  # 256 codes above n, marked
             (6, 64, 4, 100),  # LT_NOT_ONE: 3 levels, 81 codes below n
             (6, 64, 8, 50),  # 3^8 codes above n^2, sorted
+            (10, 61, 8, 100),  # M = 10: 256 codes above n, marked
+            (12, 67, 6, 150),  # 3 levels, 729 codes above n, marked
+            (16, 37, 6, 80),  # 7 levels, 7^6 codes above n^2, sorted
         ],
     )
     def test_half_word_codes_match_the_row_loop(self, m, l_t, l_r, n):
@@ -221,6 +231,74 @@ class TestPairPatterns:
         assert np.array_equal(patterns.patterns[patterns.index], digits)
         if levels.size**l_r <= n:
             assert np.array_equal(patterns.index, code)
+
+
+@pytest.mark.parametrize("m,columns,n", [(7, 3, 200), (12, 4, 300), (16, 5, 100), (10, 0, 5)])
+def test_distinct_rows_match_unique(m, columns, n):
+    # lexicographic order and positions of np.unique over rows, at M >= 10
+    # too, and one row for rows of no entries
+    rows = np.random.default_rng(m).integers(0, m, size=(n, columns))
+    rows = rows[np.random.default_rng(n).integers(0, n, size=2 * n)]
+    distinct, number = codebook._distinct_rows(rows, m)
+    expect, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert np.array_equal(distinct, expect) and distinct.dtype == rows.dtype
+    assert np.array_equal(number, inverse.reshape(-1))
+
+
+def _one_hot(count):
+    # class c is 0 apart under factor c and 1 under every other: a set's
+    # minima are 0 exactly at the classes its pairs hold
+    return lambda block: (np.arange(count)[block, None] != np.arange(count)).astype(float)
+
+
+class TestSetMinima:
+    """The classes each member set's pairs hold, and its MEDs, against a loop over the pairs."""
+
+    @staticmethod
+    def _member_sets(n):
+        rng = np.random.default_rng(n)
+        return [
+            range(n),  # the whole table, read in place
+            range(n // 3),  # a prefix
+            range(1, n // 3),  # from codeword 1: no prefix, so gathered
+            sorted(rng.choice(n, n // 2, replace=False).tolist()),
+            rng.permutation(n)[: n // 4].tolist(),  # unsorted
+            [1, 0],  # the first two, in the other order
+        ]
+
+    @staticmethod
+    def _classes_of_pairs(index, ids):
+        return sorted({int(index[i, j]) for i, j in itertools.combinations(ids, 2)})
+
+    @pytest.mark.parametrize("block", [7, 128])
+    @pytest.mark.parametrize(
+        "table_name,pairs_of", [("default_table", pair_patterns), ("small_table", pair_classes)]
+    )
+    def test_marks_exactly_the_classes_of_the_pairs(
+        self, table_name, pairs_of, block, request, monkeypatch
+    ):
+        # 420 and 18 rows: a ragged last block either way
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
+        table = request.getfixturevalue(table_name)
+        if pairs_of is pair_patterns:
+            pairs = _patterns(table)
+            count = len(pairs.patterns)
+        else:
+            pairs = pair_classes(table.carriers, table.waveforms)
+            count = len(pairs.words)
+        sets = self._member_sets(len(table))
+        for got, ids in zip(codebook._set_minima(pairs.index, count, _one_hot(count), sets), sets):
+            assert np.flatnonzero(got == 0).tolist() == self._classes_of_pairs(pairs.index, ids)
+
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_meds_match_the_pair_loop(self, block, default_table, monkeypatch):
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
+        patterns = _patterns(default_table)
+        alphas = generate_tps(5, 6, np.random.default_rng(32))
+        sets = self._member_sets(len(default_table))
+        dist = patterns.distances(alphas)
+        for got, ids in zip(patterns.meds(alphas, sets), sets):
+            assert np.array_equal(got, dist[self._classes_of_pairs(patterns.index, ids)].min(axis=0))
 
 
 def _class_key(a, b, m):
@@ -463,6 +541,9 @@ class TestGreedyMatchesDenseArgmin:
             n = int(rng.integers(10, 60))
             _dense_greedy_prune(_tied_symmetric(rng, n), 2, ties)
         assert ties["pair"] > 0 and ties["second"] > 0
+        # and pick a row whose cached closest column was removed, or they
+        # would not test the lazily refreshed minima
+        assert ties["refresh"] > 0
 
     def test_small_table(self, small_table, small_derived):
         mats = small_table.codewords(range(len(small_table)))
@@ -508,6 +589,18 @@ class TestRanks:
         dist = _tied_symmetric(rng, n)
         assert self._assert_same(dist, 2).dtype == np.uint8
         self._assert_same(dist, n // 2)
+
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_rows_are_gathered_in_blocks(self, block, monkeypatch):
+        # 60 and 300 rows are a multiple of neither block: the last is ragged
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in (60, 300):
+            distances = rng.integers(0, 40, size=50) / 7
+            index = rng.integers(0, 50, size=(n, n)).astype(np.uint8)
+            rank, values = _ranked(distances, index)
+            assert np.array_equal(values, np.unique(distances)) and rank.dtype == np.uint8
+            assert np.array_equal(rank, np.searchsorted(values, distances)[index])
 
     @pytest.mark.parametrize("count,dtype", [(255, np.uint8), (256, np.uint16)])
     def test_largest_value_is_left_free(self, count, dtype):
