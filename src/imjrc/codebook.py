@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -49,14 +49,27 @@ def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``code``, increasing, and each entry's position among them.
 
     A value space no larger than ``code`` is marked, and the positions take
-    the smallest integer type that holds them; a larger space is sorted.
+    the smallest integer type that holds them; both passes read
+    :data:`_ROW_BLOCK` rows of ``code`` at a time, so no temporary is as
+    large as ``code``.  A larger space is sorted.
     """
-    if space <= code.size:
-        seen = np.isin(np.arange(space), code)
-        codes = np.flatnonzero(seen)
-        return codes, (np.cumsum(seen) - 1).astype(np.min_scalar_type(codes.size - 1))[code]
-    codes, index = np.unique(code, return_inverse=True)
-    return codes, index.reshape(code.shape)
+    if space > code.size:
+        codes, index = np.unique(code, return_inverse=True)
+        return codes, index.reshape(code.shape)
+    seen = np.zeros(space, dtype=bool)
+    for start in range(0, len(code), _ROW_BLOCK):
+        seen[code[start : start + _ROW_BLOCK]] = True
+    codes = np.flatnonzero(seen)
+    # the count can exceed the type by one, but a wrapped sum less one is
+    # still each marked value's position
+    positions = np.cumsum(seen, dtype=np.min_scalar_type(codes.size - 1))
+    positions -= 1
+    index = np.empty(code.shape, dtype=positions.dtype)
+    for start in range(0, len(code), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        # every marked value is in range; "clip" writes straight into ``out``
+        np.take(positions, code[rows], out=index[rows], mode="clip")
+    return codes, index
 
 
 def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +89,20 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     return distinct, number
 
 
+def _member_rows(matrix: np.ndarray, ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each block of :data:`_ROW_BLOCK` members ``ids[start:stop]`` and its rows of
+    ``matrix`` from each row's own member on, ``matrix[ids[start:stop]][:, ids[start:]]``,
+    as ``(start, block)``.  A set of the first codewords, in order, is read in place.
+    """
+    prefix = np.array_equal(ids, np.arange(ids.size))
+    for start in range(0, ids.size, _ROW_BLOCK):
+        rows = ids[start : start + _ROW_BLOCK]
+        if prefix:
+            yield start, matrix[start : start + rows.size, start : ids.size]
+        else:
+            yield start, matrix.take(rows, axis=0).take(ids[start:], axis=1)
+
+
 def _set_minima(
     index: np.ndarray,
     count: int,
@@ -88,29 +115,23 @@ def _set_minima(
     symmetric in i and j, and ``distances(block)`` the (classes, factors)
     distances of a slice of the classes, :data:`_CLASS_BLOCK` at a time.  A
     set's classes are marked :data:`_ROW_BLOCK` of its rows at a time, each
-    row from its own member on: the block's square, whose diagonal holds no
-    pair and is filled with the set's first pair, then the columns after it.
-    A set of the first codewords, in order, reads ``index`` in place.  A
-    minimum is exact in any order, so the blocks change no value.
+    row from its own member on (:func:`_member_rows`): the block's square,
+    whose diagonal holds no pair and is filled with the set's first pair,
+    then the columns after it.  A minimum is exact in any order, so the
+    blocks change no value.
     """
     if any(len(ids) < 2 for ids in member_sets):
         raise ValueError("candidate scoring needs at least two members")
     present = []
     for ids in member_sets:
         ids = np.asarray(ids)
-        prefix = np.array_equal(ids, np.arange(ids.size))
         first = index[ids[0], ids[1]]
         mask = np.zeros(count, dtype=bool)
-        for start in range(0, ids.size, _ROW_BLOCK):
-            rows = ids[start : start + _ROW_BLOCK]
-            if prefix:
-                block = index[start : start + rows.size, start : ids.size]
-            else:
-                block = index.take(rows, axis=0).take(ids[start:], axis=1)
-            square = block[:, : rows.size].copy()
+        for _, block in _member_rows(index, ids):
+            square = block[:, : len(block)].copy()
             np.fill_diagonal(square, first)
             mask[square] = True
-            mask[block[:, rows.size :]] = True
+            mask[block[:, len(block) :]] = True
         present.append(mask)
     meds = []
     for start in range(0, count, _CLASS_BLOCK):
@@ -266,41 +287,89 @@ class PairClasses:
         """All-pairs distances under one row map as ranks, and the distances they rank.
 
         A class's distance is the sum of its L_R^2 feature products in the
-        order of :func:`_map_features`, added one feature at a time over a
-        block of :data:`_CLASS_BLOCK` classes.  No BLAS product takes part: its
-        rounding of a class can follow the thread count and the class's place
-        in the product, and a tie with it.  The distances agree to rounding
-        with the product :meth:`meds` scores.  See :func:`_ranked`.
+        order of :func:`_map_features`, added one feature at a time over
+        every class: a feature is gathered for all classes at once, from the
+        table's real diagonal or from the real or the imaginary parts of the
+        table, at each class's carrier-pair rows.  No BLAS product takes
+        part: its rounding of a class can follow the thread count and the
+        class's place in the product, and a tie with it.  The distances agree
+        to rounding with the product :meth:`meds` scores.  See :func:`_ranked`.
         """
         (weights,) = _map_features([map])
+        pairs = len(self.table)
+        kind = np.min_scalar_type(pairs - 1)
+        # each class's carrier-pair rows, one contiguous row of classes per antenna row
+        rows = np.ascontiguousarray(
+            (self.words[:, 0].astype(kind) * kind.type(math.isqrt(pairs)) + self.words[:, 1]).T
+        )
+        l_r = len(rows)
+        i, j = np.triu_indices(l_r, 1)
         dist = np.zeros(len(self.words))
-        for start in range(0, dist.size, _CLASS_BLOCK):
-            block = slice(start, start + _CLASS_BLOCK)
-            for column, weight in zip(self._features(block).T, weights):
-                dist[block] += column * weight
+        product = np.empty_like(dist)
+        diagonal = self.table.diagonal().real
+        for row, weight in zip(rows, weights[:l_r]):
+            dist += np.multiply(diagonal[row], weight, out=product)
+        for part, part_weights in zip((self.table.real, self.table.imag), np.split(weights[l_r:], 2)):
+            flat = part.reshape(-1)
+            for l, q, weight in zip(i, j, part_weights):
+                at = rows[l] * np.intp(pairs)
+                at += rows[q]
+                dist += np.multiply(flat[at], weight, out=product)
         return _ranked(np.maximum(dist, 0.0, out=dist), self.index)
 
-    def _features(self, block: slice) -> np.ndarray:
-        # each of a class's L_R^2 reals (K's diagonal, then the real and the
-        # imaginary parts of its upper triangle) is one entry of ``table``,
-        # read as interleaved real and imaginary parts: one gather a block
-        pairs = len(self.table)
-        words = self.words[block].astype(np.intp)
-        rows = words[:, 0] * math.isqrt(pairs) + words[:, 1]
-        i, j = np.triu_indices(rows.shape[1], 1)
-        upper = 2 * (rows[:, i] * pairs + rows[:, j])
-        at = np.concatenate([2 * (pairs + 1) * rows, upper, upper + 1], axis=1)
-        return self.table.reshape(-1).view(np.float64)[at]
+    def _work_per_class(self, maps: int = 0) -> int:
+        """Entries of working memory a class takes in :meth:`_distances` under ``maps`` maps:
+        its features, then its gather and positions or, once those are read, its distances."""
+        l_r = self.words.shape[-1]
+        return l_r * l_r + max(3 * (l_r * (l_r - 1) // 2), maps)
 
-    def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
+    def _features(self, block: slice, work: np.ndarray) -> np.ndarray:
+        """The L_R^2 reals of each class in ``block``, (classes, L_R^2): K's diagonal,
+        then the real and the imaginary parts of its upper triangle.
+
+        Each is one entry of ``table``: the diagonal comes from the table's
+        real diagonal, the upper triangle from one complex gather, whose
+        parts fill the two halves.  The reals, the gather and its positions
+        are laid out in ``work``, which a pass over the classes reuses block
+        after block, so no block faults in fresh pages.
+        """
+        pairs = len(self.table)
+        words = self.words[block]
+        classes, l_r = len(words), words.shape[-1]
+        i, j = np.triu_indices(l_r, 1)
+        split = np.cumsum([l_r * l_r, 2 * i.size, i.size]) * classes
+        features = work[: split[0]].reshape(classes, l_r * l_r)
+        upper = work[split[0] : split[1]].view(complex).reshape(classes, i.size)
+        at = work[split[1] : split[2]].view(np.intp).reshape(classes, i.size)
+        rows = words[:, 0] * np.intp(math.isqrt(pairs)) + words[:, 1]
+        # every position is in range; "clip" writes straight into ``out``
+        np.take(rows, i, axis=1, out=at, mode="clip")
+        at *= pairs
+        at += rows[:, j]
+        np.take(self.table.reshape(-1), at, out=upper, mode="clip")
+        features[:, :l_r] = self.table.diagonal().real[rows]
+        features[:, l_r : l_r + i.size] = upper.real
+        features[:, l_r + i.size :] = upper.imag
+        return features
+
+    def _distances(
+        self, map_features: np.ndarray, block: slice, work: np.ndarray | None = None
+    ) -> np.ndarray:
         """Distance of each class in ``block`` under each map, (classes, maps), at least zero.
 
         K and P are Hermitian, so the sum is that of the diagonal products
         and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
         reals of each class's K with the L_R^2 reals of each map's P,
-        ``map_features`` (:func:`_map_features`).
+        ``map_features`` (:func:`_map_features`).  The product follows the
+        features in ``work`` (:meth:`_features`), over the gather they were
+        read from.
         """
-        dist = self._features(block) @ map_features.T
+        classes, maps = len(self.words[block]), len(map_features)
+        if work is None:
+            work = np.empty(classes * self._work_per_class(maps))
+        features = self._features(block, work)
+        dist = work[features.size : features.size + classes * maps].reshape(classes, maps)
+        np.matmul(features, map_features.T, out=dist)
         return np.maximum(dist, 0.0, out=dist)
 
     def meds(self, maps: np.ndarray, member_sets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -309,10 +378,11 @@ class PairClasses:
         The maps' features are formed once; the classes' a block at a time.
         """
         map_features = _map_features(maps)
+        work = np.empty(_CLASS_BLOCK * self._work_per_class(len(map_features)))
         return _set_minima(
             self.index,
             len(self.words),
-            lambda block: self._distances(map_features, block),
+            lambda block: self._distances(map_features, block, work),
             member_sets,
         )
 
@@ -322,21 +392,41 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
 
     A word's shape is its carriers less its first, mod M.  A pair's code is
     (shape of i, shape of j, first carrier of j less that of i mod M) as one
-    number, the smaller of the pair's two orders: below n^2 M, so no word
-    length overflows it.  Codes are numbered in increasing order, the
-    diagonal's, set to 0, first.
+    number, the smaller of the pair's two orders, in the smallest unsigned
+    type that holds every code below count^2 M for count shapes.  Row i's
+    codes are ``left[i] + right[first[i]]``, with ``left`` = shape count M
+    over the codewords and ``right[f, j]`` = shape_j M + (first_j - f) mod M
+    over the M first carriers, so no n x n array of wider integers or
+    modulo over the pairs is formed.  The minimum with the transpose is
+    taken in place, :data:`_ROW_BLOCK` rows at a time: the rows already
+    done hold the symmetric minimum, so the columns they give a later
+    block leave its minimum as it is.  Codes are numbered in increasing
+    order, the diagonal's, set to 0, first (:func:`_numbered`).  A class's
+    words are its first shape and its second shape shifted by its offset,
+    one row of a table over every shape and offset.
     """
     m = len(waveforms)
     shapes, shape = _distinct_rows((carriers - carriers[:, :1]) % m, m)
-    count, first = len(shapes), carriers[:, 0]
-    code = (shape[:, None] * count + shape) * m + (first - first[:, None]) % m
-    code = np.minimum(code, code.T)
+    n, count, first = len(carriers), len(shapes), carriers[:, 0]
+    code = np.empty((n, n), dtype=np.min_scalar_type(count * count * m - 1))
+    left = (shape * (count * m)).astype(code.dtype)
+    right = (shape * m + (first - np.arange(m)[:, None]) % m).astype(code.dtype)
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        # every first carrier is in range; "clip" writes straight into ``out``
+        np.take(right, first[rows], axis=0, out=code[rows], mode="clip")
+        code[rows] += left[rows, None]
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.minimum(code[rows], code[:, rows].T, out=code[rows])
     np.fill_diagonal(code, 0)
     codes, index = _numbered(code, count * count * m)
-    pair, offset = np.divmod(codes, m)
+    del code  # freed before the class words and the table are formed
     kind = np.min_scalar_type(2 * m - 2)  # a carrier plus an offset
-    shapes, offset = shapes.astype(kind), offset.astype(kind)
-    words = np.stack([shapes[pair // count], (shapes[pair % count] + offset[:, None]) % m], axis=1)
+    shapes = shapes.astype(kind)
+    shifted = ((shapes[:, None] + np.arange(m, dtype=kind)[:, None]) % m).reshape(count * m, -1)
+    first_shape, shifted_shape = np.divmod(codes, np.intp(count * m))
+    words = np.stack([shapes.take(first_shape, axis=0), shifted.take(shifted_shape, axis=0)], axis=1)
     g = waveforms @ waveforms.conj().T
     table = g[:, None, :, None] - g[:, None, None, :] - g[None, :, :, None] + g[None, :, None, :]
     return PairClasses(table=table.reshape(m * m, m * m), words=words, index=index)
@@ -352,21 +442,33 @@ def med(
 ) -> tuple[float, tuple[int, int]]:
     """Minimum pairwise distance over a member set and the pair achieving it.
 
-    ``dist`` is a distance matrix or, with ``values``, a rank matrix of
-    :func:`_ranked`, whose distances are ``values[dist]``.  Ties resolve to
-    the lexicographically smallest (i, j) pair of global indices, i < j.
+    ``dist`` is a symmetric distance matrix or, with ``values``, a rank
+    matrix of :func:`_ranked`, whose distances are ``values[dist]``.  Ties
+    resolve to the lexicographically smallest (i, j) pair of global indices,
+    i < j.  That pair is the first minimum of the members' submatrix with
+    its diagonal masked, and it lies in the upper triangle: a minimum below
+    the diagonal has its mirror in an earlier row.  So each row's minimum
+    from its own member on is taken, :data:`_ROW_BLOCK` rows at a time
+    (:func:`_member_rows`), and a set of the first codewords reads ``dist``
+    in place; only a block's square is copied, to mask its diagonal.  The
+    first row of least minimum holds the pair, after its diagonal.
     """
     idx = np.asarray(sorted(members))
     if idx.size < 2:
         raise ValueError("MED needs at least two members")
-    sub = dist[np.ix_(idx, idx)]
-    np.fill_diagonal(sub, _beyond(sub.dtype))
-    flat = int(np.argmin(sub))
-    a, b = divmod(flat, idx.size)
+    far = _beyond(dist.dtype)
+    rowmin = np.empty(idx.size, dtype=dist.dtype)
+    for start, block in _member_rows(dist, idx):
+        rows = len(block)
+        square = block[:, :rows].copy()
+        np.fill_diagonal(square, far)
+        rowmin[start : start + rows] = np.minimum(
+            square.min(axis=1), block[:, rows:].min(axis=1, initial=far)
+        )
+    a = int(rowmin.argmin())
+    b = a + 1 + int(dist[idx[a], idx[a + 1 :]].argmin())
     i, j = int(idx[a]), int(idx[b])
-    if i > j:
-        i, j = j, i
-    return float(sub[a, b] if values is None else values[sub[a, b]]), (i, j)
+    return float(dist[i, j] if values is None else values[dist[i, j]]), (i, j)
 
 
 def greedy_prune(

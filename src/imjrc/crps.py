@@ -136,16 +136,24 @@ def design_bytes(
     The estimate is still three n x n arrays of 8-byte entries, a deliberate
     overestimate: no test runs a table near the budget without a channel,
     so the admitted scenarios stay as they are until one measures that
-    peak.  Through a design ``channel`` the pair-class pass peaks at three n x n arrays of 8-byte
-    entries (the pairs' codes, their minimum with the transpose, and the
-    sort that numbers them: 24.0 bytes per pair under tracemalloc at n = 420,
-    720 and 1,960), and then holds the class index, the rank matrix and its
-    pruning copy, each of a smaller integer type.  One block of
-    :data:`_CLASS_BLOCK` classes comes on top: a class's carrier-pair rows,
-    the positions its L_R^2 features are gathered from, the features and its
-    distances, about 4.5 L_R^2 entries when one row map is ranked and
-    3 L_R^2 + 2 D when D candidates are scored; the estimate keeps
-    6 L_R^2 + 2 D entries a class.
+    peak.  Through a design ``channel`` the pair-class pass holds the pairs'
+    codes and their class index, each of the smallest unsigned type that
+    holds it, with a mark and a position per possible code: 7.5, 7.2 and
+    9.7 bytes per pair under tracemalloc at n = 420, 720 and 1,960.  It then
+    holds the class index, the rank matrix and its pruning copy, each of a
+    small integer type.  The estimate keeps three n x n arrays of 8-byte
+    entries, well above that peak: lowering it changes which tables are
+    admitted, and that wants a design run at the budget first.  Ranking a
+    row map holds about four entries a class, for every class at once: a
+    class's distance, one product, one position and one gathered feature,
+    fewer than the pairs the n x n terms count.  Scoring candidates holds
+    one block of :data:`_CLASS_BLOCK` classes on top: the working memory a
+    pass reuses block after block, a class's L_R^2 features and, in turn,
+    the complex gather of its upper triangle with the gather's positions,
+    about 1.5 L_R^2 entries, or its D distances, then a block's
+    carrier-pair rows and the distances of one member set's classes,
+    about 0.5 L_R^2 + D more; the estimate keeps 6 L_R^2 + 2 D entries a
+    class.
     """
     recipe = _RECIPES[Scheme(scheme)]
     n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B

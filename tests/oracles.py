@@ -4,10 +4,11 @@ Each one computes a quantity the package computes in a faster or
 restructured form: one codeword from its definition, one received pulse
 ``Y = H X + N``, ML detection as a residual scan over every hypothesis,
 every pair's distance from the codeword matrices, through a channel if
-given, and each candidate's MED from those, each pair's row-difference
-code built one antenna row at a time, each pair class's distance from four
-gathers of the waveform Gram, in one product or one feature at a time,
-and the candidate pool drawn one candidate at a time.
+given, and each candidate's MED from those, a member set's MED from a copy
+of its submatrix, each pair's row-difference code built one antenna row at
+a time, each pair's class from full-size int64 codes, each pair class's
+distance from four gathers of the waveform Gram, in one product or one
+feature at a time, and the candidate pool drawn one candidate at a time.
 """
 
 from __future__ import annotations
@@ -168,6 +169,55 @@ def pair_pattern_codes(carriers: np.ndarray, m: int, l_t: int) -> tuple[np.ndarr
         code *= code.dtype.type(base)
         code += np.take(level[c], c, axis=1)
     return levels, code
+
+
+def pair_class_codes(
+    carriers: np.ndarray, waveforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The class index, class words and carrier-pair table of every pair, from n x n int64 codes.
+
+    A word's shape is its carriers less its first, mod M, numbered in
+    lexicographic order.  A pair's code is (shape_i count + shape_j) M +
+    (first_j - first_i) mod M, the smaller of its two orders, with the
+    diagonal's 0.  The codes are numbered by ``np.unique``; the index takes
+    the smallest unsigned type of the class count when the code space,
+    count^2 M, is no larger than n^2, else ``np.unique``'s own type.
+    """
+    m = len(waveforms)
+    shapes, shape = np.unique((carriers - carriers[:, :1]) % m, axis=0, return_inverse=True)
+    shape = shape.reshape(-1).astype(np.int64)
+    count, first = len(shapes), carriers[:, 0].astype(np.int64)
+    code = (shape[:, None] * count + shape) * m + (first - first[:, None]) % m
+    code = np.minimum(code, code.T)
+    np.fill_diagonal(code, 0)
+    codes, index = np.unique(code, return_inverse=True)
+    index = index.reshape(code.shape)
+    if count * count * m <= code.size:
+        index = index.astype(np.min_scalar_type(codes.size - 1))
+    pair, offset = np.divmod(codes, m)
+    kind = np.min_scalar_type(2 * m - 2)
+    words = np.stack(
+        [shapes[pair // count], (shapes[pair % count] + offset[:, None]) % m], axis=1
+    ).astype(kind)
+    g = waveforms @ waveforms.conj().T
+    table = g[:, None, :, None] - g[:, None, None, :] - g[None, :, :, None] + g[None, :, None, :]
+    return index, words, table.reshape(m * m, m * m)
+
+
+def med_of_submatrix(
+    dist: np.ndarray, members: Sequence[int], values: np.ndarray | None = None
+) -> tuple[float, tuple[int, int]]:
+    """Minimum pairwise distance over a member set and its pair, from a copy of its submatrix.
+
+    The diagonal of the copy is masked and the first row-major minimum taken:
+    the lexicographically smallest (i, j) of global indices, i < j.
+    """
+    idx = np.asarray(sorted(members))
+    sub = dist[np.ix_(idx, idx)]
+    np.fill_diagonal(sub, np.iinfo(sub.dtype).max if sub.dtype.kind in "iu" else np.inf)
+    a, b = divmod(int(np.argmin(sub)), idx.size)
+    i, j = sorted((int(idx[a]), int(idx[b])))
+    return float(sub[a, b] if values is None else values[sub[a, b]]), (i, j)
 
 
 def _hermitian_parts(h: np.ndarray, off_diagonal: float = 1.0) -> np.ndarray:

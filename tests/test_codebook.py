@@ -2,6 +2,8 @@
 
 import collections
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,14 @@ from imjrc.codebook import (
 from imjrc.crps import generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
-from oracles import class_distances, class_distances_in_order, distance_matrix, pair_pattern_codes
+from oracles import (
+    class_distances,
+    class_distances_in_order,
+    distance_matrix,
+    med_of_submatrix,
+    pair_class_codes,
+    pair_pattern_codes,
+)
 
 
 def _pattern_matrix(patterns, alpha):
@@ -370,6 +379,67 @@ class TestPairClasses:
             got = classes._distances(_map_features(maps), part)
             assert got.tobytes() == class_distances(classes.words, table.waveforms, maps, part).tobytes()
 
+    @pytest.mark.parametrize(
+        "params,rows,index_type",
+        [
+            (SystemParams(M=6, L_R=4), None, np.uint16),
+            (SystemParams(M=7, L_R=6), None, np.uint16),
+            (SystemParams(M=16, L_R=4), None, np.uint16),
+            (SystemParams(M=8, L_R=8), 1024, np.uint32),  # 234,220 classes, uint32 codes
+            (SystemParams(M=3, L_R=4, delta_f=4e6), None, np.uint8),  # uint8 codes
+            (None, 60, np.intp),  # random words: a code space above n^2, sorted
+        ],
+        ids=["M6-LR4", "M7-LR6", "M16-LR4", "M8-LR8-1024", "M3-LR4", "random"],
+    )
+    def test_matches_full_size_codes(self, params, rows, index_type):
+        # narrow codes, the in-place minimum and the blocked numbering give
+        # the index, words and table of full-size int64 codes, bit for bit
+        if params is None:
+            carriers = np.random.default_rng(19).integers(0, 12, size=(rows, 8))
+            waveforms = np.exp(2j * np.pi * np.outer(np.arange(12), np.arange(25)) / 12)
+        else:
+            table = build_table(params, derive(params))
+            carriers, waveforms = table.carriers[:rows], table.waveforms
+        classes = pair_classes(carriers, waveforms)
+        index, words, table = pair_class_codes(carriers, waveforms)
+        assert classes.index.dtype == index.dtype == index_type
+        assert np.array_equal(classes.index, index)
+        assert classes.words.dtype == words.dtype and np.array_equal(classes.words, words)
+        assert classes.table.tobytes() == table.tobytes()
+
+    @pytest.mark.parametrize("m,l_r", [(7, 6), (16, 4)])
+    def test_peak_stays_below_ten_bytes_a_pair(self, m, l_r):
+        # codes, their minimum and the index: 7.5 and 7.2 bytes a pair at
+        # n = 420 and 720, where n x n int64 codes took 24.0
+        params = SystemParams(M=m, L_R=l_r)
+        table = build_table(params, derive(params))
+        n = len(table)
+        tracemalloc.start()
+        try:
+            pair_classes(table.carriers, table.waveforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n * n
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 70_000])
+    @pytest.mark.parametrize("space_of", [lambda count: count, lambda count: 10**9])
+    def test_numbering_matches_unique(self, count, space_of, monkeypatch):
+        # both branches against np.unique: marked (the positions' type can
+        # hold the count less one only, and the sum wraps) and sorted
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", 7)
+        rng = np.random.default_rng(count)
+        space = space_of(count)
+        values = rng.choice(space, count, replace=False) if space > count else np.arange(count)
+        n = math.isqrt(2 * count) + 1
+        code = values[rng.permutation(np.resize(np.arange(count), n * n)).reshape(n, n)]
+        code = code.astype(np.min_scalar_type(space - 1))
+        codes, index = codebook._numbered(code, space)
+        expect, inverse = np.unique(code, return_inverse=True)
+        assert np.array_equal(codes, expect) and np.array_equal(index, inverse.reshape(n, n))
+        if space <= code.size:
+            assert index.dtype == np.min_scalar_type(count - 1)
+
     @pytest.mark.parametrize("m,l_r", [(12, 8), (16, 9)])
     def test_codes_do_not_overflow(self, m, l_r):
         # as 2 L_R - 1 base-M digits, a pair's code would span 12^15 < 2^63
@@ -421,6 +491,31 @@ class TestMed:
         dist = _points_to_dist([0.0, 1.0])
         with pytest.raises(ValueError):
             med(dist, [1])
+
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_matches_the_submatrix_copy(self, block, default_table, monkeypatch):
+        # prefix, non-prefix, unsorted and tied sets, on ranks, distances and
+        # small random integers, whose minima sit deep in the matrix; the
+        # caller's matrix is read only
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
+        rank, values = _patterns(default_table).ranks(np.ones(6))
+        rng = np.random.default_rng(block)
+        ties = rng.integers(3, 40, size=(420, 420), dtype=np.uint8)
+        ties = np.minimum(ties, ties.T)
+        sets = [
+            range(420),
+            range(256),
+            range(2),
+            range(1, 200),  # from codeword 1: no prefix
+            [1, 0],
+            sorted(rng.choice(420, 100, replace=False).tolist()),
+            rng.permutation(420)[:150].tolist(),  # unsorted
+        ]
+        for dist, vals in ((rank, values), (values[rank], None), (ties, None)):
+            expect = [med_of_submatrix(dist, ids, vals) for ids in sets]
+            dist = dist.copy()
+            dist.setflags(write=False)
+            assert [med(dist, ids, vals) for ids in sets] == expect
 
 
 class TestGreedyPrune:
