@@ -30,7 +30,7 @@ from .codebook import export_codebook_csv
 from .crps import Scheme, SchemeBuild, TpsFactor, build_schemes
 from .enumeration import CodewordTable, build_table, export_table_csv
 from .params import DerivedParams, SystemParams, derive
-from .sim import BerRecord, GainReport, measure_gain, run_ber
+from .sim import EARLY_STOP_BIT_ERRORS, BerRecord, GainReport, measure_gain, run_ber
 
 FULL_RUN_PULSES = 100_000
 
@@ -71,6 +71,8 @@ class RunConfig:
             )
         if self.pulses < 1:
             raise ValueError(f"pulses must be >= 1, got {self.pulses}")
+        if not self.out:
+            raise ValueError("out must name a directory")
 
     def snr_grid(self) -> np.ndarray:
         count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9)) + 1
@@ -496,7 +498,7 @@ def _add_common(sp: argparse.ArgumentParser) -> argparse.ArgumentParser:
     sp.add_argument(
         "--early-stop",
         action="store_true",
-        help="end an SNR point after 500 bit errors",
+        help=f"end an SNR point after {EARLY_STOP_BIT_ERRORS} bit errors",
     )
     return sp
 

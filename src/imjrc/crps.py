@@ -32,7 +32,7 @@ import numpy as np
 from .channel import TAG_TPS, substream
 from .codebook import _CLASS_BLOCK, Codebook, greedy_prune, med, pair_classes, pair_patterns
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
-from .params import DerivedParams, SystemParams
+from .params import SystemParams
 
 @dataclass
 class TpsFactor:
@@ -123,40 +123,34 @@ _RECIPES = {
 }
 
 
-def design_bytes(
-    scheme: Scheme, params: SystemParams, derived: DerivedParams, channel: bool = False
-) -> int:
-    """Estimated bytes of a scheme's largest live design allocation.
+def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
+    """Estimated bytes of the largest live allocation of a design pass over n codewords.
 
-    Pruning, or selecting a factor over the full table, works on all C_total
-    codewords, else on the 2^B members.  Over n codewords without a channel
-    the design holds n x n arrays of small unsigned integers: the pairs'
-    codes and the gather that assembles them, which index their patterns,
-    and a rank matrix and its pruning copy (one byte each on M=8, L_R=8).
-    The estimate is still three n x n arrays of 8-byte entries, a deliberate
-    overestimate: no test runs a table near the budget without a channel,
-    so the admitted scenarios stay as they are until one measures that
-    peak.  Through a design ``channel`` the pair-class pass holds the pairs'
-    codes and their class index, each of the smallest unsigned type that
-    holds it, with a mark and a position per possible code: 7.5, 7.2 and
-    9.7 bytes per pair under tracemalloc at n = 420, 720 and 1,960.  It then
-    holds the class index, the rank matrix and its pruning copy, each of a
-    small integer type.  The estimate keeps three n x n arrays of 8-byte
-    entries, well above that peak: lowering it changes which tables are
-    admitted, and that wants a design run at the budget first.  Ranking a
-    row map holds about four entries a class, for every class at once: a
-    class's distance, one product, one position and one gathered feature,
-    fewer than the pairs the n x n terms count.  Scoring candidates holds
-    one block of :data:`_CLASS_BLOCK` classes on top: the working memory a
-    pass reuses block after block, a class's L_R^2 features and, in turn,
-    the complex gather of its upper triangle with the gather's positions,
-    about 1.5 L_R^2 entries, or its D distances, then a block's
-    carrier-pair rows and the distances of one member set's classes,
-    about 0.5 L_R^2 + D more; the estimate keeps 6 L_R^2 + 2 D entries a
-    class.
+    Without a channel the pass holds n x n arrays of small unsigned
+    integers: the pairs' codes and the gather that assembles them, which
+    index their patterns, and a rank matrix and its pruning copy (one byte
+    each on M=8, L_R=8).  The estimate is still three n x n arrays of
+    8-byte entries, a deliberate overestimate: no test runs a table near
+    the budget without a channel, so the admitted scenarios stay as they
+    are until one measures that peak.  Through a design ``channel`` the
+    pair-class pass holds the pairs' codes and their class index, each of
+    the smallest unsigned type that holds it, with a mark and a position
+    per possible code: 7.5, 7.2 and 9.7 bytes per pair under tracemalloc
+    at n = 420, 720 and 1,960.  It then holds the class index, the rank
+    matrix and its pruning copy, each of a small integer type.  The
+    estimate keeps three n x n arrays of 8-byte entries, well above that
+    peak: lowering it changes which tables are admitted, and that wants a
+    design run at the budget first.  Ranking a row map holds about four
+    entries a class, for every class at once: a class's distance, one
+    product, one position and one gathered feature, fewer than the pairs
+    the n x n terms count.  Scoring candidates holds one block of
+    :data:`_CLASS_BLOCK` classes on top: the working memory a pass reuses
+    block after block, a class's L_R^2 features and, in turn, the complex
+    gather of its upper triangle with the gather's positions, about
+    1.5 L_R^2 entries, or its D distances, then a block's carrier-pair rows
+    and the distances of one member set's classes, about 0.5 L_R^2 + D
+    more; the estimate keeps 6 L_R^2 + 2 D entries a class.
     """
-    recipe = _RECIPES[Scheme(scheme)]
-    n = derived.C_total if recipe.prune or recipe.crps == "before" else 1 << derived.B
     block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D) if channel else 0
     return 8 * (3 * n * n + block)
 
@@ -178,25 +172,29 @@ def build_schemes(
     All schemes score one candidate pool, drawn from a substream of the
     master seed, and each member set picks its best candidate from those
     scores.  A codebook's MED is the one its last design stage measured.
-    Every budget is checked before any work.
+    The pass works on all C_total codewords if any scheme prunes or selects
+    a factor over the full table, else on the 2^B members; its budget
+    (:func:`design_bytes`) is checked before any work.
     """
     params, derived = table.params, table.derived
     n_valid = 1 << derived.B
     if n_valid < 2:
         raise ValueError("scenario carries no information: fewer than two valid codewords")
     schemes = [Scheme(s) for s in schemes]
-    for scheme in schemes:
-        need = design_bytes(scheme, params, derived, channel=design_channel is not None)
-        if need > DESIGN_BUDGET_BYTES:
-            raise ValueError(
-                f"{scheme.value} design needs about {need / 2**30:.1f} GiB "
-                f"(C_total={derived.C_total}, B={derived.B}), over the "
-                f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
-            )
     recipes = [_RECIPES[s] for s in schemes]
+    wide = [s for s, r in zip(schemes, recipes) if r.prune or r.crps == "before"]
+    rows = derived.C_total if wide else n_valid
+    need = design_bytes(rows, params, channel=design_channel is not None)
+    if need > DESIGN_BUDGET_BYTES:
+        # the first scheme that needs the full table, else the first; no scheme runs the baseline's pass
+        named = (wide or schemes or [Scheme.BASELINE])[0]
+        raise ValueError(
+            f"{named.value} design needs about {need / 2**30:.1f} GiB "
+            f"(C_total={derived.C_total}, B={derived.B}), over the "
+            f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
+        )
     baseline_ids = tuple(range(n_valid))
     every_id = tuple(range(derived.C_total))
-    rows = derived.C_total if any(r.prune or r.crps == "before" for r in recipes) else n_valid
 
     # the pairs of the first ``rows`` codewords, and what a factor is to
     # them: a row factor to their patterns, a row map to their classes

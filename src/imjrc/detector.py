@@ -13,8 +13,8 @@ every hypothesis, so the decision is the argmin over r of
 where <A, B> = sum A conj(B).  The work splits in two stages.
 :func:`channel_terms` forms H^H H and H^H N W^H, which no codebook changes,
 once per chunk.  :func:`codebook_terms` writes one codebook's two
-(batch x n) terms into buffers the caller owns, so a run that reuses them
-allocates no (batch x n) array per chunk; each SNR point is then one axpy
+(chunk x n) terms into buffers the caller owns, so a run that reuses them
+allocates no (chunk x n) array per chunk; each SNR point is then one axpy
 into a third buffer and one argmin, :func:`decide`.
 
 The inner products are taken in the carrier domain.  Antenna row l of

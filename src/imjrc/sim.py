@@ -10,10 +10,10 @@ payload realizations, so scheme comparisons are paired.
 The loop is chunk-outer: a chunk of trials is drawn once and then decided
 for every codebook at every SNR point, instead of being redrawn for each
 codebook or point.  The received pulse is never formed.  Its ML metric is
-noise-linear: a noise-free term and a unit-noise term, both (batch x n),
+noise-linear: a noise-free term and a unit-noise term, both (chunk x n),
 computed in the carrier domain (see :mod:`imjrc.detector`).  The channel
 and noise products they share are formed once per chunk, each codebook's
-two terms are written into (batch x n) buffers allocated once per run,
+two terms are written into (chunk x n) buffers allocated once per run,
 and each SNR point decides the chunk with one axpy and one argmin into a
 third such buffer.  Early stop is tracked per (codebook, SNR) cell at
 chunk boundaries, so a cell's pulse count is the same as if it had been
@@ -35,6 +35,9 @@ from .detector import channel_terms, codebook_terms, decide, gram_cache
 
 EARLY_STOP_BIT_ERRORS = 500
 """Bit errors after which an early-stopped SNR point may end."""
+
+CHUNK = 1024
+"""Trials drawn and decided together; early stop cuts only at a multiple of it."""
 
 
 @dataclass(frozen=True)
@@ -72,41 +75,37 @@ def run_ber(
     builds: Sequence[SchemeBuild],
     snr_db_grid: Sequence[float],
     n_pulses: int,
-    master_seed: int | None = None,
     early_stop: bool = False,
-    batch: int = 1024,
     timings: dict[str, float] | None = None,
 ) -> list[BerRecord]:
     """Measure BER at each SNR point for each build, on one set of draws.
 
     Returns the records build by build, in the order of ``builds``, each
     build's in grid order.  The loop runs chunk by chunk: each chunk of
-    ``batch`` trials is drawn once and its channel and noise products are
-    formed once; then, one build at a time, its two detector terms are
+    :data:`CHUNK` trials is drawn once and its channel and noise products
+    are formed once; then, one build at a time, its two detector terms are
     written into the run's buffers and it is decided at every SNR point
     still active for that build.  ``early_stop`` ends a (build, SNR) cell
     at the first chunk boundary with at least :data:`EARLY_STOP_BIT_ERRORS`
-    bit errors; the record's ``pulses`` reflects the trials actually run
-    in that cell, and the loop ends once no cell is active.  A build's
-    records equal those of a run over that build alone, and results are
-    independent of ``batch``, because randomness is keyed by trial index.
-    Every build must come from one codeword table, whose 2^B ranks the
-    draws pick from.  If ``timings`` is given, the wall seconds spent in
+    bit errors, so its ``pulses`` is a multiple of :data:`CHUNK` unless it
+    ran them all; the loop ends once no cell is active.  A build's records
+    equal those of a run over that build alone.  Draws are keyed by the
+    table's master seed and the trial index, so without early stop the
+    records do not depend on where chunks fall.  Every build must come
+    from one codeword table, whose 2^B ranks the draws pick from.  If
+    ``timings`` is given, the wall seconds spent in
     :func:`~imjrc.channel.draw_trials` are stored in it under ``draw_s``.
     """
     if not builds:
         raise ValueError("no builds to simulate")
     if n_pulses < 1:
         raise ValueError(f"n_pulses must be >= 1, got {n_pulses}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
     if len(snr_db_grid) == 0:
         raise ValueError("SNR grid is empty")
     table = builds[0].table
     if any(build.table is not table for build in builds):
         raise ValueError("builds must share one codeword table to share draws")
     params, derived = table.params, table.derived
-    seed = params.master_seed if master_seed is None else master_seed
     caches = []
     for build in builds:
         carriers = table.carriers[list(build.codebook.member_ids)]
@@ -117,10 +116,10 @@ def run_ber(
     pulses = [[0] * len(noise_scales) for _ in builds]
     active = [[True] * len(noise_scales) for _ in builds]
     # one working set serves every chunk and build: allocating it per chunk
-    # fragments the heap, and every fresh (batch x n) array faults its pages
+    # fragments the heap, and every fresh (chunk x n) array faults its pages
     # in again.  A chunk's noise is read only by channel_terms, before any
     # detector term is written, so it lives in the detector buffers' memory.
-    width, n = min(batch, n_pulses), 1 << derived.B
+    width, n = min(CHUNK, n_pulses), 1 << derived.B
     noise_floats = 2 * params.L_C * derived.L_T
     work = np.empty(width * max(3 * n, noise_floats))
     base_buf, cross_buf, metric_buf = work[: 3 * width * n].reshape(3, width, n)
@@ -130,11 +129,11 @@ def run_ber(
     draw_s = 0.0
     done = 0
     while done < n_pulses and any(map(any, active)):
-        size = min(batch, n_pulses - done)
+        size = min(CHUNK, n_pulses - done)
         ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
         base, cross, metric = base_buf[:size], cross_buf[:size], metric_buf[:size]
         t0 = time.perf_counter()
-        draw_trials(seed, done, n, ranks, h, noise)
+        draw_trials(params.master_seed, done, n, ranks, h, noise)
         draw_s += time.perf_counter() - t0
         hh, noise_spec = channel_terms(h, noise, table.waveforms)
         for b, cache in enumerate(caches):

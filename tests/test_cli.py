@@ -677,13 +677,24 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"error: {csv}:3: column pulses: {message}\n"
 
     @pytest.mark.parametrize("verb", ["design", "ber"])
-    @pytest.mark.parametrize("under", [None, "run"], ids=["file", "under_a_file"])
+    @pytest.mark.parametrize("under", [None, "run", ""], ids=["file", "under_a_file", "empty_in_config"])
     def test_out_that_cannot_be_a_directory_exits_2_before_design(
         self, verb, under, config_file, tmp_path, capsys, monkeypatch
     ):
-        # a regular file, or a path under one: one error line, no traceback,
-        # and no design run whose results would be lost
+        # a regular file, a path under one, or an empty ``out =``: one error
+        # line, no traceback, and no design run whose results would be lost
         monkeypatch.setattr(cli, "_design_inputs", _no_design)
+        if under == "":
+            # abspath("") is the working directory, so the value itself is refused
+            monkeypatch.chdir(tmp_path)
+            with open(config_file, "a") as fh:
+                fh.write("out =\n")
+            where = f"{config_file}:{len(SMALL_CONFIG.splitlines()) + 1}"
+            assert main([verb, "--config", config_file, "--pulses", "10"]) == 2
+            message = f"config error: {where}: bad value '' for 'out' (out must name a directory)\n"
+            assert capsys.readouterr().err == message
+            assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+            return
         notadir = tmp_path / "notadir"
         notadir.write_text("")
         out = notadir if under is None else notadir / under

@@ -374,10 +374,13 @@ class TestBuildScheme:
         # table is a stub without carrier words, so nothing is allocated.
         params = SystemParams(M=12, K=3, L_R=9)
         stub = types.SimpleNamespace(params=params, derived=derive(params))
+        assert design_bytes(1 << stub.derived.B, params) > DESIGN_BUDGET_BYTES
         for scheme in Scheme:
-            assert design_bytes(scheme, params, stub.derived) > DESIGN_BUDGET_BYTES
-            with pytest.raises(ValueError, match=r"needs about \d+\.\d GiB"):
+            with pytest.raises(ValueError, match=rf"{scheme.value} design needs about \d+\.\d GiB"):
                 build_scheme(scheme, stub)
+        # no scheme at all would still run the baseline's pass
+        with pytest.raises(ValueError, match=r"baseline design needs about \d+\.\d GiB"):
+            build_schemes([], stub)
 
     @pytest.mark.parametrize(
         "m,l_r", [(7, 6), (8, 8)], ids=["mc-default/channel-aware", "design-large"]
@@ -385,8 +388,8 @@ class TestBuildScheme:
     def test_benchmark_scenarios_fit_the_budget(self, m, l_r):
         params = SystemParams(M=m, L_R=l_r)
         build_table(params, derive(params))  # refused if over the budget
-        for scheme in Scheme:
-            assert design_bytes(scheme, params, derive(params)) <= DESIGN_BUDGET_BYTES
+        # the pass over the full table is the largest any scheme runs
+        assert design_bytes(derive(params).C_total, params) <= DESIGN_BUDGET_BYTES
 
     def test_scheme_enum_round_trip(self):
         assert Scheme("baseline") is Scheme.BASELINE
@@ -430,8 +433,9 @@ class TestBuildSchemes:
             assert [_fingerprint(b) for b in builds] == [every[s] for s in schemes]
 
     def test_refuses_an_over_budget_scheme_before_any_work(self, default_table, monkeypatch):
-        # the baseline fits its path's budget and comes first; codebook_only
-        # does not, and is refused before any distance is computed
+        # the baseline's pass fits the budget and the baseline comes first;
+        # codebook_only prunes the full table, which does not fit, so the
+        # pass is refused in its name before any distance is computed
         params, derived = default_table.params, default_table.derived
 
         def refuse(*args, **kwargs):
@@ -440,7 +444,7 @@ class TestBuildSchemes:
         for name in ("pair_patterns", "pair_classes", "greedy_prune"):
             monkeypatch.setattr(crps, name, refuse)
         for h in (None, _design_channel(params)):
-            budget = design_bytes(Scheme.BASELINE, params, derived, channel=h is not None)
+            budget = design_bytes(1 << derived.B, params, channel=h is not None)
             monkeypatch.setattr(crps, "DESIGN_BUDGET_BYTES", budget)
             with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
                 build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table, design_channel=h)
@@ -461,9 +465,8 @@ class TestBuildSchemes:
         for m, started in ((10, True), (11, False)):
             params = SystemParams(M=m, L_R=10)
             table, h = build_table(params, derive(params)), _design_channel(params)
-            for scheme in Scheme:
-                plain = design_bytes(scheme, params, table.derived)
-                aware = design_bytes(scheme, params, table.derived, channel=True)
+            for n in (1 << table.derived.B, len(table)):
+                plain, aware = design_bytes(n, params), design_bytes(n, params, channel=True)
                 assert aware - plain == 8 * crps._CLASS_BLOCK * (6 * 10**2 + 2 * params.D)
             for channel in (None, h):
                 if started:
@@ -530,7 +533,9 @@ class TestBuildSchemes:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < design_bytes(scheme, table.params, table.derived, channel=h is not None)
+            # the baseline and crps_only work on the 2^B members, the others on the full table
+            n = 1 << table.derived.B if scheme in (Scheme.BASELINE, Scheme.CRPS_ONLY) else len(table)
+            assert peak < design_bytes(n, table.params, channel=h is not None)
 
 
 class TestShortlist:

@@ -1,7 +1,9 @@
 """Monte Carlo engine tests: determinism, accounting, interpolation, gains."""
 
+import ast
 import dataclasses
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -68,15 +70,27 @@ def _rec(snr_db, ber, scheme="baseline", pulses=10000, b=8):
     )
 
 
-def _gram_run_ber(build, snr_db_grid, n_pulses, master_seed=None, early_stop=False, batch=1024):
+def _reseeded(builds, seed):
+    """The same designs on one copy of their table whose master seed is ``seed``.
+
+    run_ber keys its draws by the table's master seed, so this runs the
+    given codebooks under another seed's draws.
+    """
+    table = builds[0].table
+    table = dataclasses.replace(table, params=dataclasses.replace(table.params, master_seed=seed))
+    return [dataclasses.replace(build, table=table) for build in builds]
+
+
+def _gram_run_ber(build, snr_db_grid, n_pulses, early_stop=False):
     """The chunk loop run_ber ran before the noise-linear split, as a reference.
 
     It forms Y = H X_s + sigma N at every SNR point and decides it through
     the Gram expansion ||Y||^2 - 2 Re<H^H Y, X_r> + ||H X_r||^2 over the
-    flattened hypotheses, with the same draws and early-stop cuts.
+    flattened hypotheses, with the same draws and early-stop cuts, in
+    chunks of :data:`imjrc.sim.CHUNK` trials.
     """
     params, derived = build.table.params, build.table.derived
-    seed = params.master_seed if master_seed is None else master_seed
+    seed, chunk = params.master_seed, sim.CHUNK
     mats = build.member_matrices
     n = mats.shape[0]
     flat_conj = mats.reshape(n, -1).conj()
@@ -85,7 +99,7 @@ def _gram_run_ber(build, snr_db_grid, n_pulses, master_seed=None, early_stop=Fal
     errors, pulses, active = [0] * len(scales), [0] * len(scales), [True] * len(scales)
     done = 0
     while done < n_pulses and any(active):
-        size = min(batch, n_pulses - done)
+        size = min(chunk, n_pulses - done)
         trials = range(done, done + size)
         ranks = np.array([substream(seed, TAG_BITS, t).integers(n) for t in trials])
         h = np.stack(
@@ -128,28 +142,28 @@ class TestMatchesGramReference:
     """run_ber's noise-linear decisions equal the Gram-expanded loop's, record for record."""
 
     @pytest.mark.parametrize("early_stop", [False, True])
-    @pytest.mark.parametrize("batch", [256, 1024])
+    @pytest.mark.parametrize("chunk", [256, 1024])
     @pytest.mark.parametrize("seed", EXACTNESS_SEEDS)
-    def test_small_scenario(self, small_table, seed, batch, early_stop):
-        build = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
+    def test_small_scenario(self, small_table, seed, chunk, early_stop, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        (build,) = _reseeded([build_scheme(Scheme.CODEBOOK_ONLY, small_table)], seed)
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0, math.inf]
-        args = (grid, 3000)
-        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
-        records = run_ber([build], *args, **kwargs)
-        assert records == _gram_run_ber(build, *args, **kwargs)
+        args = (grid, 3000, early_stop)
+        records = run_ber([build], *args)
+        assert records == _gram_run_ber(build, *args)
         if early_stop:
             assert len({r.pulses for r in records}) > 1
 
     @pytest.mark.parametrize("early_stop", [False, True])
-    @pytest.mark.parametrize("batch", [256, 1024])
+    @pytest.mark.parametrize("chunk", [256, 1024])
     @pytest.mark.parametrize("seed", EXACTNESS_SEEDS[:2])
-    def test_default_scenario(self, default_table, seed, batch, early_stop):
-        build = build_scheme(Scheme.CODEBOOK_ONLY, default_table)
+    def test_default_scenario(self, default_table, seed, chunk, early_stop, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        (build,) = _reseeded([build_scheme(Scheme.CODEBOOK_ONLY, default_table)], seed)
         grid = [-16.0, -12.0, -8.0, -4.0]
-        args = (grid, 2048)
-        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=batch)
-        records = run_ber([build], *args, **kwargs)
-        assert records == _gram_run_ber(build, *args, **kwargs)
+        args = (grid, 2048, early_stop)
+        records = run_ber([build], *args)
+        assert records == _gram_run_ber(build, *args)
         assert all(r.bit_errors > 0 for r in records)
         if early_stop:
             assert len({r.pulses for r in records}) > 1
@@ -158,11 +172,11 @@ class TestMatchesGramReference:
     @pytest.mark.parametrize("seed", EXACTNESS_SEEDS[:2])
     def test_scaled_codebook(self, default_scaled_build, seed, early_stop):
         assert default_scaled_build.tps.d_index != 0
+        (build,) = _reseeded([default_scaled_build], seed)
         grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
-        args = (grid, 2048)
-        kwargs = dict(master_seed=seed, early_stop=early_stop, batch=1024)
-        records = run_ber([default_scaled_build], *args, **kwargs)
-        assert records == _gram_run_ber(default_scaled_build, *args, **kwargs)
+        args = (grid, 2048, early_stop)
+        records = run_ber([build], *args)
+        assert records == _gram_run_ber(build, *args)
         assert records[-1].bit_errors == 0
 
 
@@ -170,38 +184,41 @@ class TestSharedDraws:
     """One run over several builds equals one run per build, record for record."""
 
     @pytest.mark.parametrize("early_stop", [False, True])
-    @pytest.mark.parametrize("batch", [256, 1024])
-    def test_default_scenario(self, default_table, default_scaled_build, batch, early_stop):
+    @pytest.mark.parametrize("chunk", [256, 1024])
+    def test_default_scenario(self, default_table, default_scaled_build, chunk, early_stop, monkeypatch):
         assert default_scaled_build.tps.d_index != 0
-        builds = [
-            build_scheme(Scheme.BASELINE, default_table),
-            default_scaled_build,
-            build_scheme(Scheme.CODEBOOK_ONLY, default_table),
-        ]
+        monkeypatch.setattr(sim, "CHUNK", chunk)
+        builds = _reseeded(
+            [
+                build_scheme(Scheme.BASELINE, default_table),
+                default_scaled_build,
+                build_scheme(Scheme.CODEBOOK_ONLY, default_table),
+            ],
+            2718,
+        )
         grid = [-16.0, -12.0, -8.0, -4.0, math.inf]
-        kwargs = dict(master_seed=2718, early_stop=early_stop, batch=batch)
-        together = run_ber(builds, grid, 2048, **kwargs)
-        alone = [r for build in builds for r in run_ber([build], grid, 2048, **kwargs)]
+        together = run_ber(builds, grid, 2048, early_stop)
+        alone = [r for build in builds for r in run_ber([build], grid, 2048, early_stop)]
         assert together == alone
         assert [r.scheme for r in together] == [b.scheme.value for b in builds for _ in grid]
         if early_stop:
             assert len({r.pulses for r in together}) > 1
 
     @pytest.mark.parametrize("early_stop", [False, True])
-    def test_small_scenario(self, small_table, small_baseline, early_stop):
+    def test_small_scenario(self, small_table, small_baseline, early_stop, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK", 256)
         builds = [build_scheme(Scheme.CODEBOOK_ONLY, small_table), small_baseline]
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
-        kwargs = dict(early_stop=early_stop, batch=256)
-        together = run_ber(builds, grid, 3000, **kwargs)
-        alone = [r for build in builds for r in run_ber([build], grid, 3000, **kwargs)]
+        together = run_ber(builds, grid, 3000, early_stop)
+        alone = [r for build in builds for r in run_ber([build], grid, 3000, early_stop)]
         assert together == alone
 
     def test_a_stopped_build_leaves_the_others_running(self, small_table, small_baseline, monkeypatch):
         # at -12 dB and 16 pulses a chunk, the baseline stops two chunks
         # before codebook_only does, so codebook_only runs on alone
+        monkeypatch.setattr(sim, "CHUNK", 16)
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
-        kwargs = dict(early_stop=True, batch=16)
-        alone = [run_ber([build], [-12.0], 3000, **kwargs)[0] for build in builds]
+        alone = [run_ber([build], [-12.0], 3000, early_stop=True)[0] for build in builds]
         assert alone[0].pulses < alone[1].pulses
         calls = 0
 
@@ -211,13 +228,14 @@ class TestSharedDraws:
             return codebook_terms(*args)
 
         monkeypatch.setattr(sim, "codebook_terms", counting_terms)
-        assert run_ber(builds, [-12.0], 3000, **kwargs) == alone
+        assert run_ber(builds, [-12.0], 3000, early_stop=True) == alone
         # a build whose every cell has stopped is not decided again
         assert calls == sum(r.pulses // 16 for r in alone)
 
     # below -6 dB every cell stops, and one build runs two chunks of 256 fewer
-    @pytest.mark.parametrize("points,batch", [(6, 1024), (3, 256)])
-    def test_chunk_terms_are_formed_once_per_chunk(self, channel_aware_builds, points, batch, monkeypatch):
+    @pytest.mark.parametrize("points,chunk", [(6, 1024), (3, 256)])
+    def test_chunk_terms_are_formed_once_per_chunk(self, channel_aware_builds, points, chunk, monkeypatch):
+        monkeypatch.setattr(sim, "CHUNK", chunk)
         calls = {"chunk": 0, "codebook": 0}
 
         def counting(stage, fn):
@@ -230,13 +248,13 @@ class TestSharedDraws:
         monkeypatch.setattr(sim, "channel_terms", counting("chunk", channel_terms))
         monkeypatch.setattr(sim, "codebook_terms", counting("codebook", codebook_terms))
         grid = CHANNEL_AWARE_GRID[:points]
-        records = run_ber(channel_aware_builds, grid, 2048, early_stop=True, batch=batch)
+        records = run_ber(channel_aware_builds, grid, 2048, early_stop=True)
         # a build is decided in a chunk while any of its cells runs
         chunks = [
-            max(r.pulses for r in records[i : i + points]) // batch for i in range(0, len(records), points)
+            max(r.pulses for r in records[i : i + points]) // chunk for i in range(0, len(records), points)
         ]
-        assert max(chunks) == 2048 // batch
-        assert (len(set(chunks)) > 1) == (batch == 256)
+        assert max(chunks) == 2048 // chunk
+        assert (len(set(chunks)) > 1) == (chunk == 256)
         assert calls == {"chunk": max(chunks), "codebook": sum(chunks)}
 
     def test_rejects_builds_that_cannot_share_draws(self, small_baseline, small_params, default_table):
@@ -253,12 +271,12 @@ class TestSharedDraws:
 class TestRunBer:
     def test_traced_peak_of_the_channel_aware_builds(self, channel_aware_builds):
         # the working set is allocated once, with each chunk's noise in the
-        # detector buffers' memory; allocating the (batch x n) terms per
+        # detector buffers' memory; allocating the (chunk x n) terms per
         # chunk and build peaked at 13.0 MiB
         run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 64)  # warm imports and caches
         tracemalloc.start()
         try:
-            run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 2048, early_stop=True, batch=1024)
+            run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 2048, early_stop=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -286,26 +304,25 @@ class TestRunBer:
         b = run_ber([small_baseline], [-5.0, 0.0], 400)
         assert a == b
 
-    def test_chunking_does_not_change_results(self, small_baseline):
-        a = run_ber([small_baseline], [-3.0], 257, batch=7)
-        b = run_ber([small_baseline], [-3.0], 257, batch=64)
+    def test_chunking_does_not_change_results(self, small_baseline, monkeypatch):
+        # without early stop the records do not depend on where chunks fall
+        monkeypatch.setattr(sim, "CHUNK", 7)
+        a = run_ber([small_baseline], [-3.0], 257)
+        monkeypatch.setattr(sim, "CHUNK", 64)
+        b = run_ber([small_baseline], [-3.0], 257)
         assert a == b
 
     @pytest.mark.parametrize("early_stop", [False, True])
-    @pytest.mark.parametrize("batch", [256, 1024])
+    @pytest.mark.parametrize("chunk", [256, 1024])
     def test_grid_records_match_single_point_runs(
-        self, small_baseline, early_stop, batch
+        self, small_baseline, early_stop, chunk, monkeypatch
     ):
         # the grid spans points that stop after one chunk, after several,
         # and never, so the per-point early-stop cuts are all exercised
+        monkeypatch.setattr(sim, "CHUNK", chunk)
         grid = [-20.0, -12.0, -6.0, 0.0, 10.0]
-        together = run_ber(
-            [small_baseline], grid, 3000, early_stop=early_stop, batch=batch
-        )
-        alone = [
-            run_ber([small_baseline], [snr], 3000, early_stop=early_stop, batch=batch)[0]
-            for snr in grid
-        ]
+        together = run_ber([small_baseline], grid, 3000, early_stop=early_stop)
+        alone = [run_ber([small_baseline], [snr], 3000, early_stop=early_stop)[0] for snr in grid]
         assert together == alone
         if early_stop:
             assert len({r.pulses for r in together}) > 1
@@ -313,6 +330,7 @@ class TestRunBer:
     def test_draws_each_trial_once_across_the_grid(
         self, small_baseline, small_table, monkeypatch
     ):
+        monkeypatch.setattr(sim, "CHUNK", 64)
         drawn = []
 
         def counting_draw_trials(master_seed, start, n_members, ranks, h, noise):
@@ -322,20 +340,21 @@ class TestRunBer:
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
         grid = [-16.0 + 2.0 * k for k in range(11)]
-        records = run_ber(builds, grid, 300, batch=64)
+        records = run_ber(builds, grid, 300)
         assert [r.pulses for r in records] == [300] * 22
         assert drawn == list(range(300))
 
-    def test_explicit_master_seed_overrides_scenario_seed(self, small_baseline):
+    def test_the_tables_master_seed_keys_the_draws(self, small_baseline):
         a = run_ber([small_baseline], [0.0], 300)
-        b = run_ber([small_baseline], [0.0], 300, master_seed=4242)
-        c = run_ber([small_baseline], [0.0], 300, master_seed=4242)
+        b = run_ber(_reseeded([small_baseline], 4242), [0.0], 300)
+        c = run_ber(_reseeded([small_baseline], 4242), [0.0], 300)
         assert b == c
         assert a != b
 
-    def test_early_stop_truncates_noisy_points(self, small_baseline):
+    def test_early_stop_truncates_noisy_points(self, small_baseline, monkeypatch):
         full = run_ber([small_baseline], [-20.0], 20000)
-        stopped = run_ber([small_baseline], [-20.0], 20000, early_stop=True, batch=256)
+        monkeypatch.setattr(sim, "CHUNK", 256)
+        stopped = run_ber([small_baseline], [-20.0], 20000, early_stop=True)
         assert stopped[0].bit_errors >= EARLY_STOP_BIT_ERRORS
         assert stopped[0].pulses < full[0].pulses
         assert stopped[0].pulses % 256 == 0
@@ -343,11 +362,29 @@ class TestRunBer:
         gap = abs(stopped[0].ber - full[0].ber)
         assert gap <= stopped[0].ci_halfwidth + full[0].ci_halfwidth
 
+    def test_early_stop_cuts_at_the_benchmark_chunk(self, small_baseline):
+        # the benchmark's oracle checks every early-stopped cell against its
+        # own copy of the chunk convention, read here without importing it
+        tree = ast.parse((pathlib.Path(__file__).parents[1] / "benchmarks" / "oracle.py").read_text())
+        oracle = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Constant)
+        }
+        assert (oracle["CHUNK"], oracle["EARLY_STOP_BIT_ERRORS"]) == (sim.CHUNK, EARLY_STOP_BIT_ERRORS)
+        # cells that stop after one, two and four chunks, and one that never does
+        records = run_ber([small_baseline], [-20.0, -4.0, 0.0, 4.0], 5000, early_stop=True)
+        stopped = [r for r in records if r.pulses < 5000]
+        assert [r.pulses // sim.CHUNK for r in stopped] == [1, 2, 4]
+        for r in stopped:
+            assert r.pulses % sim.CHUNK == 0
+            assert r.bit_errors >= EARLY_STOP_BIT_ERRORS
+
     def test_rejects_bad_arguments(self, small_baseline):
         with pytest.raises(ValueError):
             run_ber([small_baseline], [0.0], 0)
-        with pytest.raises(ValueError):
-            run_ber([small_baseline], [0.0], 10, batch=0)
         with pytest.raises(ValueError):
             run_ber([small_baseline], [], 10)
 
