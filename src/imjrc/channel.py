@@ -10,9 +10,9 @@ bit for bit.
 :func:`draw_trials` draws a chunk of per-pulse streams without building a
 ``SeedSequence`` per stream.  It ports numpy's documented ``SeedSequence``
 mixing to uint32 arrays, vectorised over all of the chunk's keys at once,
-derives each stream's PCG64 ``(state, inc)`` from it, and sets those two
-integers on one reused ``PCG64`` through one reused state dict.  The draws
-are the ones ``substream`` gives, bit for bit.
+and hands each stream's mixed words to numpy's own ``PCG64``, which seeds
+itself from them as it would from the ``SeedSequence``.  The draws are the
+ones ``substream`` gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 TAG_TPS = 1
 TAG_BITS = 2
@@ -43,13 +44,9 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# PCG64's 128-bit LCG multiplier (pcg64.h, PCG_DEFAULT_MULTIPLIER_128)
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
-# trials whose states are formed and whose normals are combined per block:
-# the chunk's seed words are mixed at once, but its 128-bit states and
-# complex temporaries stay small
+# trials whose raw normals are combined into complex entries per block, so
+# the complex temporaries stay small whatever the chunk size
 _DRAW_BLOCK = 64
 
 
@@ -89,7 +86,8 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
 
     ``entropy`` is the (words, keys) uint32 array SeedSequence assembles:
     the run entropy padded to the pool size, then the spawn key.  Returns
-    the (4, keys) uint64 array ``generate_state(4, np.uint64)`` gives.
+    the (keys, 4) uint64 array whose rows ``generate_state(4, np.uint64)``
+    gives.
     """
     hashmix = _HashMix(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
@@ -102,19 +100,20 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
             pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
     hashmix = _HashMix(_INIT_B, _MULT_B)
     words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])])
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])], axis=1)
 
 
 def _stream_seeds(master_seed: int, tags: Sequence[int], start: int, size: int) -> np.ndarray:
-    """PCG64 seed words of ``substream(master_seed, tag, trial)``, (4, tags, trials) uint64.
+    """PCG64 seed words of ``substream(master_seed, tag, trial)``, (tags, trials, 4) uint64.
 
-    Covers trials ``start .. start + size - 1``.  Keys are mixed in groups
-    of equal word count, since a trial index at or above 2^32 spans more
-    than one uint32 word.
+    Covers trials ``start .. start + size - 1``; each stream's four words
+    are one C-contiguous row.  Keys are mixed in groups of equal word
+    count, since a trial index at or above 2^32 spans more than one uint32
+    word.
     """
     run = _uint32_words(int(master_seed))
     run += [0] * (_POOL_SIZE - len(run))
-    seeds = np.empty((_POOL_SIZE, len(tags), size), dtype=np.uint64)
+    seeds = np.empty((len(tags), size, _POOL_SIZE), dtype=np.uint64)
     trial, stop = start, start + size
     while trial < stop:
         n_words = len(_uint32_words(trial))
@@ -125,26 +124,24 @@ def _stream_seeds(master_seed: int, tags: Sequence[int], start: int, size: int) 
         entropy[len(run)] = np.array(tags, dtype=np.uint32)[:, None]
         entropy[len(run) + 1 :] = trial_words[:, None, :]
         words = _pcg64_seeds(entropy.reshape(entropy.shape[0], -1))
-        seeds[:, :, group.start - start : group.stop - start] = words.reshape(_POOL_SIZE, len(tags), -1)
+        seeds[:, group.start - start : group.stop - start] = words.reshape(len(tags), -1, _POOL_SIZE)
         trial = group.stop
     return seeds
 
 
-def _stream_states(seeds: np.ndarray) -> list[list[tuple[int, int]]]:
-    """PCG64 ``(state, inc)`` of each stream of (4, tags, trials) seed words, one list per tag.
+class _SeedWords(ISeedSequence):
+    """One stream's precomputed seed words, given to ``PCG64`` as its seed sequence.
 
-    These are the ``state`` and ``inc`` of ``PCG64.state`` for a generator
-    seeded with those words.
+    ``PCG64`` asks for ``generate_state(4, np.uint64)``, the only request
+    this answers, and reads the returned array's buffer, so ``words`` must
+    be a C-contiguous (4,) uint64 row.
     """
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*seeds.tolist()):
-        tag_states = []
-        for sh, sl, ih, il in zip(s_hi, s_lo, i_hi, i_lo):
-            # pcg64_set_seed, then pcg_setseq_128_srandom_r
-            inc = (((ih << 64) | il) << 1 | 1) & _MASK128
-            tag_states.append((((inc + ((sh << 64) | sl)) * _PCG_MULT + inc) & _MASK128, inc))
-        states.append(tag_states)
-    return states
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.words
 
 
 def draw_trials(
@@ -178,23 +175,15 @@ def draw_trials(
     raw_h = h.view(float).reshape(size, 2, *h.shape[1:])
     raw_noise = noise.view(float).reshape(size, 2, *noise.shape[1:])
     seeds = _stream_seeds(master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start, size)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    # one state dict, fresh as a seeded PCG64's, takes every stream's words
-    state = bitgen.state
-    words = state["state"]
     for s in range(0, size, _DRAW_BLOCK):
         e = min(size, s + _DRAW_BLOCK)
-        for i, (bits, channel, unit_noise) in enumerate(zip(*_stream_states(seeds[:, :, s:e])), start=s):
-            words["state"], words["inc"] = bits
-            bitgen.state = state
-            ranks[i] = rng.integers(n_members)
-            words["state"], words["inc"] = channel
-            bitgen.state = state
-            rng.standard_normal(out=raw_h[i])
-            words["state"], words["inc"] = unit_noise
-            bitgen.state = state
-            rng.standard_normal(out=raw_noise[i])
+        for i in range(s, e):
+            bits, channel, unit_noise = (
+                np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in seeds[:, i]
+            )
+            ranks[i] = bits.integers(n_members)
+            channel.standard_normal(out=raw_h[i])
+            unit_noise.standard_normal(out=raw_noise[i])
         # the right-hand sides read the block's raw normals before they are overwritten
         h[s:e] = (raw_h[s:e, 0] + 1j * raw_h[s:e, 1]) / np.sqrt(2.0)
         noise[s:e] = (raw_noise[s:e, 0] + 1j * raw_noise[s:e, 1]) / np.sqrt(2.0)

@@ -509,10 +509,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     for dest, value in vars(args).items():
         # each common flag sets the config key of its name, but for these three
         key = {"scheme": "schemes", "snr": "snr_db", "seed": "master_seed"}.get(dest, dest)
-        if key in _CONFIG_KEYS and value is not None and value is not False and value != "":
+        if key in _CONFIG_KEYS and value is not None and value is not False:
             raw = ",".join(value) if dest == "scheme" else "true" if value is True else str(value)
             flags.append((f"--{dest.replace('_', '-')}", key, raw))
-    file_entries = _file_entries(args.config) if args.config else ()
+    file_entries = _file_entries(args.config) if args.config is not None else ()
     return _parse_entries(itertools.chain(file_entries, flags))
 
 

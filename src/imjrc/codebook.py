@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .enumeration import CodewordTable, rank_to_bits
+from .enumeration import CodewordTable
 
 
 @dataclass(frozen=True)
@@ -569,5 +569,5 @@ def export_codebook_csv(book: Codebook, table: CodewordTable, path: str) -> None
             ["rank", "bits", "global_index", "freq_subset", "allocation", "provenance", "med"]
         )
         for rank, g in enumerate(book.member_ids):
-            bits = "".join(map(str, rank_to_bits(rank, b)))
+            bits = format(rank, f"0{b}b")  # natural binary, MSB first
             writer.writerow([rank, bits, g, *table.text_of(g), book.provenance, repr(book.med)])

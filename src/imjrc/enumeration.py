@@ -1,4 +1,4 @@
-"""Exhaustive enumeration of codewords and the rank/bit-label mapping.
+"""Exhaustive enumeration of codewords into the indexed codeword table.
 
 Global codeword order is lexicographic: frequency subsets in increasing
 order, allocations in increasing order within each subset, so
@@ -144,25 +144,6 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
         waveforms=np.stack([sampled_waveform(c, params, derived) for c in range(params.M)]),
         steering=steering_vector(params),
     )
-
-
-def bits_to_rank(bits: Sequence[int]) -> int:
-    """Natural-binary word (MSB first) to integer rank."""
-    rank = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {bit!r}")
-        rank = (rank << 1) | bit
-    return rank
-
-
-def rank_to_bits(rank: int, b: int) -> tuple[int, ...]:
-    """Integer rank to its B-bit natural-binary word (MSB first)."""
-    if b < 1:
-        raise ValueError(f"bit width must be >= 1, got {b}")
-    if not 0 <= rank < (1 << b):
-        raise ValueError(f"rank must lie in [0, {1 << b}), got {rank}")
-    return tuple((rank >> shift) & 1 for shift in range(b - 1, -1, -1))
 
 
 def export_table_csv(table: CodewordTable, path: str) -> None:

@@ -72,16 +72,16 @@ def _bulk(seed, start, n_members, l_c, l_r, l_t, size):
 class TestBulkSeeding:
     @pytest.mark.parametrize("seed", BULK_SEEDS)
     def test_states_equal_seedsequence(self, seed):
+        # the words PCG64 asks a SeedSequence for, one C-contiguous row a stream
         for start, size in BULK_TRIALS:
-            states = channel._stream_states(channel._stream_seeds(seed, ALL_TAGS, start, size))
-            for tag, tag_states in zip(ALL_TAGS, states):
-                want = []
-                for t in range(start, start + size):
-                    state = substream(seed, tag, t).bit_generator.state
-                    # a freshly seeded generator holds no buffered half-word
-                    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
-                    want.append((state["state"]["state"], state["state"]["inc"]))
-                assert tag_states == want
+            seeds = channel._stream_seeds(seed, ALL_TAGS, start, size)
+            assert seeds.shape == (len(ALL_TAGS), size, 4) and seeds.flags.c_contiguous
+            for tag, tag_seeds in zip(ALL_TAGS, seeds):
+                want = [
+                    np.random.SeedSequence(seed, spawn_key=(tag, t)).generate_state(4, np.uint64)
+                    for t in range(start, start + size)
+                ]
+                assert np.array_equal(tag_seeds, want)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):

@@ -677,20 +677,25 @@ class TestMainCommands:
         assert capsys.readouterr().err == f"error: {csv}:3: column pulses: {message}\n"
 
     @pytest.mark.parametrize("verb", ["design", "ber"])
-    @pytest.mark.parametrize("under", [None, "run", ""], ids=["file", "under_a_file", "empty_in_config"])
+    @pytest.mark.parametrize(
+        "under", [None, "run", "", "--out="], ids=["file", "under_a_file", "empty_in_config", "empty_flag"]
+    )
     def test_out_that_cannot_be_a_directory_exits_2_before_design(
         self, verb, under, config_file, tmp_path, capsys, monkeypatch
     ):
-        # a regular file, a path under one, or an empty ``out =``: one error
-        # line, no traceback, and no design run whose results would be lost
+        # a regular file, a path under one, or an empty ``out =`` or ``--out=``:
+        # one error line, no traceback, and no design run whose results would be lost
         monkeypatch.setattr(cli, "_design_inputs", _no_design)
-        if under == "":
+        if under in ("", "--out="):
             # abspath("") is the working directory, so the value itself is refused
             monkeypatch.chdir(tmp_path)
-            with open(config_file, "a") as fh:
-                fh.write("out =\n")
-            where = f"{config_file}:{len(SMALL_CONFIG.splitlines()) + 1}"
-            assert main([verb, "--config", config_file, "--pulses", "10"]) == 2
+            if under:
+                where, flags = "--out", [under]
+            else:
+                with open(config_file, "a") as fh:
+                    fh.write("out =\n")
+                where, flags = f"{config_file}:{len(SMALL_CONFIG.splitlines()) + 1}", []
+            assert main([verb, "--config", config_file, "--pulses", "10", *flags]) == 2
             message = f"config error: {where}: bad value '' for 'out' (out must name a directory)\n"
             assert capsys.readouterr().err == message
             assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
@@ -703,16 +708,28 @@ class TestMainCommands:
         assert notadir.read_text() == ""
 
     @pytest.mark.parametrize(
-        "text,message", [("bogus = 1\n", "bad.cfg:1"), (None, "bad.cfg: No such file or directory")],
-        ids=["unknown_key", "missing_file"],
+        "name,text,message",
+        [
+            ("bad.cfg", "bogus = 1\n", "bad.cfg:1"),
+            ("bad.cfg", None, "bad.cfg: No such file or directory"),
+            # ``--config=`` names a file that cannot be opened, not no file
+            ("", None, ": No such file or directory"),
+        ],
+        ids=["unknown_key", "missing_file", "empty_path"],
     )
-    def test_config_error_exits_2(self, text, message, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
+    def test_config_error_exits_2(self, name, text, message, tmp_path, capsys):
+        path = str(tmp_path / name) if name else name
         if text is not None:
-            path.write_text(text)
-        assert main(["derive", "--config", str(path)]) == 2
+            pathlib.Path(path).write_text(text)
+        assert main(["derive", f"--config={path}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
+
+    def test_empty_snr_flag_exits_2(self, capsys):
+        # ``--snr=`` is a given value, refused, not the default grid
+        assert main(["derive", "--snr="]) == 2
+        message = "bad value '' for 'snr_db' (could not convert string to float: '')"
+        assert capsys.readouterr().err == f"config error: --snr: {message}\n"
 
     def test_scheme_flag_rejects_unknown(self, config_file, capsys):
         code = main(["ber", "--config", config_file, "--scheme", "warp"])

@@ -739,6 +739,12 @@ class TestRanks:
             self._assert_same(dist, 1 << table.derived.B)
 
 
+def _assert_bit_label(bits, rank, b):
+    """``bits`` is the B-bit natural-binary label of ``rank``, most significant bit first."""
+    assert len(bits) == b and set(bits) <= {"0", "1"}
+    assert sum(int(bit) << (b - 1 - j) for j, bit in enumerate(bits)) == rank
+
+
 class TestExportCodebookCsv:
     def test_rows_and_labels(self, small_table, small_derived, tmp_path):
         dist = distance_matrix(small_table.codewords(range(len(small_table))))
@@ -752,7 +758,7 @@ class TestExportCodebookCsv:
         for rank, row in enumerate(rows):
             cols = row.split(",")
             assert int(cols[0]) == rank
-            assert cols[1] == format(rank, "04b")
+            _assert_bit_label(cols[1], rank, small_derived.B)
             assert int(cols[2]) == book.member_ids[rank]
             subset = [int(v) for v in cols[3].split("-")]
             allocation = [int(v) for v in cols[4].split("-")]
@@ -766,3 +772,17 @@ class TestExportCodebookCsv:
         export_codebook_csv(book, small_table, str(path))
         rows = path.read_text().strip().split("\n")[1:]
         assert [int(r.split(",")[2]) for r in rows] == list(range(16))
+
+    # label widths of 1, 8 and 10 bits; test_rows_and_labels covers 4
+    @pytest.mark.parametrize("scenario", [{"M": 2, "K": 1, "L_R": 2}, {}, {"M": 8, "L_R": 8}])
+    def test_every_row_carries_its_rank_label(self, scenario, tmp_path):
+        params = SystemParams(**scenario)
+        table = build_table(params, derive(params))
+        b = table.derived.B
+        book = Codebook(tuple(range(1 << b)), 1.0, "baseline")
+        path = tmp_path / "baseline.csv"
+        export_codebook_csv(book, table, str(path))
+        rows = path.read_text().strip().split("\n")[1:]
+        assert len(rows) == 1 << b
+        for rank, row in enumerate(rows):
+            _assert_bit_label(row.split(",")[1], rank, b)

@@ -1,4 +1,4 @@
-"""Enumeration order, table construction, and bit-label mapping."""
+"""Enumeration order and table construction."""
 
 import tracemalloc
 
@@ -7,12 +7,10 @@ import pytest
 
 from imjrc import enumeration
 from imjrc.enumeration import (
-    bits_to_rank,
     build_table,
     enumerate_allocations,
     enumerate_subsets,
     export_table_csv,
-    rank_to_bits,
 )
 from imjrc.params import SystemParams, derive
 from oracles import synthesize_codeword
@@ -146,33 +144,6 @@ def test_table_holds_carrier_words_only():
     slots = np.asarray(table.subsets)[:, np.asarray(table.allocations)]
     np.testing.assert_array_equal(table.carriers, slots.reshape(len(table), params.L_R))
     assert table.carriers.dtype == slots.dtype
-
-
-def test_bit_labels_examples():
-    assert bits_to_rank((0,) * 8) == 0
-    assert bits_to_rank((1,) * 8) == 255
-    assert rank_to_bits(0, 8) == (0,) * 8
-    assert rank_to_bits(255, 8) == (1,) * 8
-    assert rank_to_bits(6, 4) == (0, 1, 1, 0)
-
-
-@pytest.mark.parametrize("b", [1, 4, 8, 10])
-def test_bit_labels_round_trip(b):
-    for rank in range(1 << b):
-        bits = rank_to_bits(rank, b)
-        assert len(bits) == b
-        assert bits_to_rank(bits) == rank
-
-
-def test_bit_labels_reject_bad_inputs():
-    with pytest.raises(ValueError):
-        rank_to_bits(16, 4)
-    with pytest.raises(ValueError):
-        rank_to_bits(-1, 4)
-    with pytest.raises(ValueError):
-        rank_to_bits(0, 0)
-    with pytest.raises(ValueError):
-        bits_to_rank((0, 2))
 
 
 def test_table_csv_export(tmp_path, small_table):
