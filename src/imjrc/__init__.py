@@ -9,7 +9,7 @@ rates of ML detection over Rayleigh fading.
 
 __version__ = "0.1.0"
 
-from .codebook import Codebook, greedy_prune, med
+from .codebook import Codebook, greedy_prune
 from .crps import Scheme, SchemeBuild, TpsFactor, build_scheme, build_schemes, generate_tps
 from .enumeration import CodewordTable, build_table
 from .params import DerivedParams, SystemParams, derive
@@ -32,6 +32,5 @@ __all__ = [
     "generate_tps",
     "greedy_prune",
     "measure_gain",
-    "med",
     "run_ber",
 ]

@@ -512,6 +512,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
         if key in _CONFIG_KEYS and value is not None and value is not False:
             raw = ",".join(value) if dest == "scheme" else "true" if value is True else str(value)
             flags.append((f"--{dest.replace('_', '-')}", key, raw))
+    if args.config == "":
+        raise ConfigError("--config: must name a file")
     file_entries = _file_entries(args.config) if args.config is not None else ()
     return _parse_entries(itertools.chain(file_entries, flags))
 

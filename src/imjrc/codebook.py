@@ -119,6 +119,11 @@ def _set_minima(
     whose diagonal holds no pair and is filled with the set's first pair,
     then the columns after it.  A minimum is exact in any order, so the
     blocks change no value.
+
+    It reads every member set's MED: :meth:`PairPatterns.meds` and
+    :meth:`PairClasses.meds` score factors over sets, and
+    :func:`imjrc.crps.build_schemes` reads the baseline MED from a rank
+    matrix of :func:`_ranked`, each rank a class whose distance it stands for.
     """
     if any(len(ids) < 2 for ids in member_sets):
         raise ValueError("candidate scoring needs at least two members")
@@ -197,10 +202,9 @@ def _ranked(distances: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.nd
 
     The positions keep order and ties, equal positions being bit-equal
     distances, and take the smallest unsigned type that also holds one
-    value above them: the unused largest value :func:`greedy_prune` and
-    :func:`med` mark excluded entries with.  Each class's position is
-    gathered through ``index`` :data:`_ROW_BLOCK` rows at a time, straight
-    into the result.
+    value above them: the unused largest value :func:`greedy_prune` marks
+    excluded entries with.  Each class's position is gathered through
+    ``index`` :data:`_ROW_BLOCK` rows at a time, straight into the result.
     """
     values, rank = np.unique(distances, return_inverse=True)
     rank = rank.astype(np.min_scalar_type(values.size))
@@ -432,45 +436,6 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     return PairClasses(table=table.reshape(m * m, m * m), words=words, index=index)
 
 
-def _beyond(dtype: np.dtype):
-    """The value that marks an excluded entry: the largest of an integer type, else inf."""
-    return np.iinfo(dtype).max if dtype.kind in "iu" else np.inf
-
-
-def med(
-    dist: np.ndarray, members: Sequence[int], values: np.ndarray | None = None
-) -> tuple[float, tuple[int, int]]:
-    """Minimum pairwise distance over a member set and the pair achieving it.
-
-    ``dist`` is a symmetric distance matrix or, with ``values``, a rank
-    matrix of :func:`_ranked`, whose distances are ``values[dist]``.  Ties
-    resolve to the lexicographically smallest (i, j) pair of global indices,
-    i < j.  That pair is the first minimum of the members' submatrix with
-    its diagonal masked, and it lies in the upper triangle: a minimum below
-    the diagonal has its mirror in an earlier row.  So each row's minimum
-    from its own member on is taken, :data:`_ROW_BLOCK` rows at a time
-    (:func:`_member_rows`), and a set of the first codewords reads ``dist``
-    in place; only a block's square is copied, to mask its diagonal.  The
-    first row of least minimum holds the pair, after its diagonal.
-    """
-    idx = np.asarray(sorted(members))
-    if idx.size < 2:
-        raise ValueError("MED needs at least two members")
-    far = _beyond(dist.dtype)
-    rowmin = np.empty(idx.size, dtype=dist.dtype)
-    for start, block in _member_rows(dist, idx):
-        rows = len(block)
-        square = block[:, :rows].copy()
-        np.fill_diagonal(square, far)
-        rowmin[start : start + rows] = np.minimum(
-            square.min(axis=1), block[:, rows:].min(axis=1, initial=far)
-        )
-    a = int(rowmin.argmin())
-    b = a + 1 + int(dist[idx[a], idx[a + 1 :]].argmin())
-    i, j = int(idx[a]), int(idx[b])
-    return float(dist[i, j] if values is None else values[dist[i, j]]), (i, j)
-
-
 def greedy_prune(
     dist: np.ndarray, target: int, values: np.ndarray | None = None
 ) -> tuple[Codebook, np.ndarray]:
@@ -516,7 +481,7 @@ def greedy_prune(
         raise ValueError(f"target {target} exceeds {n} available codewords")
 
     work = dist.copy()
-    far = _beyond(work.dtype)
+    far = np.iinfo(work.dtype).max if work.dtype.kind in "iu" else np.inf
     np.fill_diagonal(work, far)
     rowarg = work.argmin(axis=1)
     rowmin = work[np.arange(n), rowarg]

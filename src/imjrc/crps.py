@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import _CLASS_BLOCK, Codebook, greedy_prune, med, pair_classes, pair_patterns
+from .codebook import _CLASS_BLOCK, Codebook, _set_minima, greedy_prune, pair_classes, pair_patterns
 from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
 from .params import SystemParams
 
@@ -216,7 +216,9 @@ def build_schemes(
     if prune_unscaled or Scheme.BASELINE in schemes:
         dist, values = pairs.ranks(factor(None))
         if Scheme.BASELINE in schemes:
-            baseline_med, _ = med(dist, baseline_ids, values)
+            # each rank a class, whose distance is the one it ranks
+            minima = _set_minima(dist, len(values), lambda block: values[block, None], [baseline_ids])
+            baseline_med = float(minima[0, 0])
         if prune_unscaled:
             pruned[0], _ = greedy_prune(dist, n_valid, values)
         del dist

@@ -23,13 +23,6 @@ DESIGN_BUDGET_BYTES = 4 << 30
 before it allocates."""
 
 
-@dataclass(frozen=True)
-class CodewordId:
-    global_index: int
-    subset_index: int
-    allocation_index: int
-
-
 def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
     """All K-of-M carrier offset subsets, lexicographic, each sorted."""
     return list(itertools.combinations(range(m), k))
@@ -92,25 +85,10 @@ class CodewordTable:
         coef = self.steering / np.sqrt(self.params.L_R)
         return coef if alpha is None else coef * alpha
 
-    def id_of(self, global_index: int) -> CodewordId:
-        if not 0 <= global_index < len(self):
-            raise ValueError(f"global index must lie in [0, {len(self)}), got {global_index}")
-        return CodewordId(
-            global_index=global_index,
-            subset_index=global_index // self.derived.card_P,
-            allocation_index=global_index % self.derived.card_P,
-        )
-
-    def subset_of(self, global_index: int) -> tuple[int, ...]:
-        return self.subsets[self.id_of(global_index).subset_index]
-
-    def allocation_of(self, global_index: int) -> tuple[int, ...]:
-        return self.allocations[self.id_of(global_index).allocation_index]
-
     def text_of(self, global_index: int) -> list[str]:
         """Its carrier subset and antenna allocation as CSV text, e.g. ``0-1``, ``0-0-1-1``."""
-        words = (self.subset_of(global_index), self.allocation_of(global_index))
-        return ["-".join(map(str, w)) for w in words]
+        subset, allocation = divmod(global_index, self.derived.card_P)
+        return ["-".join(map(str, w)) for w in (self.subsets[subset], self.allocations[allocation])]
 
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
@@ -154,5 +132,4 @@ def export_table_csv(table: CodewordTable, path: str) -> None:
             ["global_index", "subset_index", "allocation_index", "freq_subset", "allocation"]
         )
         for g in range(len(table)):
-            cid = table.id_of(g)
-            writer.writerow([g, cid.subset_index, cid.allocation_index, *table.text_of(g)])
+            writer.writerow([g, *divmod(g, table.derived.card_P), *table.text_of(g)])

@@ -24,13 +24,13 @@ from imjrc.cli import (
     reference_gain_lines,
     write_divergence_report,
 )
-from imjrc.codebook import greedy_prune, med
+from imjrc.codebook import greedy_prune
 from imjrc.crps import Scheme, build_scheme, generate_tps
 from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import measure_gain, run_ber, snr_at_ber
-from oracles import distance_matrix
+from oracles import distance_matrix, med_of_submatrix
 
 PILOT_GRID = np.arange(-20.0, 8.1, 2.0)
 PILOT_PULSES = 2000
@@ -273,11 +273,12 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     members = range(first_set.shape[0])
     crps_only = build_scheme(Scheme.CRPS_ONLY, default_table)
     tps, best = crps_only.tps, crps_only.codebook.med
-    identity_med, _ = med(distance_matrix(first_set), members)
+    identity_med, _ = med_of_submatrix(distance_matrix(first_set), members)
     if best < identity_med * (1.0 - 1e-12):
         failures.append(f"(c) selected med {best:.6g} below identity med {identity_med:.6g}")
     exhaustive = max(
-        med(distance_matrix(first_set * alpha[:, None]), members)[0] for alpha in candidates
+        med_of_submatrix(distance_matrix(first_set * alpha[:, None]), members)[0]
+        for alpha in candidates
     )
     if not math.isclose(best, exhaustive, rel_tol=1e-9):
         failures.append(f"(c) selected med {best:.6g} != exhaustive max {exhaustive:.6g}")

@@ -712,8 +712,8 @@ class TestMainCommands:
         [
             ("bad.cfg", "bogus = 1\n", "bad.cfg:1"),
             ("bad.cfg", None, "bad.cfg: No such file or directory"),
-            # ``--config=`` names a file that cannot be opened, not no file
-            ("", None, ": No such file or directory"),
+            # ``--config=`` is refused by its flag, not opened as a file
+            ("", None, "config error: --config: must name a file\n"),
         ],
         ids=["unknown_key", "missing_file", "empty_path"],
     )
@@ -724,6 +724,8 @@ class TestMainCommands:
         assert main(["derive", f"--config={path}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err and "Traceback" not in err
+        if not name:
+            assert err == message
 
     def test_empty_snr_flag_exits_2(self, capsys):
         # ``--snr=`` is a given value, refused, not the default grid

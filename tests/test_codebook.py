@@ -17,7 +17,6 @@ from imjrc.codebook import (
     _ranked,
     export_codebook_csv,
     greedy_prune,
-    med,
     pair_classes,
     pair_patterns,
 )
@@ -309,6 +308,23 @@ class TestSetMinima:
         for got, ids in zip(patterns.meds(alphas, sets), sets):
             assert np.array_equal(got, dist[self._classes_of_pairs(patterns.index, ids)].min(axis=0))
 
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_rank_minima_match_the_submatrix_copy(self, block, default_table, monkeypatch):
+        # a set's MED read from a rank matrix, each rank a class standing for
+        # the distance it ranks, as the baseline MED is read; also on small
+        # random integers, whose minima sit deep in the matrix.  The caller's
+        # matrix is read only.
+        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
+        rank, values = _patterns(default_table).ranks(np.ones(6))
+        ties = np.random.default_rng(block).integers(3, 40, size=(420, 420), dtype=np.uint8)
+        ties = np.minimum(ties, ties.T)
+        sets = self._member_sets(420)
+        for index, vals in ((rank, values), (ties, np.arange(40.0))):
+            index = index.copy()
+            index.setflags(write=False)
+            got = codebook._set_minima(index, len(vals), lambda classes: vals[classes, None], sets)
+            assert got[:, 0].tolist() == [med_of_submatrix(index, ids, vals)[0] for ids in sets]
+
 
 def _class_key(a, b, m):
     """Two carrier words less the first carrier, the smaller of their two orders, as Python ints."""
@@ -468,56 +484,6 @@ def test_set_scores_need_two_members(small_table):
             score([factor], [range(4), [3]])
 
 
-class TestMed:
-    def test_known_minimum_and_pair(self):
-        dist = _points_to_dist([0.0, 1.0, 3.0, 6.0])
-        value, pair = med(dist, [0, 1, 2, 3])
-        assert value == 1.0
-        assert pair == (0, 1)
-
-    def test_subset_excludes_outside_pairs(self):
-        dist = _points_to_dist([0.0, 1.0, 3.0, 6.0])
-        value, pair = med(dist, [0, 2, 3])
-        assert value == 9.0
-        assert pair == (0, 2)
-
-    def test_tie_resolves_to_smallest_pair(self):
-        # equally spaced points: every adjacent pair ties at 1
-        dist = _points_to_dist([0.0, 1.0, 2.0, 3.0])
-        _, pair = med(dist, range(4))
-        assert pair == (0, 1)
-
-    def test_needs_two_members(self):
-        dist = _points_to_dist([0.0, 1.0])
-        with pytest.raises(ValueError):
-            med(dist, [1])
-
-    @pytest.mark.parametrize("block", [7, 128])
-    def test_matches_the_submatrix_copy(self, block, default_table, monkeypatch):
-        # prefix, non-prefix, unsorted and tied sets, on ranks, distances and
-        # small random integers, whose minima sit deep in the matrix; the
-        # caller's matrix is read only
-        monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
-        rank, values = _patterns(default_table).ranks(np.ones(6))
-        rng = np.random.default_rng(block)
-        ties = rng.integers(3, 40, size=(420, 420), dtype=np.uint8)
-        ties = np.minimum(ties, ties.T)
-        sets = [
-            range(420),
-            range(256),
-            range(2),
-            range(1, 200),  # from codeword 1: no prefix
-            [1, 0],
-            sorted(rng.choice(420, 100, replace=False).tolist()),
-            rng.permutation(420)[:150].tolist(),  # unsorted
-        ]
-        for dist, vals in ((rank, values), (values[rank], None), (ties, None)):
-            expect = [med_of_submatrix(dist, ids, vals) for ids in sets]
-            dist = dist.copy()
-            dist.setflags(write=False)
-            assert [med(dist, ids, vals) for ids in sets] == expect
-
-
 class TestGreedyPrune:
     def test_toy_line_instance(self):
         # hand trace on {0,1,3,6,10,15}, target 4:
@@ -555,7 +521,7 @@ class TestGreedyPrune:
         book, meds = greedy_prune(dist, 7)
         best = 0.0
         for subset in itertools.combinations(range(10), 7):
-            value, _ = med(dist, subset)
+            value, _ = med_of_submatrix(dist, subset)
             best = max(best, value)
         assert meds[0] <= book.med <= best + 1e-12
 
@@ -571,7 +537,7 @@ class TestGreedyPrune:
         assert len(book.member_ids) == 16
         assert meds.shape == (small_derived.Q + 1,)
         assert np.all(np.diff(meds) >= 0.0)
-        value, _ = med(dist, book.member_ids)
+        value, _ = med_of_submatrix(dist, book.member_ids)
         assert book.med == pytest.approx(value, rel=1e-12)
 
     def test_provenance_recorded(self):
@@ -674,7 +640,7 @@ class TestRanks:
         assert np.array_equal(meds.view(np.uint64), ref_meds.view(np.uint64))
         assert book.med == ref_book.med
         for members in (range(n), book.member_ids, range(0, n, 3)):
-            assert med(rank, members, values) == med(dist, members)
+            assert med_of_submatrix(rank, members, values) == med_of_submatrix(dist, members)
         return rank
 
     @pytest.mark.parametrize("seed", range(5))

@@ -10,7 +10,7 @@ import pytest
 
 from imjrc import codebook, crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import Codebook, greedy_prune, med, pair_classes, pair_patterns
+from imjrc.codebook import Codebook, greedy_prune, pair_classes, pair_patterns
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
@@ -23,7 +23,7 @@ from imjrc.crps import (
 )
 from imjrc.enumeration import CodewordTable, build_table
 from imjrc.params import SystemParams, derive
-from oracles import candidate_meds, distance_matrix, tps_pool
+from oracles import candidate_meds, distance_matrix, med_of_submatrix, tps_pool
 
 
 def _scaled(table, ids, alpha):
@@ -145,7 +145,7 @@ class TestCandidateScoring:
         )
 
     def test_channel_path_is_bit_equal_to_med(self, small_table, default_table):
-        # a set's score is med() over the distances it is taken from, bit
+        # a set's score is the MED of its submatrix of the distances it is taken from, bit
         # for bit, with or without a channel, or the selected factor could
         # move; the classes are measured in the blocks the scoring uses.
         # The full default table (420 codewords) is what crps_then_codebook
@@ -154,14 +154,14 @@ class TestCandidateScoring:
             params = table.params
             pool = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
             patterns = pair_patterns(table.carriers, params.M, table.derived.L_T)
-            expect = [med(_pattern_matrix(patterns, alpha), ids)[0] for alpha in pool]
+            expect = [med_of_submatrix(_pattern_matrix(patterns, alpha), ids)[0] for alpha in pool]
             assert patterns.meds(pool, [ids])[0].tolist() == expect
             classes = pair_classes(table.carriers, table.waveforms)
             maps = _maps(table, _design_channel(params), pool)
             features, block = codebook._map_features(maps), codebook._CLASS_BLOCK
             starts = range(0, len(classes.words), block)
             dist = np.concatenate([classes._distances(features, slice(b, b + block)) for b in starts])
-            expect = [med(dist[:, d][classes.index], ids)[0] for d in range(len(pool))]
+            expect = [med_of_submatrix(dist[:, d][classes.index], ids)[0] for d in range(len(pool))]
             assert classes.meds(maps, [ids])[0].tolist() == expect
 
     def test_select_never_below_identity(self, small_table, small_params):
@@ -306,6 +306,25 @@ class TestBuildScheme:
         assert build.tps is None
         assert np.array_equal(build.member_matrices, small_table.codewords(range(n_valid)))
 
+    @pytest.mark.parametrize("aware", [False, True], ids=["no_channel", "design_channel"])
+    @pytest.mark.parametrize("table_name", ["default_table", "design_large_table"])
+    def test_baseline_med_is_the_minimum_of_its_ranks(self, table_name, aware, request):
+        # bit for bit the distance of the least rank among the first 2^B
+        # codewords' pairs, whether the pass covers those alone or every codeword
+        table = request.getfixturevalue(table_name)
+        params, n_valid = table.params, 1 << table.derived.B
+        h = _design_channel(params) if aware else None
+        if aware:
+            pairs = pair_classes(table.carriers[:n_valid], table.waveforms)
+            ranks, values = pairs.ranks(h * table.coefficients())
+        else:
+            pairs = pair_patterns(table.carriers[:n_valid], params.M, table.derived.L_T)
+            ranks, values = pairs.ranks(np.ones(params.L_R))
+        expect, _ = med_of_submatrix(ranks, range(n_valid), values)
+        for schemes in ([Scheme.BASELINE], list(Scheme)):
+            (baseline, *_) = build_schemes(schemes, table, design_channel=h)
+            assert repr(baseline.codebook.med) == repr(expect)
+
     def test_identity_selection_leaves_matrices_untouched(self, small_table):
         # without a design channel the identity wins (README "Known divergences")
         build = build_scheme(Scheme.CRPS_ONLY, small_table)
@@ -360,7 +379,7 @@ class TestBuildScheme:
         # the build must stay well formed
         assert len(aware.codebook.member_ids) == len(plain.codebook.member_ids)
         dist = distance_matrix(small_table.codewords(range(len(small_table))), channel=h)
-        expect, _ = med(dist, aware.codebook.member_ids)
+        expect, _ = med_of_submatrix(dist, aware.codebook.member_ids)
         assert aware.codebook.med == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_informationless_scenario(self):
@@ -501,7 +520,7 @@ class TestBuildSchemes:
         builds = build_schemes(list(Scheme), default_table)
         n_valid = 1 << default_table.derived.B
         for build in builds:
-            expect, _ = med(distance_matrix(build.member_matrices), range(n_valid))
+            expect, _ = med_of_submatrix(distance_matrix(build.member_matrices), range(n_valid))
             assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
         assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
 
@@ -568,7 +587,7 @@ class TestShortlist:
         pruned, _ = greedy_prune(rank, 1 << table.derived.B, values)
         assert (before.codebook.member_ids, before.codebook.med) == (pruned.member_ids, pruned.med)
         dist = distance_matrix(mats * tps.alpha[:, None], channel=h)
-        assert pruned.med == pytest.approx(med(dist, pruned.member_ids)[0], rel=1e-12)
+        assert pruned.med == pytest.approx(med_of_submatrix(dist, pruned.member_ids)[0], rel=1e-12)
         # the class scores sit within 1e-12 of the exact ones, relative to a
         # set's best
         classes = pair_classes(table.carriers, table.waveforms)
@@ -734,12 +753,13 @@ class TestRecipes:
             dist = matrix(pool[d_index])
             pruned, _ = greedy_prune(dist, n_valid)
             assert build.codebook.member_ids == pruned.member_ids
-            assert build.codebook.med == med(dist, pruned.member_ids)[0]
+            assert build.codebook.med == med_of_submatrix(dist, pruned.member_ids)[0]
         else:
             assert build.tps is None
-            assert build.codebook.med == med(matrix(pool[0]), ids)[0]
+            assert build.codebook.med == med_of_submatrix(matrix(pool[0]), ids)[0]
         # whichever path designed it, the MED is the one the matrices have
-        expect, _ = med(distance_matrix(build.member_matrices, channel=h), range(n_valid))
+        dist = distance_matrix(build.member_matrices, channel=h)
+        expect, _ = med_of_submatrix(dist, range(n_valid))
         assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
 
         if build.tps is None or build.tps.d_index == 0:

@@ -61,22 +61,23 @@ def test_table_shape_and_indexing(default_table, default_derived):
     assert len(default_table) == 420
     assert default_table.carriers.shape == (420, 6)
     assert default_table.codewords(range(420)).shape == (420, 6, 71)
-    cid = default_table.id_of(47)
-    assert cid.subset_index == 2
-    assert cid.allocation_index == 7
-    assert default_table.subset_of(0) == (0, 1)
-    assert default_table.allocation_of(0) == (0, 0, 0, 1, 1, 1)
-    assert default_table.allocation_of(419) == (1, 1, 1, 0, 0, 0)
+    # global index = subset index * card_P + allocation index: 47 is subset 2, allocation 7
+    card_p = default_derived.card_P
+    assert (len(default_table.subsets), card_p) == (21, 20)
+    assert default_table.text_of(0) == ["0-1", "0-0-0-1-1-1"]
+    assert default_table.text_of(47) == ["0-3", "0-1-1-0-0-1"]
     assert default_table.text_of(419) == ["5-6", "1-1-1-0-0-0"]
-    with pytest.raises(ValueError):
-        default_table.id_of(420)
+    # each codeword's carriers are its subset's offsets, read at its allocation's slots
+    for g, carriers in enumerate(default_table.carriers):
+        subset = default_table.subsets[g // card_p]
+        assert carriers.tolist() == [subset[slot] for slot in default_table.allocations[g % card_p]]
 
 
 def test_table_matches_synthesis(default_table, default_params, default_derived):
     for g in (0, 1, 19, 20, 137, 419):
         expected = synthesize_codeword(
-            default_table.subset_of(g),
-            default_table.allocation_of(g),
+            default_table.subsets[g // default_derived.card_P],
+            default_table.allocations[g % default_derived.card_P],
             default_params,
             default_derived,
         )
