@@ -51,14 +51,16 @@ def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     A value space no larger than ``code`` is marked, and the positions take
     the smallest integer type that holds them; both passes read
     :data:`_ROW_BLOCK` rows of ``code`` at a time, so no temporary is as
-    large as ``code``.  A larger space is sorted.
+    large as ``code``.  ``code`` must be symmetric, as both callers' are: the
+    marking reads each block of rows from its first row's column on.  A
+    larger space is sorted.
     """
     if space > code.size:
         codes, index = np.unique(code, return_inverse=True)
         return codes, index.reshape(code.shape)
     seen = np.zeros(space, dtype=bool)
     for start in range(0, len(code), _ROW_BLOCK):
-        seen[code[start : start + _ROW_BLOCK]] = True
+        seen[code[start : start + _ROW_BLOCK, start:]] = True
     codes = np.flatnonzero(seen)
     # the count can exceed the type by one, but a wrapped sum less one is
     # still each marked value's position
@@ -89,18 +91,18 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     return distinct, number
 
 
-def _member_rows(matrix: np.ndarray, ids: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Each block of :data:`_ROW_BLOCK` members ``ids[start:stop]`` and its rows of
-    ``matrix`` from each row's own member on, ``matrix[ids[start:stop]][:, ids[start:]]``,
-    as ``(start, block)``.  A set of the first codewords, in order, is read in place.
+def _member_rows(matrix: np.ndarray, ids: np.ndarray) -> Iterator[np.ndarray]:
+    """Each block of :data:`_ROW_BLOCK` members ``ids[start:stop]`` as its rows of
+    ``matrix`` from each row's own member on, ``matrix[ids[start:stop]][:, ids[start:]]``.
+    A set of the first codewords, in order, is read in place.
     """
     prefix = np.array_equal(ids, np.arange(ids.size))
     for start in range(0, ids.size, _ROW_BLOCK):
         rows = ids[start : start + _ROW_BLOCK]
         if prefix:
-            yield start, matrix[start : start + rows.size, start : ids.size]
+            yield matrix[start : start + rows.size, start : ids.size]
         else:
-            yield start, matrix.take(rows, axis=0).take(ids[start:], axis=1)
+            yield matrix.take(rows, axis=0).take(ids[start:], axis=1)
 
 
 def _set_minima(
@@ -132,7 +134,7 @@ def _set_minima(
         ids = np.asarray(ids)
         first = index[ids[0], ids[1]]
         mask = np.zeros(count, dtype=bool)
-        for _, block in _member_rows(index, ids):
+        for block in _member_rows(index, ids):
             square = block[:, : len(block)].copy()
             np.fill_diagonal(square, first)
             mask[square] = True
@@ -321,7 +323,7 @@ class PairClasses:
                 dist += np.multiply(flat[at], weight, out=product)
         return _ranked(np.maximum(dist, 0.0, out=dist), self.index)
 
-    def _work_per_class(self, maps: int = 0) -> int:
+    def _work_per_class(self, maps: int) -> int:
         """Entries of working memory a class takes in :meth:`_distances` under ``maps`` maps:
         its features, then its gather and positions or, once those are read, its distances."""
         l_r = self.words.shape[-1]

@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import DerivedParams, SystemParams
-from .signal import sampled_waveform, steering_vector
+from .params import C_LIGHT, DerivedParams, SystemParams
 
 DESIGN_BUDGET_BYTES = 4 << 30
 """Largest codeword table, or scheme design as estimated by
@@ -92,7 +91,8 @@ class CodewordTable:
 
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
-    """Enumerate all C_total codewords as carrier words.
+    """Enumerate all C_total codewords as carrier words, with the M carrier
+    waveforms and L_R steering weights their matrices are formed from.
 
     The words, one (C_total, L_R) 8-byte integer array gathered in place,
     must fit the design budget before anything is enumerated.
@@ -113,14 +113,19 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     carriers = np.empty((derived.C_total, params.L_R), dtype=slots.dtype)
     out = carriers.reshape(len(subsets), -1, params.L_R)
     np.take(slots, allocations, axis=1, out=out, mode="clip")
+    # sampled at T_s = 1/(M delta_f), distinct carriers are orthogonal over any M samples
+    waveforms = np.exp(2j * np.pi * np.arange(params.M)[:, None] * np.arange(derived.L_T) / params.M)
+    # elements 10 wavelengths apart: f_c cancels, and only theta sets the weights
+    l = np.arange(params.L_R)
+    phase = 2.0 * np.pi * params.f_c * derived.d_spacing * l * np.sin(params.theta) / C_LIGHT
     return CodewordTable(
         params=params,
         derived=derived,
         subsets=tuple(subsets),
         allocations=tuple(allocations),
         carriers=carriers,
-        waveforms=np.stack([sampled_waveform(c, params, derived) for c in range(params.M)]),
-        steering=steering_vector(params),
+        waveforms=waveforms,
+        steering=np.exp(1j * phase),
     )
 
 

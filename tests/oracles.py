@@ -21,7 +21,8 @@ import numpy as np
 
 from imjrc.channel import complex_normal
 from imjrc.params import DerivedParams, SystemParams
-from imjrc.signal import sampled_waveform, steering_vector
+
+C_LIGHT = 3.0e8  # m/s
 
 
 def synthesize_codeword(
@@ -34,7 +35,10 @@ def synthesize_codeword(
 
     ``freq_subset`` lists the K active carrier offsets in strictly
     increasing order; ``allocation[l]`` names the subset slot antenna l
-    transmits on, with exactly L_K antennas per slot.
+    transmits on, with exactly L_K antennas per slot.  Row l is the
+    steering weight of antenna l, for elements 10 wavelengths apart, times
+    the waveform of its carrier c sampled at 1/(M delta_f), exp(2 pi j c i / M)
+    at sample i, over sqrt(L_R).
     """
     if len(freq_subset) != params.K:
         raise ValueError(
@@ -57,8 +61,11 @@ def synthesize_codeword(
             f"allocation must place L_K={derived.L_K} antennas per slot, got counts {counts}"
         )
 
-    waveforms = np.stack([sampled_waveform(c, params, derived) for c in freq_subset])
-    w = steering_vector(params)
+    i = np.arange(derived.L_T)
+    waveforms = np.stack([np.exp(2j * np.pi * c * i / params.M) for c in freq_subset])
+    l = np.arange(params.L_R)
+    d = 10.0 * C_LIGHT / params.f_c
+    w = np.exp(1j * (2.0 * np.pi * params.f_c * d * l * np.sin(params.theta) / C_LIGHT))
     alloc = np.asarray(allocation)
     return w[:, None] * waveforms[alloc] / np.sqrt(params.L_R)
 

@@ -441,15 +441,18 @@ class TestPairClasses:
     @pytest.mark.parametrize("count", [1, 255, 256, 257, 70_000])
     @pytest.mark.parametrize("space_of", [lambda count: count, lambda count: 10**9])
     def test_numbering_matches_unique(self, count, space_of, monkeypatch):
-        # both branches against np.unique: marked (the positions' type can
-        # hold the count less one only, and the sum wraps) and sorted
+        # both branches against np.unique on symmetric codes, as both
+        # callers' are: marked (from each row block's own column on; the
+        # positions' type can hold the count less one only, and the sum
+        # wraps) and sorted
         monkeypatch.setattr(codebook, "_ROW_BLOCK", 7)
         rng = np.random.default_rng(count)
         space = space_of(count)
         values = rng.choice(space, count, replace=False) if space > count else np.arange(count)
-        n = math.isqrt(2 * count) + 1
-        code = values[rng.permutation(np.resize(np.arange(count), n * n)).reshape(n, n)]
-        code = code.astype(np.min_scalar_type(space - 1))
+        n = math.isqrt(2 * count) + 1  # over count entries on and above the diagonal
+        i, j = np.triu_indices(n)
+        code = np.empty((n, n), dtype=np.min_scalar_type(space - 1))
+        code[i, j] = code[j, i] = values[rng.permutation(np.resize(np.arange(count), i.size))]
         codes, index = codebook._numbered(code, space)
         expect, inverse = np.unique(code, return_inverse=True)
         assert np.array_equal(codes, expect) and np.array_equal(index, inverse.reshape(n, n))
