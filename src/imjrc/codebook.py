@@ -230,27 +230,36 @@ def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
     significant digit, in the smallest unsigned type that holds every code.
     The rows split into two halves, and each half's code is read from a
     table over the pairs of that half's distinct words
-    (:func:`_distinct_rows`): the table's columns are gathered for each
-    codeword first, then whole contiguous rows, one n x n row gather a
-    half.  When the code space is no larger than n a code is its
-    pattern's number; otherwise the codes that occur are numbered in
-    increasing order.
+    (:func:`_distinct_rows`), its columns gathered for each codeword, the
+    first half's times base^(second-half rows).  The n x n codes are written
+    once, :data:`_ROW_BLOCK` rows at a time: the first half's rows, plus the
+    second half's through one reused buffer.  When the code space is no
+    larger than n a code is its pattern's number; otherwise the codes that
+    occur are numbered in increasing order.
     """
     k, t = np.arange(m), np.arange(l_t % m)
     gaps = [2.0 * l_t - 2.0 * math.fsum(np.cos(2 * np.pi * c * t / m)) for c in k[1 : m // 2 + 1]]
     levels, level = np.unique([0.0, *gaps], return_inverse=True)
     n, l_r = carriers.shape
     base, space = levels.size, levels.size**l_r
-    code = np.zeros((n, n), dtype=np.min_scalar_type(space - 1))
+    code = np.empty((n, n), dtype=np.min_scalar_type(space - 1))
     level = level.astype(code.dtype)[np.minimum(k, m - k)[(k[:, None] - k[None, :]) % m]]
+    halves = []
     for half in (carriers[:, : l_r // 2], carriers[:, l_r // 2 :]):
         words, word = _distinct_rows(half, m)
         pairs = np.zeros((len(words), len(words)), dtype=code.dtype)
         for c in words.T:
             pairs *= code.dtype.type(base)
             pairs += np.take(level[c], c, axis=1)
-        code *= code.dtype.type(base ** half.shape[1])
-        code += np.take(pairs, word, axis=1)[word]
+        halves.append((np.take(pairs, word, axis=1), word))
+    (high, high_word), (low, low_word) = halves
+    high *= code.dtype.type(base ** (l_r - l_r // 2))
+    low_rows = np.empty((min(n, _ROW_BLOCK), n), dtype=code.dtype)
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        # every word is in range; "clip" writes straight into ``out``
+        block = np.take(high, high_word[rows], axis=0, out=code[rows], mode="clip")
+        block += np.take(low, low_word[rows], axis=0, out=low_rows[: len(block)], mode="clip")
     codes, index = (np.arange(space), code) if space <= n else _numbered(code, space)
     patterns = codes[:, None].astype(np.int64) // base ** np.arange(l_r - 1, -1, -1) % base
     return PairPatterns(levels=levels, patterns=patterns, index=index)

@@ -63,12 +63,6 @@ class SchemeBuild:
     def alpha(self) -> np.ndarray | None:
         return _alpha(self.tps)
 
-    @property
-    def member_matrices(self) -> np.ndarray:
-        """Each rank's transmitted codeword, pre-scaled; computed on each access."""
-        mats = self.table.codewords(self.codebook.member_ids)
-        return mats if self.alpha is None else mats * self.alpha[:, None]
-
 
 def _alpha(tps: TpsFactor | None) -> np.ndarray | None:
     """The factor codewords are sent under; None for none or the identity (index 0)."""
@@ -127,10 +121,10 @@ def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
     """Estimated bytes of the largest live allocation of a design pass over n codewords.
 
     Without a channel the pass holds n x n arrays of small unsigned
-    integers: the pairs' codes and the gather that assembles them, which
-    index their patterns, and a rank matrix and its pruning copy (one byte
-    each on M=8, L_R=8).  The estimate is still three n x n arrays of
-    8-byte entries, a deliberate overestimate: no test runs a table near
+    integers: the pairs' codes, which index their patterns, and a rank
+    matrix and its pruning copy (one byte each on M=8, L_R=8).  The
+    estimate is still three n x n arrays of 8-byte entries, a deliberate
+    overestimate: no test runs a table near
     the budget without a channel, so the admitted scenarios stay as they
     are until one measures that peak.  Through a design ``channel`` the
     pair-class pass holds the pairs' codes and their class index, each of

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +59,9 @@ class CodewordTable:
 
     Antenna row l of codeword g is ``steering[l]`` over sqrt(L_R) times
     ``waveforms[carriers[g, l]]``, the sampled waveform of the carrier offset
-    that antenna transmits on; :meth:`codewords` forms the matrices.
+    that antenna transmits on.  No matrix is formed: the design reads the
+    carrier words, and the detector reads them with :meth:`coefficients`
+    and the waveforms.
     """
 
     params: SystemParams
@@ -73,11 +74,6 @@ class CodewordTable:
 
     def __len__(self) -> int:
         return self.carriers.shape[0]
-
-    def codewords(self, ids: Sequence[int]) -> np.ndarray:
-        """The (len(ids), L_R, L_T) matrices of codewords ``ids``."""
-        mats = self.steering[:, None] * self.waveforms[self.carriers[list(ids)]]
-        return np.divide(mats, np.sqrt(self.params.L_R), out=mats)
 
     def coefficients(self, alpha: np.ndarray | None = None) -> np.ndarray:
         """Each row's coefficient, times ``alpha`` if given: sample 0 of its rows, bit for bit."""
@@ -92,7 +88,7 @@ class CodewordTable:
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     """Enumerate all C_total codewords as carrier words, with the M carrier
-    waveforms and L_R steering weights their matrices are formed from.
+    waveforms and L_R steering weights whose products, over sqrt(L_R), are their rows.
 
     The words, one (C_total, L_R) 8-byte integer array gathered in place,
     must fit the design budget before anything is enumerated.

@@ -1,7 +1,9 @@
 """Direct reference computations that the tests check the package against.
 
 Each one computes a quantity the package computes in a faster or
-restructured form: one codeword from its definition, one received pulse
+restructured form, or, for codeword matrices, one the package never forms:
+one codeword from its definition, the matrices of a table's codewords and
+of a build's members from those, one received pulse
 ``Y = H X + N``, ML detection as a residual scan over every hypothesis,
 every pair's distance from the codeword matrices, through a channel if
 given, and each candidate's MED from those, a member set's MED from a copy
@@ -20,6 +22,8 @@ import math
 import numpy as np
 
 from imjrc.channel import complex_normal
+from imjrc.crps import SchemeBuild
+from imjrc.enumeration import CodewordTable
 from imjrc.params import DerivedParams, SystemParams
 
 C_LIGHT = 3.0e8  # m/s
@@ -68,6 +72,37 @@ def synthesize_codeword(
     w = np.exp(1j * (2.0 * np.pi * params.f_c * d * l * np.sin(params.theta) / C_LIGHT))
     alloc = np.asarray(allocation)
     return w[:, None] * waveforms[alloc] / np.sqrt(params.L_R)
+
+
+_MATRICES: dict[SystemParams, np.ndarray] = {}
+
+
+def codeword_matrices(
+    table: CodewordTable, ids: Sequence[int] | None = None, alpha: np.ndarray | None = None
+) -> np.ndarray:
+    """The (len(ids), L_R, L_T) matrices of codewords ``ids`` of ``table``, all if None,
+    each row times ``alpha`` if given.
+
+    Each codeword is :func:`synthesize_codeword` of its subset and allocation.
+    A table is a function of its params, so each params' matrices are
+    synthesised once and copied out.
+    """
+    mats = _MATRICES.get(table.params)
+    if mats is None:
+        words = (divmod(g, table.derived.card_P) for g in range(len(table)))
+        mats = _MATRICES[table.params] = np.stack(
+            [
+                synthesize_codeword(table.subsets[s], table.allocations[a], table.params, table.derived)
+                for s, a in words
+            ]
+        )
+    mats = mats[np.arange(len(table)) if ids is None else np.asarray(ids, dtype=np.intp)]
+    return mats if alpha is None else mats * np.asarray(alpha)[:, None]
+
+
+def member_matrices(build: SchemeBuild) -> np.ndarray:
+    """Each rank's codeword of a build, as sent under its factor."""
+    return codeword_matrices(build.table, build.codebook.member_ids, build.alpha)
 
 
 def receive(

@@ -30,7 +30,7 @@ from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import measure_gain, run_ber, snr_at_ber
-from oracles import distance_matrix, med_of_submatrix
+from oracles import codeword_matrices, distance_matrix, med_of_submatrix, member_matrices
 
 PILOT_GRID = np.arange(-20.0, 8.1, 2.0)
 PILOT_PULSES = 2000
@@ -258,7 +258,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
             failures.append(f"(a) {scheme.value} noiseless ber {rec.ber:g}")
 
     # (b) MED trajectory is non-decreasing across all Q eliminations
-    dist = distance_matrix(default_table.codewords(range(len(default_table))))
+    dist = distance_matrix(codeword_matrices(default_table))
     book, meds = greedy_prune(dist, 1 << default_derived.B)
     if meds.shape != (default_derived.Q + 1,):
         failures.append(f"(b) trajectory length {meds.shape}")
@@ -269,7 +269,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     candidates = generate_tps(
         default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
     )
-    first_set = default_table.codewords(range(1 << default_derived.B))
+    first_set = codeword_matrices(default_table, range(1 << default_derived.B))
     members = range(first_set.shape[0])
     crps_only = build_scheme(Scheme.CRPS_ONLY, default_table)
     tps, best = crps_only.tps, crps_only.codebook.med
@@ -285,7 +285,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
 
     # (d) every codeword, scaled or not, carries Frobenius-norm^2 = L_T
     l_t = default_derived.L_T
-    every = default_table.codewords(range(len(default_table)))
+    every = codeword_matrices(default_table)
     for label, mats in (
         ("plain", every),
         ("selected-tps", every * tps.alpha[:, None]),
@@ -300,7 +300,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     # residual oracle on every trial, at a noise level where ML decodes all
     # 100 trials correctly and at one where it misdecodes some of them
     build = iv_builds[Scheme.BASELINE]
-    mats = build.member_matrices
+    mats = member_matrices(build)
     trials = range(100)
     h = np.empty((len(trials), 4, 6), dtype=complex)
     noise = np.empty((len(trials), 4, 71), dtype=complex)

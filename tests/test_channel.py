@@ -18,7 +18,7 @@ from imjrc.channel import (
     snr_to_sigma2,
     substream,
 )
-from oracles import receive
+from oracles import codeword_matrices, receive
 
 
 class TestSubstreams:
@@ -144,7 +144,7 @@ class TestDrawChannel:
     def test_unit_received_entry_power(self, small_table):
         # E|row of H times codeword|^2 is 1 per entry because codeword rows
         # carry 1/L_R power each; this anchors the snr = 1/sigma^2 convention
-        x = small_table.codewords([3])[0]
+        x = codeword_matrices(small_table, [3])[0]
         rng = np.random.default_rng(4)
         acc = 0.0
         trials = 3000
@@ -168,14 +168,14 @@ class TestSnrToSigma2:
 
 class TestReceive:
     def test_noiseless_is_exact_product(self, small_table):
-        x = small_table.codewords([0])[0]
+        x = codeword_matrices(small_table, [0])[0]
         rng = np.random.default_rng(5)
         h = draw_channel(2, 4, rng)
         y = receive(x, h, 0.0, rng)
         assert np.array_equal(y, h @ x)
 
     def test_noise_power_matches_sigma2(self, small_table):
-        x = small_table.codewords([1])[0]
+        x = codeword_matrices(small_table, [1])[0]
         rng = np.random.default_rng(6)
         h = draw_channel(2, 4, rng)
         sigma2 = 0.25
@@ -186,14 +186,14 @@ class TestReceive:
         assert np.mean(residuals) == pytest.approx(sigma2, rel=0.05)
 
     def test_deterministic_given_stream(self, small_table):
-        x = small_table.codewords([2])[0]
+        x = codeword_matrices(small_table, [2])[0]
         h = draw_channel(2, 4, substream(7, TAG_CHANNEL, 0))
         a = receive(x, h, 0.5, substream(7, TAG_NOISE, 0))
         b = receive(x, h, 0.5, substream(7, TAG_NOISE, 0))
         assert np.array_equal(a, b)
 
     def test_rejects_mismatched_shapes(self, small_table):
-        x = small_table.codewords([0])[0]
+        x = codeword_matrices(small_table, [0])[0]
         rng = np.random.default_rng(8)
         h = draw_channel(2, 3, rng)
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from imjrc.params import SystemParams, derive
 from oracles import (
     class_distances,
     class_distances_in_order,
+    codeword_matrices,
     distance_matrix,
     med_of_submatrix,
     pair_class_codes,
@@ -110,7 +111,7 @@ class TestDistanceMatrix:
 
     def test_negated_codeword_distance(self, small_table, small_derived):
         # ||X - (-X)||^2 = 4 ||X||^2 = 4 L_T for synthesized codewords
-        x = small_table.codewords([5])[0]
+        x = codeword_matrices(small_table, [5])[0]
         dist = distance_matrix(np.stack([x, -x]))
         assert dist[0, 1] == pytest.approx(4.0 * small_derived.L_T, rel=1e-12)
 
@@ -158,7 +159,7 @@ class TestPairPatterns:
     def test_matches_distance_matrix(self, name, tables):
         table = tables[name]
         dist = _pattern_matrix(_patterns(table), np.ones(table.params.L_R))
-        mats = table.codewords(range(len(table)))
+        mats = codeword_matrices(table)
         assert np.allclose(dist, distance_matrix(mats), rtol=0.0, atol=1e-9)
         assert np.array_equal(dist, dist.T)
         assert np.all(np.diag(dist) == 0.0)
@@ -167,7 +168,7 @@ class TestPairPatterns:
         # one level per pair row: the row's squared distance times L_R
         table = tables["lt_not_one"]
         patterns = _patterns(table)
-        mats, l_r = table.codewords(range(len(table))), table.params.L_R
+        mats, l_r = codeword_matrices(table), table.params.L_R
         rng = np.random.default_rng(15)
         for i, j in rng.integers(0, len(table), size=(200, 2)):
             rows = patterns.levels[patterns.patterns[patterns.index[i, j]]] / l_r
@@ -180,7 +181,7 @@ class TestPairPatterns:
             patterns = _patterns(table)
             for alpha in generate_tps(4, table.params.L_R, np.random.default_rng(16)):
                 dist = _pattern_matrix(patterns, alpha)
-                expect = distance_matrix(table.codewords(range(len(table))) * alpha[:, None])
+                expect = distance_matrix(codeword_matrices(table, alpha=alpha))
                 assert np.allclose(dist, expect, rtol=0.0, atol=1e-9)
 
     def test_small_table_distances_are_exact(self, small_table):
@@ -346,7 +347,7 @@ class TestPairClasses:
         assert np.all(np.bincount(index, minlength=len(classes.words))[1:] == 7)
         h = draw_channel(4, 6, substream(default_params.master_seed, TAG_DESIGN_CHANNEL))
         alpha = generate_tps(2, 6, np.random.default_rng(18))[1]
-        mats = default_table.codewords(range(n)) * alpha[:, None]
+        mats = codeword_matrices(default_table, alpha=alpha)
         dist = distance_matrix(mats, channel=h)[upper]
         lo, hi = np.full(len(classes.words), np.inf), np.zeros(len(classes.words))
         np.minimum.at(lo, index, dist)
@@ -535,7 +536,7 @@ class TestGreedyPrune:
         assert list(meds) == [4.0]
 
     def test_small_scenario_counts(self, small_table, small_derived):
-        dist = distance_matrix(small_table.codewords(range(len(small_table))))
+        dist = distance_matrix(codeword_matrices(small_table))
         book, meds = greedy_prune(dist, 1 << small_derived.B)
         assert len(book.member_ids) == 16
         assert meds.shape == (small_derived.Q + 1,)
@@ -610,14 +611,14 @@ class TestGreedyMatchesDenseArgmin:
         assert ties["refresh"] > 0
 
     def test_small_table(self, small_table, small_derived):
-        mats = small_table.codewords(range(len(small_table)))
+        mats = codeword_matrices(small_table)
         self._assert_same(distance_matrix(mats), 1 << small_derived.B)
 
     def test_small_table_through_design_channel(self, small_table, small_params, small_derived):
         h = draw_channel(
             small_params.L_C, small_params.L_R, substream(small_params.master_seed, TAG_DESIGN_CHANNEL)
         )
-        mats = small_table.codewords(range(len(small_table)))
+        mats = codeword_matrices(small_table)
         self._assert_same(distance_matrix(mats, channel=h), 1 << small_derived.B)
 
 
@@ -716,7 +717,7 @@ def _assert_bit_label(bits, rank, b):
 
 class TestExportCodebookCsv:
     def test_rows_and_labels(self, small_table, small_derived, tmp_path):
-        dist = distance_matrix(small_table.codewords(range(len(small_table))))
+        dist = distance_matrix(codeword_matrices(small_table))
         book, _ = greedy_prune(dist, 1 << small_derived.B)
         path = tmp_path / "codebook.csv"
         export_codebook_csv(book, small_table, str(path))

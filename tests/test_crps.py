@@ -10,25 +10,25 @@ import pytest
 
 from imjrc import codebook, crps
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
-from imjrc.codebook import Codebook, greedy_prune, pair_classes, pair_patterns
+from imjrc.codebook import greedy_prune, pair_classes, pair_patterns
 from imjrc.crps import (
     DESIGN_BUDGET_BYTES,
     Scheme,
-    SchemeBuild,
-    TpsFactor,
     build_scheme,
     build_schemes,
     design_bytes,
     generate_tps,
 )
-from imjrc.enumeration import CodewordTable, build_table
+from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
-from oracles import candidate_meds, distance_matrix, med_of_submatrix, tps_pool
-
-
-def _scaled(table, ids, alpha):
-    """A build of codewords ``ids`` of ``table`` sent under factor ``alpha``."""
-    return SchemeBuild(Scheme.CRPS_ONLY, table, Codebook(tuple(ids), 0.0, "crps_only"), TpsFactor(alpha, 1))
+from oracles import (
+    candidate_meds,
+    codeword_matrices,
+    distance_matrix,
+    med_of_submatrix,
+    member_matrices,
+    tps_pool,
+)
 
 
 def _pattern_matrix(patterns, alpha):
@@ -81,16 +81,19 @@ class TestGenerateTps:
 
 
 class TestApplyTps:
-    """A selected factor scales the rows of the matrices a build sends."""
+    """A factor scales the row coefficients, and so the rows a build sends."""
 
     def test_elementwise_oracle(self, small_table):
+        # a scaled coefficient times its carrier's waveform is the
+        # synthesised row times alpha_l
         rng = np.random.default_rng(2)
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        scaled = _scaled(small_table, range(3), alpha).member_matrices
-        mats = small_table.codewords(range(3))
+        coef = small_table.coefficients(alpha)
+        mats = codeword_matrices(small_table, range(3))
         for n in range(3):
             for l in range(4):
-                assert np.allclose(scaled[n, l], alpha[l] * mats[n, l], rtol=1e-15)
+                row = coef[l] * small_table.waveforms[small_table.carriers[n, l]]
+                assert np.allclose(row, alpha[l] * mats[n, l], rtol=1e-15)
 
     def test_single_matrix_broadcast(self, small_table):
         # sample 0 of each scaled row is its scaled coefficient, bit for bit:
@@ -98,7 +101,7 @@ class TestApplyTps:
         rng = np.random.default_rng(3)
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         for g in (0, 7, len(small_table) - 1):
-            (mat,) = _scaled(small_table, [g], alpha).member_matrices
+            (mat,) = codeword_matrices(small_table, [g], alpha)
             assert np.array_equal(mat[:, 0], small_table.coefficients(alpha))
 
     def test_codeword_energy_preserved(self, small_table, small_derived):
@@ -106,7 +109,7 @@ class TestApplyTps:
         # power-normalized factor keeps the Frobenius norm at L_T
         pool = generate_tps(6, 4, np.random.default_rng(4))
         for alpha in pool:
-            scaled = _scaled(small_table, range(len(small_table)), alpha).member_matrices
+            scaled = codeword_matrices(small_table, alpha=alpha)
             norms = np.einsum("nrt,nrt->n", scaled, scaled.conj()).real
             assert np.allclose(norms, small_derived.L_T, rtol=1e-9)
 
@@ -114,8 +117,6 @@ class TestApplyTps:
         alpha = np.ones(5, dtype=complex)
         with pytest.raises(ValueError):
             small_table.coefficients(alpha)
-        with pytest.raises(ValueError):
-            _scaled(small_table, range(3), alpha).member_matrices
 
 
 class TestCandidateScoring:
@@ -123,7 +124,7 @@ class TestCandidateScoring:
 
     def test_matches_full_reevaluation(self, small_table, small_params):
         patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
-        mats = small_table.codewords(range(len(small_table)))
+        mats = codeword_matrices(small_table)
         pool = generate_tps(6, 4, np.random.default_rng(5))
         sets = [range(len(mats)), range(0, len(mats), 3)]
         np.testing.assert_allclose(
@@ -132,7 +133,7 @@ class TestCandidateScoring:
 
     def test_channel_path_matches_reevaluation(self, small_table, small_params):
         classes = pair_classes(small_table.carriers, small_table.waveforms)
-        mats = small_table.codewords(range(len(small_table)))
+        mats = codeword_matrices(small_table)
         rng = np.random.default_rng(6)
         h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         pool = generate_tps(5, 4, rng)
@@ -198,7 +199,7 @@ class TestCandidateScoring:
     def test_pattern_scoring_is_exact(self, default_table, default_params):
         # the design without a channel scores 87,990 pairs through 57
         # patterns; the codeword matrices are the reference
-        mats = default_table.codewords(range(len(default_table)))
+        mats = codeword_matrices(default_table)
         pool = generate_tps(default_params.D, default_params.L_R, substream(1729, TAG_TPS))
         patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
         meds = patterns.meds(pool, [range(len(mats))])[0]
@@ -226,7 +227,7 @@ class TestCandidateScoring:
         # and a set of one pair: each set's pattern MED is the minimum of
         # its own pair distances, bit for bit, and agrees with the matrices
         patterns = pair_patterns(small_table.carriers, small_params.M, small_table.derived.L_T)
-        mats = small_table.codewords(range(len(small_table)))
+        mats = codeword_matrices(small_table)
         n = len(mats)
         sets = [range(s, min(s + block, n)) for s in range(0, n, block)] + [[n - 2, n - 1]]
         pool = generate_tps(count + 1, small_params.L_R, np.random.default_rng(12))[1:]
@@ -297,14 +298,12 @@ class TestBuildScheme:
             build = build_scheme(scheme, small_table)
             assert build.codebook.provenance == provenance
             assert len(build.codebook.member_ids) == n_valid
-            assert build.member_matrices.shape[0] == n_valid
 
     def test_baseline_uses_first_ranks_unscaled(self, small_table, small_derived):
         build = build_scheme(Scheme.BASELINE, small_table)
         n_valid = 1 << small_derived.B
         assert build.codebook.member_ids == tuple(range(n_valid))
         assert build.tps is None
-        assert np.array_equal(build.member_matrices, small_table.codewords(range(n_valid)))
 
     @pytest.mark.parametrize("aware", [False, True], ids=["no_channel", "design_channel"])
     @pytest.mark.parametrize("table_name", ["default_table", "design_large_table"])
@@ -328,17 +327,15 @@ class TestBuildScheme:
     def test_identity_selection_leaves_matrices_untouched(self, small_table):
         # without a design channel the identity wins (README "Known divergences")
         build = build_scheme(Scheme.CRPS_ONLY, small_table)
-        n = build.member_matrices.shape[0]
         assert build.tps.d_index == 0
-        assert np.array_equal(build.member_matrices, small_table.codewords(range(n)))
+        assert build.alpha is None
 
     def test_scaled_selection_scales_member_matrices(self, small_table, small_params):
         build = build_scheme(
             Scheme.CRPS_THEN_CODEBOOK, small_table, design_channel=_design_channel(small_params)
         )
         assert build.tps.d_index != 0
-        rows = small_table.codewords(np.asarray(build.codebook.member_ids))
-        assert np.array_equal(build.member_matrices, rows * build.tps.alpha[:, None])
+        assert build.alpha is build.tps.alpha
 
     def test_deterministic_rebuild(self, small_table):
         a = build_scheme(Scheme.CRPS_THEN_CODEBOOK, small_table)
@@ -346,7 +343,6 @@ class TestBuildScheme:
         assert a.codebook == b.codebook
         assert a.tps.d_index == b.tps.d_index
         assert np.array_equal(a.tps.alpha, b.tps.alpha)
-        assert np.array_equal(a.member_matrices, b.member_matrices)
 
     def test_single_candidate_pool_collapses_to_non_crps(self, small_params):
         # with D = 1 only the identity factor exists, so every CRPS variant
@@ -359,15 +355,12 @@ class TestBuildScheme:
         cb_then = build_scheme(Scheme.CODEBOOK_THEN_CRPS, table)
         crps_then = build_scheme(Scheme.CRPS_THEN_CODEBOOK, table)
 
+        # each CRPS build sends its twin's members unscaled
         assert crps_only.tps.d_index == 0
         assert crps_only.codebook.member_ids == baseline.codebook.member_ids
-        assert np.array_equal(crps_only.member_matrices, baseline.member_matrices)
-
         assert cb_then.codebook.member_ids == pruned.codebook.member_ids
-        assert np.array_equal(cb_then.member_matrices, pruned.member_matrices)
-
         assert crps_then.codebook.member_ids == pruned.codebook.member_ids
-        assert np.array_equal(crps_then.member_matrices, pruned.member_matrices)
+        assert crps_only.alpha is cb_then.alpha is crps_then.alpha is None
 
     def test_design_channel_changes_design_only(self, small_table, small_params):
         rng = np.random.default_rng(11)
@@ -378,7 +371,7 @@ class TestBuildScheme:
         # lives on a different scale; membership may or may not change, but
         # the build must stay well formed
         assert len(aware.codebook.member_ids) == len(plain.codebook.member_ids)
-        dist = distance_matrix(small_table.codewords(range(len(small_table))), channel=h)
+        dist = distance_matrix(codeword_matrices(small_table), channel=h)
         expect, _ = med_of_submatrix(dist, aware.codebook.member_ids)
         assert aware.codebook.med == pytest.approx(expect, rel=1e-12)
 
@@ -496,23 +489,17 @@ class TestBuildSchemes:
                         build_schemes([Scheme.CODEBOOK_ONLY], table, design_channel=channel)
 
     def test_design_through_a_channel_classes_the_pairs_once(self, default_table, monkeypatch):
-        # one pair-class pass over the full table serves every stage, and no
-        # codeword matrix is formed
+        # one pair-class pass over the full table serves every stage
         calls = []
-        original_classes, original_codewords = crps.pair_classes, CodewordTable.codewords
+        original_classes = crps.pair_classes
 
         def classes(carriers, waveforms):
-            calls.append(("pair_classes", len(carriers)))
+            calls.append(len(carriers))
             return original_classes(carriers, waveforms)
 
-        def codewords(table, ids):
-            calls.append(("codewords", len(ids)))
-            return original_codewords(table, ids)
-
         monkeypatch.setattr(crps, "pair_classes", classes)
-        monkeypatch.setattr(CodewordTable, "codewords", codewords)
         build_schemes(list(Scheme), default_table, design_channel=_design_channel(default_table.params))
-        assert calls == [("pair_classes", len(default_table))]
+        assert calls == [len(default_table)]
 
     def test_reported_meds_match_distance_matrix(self, default_table):
         # without a design channel the design measures distances from the
@@ -520,7 +507,7 @@ class TestBuildSchemes:
         builds = build_schemes(list(Scheme), default_table)
         n_valid = 1 << default_table.derived.B
         for build in builds:
-            expect, _ = med_of_submatrix(distance_matrix(build.member_matrices), range(n_valid))
+            expect, _ = med_of_submatrix(distance_matrix(member_matrices(build)), range(n_valid))
             assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
         assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
 
@@ -569,7 +556,7 @@ class TestShortlist:
         h = _design_channel(params)
         builds = build_schemes(list(Scheme), table, design_channel=h)
         # the reference scores every candidate on the codeword matrices
-        mats = table.codewords(range(n))
+        mats = codeword_matrices(table)
         pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
         sets = list(dict.fromkeys(b.codebook.member_ids for b in builds[2:4])) + [tuple(range(n))]
         exact = candidate_meds(pool, mats, sets, channel=h)
@@ -647,7 +634,7 @@ class TestShortlist:
             classes = pair_classes(table.carriers, table.waveforms)
             alpha = generate_tps(2, table.params.L_R, np.random.default_rng(14))[1]
             for factor in (np.ones(table.params.L_R), alpha):
-                exact = distance_matrix(table.codewords(ids) * factor[:, None], channel=h)
+                exact = distance_matrix(codeword_matrices(table, ids, factor), channel=h)
                 features = codebook._map_features([h * table.coefficients(factor)])
                 dist = classes._distances(features, slice(None))[classes.index, 0]
                 off = ~np.eye(len(ids), dtype=bool)
@@ -736,10 +723,9 @@ class TestRecipes:
         h = _design_channel(small_params) if aware else None
         n_valid = 1 << small_table.derived.B
         build = build_scheme(scheme, small_table, design_channel=h)
-        # a build holds what its design chose; its matrices are derived on access
+        # a build holds what its design chose, and no matrix
         assert not any(isinstance(getattr(build, f.name), np.ndarray) for f in dataclasses.fields(build))
         ids = np.asarray(build.codebook.member_ids)
-        rows = small_table.codewords(ids)
         pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
         matrix, select = _stages(small_table, h)
 
@@ -757,16 +743,16 @@ class TestRecipes:
         else:
             assert build.tps is None
             assert build.codebook.med == med_of_submatrix(matrix(pool[0]), ids)[0]
-        # whichever path designed it, the MED is the one the matrices have
-        dist = distance_matrix(build.member_matrices, channel=h)
+        # whichever path designed it, the MED is the one the matrices it sends have
+        dist = distance_matrix(member_matrices(build), channel=h)
         expect, _ = med_of_submatrix(dist, range(n_valid))
         assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
 
         if build.tps is None or build.tps.d_index == 0:
-            assert np.array_equal(build.member_matrices, rows)
+            assert build.alpha is None
         else:
+            assert build.alpha is build.tps.alpha
             assert np.array_equal(build.tps.alpha, pool[build.tps.d_index])
-            assert np.array_equal(build.member_matrices, rows * build.tps.alpha[:, None])
 
     def test_design_channel_selects_a_scaled_factor(self, small_table, small_params):
         # without this the scaled branch of every recipe above could go unrun

@@ -6,7 +6,7 @@ import pytest
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
 from imjrc.crps import Scheme, build_scheme
 from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
-from oracles import detect
+from oracles import codeword_matrices, detect, member_matrices
 
 
 def _brute_force(y, h, member_mats):
@@ -22,7 +22,7 @@ def _brute_force(y, h, member_mats):
 
 class TestDetect:
     def test_noiseless_recovers_every_rank(self, small_table):
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         for trial in range(100):
             h = draw_channel(2, 4, substream(5, TAG_CHANNEL, trial))
             rank = trial % 16
@@ -34,7 +34,7 @@ class TestDetect:
         # the origin is exactly midway between A and -A, and negating a
         # hypothesis negates its image bit for bit, so both residuals are
         # identical and the scan must keep the smaller rank
-        a = small_table.codewords([2])[0]
+        a = codeword_matrices(small_table, [2])[0]
         mats = np.stack([5.0 * a, a, 4.0 * a, -a])
         h = draw_channel(2, 4, substream(6, TAG_CHANNEL, 0))
         y = np.zeros((2, 13), dtype=complex)
@@ -42,14 +42,14 @@ class TestDetect:
         assert result.rank == 1
 
     def test_duplicate_hypotheses_take_smallest_rank(self, small_table):
-        mats = small_table.codewords(range(6))
+        mats = codeword_matrices(small_table, range(6))
         mats[4] = mats[2]
         h = draw_channel(2, 4, substream(7, TAG_CHANNEL, 0))
         result = detect(h @ mats[4], h, mats)
         assert result.rank == 2
 
     def test_agrees_with_brute_force(self, small_table):
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         for trial in range(100):
             h = draw_channel(2, 4, substream(8, TAG_CHANNEL, trial))
             rank = int(substream(8, TAG_BITS, trial).integers(16))
@@ -62,7 +62,7 @@ class TestDetect:
 
     def test_alpha_argument_matches_prescaled_hypotheses(self, small_table):
         rng = np.random.default_rng(9)
-        mats = small_table.codewords(range(8))
+        mats = codeword_matrices(small_table, range(8))
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         h = draw_channel(2, 4, rng)
         y = h @ (mats[5] * alpha[:, None]) + 0.1 * complex_normal(rng, (2, 13))
@@ -73,7 +73,7 @@ class TestDetect:
 
     def test_argmin_scale_invariance(self, small_table):
         rng = np.random.default_rng(10)
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         h = draw_channel(2, 4, rng)
         y = h @ mats[7] + 0.7 * complex_normal(rng, (2, 13))
         plain = detect(y, h, mats)
@@ -81,7 +81,7 @@ class TestDetect:
         assert plain.rank == scaled.rank
 
     def test_rejects_mismatched_dimensions(self, small_table):
-        mats = small_table.codewords(range(4))
+        mats = codeword_matrices(small_table, range(4))
         rng = np.random.default_rng(11)
         good_h = draw_channel(2, 4, rng)
         good_y = good_h @ mats[0]
@@ -133,7 +133,7 @@ class TestCarrierDomain:
     def test_coefficients_times_waveforms_reproduce_members(self, default_table, default_builds, kind):
         build = default_builds[kind]
         assert (build.tps is not None and build.tps.d_index != 0) == (kind == "scaled")
-        mats, coef = build.member_matrices, default_table.coefficients(build.alpha)
+        mats, coef = member_matrices(build), default_table.coefficients(build.alpha)
         # every waveform's sample 0 is exactly 1: the coefficient is sample 0 of each row
         assert np.array_equal(mats[:, :, 0], np.broadcast_to(coef, mats.shape[:2]))
         carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
@@ -153,8 +153,7 @@ class TestCarrierDomain:
             coef = coef if alpha is None else coef * alpha
             expect = np.zeros_like(cmap)
             for r, g in enumerate(ids):
-                row = small_table.codewords([g])
-                row0 = (row if alpha is None else row * alpha[:, None])[0, :, 0]
+                row0 = codeword_matrices(small_table, [g], alpha)[0, :, 0]
                 for l, c in enumerate(small_table.carriers[g]):
                     expect[l * m + c, r] = np.conj(coef[l])
                     # bit-equal to sample 0 of the codeword row it stands for
@@ -164,7 +163,7 @@ class TestCarrierDomain:
     @pytest.mark.parametrize("kind", ["baseline", "pruned", "scaled"])
     def test_terms_match_direct_inner_products(self, default_table, default_builds, kind):
         build = default_builds[kind]
-        mats = build.member_matrices
+        mats = member_matrices(build)
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
@@ -182,7 +181,7 @@ class TestCarrierDomain:
     def test_zero_noise_decodes_every_rank(self, default_table, default_builds, kind):
         # sigma = 0 is the math.inf grid point of acceptance check 5(a)
         build = default_builds[kind]
-        mats = build.member_matrices
+        mats = member_matrices(build)
         cache = _cache(default_table, build.codebook.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
@@ -206,7 +205,7 @@ class TestDetectBatch:
     """The noise-linear batch decision against the reference :func:`detect`."""
 
     def test_rank_identical_to_reference_on_audit(self, small_table):
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         cache = _cache(small_table, range(16))
         ranks_tx, h, noise = _draw(12, 1000, 16, 2, 4, 13)
         base, cross = _terms(h, ranks_tx, noise, small_table.waveforms, cache)
@@ -220,7 +219,7 @@ class TestDetectBatch:
             assert metric == pytest.approx(single.metric, rel=1e-6, abs=1e-9)
 
     def test_noiseless_batch(self, small_table):
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         cache = _cache(small_table, range(16))
         rng = np.random.default_rng(14)
         ranks_tx = rng.integers(16, size=64)
@@ -252,7 +251,7 @@ class TestDetectBatch:
     def test_reused_buffers_decide_like_the_reference(self, small_table):
         # one working set, as run_ber holds it: a full chunk, then a shorter
         # one through [:size] views that still hold the full chunk's terms
-        mats = small_table.codewords(range(16))
+        mats = codeword_matrices(small_table, range(16))
         cache = _cache(small_table, range(16))
         base_buf, cross_buf, metric_buf = np.empty((3, 64, 16))
         for seed, size in ((17, 64), (18, 23)):

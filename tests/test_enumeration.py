@@ -13,7 +13,7 @@ from imjrc.enumeration import (
     export_table_csv,
 )
 from imjrc.params import SystemParams, derive
-from oracles import synthesize_codeword
+from oracles import codeword_matrices
 
 
 def test_subsets_small_exhaustive():
@@ -60,7 +60,8 @@ def test_allocations_three_slots():
 def test_table_shape_and_indexing(default_table, default_derived):
     assert len(default_table) == 420
     assert default_table.carriers.shape == (420, 6)
-    assert default_table.codewords(range(420)).shape == (420, 6, 71)
+    assert default_table.waveforms.shape == (7, 71)
+    assert default_table.steering.shape == (6,)
     # global index = subset index * card_P + allocation index: 47 is subset 2, allocation 7
     card_p = default_derived.card_P
     assert (len(default_table.subsets), card_p) == (21, 20)
@@ -73,23 +74,18 @@ def test_table_shape_and_indexing(default_table, default_derived):
         assert carriers.tolist() == [subset[slot] for slot in default_table.allocations[g % card_p]]
 
 
-def test_table_matches_synthesis(default_table, default_params, default_derived):
-    for g in (0, 1, 19, 20, 137, 419):
-        expected = synthesize_codeword(
-            default_table.subsets[g // default_derived.card_P],
-            default_table.allocations[g % default_derived.card_P],
-            default_params,
-            default_derived,
-        )
-        np.testing.assert_array_equal(default_table.codewords([g])[0], expected)
-    # a batch is synthesised as each codeword alone, bit for bit
-    ids = [0, 1, 19, 20, 137, 419]
-    batch = default_table.codewords(ids)
-    np.testing.assert_array_equal(batch, np.stack([default_table.codewords([g])[0] for g in ids]))
+def test_table_matches_synthesis(default_table):
+    # every codeword composed from the table in the oracle's order, steering
+    # weight times carrier waveform over sqrt(L_R), is its synthesis bit for bit
+    scenarios = (dict(M=8, L_R=8), dict(M=6, L_R=4), dict(M=5, K=3, L_R=6), dict(M=9, L_R=4, theta=0.3))
+    tables = [build_table(p, derive(p)) for p in (SystemParams(**changes) for changes in scenarios)]
+    for table in (default_table, *tables):
+        composed = table.steering[:, None] * table.waveforms[table.carriers] / np.sqrt(table.params.L_R)
+        np.testing.assert_array_equal(composed, codeword_matrices(table))
 
 
 def test_table_codewords_distinct(small_table):
-    flat = small_table.codewords(range(len(small_table))).reshape(len(small_table), -1)
+    flat = codeword_matrices(small_table).reshape(len(small_table), -1)
     gram = flat @ flat.conj().T
     sq = np.real(np.diag(gram))
     dist = sq[:, None] + sq[None, :] - 2 * gram.real
@@ -101,7 +97,8 @@ def test_table_deterministic(small_params, small_derived):
     a = build_table(small_params, small_derived)
     b = build_table(small_params, small_derived)
     np.testing.assert_array_equal(a.carriers, b.carriers)
-    np.testing.assert_array_equal(a.codewords(range(len(a))), b.codewords(range(len(b))))
+    np.testing.assert_array_equal(a.steering, b.steering)
+    np.testing.assert_array_equal(a.waveforms, b.waveforms)
 
 
 def test_table_size_cap():

@@ -91,7 +91,8 @@ def test_synthesize_single_carrier():
     x = synthesize_codeword((1,), (0, 0), table.params, table.derived)
     np.testing.assert_allclose(x, np.outer(table.steering, table.waveforms[1]) / math.sqrt(2), rtol=1e-12)
     # subsets (0,) and (1,), one allocation: codeword 1 is carrier 1 on both antennas
-    np.testing.assert_array_equal(table.codewords([1])[0], x)
+    composed = table.steering[:, None] * table.waveforms[table.carriers[1]] / np.sqrt(2)
+    np.testing.assert_array_equal(composed, x)
 
 
 @pytest.mark.parametrize(

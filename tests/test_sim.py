@@ -33,6 +33,7 @@ from imjrc.sim import (
     run_ber,
     snr_at_ber,
 )
+from oracles import member_matrices
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def _gram_run_ber(build, snr_db_grid, n_pulses, early_stop=False):
     """
     params, derived = build.table.params, build.table.derived
     seed, chunk = params.master_seed, sim.CHUNK
-    mats = build.member_matrices
+    mats = member_matrices(build)
     n = mats.shape[0]
     flat_conj = mats.reshape(n, -1).conj()
     row_gram = np.einsum("nrt,nqt->nrq", mats, mats.conj())
