@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -320,71 +321,35 @@ class PairClasses:
         l_r = len(rows)
         i, j = np.triu_indices(l_r, 1)
         dist = np.zeros(len(self.words))
-        product = np.empty_like(dist)
         diagonal = self.table.diagonal().real
         for row, weight in zip(rows, weights[:l_r]):
-            dist += np.multiply(diagonal[row], weight, out=product)
+            dist += diagonal[row] * weight
         for part, part_weights in zip((self.table.real, self.table.imag), np.split(weights[l_r:], 2)):
             flat = part.reshape(-1)
             for l, q, weight in zip(i, j, part_weights):
-                at = rows[l] * np.intp(pairs)
-                at += rows[q]
-                dist += np.multiply(flat[at], weight, out=product)
+                dist += flat[rows[l] * np.intp(pairs) + rows[q]] * weight
         return _ranked(np.maximum(dist, 0.0, out=dist), self.index)
 
-    def _work_per_class(self, maps: int) -> int:
-        """Entries of working memory a class takes in :meth:`_distances` under ``maps`` maps:
-        its features, then its gather and positions or, once those are read, its distances."""
-        l_r = self.words.shape[-1]
-        return l_r * l_r + max(3 * (l_r * (l_r - 1) // 2), maps)
-
-    def _features(self, block: slice, work: np.ndarray) -> np.ndarray:
-        """The L_R^2 reals of each class in ``block``, (classes, L_R^2): K's diagonal,
-        then the real and the imaginary parts of its upper triangle.
-
-        Each is one entry of ``table``: the diagonal comes from the table's
-        real diagonal, the upper triangle from one complex gather, whose
-        parts fill the two halves.  The reals, the gather and its positions
-        are laid out in ``work``, which a pass over the classes reuses block
-        after block, so no block faults in fresh pages.
-        """
+    def _features(self, block: slice) -> np.ndarray:
+        """The L_R^2 reals of each class in ``block``, (classes, L_R^2), each one entry of
+        ``table``: K's diagonal, from the table's real diagonal, then the real and the
+        imaginary parts of its upper triangle, from one complex gather."""
         pairs = len(self.table)
         words = self.words[block]
-        classes, l_r = len(words), words.shape[-1]
-        i, j = np.triu_indices(l_r, 1)
-        split = np.cumsum([l_r * l_r, 2 * i.size, i.size]) * classes
-        features = work[: split[0]].reshape(classes, l_r * l_r)
-        upper = work[split[0] : split[1]].view(complex).reshape(classes, i.size)
-        at = work[split[1] : split[2]].view(np.intp).reshape(classes, i.size)
+        i, j = np.triu_indices(words.shape[-1], 1)
         rows = words[:, 0] * np.intp(math.isqrt(pairs)) + words[:, 1]
-        # every position is in range; "clip" writes straight into ``out``
-        np.take(rows, i, axis=1, out=at, mode="clip")
-        at *= pairs
-        at += rows[:, j]
-        np.take(self.table.reshape(-1), at, out=upper, mode="clip")
-        features[:, :l_r] = self.table.diagonal().real[rows]
-        features[:, l_r : l_r + i.size] = upper.real
-        features[:, l_r + i.size :] = upper.imag
-        return features
+        upper = self.table.reshape(-1)[rows[:, i] * pairs + rows[:, j]]
+        return np.concatenate([self.table.diagonal().real[rows], upper.real, upper.imag], axis=1)
 
-    def _distances(
-        self, map_features: np.ndarray, block: slice, work: np.ndarray | None = None
-    ) -> np.ndarray:
+    def _distances(self, map_features: np.ndarray, block: slice) -> np.ndarray:
         """Distance of each class in ``block`` under each map, (classes, maps), at least zero.
 
         K and P are Hermitian, so the sum is that of the diagonal products
-        and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of L_R^2
-        reals of each class's K with the L_R^2 reals of each map's P,
-        ``map_features`` (:func:`_map_features`).  The product follows the
-        features in ``work`` (:meth:`_features`), over the gather they were
-        read from.
+        and of twice Re(conj(P[l, q]) K[l, q]) over l < q: one product of the
+        L_R^2 reals of each class's K (:meth:`_features`) with the L_R^2
+        reals of each map's P, ``map_features`` (:func:`_map_features`).
         """
-        classes, maps = len(self.words[block]), len(map_features)
-        if work is None:
-            work = np.empty(classes * self._work_per_class(maps))
-        features = self._features(block, work)
-        dist = work[features.size : features.size + classes * maps].reshape(classes, maps)
-        np.matmul(features, map_features.T, out=dist)
+        dist = self._features(block) @ map_features.T
         return np.maximum(dist, 0.0, out=dist)
 
     def meds(self, maps: np.ndarray, member_sets: Sequence[Sequence[int]]) -> np.ndarray:
@@ -392,14 +357,8 @@ class PairClasses:
 
         The maps' features are formed once; the classes' a block at a time.
         """
-        map_features = _map_features(maps)
-        work = np.empty(_CLASS_BLOCK * self._work_per_class(len(map_features)))
-        return _set_minima(
-            self.index,
-            len(self.words),
-            lambda block: self._distances(map_features, block, work),
-            member_sets,
-        )
+        distances = partial(self._distances, _map_features(maps))
+        return _set_minima(self.index, len(self.words), distances, member_sets)
 
 
 def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:

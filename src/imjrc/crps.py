@@ -134,16 +134,17 @@ def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
     matrix and its pruning copy, each of a small integer type.  The
     estimate keeps three n x n arrays of 8-byte entries, well above that
     peak: lowering it changes which tables are admitted, and that wants a
-    design run at the budget first.  Ranking a row map holds about four
-    entries a class, for every class at once: a class's distance, one
-    product, one position and one gathered feature, fewer than the pairs
-    the n x n terms count.  Scoring candidates holds one block of
-    :data:`_CLASS_BLOCK` classes on top: the working memory a pass reuses
-    block after block, a class's L_R^2 features and, in turn, the complex
-    gather of its upper triangle with the gather's positions, about
-    1.5 L_R^2 entries, or its D distances, then a block's carrier-pair rows
-    and the distances of one member set's classes, about 0.5 L_R^2 + D
-    more; the estimate keeps 6 L_R^2 + 2 D entries a class.
+    design run at the budget first.  Ranking a row map holds at most four
+    entries a class, for every class at once: a class's distance and, in
+    turn, two positions, a position and a gathered feature, or a feature
+    and its product, fewer than the pairs the n x n terms count.  Scoring
+    candidates holds one block of :data:`_CLASS_BLOCK` classes on top.  A
+    class holds at most 2 L_R^2 + L_R entries while its features are
+    assembled (its L_R carrier-pair rows and diagonal entries, the
+    L_R^2 - L_R reals of its complex upper-triangle gather and its L_R^2
+    features), then L_R^2 + D (its features and its D distances), then 2 D
+    (its distances and those of one member set's classes).  The estimate
+    keeps 6 L_R^2 + 2 D entries a class.
     """
     block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D) if channel else 0
     return 8 * (3 * n * n + block)

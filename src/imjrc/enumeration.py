@@ -16,9 +16,10 @@ import numpy as np
 from .params import C_LIGHT, DerivedParams, SystemParams
 
 DESIGN_BUDGET_BYTES = 4 << 30
-"""Largest codeword table, or scheme design as estimated by
-:func:`imjrc.crps.design_bytes`, that is built; a larger one is refused
-before it allocates."""
+"""Largest codeword table, scheme design as estimated by
+:func:`imjrc.crps.design_bytes`, or Monte Carlo working set of
+:func:`imjrc.sim.run_ber` that is built; a larger one is refused before it
+allocates."""
 
 
 def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
@@ -91,13 +92,14 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     waveforms and L_R steering weights whose products, over sqrt(L_R), are their rows.
 
     The words, one (C_total, L_R) 8-byte integer array gathered in place,
-    must fit the design budget before anything is enumerated.
+    and the (M, L_T) complex waveforms must fit the design budget before
+    anything is enumerated.
     """
-    need = derived.C_total * params.L_R * 8
+    need = derived.C_total * params.L_R * 8 + params.M * derived.L_T * 16
     if need > DESIGN_BUDGET_BYTES:
         raise ValueError(
             f"codeword table needs about {need / 2**30:.1f} GiB "
-            f"(C_total={derived.C_total}, L_R={params.L_R}), over the "
+            f"(C_total={derived.C_total}, L_R={params.L_R}, L_T={derived.L_T}), over the "
             f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
         )
     subsets = enumerate_subsets(params.M, params.K)

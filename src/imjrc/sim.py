@@ -29,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import enumeration
 from .channel import draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
 from .detector import channel_terms, codebook_terms, decide, gram_cache
@@ -92,8 +93,10 @@ def run_ber(
     equal those of a run over that build alone.  Draws are keyed by the
     table's master seed and the trial index, so without early stop the
     records do not depend on where chunks fall.  Every build must come
-    from one codeword table, whose 2^B ranks the draws pick from.  If
-    ``timings`` is given, the wall seconds spent in
+    from one codeword table, whose 2^B ranks the draws pick from.  The
+    run's buffers must fit the design budget
+    (:data:`~imjrc.enumeration.DESIGN_BUDGET_BYTES`) before anything is
+    drawn.  If ``timings`` is given, the wall seconds spent in
     :func:`~imjrc.channel.draw_trials` are stored in it under ``draw_s``.
     """
     if not builds:
@@ -106,6 +109,19 @@ def run_ber(
     if any(build.table is not table for build in builds):
         raise ValueError("builds must share one codeword table to share draws")
     params, derived = table.params, table.derived
+    # one working set serves every chunk and build: allocating it per chunk
+    # fragments the heap, and every fresh (chunk x n) array faults its pages
+    # in again.  A chunk's noise is read only by channel_terms, before any
+    # detector term is written, so it lives in the detector buffers' memory.
+    width, n = min(CHUNK, n_pulses), 1 << derived.B
+    noise_floats = 2 * params.L_C * derived.L_T
+    floats = width * max(3 * n, noise_floats)
+    if 8 * floats > enumeration.DESIGN_BUDGET_BYTES:
+        raise ValueError(
+            f"Monte Carlo buffers need about {8 * floats / 2**30:.1f} GiB "
+            f"(chunk={width}, 2^B={n}, L_C={params.L_C}, L_T={derived.L_T}), over the "
+            f"{enumeration.DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
+        )
     caches = []
     for build in builds:
         carriers = table.carriers[list(build.codebook.member_ids)]
@@ -115,13 +131,7 @@ def run_ber(
     bit_errors = [[0] * len(noise_scales) for _ in builds]
     pulses = [[0] * len(noise_scales) for _ in builds]
     active = [[True] * len(noise_scales) for _ in builds]
-    # one working set serves every chunk and build: allocating it per chunk
-    # fragments the heap, and every fresh (chunk x n) array faults its pages
-    # in again.  A chunk's noise is read only by channel_terms, before any
-    # detector term is written, so it lives in the detector buffers' memory.
-    width, n = min(CHUNK, n_pulses), 1 << derived.B
-    noise_floats = 2 * params.L_C * derived.L_T
-    work = np.empty(width * max(3 * n, noise_floats))
+    work = np.empty(floats)
     base_buf, cross_buf, metric_buf = work[: 3 * width * n].reshape(3, width, n)
     noise_buf = work[: width * noise_floats].view(complex).reshape(width, params.L_C, derived.L_T)
     ranks_buf = np.empty(width, dtype=np.int64)

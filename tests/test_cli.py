@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from imjrc import cli, crps
+from imjrc import cli, crps, enumeration
 from imjrc.cli import (
     ConfigError,
     RunConfig,
@@ -611,6 +611,18 @@ class TestMainCommands:
         path.write_text("m = 12\nl_r = 10\n")
         assert main(["design", "--config", str(path), "--out", str(out)]) == 2
         assert re.search(r"design needs about \d+\.\d GiB", capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_refused_ber_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # default scenario, 10 pulses: the table's 28,112 bytes fit a
+        # 40,000-byte budget, but the Monte Carlo's 10 x 3 x 256 floats
+        # (61,440 bytes) do not; the run stops before any file is written
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 40_000)
+        out = tmp_path / "run"
+        assert main(["ber", "--scheme", "baseline", "--pulses", "10", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"error: Monte Carlo buffers need about \d+\.\d GiB [^\n]*\n", captured.err)
+        assert captured.out == ""
         assert not out.exists()
 
     def test_ber_run_writes_results(self, config_file, tmp_path, capsys):

@@ -125,6 +125,21 @@ def test_oversized_table_refused_before_enumeration(monkeypatch):
         build_table(params, derived)
 
 
+def test_waveforms_count_toward_the_table_budget(monkeypatch):
+    # default scenario: 420 x 6 carrier words take 20,160 bytes and the
+    # 7 x 71 complex waveforms 7,952 more; a budget between the words and
+    # the two together refuses the table
+    params = SystemParams()
+    derived = derive(params)
+    words, waveforms = derived.C_total * params.L_R * 8, params.M * derived.L_T * 16
+    assert (words, waveforms) == (20_160, 7_952)
+    monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", words + waveforms - 1)
+    with pytest.raises(ValueError, match=r"table needs about \d+\.\d GiB \(.*L_T=71\)"):
+        build_table(params, derived)
+    monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", words + waveforms)
+    assert build_table(params, derived).waveforms.shape == (7, 71)
+
+
 def test_table_holds_carrier_words_only():
     # M=8, L_R=8: 1,960 codewords of 8 x 81 samples, 20 MB as matrices;
     # the table is their 125 kB of carrier words, gathered in place: a

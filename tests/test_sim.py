@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from imjrc import sim
+from imjrc import enumeration, sim
 from imjrc.channel import (
     TAG_BITS,
     TAG_CHANNEL,
@@ -344,6 +344,24 @@ class TestRunBer:
         records = run_ber(builds, grid, 300)
         assert [r.pulses for r in records] == [300] * 22
         assert drawn == list(range(300))
+
+    def test_refuses_buffers_over_the_budget_before_drawing(self, small_baseline, monkeypatch):
+        # small scenario, one chunk of 64: max(3 x 16 ranks, 2 x 2 x 13
+        # noise reals) = 52 floats a trial, 26,624 bytes
+        drawn = []
+
+        def counting_draw_trials(master_seed, start, n_members, ranks, h, noise):
+            drawn.append(start)
+            return draw_trials(master_seed, start, n_members, ranks, h, noise)
+
+        monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 64 * 52 - 1)
+        with pytest.raises(ValueError, match=r"Monte Carlo buffers need about \d+\.\d GiB"):
+            run_ber([small_baseline], [0.0], 64)
+        assert drawn == []
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 64 * 52)
+        assert run_ber([small_baseline], [0.0], 64)[0].pulses == 64
+        assert drawn == [0]
 
     def test_the_tables_master_seed_keys_the_draws(self, small_baseline):
         a = run_ber([small_baseline], [0.0], 300)
