@@ -30,7 +30,7 @@ from .codebook import export_codebook_csv
 from .crps import Scheme, SchemeBuild, TpsFactor, build_schemes
 from .enumeration import CodewordTable, build_table, export_table_csv
 from .params import DerivedParams, SystemParams, derive
-from .sim import EARLY_STOP_BIT_ERRORS, BerRecord, GainReport, measure_gain, run_ber
+from .sim import EARLY_STOP_BIT_ERRORS, BerRecord, GainReport, buffer_floats, measure_gain, run_ber
 
 FULL_RUN_PULSES = 100_000
 
@@ -245,6 +245,7 @@ def execute_run(config: RunConfig) -> RunResult:
     """
     t0 = time.perf_counter()
     table, design_channel = _design_inputs(config)
+    buffer_floats(table, config.effective_pulses())  # refused before any design
     builds: dict[str, SchemeBuild] = {}
     shared_codebooks: dict[str, str] = {}
     # every scheme scores one candidate pool, so (member ids, factor index)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import TAG_TPS, substream
 from .codebook import _CLASS_BLOCK, Codebook, _set_minima, greedy_prune, pair_classes, pair_patterns
-from .enumeration import DESIGN_BUDGET_BYTES, CodewordTable
+from .enumeration import CodewordTable, check_budget
 from .params import SystemParams
 
 @dataclass
@@ -120,34 +120,35 @@ _RECIPES = {
 def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
     """Estimated bytes of the largest live allocation of a design pass over n codewords.
 
-    Without a channel the pass holds n x n arrays of small unsigned
-    integers: the pairs' codes, which index their patterns, and a rank
-    matrix and its pruning copy (one byte each on M=8, L_R=8).  The
-    estimate is still three n x n arrays of 8-byte entries, a deliberate
-    overestimate: no test runs a table near
-    the budget without a channel, so the admitted scenarios stay as they
-    are until one measures that peak.  Through a design ``channel`` the
-    pair-class pass holds the pairs' codes and their class index, each of
-    the smallest unsigned type that holds it, with a mark and a position
-    per possible code: 7.5, 7.2 and 9.7 bytes per pair under tracemalloc
-    at n = 420, 720 and 1,960.  It then holds the class index, the rank
-    matrix and its pruning copy, each of a small integer type.  The
-    estimate keeps three n x n arrays of 8-byte entries, well above that
-    peak: lowering it changes which tables are admitted, and that wants a
-    design run at the budget first.  Ranking a row map holds at most four
-    entries a class, for every class at once: a class's distance and, in
-    turn, two positions, a position and a gathered feature, or a feature
-    and its product, fewer than the pairs the n x n terms count.  Scoring
-    candidates holds one block of :data:`_CLASS_BLOCK` classes on top.  A
-    class holds at most 2 L_R^2 + L_R entries while its features are
-    assembled (its L_R carrier-pair rows and diagonal entries, the
-    L_R^2 - L_R reals of its complex upper-triangle gather and its L_R^2
-    features), then L_R^2 + D (its features and its D distances), then 2 D
-    (its distances and those of one member set's classes).  The estimate
-    keeps 6 L_R^2 + 2 D entries a class.
+    Both paths hold n x n arrays of small unsigned integers: the pairs'
+    codes and their pattern or class index, then a rank matrix and its
+    pruning copy (through a channel the class pass peaks at 7.5, 7.2 and
+    9.7 bytes a pair under tracemalloc at n = 420, 720 and 1,960).  The
+    estimate keeps three n x n arrays of 8-byte entries, a deliberate
+    overestimate: lowering it changes which tables are admitted, and that
+    wants a design run at the budget first.  Ranking a row map holds at
+    most four entries a class, fewer than the pairs those count.
+
+    Scoring the D candidates holds the pool and one block of
+    :data:`_CLASS_BLOCK` patterns, or classes through a ``channel``.  A
+    candidate holds at most 6 L_R + 16 entries while the pool is drawn
+    (normals, vector, scaled vector, array header), and through a channel
+    4 L_C L_R + 4 L_R^2 + L_R + 32 while the maps' features are formed
+    (each map, the maps stacked, their products and gathers): the peaks
+    tracemalloc read for L_R = 4 to 16 and L_C = 1 to 8.  A pattern
+    holds at most 4 D entries: its distances and level sums, and, while
+    one antenna row's patterns at a level are added, their gathered level
+    sums and those plus the row's weights.  A class holds at most
+    2 L_R^2 + L_R entries while its features are assembled (its L_R
+    carrier-pair rows and diagonal entries, the L_R^2 - L_R reals of its
+    complex upper-triangle gather and its L_R^2 features), then L_R^2 + D,
+    then 2 D (its distances and those of one member set's classes); the
+    estimate keeps 6 L_R^2 + 2 D.
     """
-    block = _CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D) if channel else 0
-    return 8 * (3 * n * n + block)
+    l_r, d = params.L_R, params.D
+    block = 6 * l_r**2 + 2 * d if channel else 4 * d
+    pool = 4 * (params.L_C + l_r) * l_r + l_r + 32 if channel else 6 * l_r + 16
+    return 8 * (3 * n * n + _CLASS_BLOCK * block + pool * d)
 
 
 def build_schemes(
@@ -179,15 +180,10 @@ def build_schemes(
     recipes = [_RECIPES[s] for s in schemes]
     wide = [s for s, r in zip(schemes, recipes) if r.prune or r.crps == "before"]
     rows = derived.C_total if wide else n_valid
+    # the first scheme that needs the full table, else the first; no scheme runs the baseline's pass
+    named = (wide or schemes or [Scheme.BASELINE])[0]
     need = design_bytes(rows, params, channel=design_channel is not None)
-    if need > DESIGN_BUDGET_BYTES:
-        # the first scheme that needs the full table, else the first; no scheme runs the baseline's pass
-        named = (wide or schemes or [Scheme.BASELINE])[0]
-        raise ValueError(
-            f"{named.value} design needs about {need / 2**30:.1f} GiB "
-            f"(C_total={derived.C_total}, B={derived.B}), over the "
-            f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
-        )
+    check_budget(need, f"{named.value} design needs", f"C_total={derived.C_total}, B={derived.B}")
     baseline_ids = tuple(range(n_valid))
     every_id = tuple(range(derived.C_total))
 

@@ -10,16 +10,25 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .params import C_LIGHT, DerivedParams, SystemParams
 
 DESIGN_BUDGET_BYTES = 4 << 30
-"""Largest codeword table, scheme design as estimated by
-:func:`imjrc.crps.design_bytes`, or Monte Carlo working set of
-:func:`imjrc.sim.run_ber` that is built; a larger one is refused before it
-allocates."""
+"""Largest codeword table, scheme design (:func:`imjrc.crps.design_bytes`) or
+Monte Carlo working set (:func:`imjrc.sim.buffer_floats`) that is built, by
+its estimate.  :func:`check_budget` is the one reader: it refuses a larger
+one before anything is allocated."""
+
+
+def check_budget(need: int, what: str, sizes: str) -> None:
+    """Refuse ``what`` (e.g. ``codeword table needs``) if its estimated ``need`` bytes
+    exceed :data:`DESIGN_BUDGET_BYTES`, naming the GiB figure and ``sizes``."""
+    if need > DESIGN_BUDGET_BYTES:
+        budget = f"over the {DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
+        raise ValueError(f"{what} about {need / 2**30:.1f} GiB ({sizes}), {budget}")
 
 
 def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
@@ -27,31 +36,22 @@ def enumerate_subsets(m: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(m), k))
 
 
-def enumerate_allocations(l_r: int, k: int) -> list[tuple[int, ...]]:
-    """All balanced antenna-to-slot allocations, lexicographic.
+def enumerate_allocations(l_r: int, k: int) -> Iterator[tuple[int, ...]]:
+    """All balanced antenna-to-slot allocations, lexicographic, one at a time.
 
     Each allocation is a length-L_R word over slots 0..K-1 with exactly
-    L_R/K copies of each slot value.
+    L_R/K copies of each slot value.  The next swaps the last slot below its
+    successor with the last later slot above it, and reverses what follows.
     """
-    l_k = l_r // k
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-    counts = [l_k] * k
-
-    def extend() -> None:
-        if len(prefix) == l_r:
-            out.append(tuple(prefix))
+    word = sorted(list(range(k)) * (l_r // k))
+    while True:
+        yield tuple(word)
+        i = next((i for i in range(l_r - 2, -1, -1) if word[i] < word[i + 1]), None)
+        if i is None:
             return
-        for slot in range(k):
-            if counts[slot]:
-                counts[slot] -= 1
-                prefix.append(slot)
-                extend()
-                prefix.pop()
-                counts[slot] += 1
-
-    extend()
-    return out
+        j = max(j for j in range(i + 1, l_r) if word[j] > word[i])
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = word[:i:-1]
 
 
 @dataclass
@@ -67,8 +67,6 @@ class CodewordTable:
 
     params: SystemParams
     derived: DerivedParams
-    subsets: tuple[tuple[int, ...], ...]
-    allocations: tuple[tuple[int, ...], ...]
     carriers: np.ndarray  # (C_total, L_R) carrier offset indices
     waveforms: np.ndarray  # (M, L_T) sampled carrier waveforms
     steering: np.ndarray  # (L_R,) unit-modulus antenna weights
@@ -82,45 +80,45 @@ class CodewordTable:
         return coef if alpha is None else coef * alpha
 
     def text_of(self, global_index: int) -> list[str]:
-        """Its carrier subset and antenna allocation as CSV text, e.g. ``0-1``, ``0-0-1-1``."""
-        subset, allocation = divmod(global_index, self.derived.card_P)
-        return ["-".join(map(str, w)) for w in (self.subsets[subset], self.allocations[allocation])]
+        """Its carrier subset and antenna allocation as CSV text, e.g. ``0-1``, ``0-0-1-1``:
+        a balanced allocation uses every slot, so the subset is its carriers, sorted."""
+        word = self.carriers[global_index].tolist()
+        subset = sorted(set(word))
+        return ["-".join(map(str, w)) for w in (subset, map(subset.index, word))]
 
 
 def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     """Enumerate all C_total codewords as carrier words, with the M carrier
     waveforms and L_R steering weights whose products, over sqrt(L_R), are their rows.
 
-    The words, one (C_total, L_R) 8-byte integer array gathered in place,
-    and the (M, L_T) complex waveforms must fit the design budget before
-    anything is enumerated.
+    The words, one (C_total, L_R) 8-byte integer array, and the (M, L_T)
+    complex waveforms, each formed in place, must fit the design budget
+    before anything is enumerated.
     """
     need = derived.C_total * params.L_R * 8 + params.M * derived.L_T * 16
-    if need > DESIGN_BUDGET_BYTES:
-        raise ValueError(
-            f"codeword table needs about {need / 2**30:.1f} GiB "
-            f"(C_total={derived.C_total}, L_R={params.L_R}, L_T={derived.L_T}), over the "
-            f"{DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
-        )
-    subsets = enumerate_subsets(params.M, params.K)
-    allocations = enumerate_allocations(params.L_R, params.K)
-    # carrier offset of each antenna, in global-index order: (C_total, L_R).
-    # Every index is in range, so "clip" changes none; it lets take write
-    # into ``carriers`` directly instead of through a buffer of its size.
-    slots = np.asarray(subsets)
-    carriers = np.empty((derived.C_total, params.L_R), dtype=slots.dtype)
-    out = carriers.reshape(len(subsets), -1, params.L_R)
-    np.take(slots, allocations, axis=1, out=out, mode="clip")
+    sizes = f"C_total={derived.C_total}, L_R={params.L_R}, L_T={derived.L_T}"
+    check_budget(need, "codeword table needs", sizes)
+    slots = np.asarray(enumerate_subsets(params.M, params.K))
+    # subset 0 is slots 0..K-1, so its carrier words are the allocations; the
+    # array grows in place (no view of it exists yet) to every subset's words,
+    # each gathered through subset 0's.  Every index is in range, so "clip"
+    # changes none but lets take write into ``carriers`` directly.
+    words = itertools.chain.from_iterable(enumerate_allocations(params.L_R, params.K))
+    carriers = np.fromiter(words, dtype=np.intp, count=derived.card_P * params.L_R)
+    carriers.resize((len(slots), derived.card_P, params.L_R), refcheck=False)
+    for s in range(1, len(slots)):
+        np.take(slots[s], carriers[0], out=carriers[s], mode="clip")
+    carriers = carriers.reshape(derived.C_total, params.L_R)  # global-index order
     # sampled at T_s = 1/(M delta_f), distinct carriers are orthogonal over any M samples
-    waveforms = np.exp(2j * np.pi * np.arange(params.M)[:, None] * np.arange(derived.L_T) / params.M)
+    waveforms = 2j * np.pi * np.arange(params.M)[:, None] * np.arange(derived.L_T)
+    waveforms /= params.M
+    np.exp(waveforms, out=waveforms)
     # elements 10 wavelengths apart: f_c cancels, and only theta sets the weights
     l = np.arange(params.L_R)
     phase = 2.0 * np.pi * params.f_c * derived.d_spacing * l * np.sin(params.theta) / C_LIGHT
     return CodewordTable(
         params=params,
         derived=derived,
-        subsets=tuple(subsets),
-        allocations=tuple(allocations),
         carriers=carriers,
         waveforms=waveforms,
         steering=np.exp(1j * phase),

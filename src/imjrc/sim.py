@@ -29,10 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import enumeration
 from .channel import draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
 from .detector import channel_terms, codebook_terms, decide, gram_cache
+from .enumeration import CodewordTable, check_budget
 
 EARLY_STOP_BIT_ERRORS = 500
 """Bit errors after which an early-stopped SNR point may end."""
@@ -72,6 +72,18 @@ def binomial_halfwidth(ber: float, n_bits: int) -> float:
     return 1.96 * math.sqrt(ber * (1.0 - ber) / n_bits)
 
 
+def buffer_floats(table: CodewordTable, n_pulses: int) -> int:
+    """Floats of the working set :func:`run_ber` allocates for ``n_pulses`` on ``table``,
+    a chunk's three (chunk x 2^B) detector buffers or its complex noise, which
+    shares their memory; refused over the design budget."""
+    params, derived = table.params, table.derived
+    width, n = min(CHUNK, n_pulses), 1 << derived.B
+    floats = width * max(3 * n, 2 * params.L_C * derived.L_T)
+    sizes = f"chunk={width}, 2^B={n}, L_C={params.L_C}, L_T={derived.L_T}"
+    check_budget(8 * floats, "Monte Carlo buffers need", sizes)
+    return floats
+
+
 def run_ber(
     builds: Sequence[SchemeBuild],
     snr_db_grid: Sequence[float],
@@ -94,9 +106,8 @@ def run_ber(
     table's master seed and the trial index, so without early stop the
     records do not depend on where chunks fall.  Every build must come
     from one codeword table, whose 2^B ranks the draws pick from.  The
-    run's buffers must fit the design budget
-    (:data:`~imjrc.enumeration.DESIGN_BUDGET_BYTES`) before anything is
-    drawn.  If ``timings`` is given, the wall seconds spent in
+    run's buffers must fit the design budget (:func:`buffer_floats`) before
+    anything is drawn.  If ``timings`` is given, the wall seconds spent in
     :func:`~imjrc.channel.draw_trials` are stored in it under ``draw_s``.
     """
     if not builds:
@@ -113,15 +124,9 @@ def run_ber(
     # fragments the heap, and every fresh (chunk x n) array faults its pages
     # in again.  A chunk's noise is read only by channel_terms, before any
     # detector term is written, so it lives in the detector buffers' memory.
+    floats = buffer_floats(table, n_pulses)
     width, n = min(CHUNK, n_pulses), 1 << derived.B
     noise_floats = 2 * params.L_C * derived.L_T
-    floats = width * max(3 * n, noise_floats)
-    if 8 * floats > enumeration.DESIGN_BUDGET_BYTES:
-        raise ValueError(
-            f"Monte Carlo buffers need about {8 * floats / 2**30:.1f} GiB "
-            f"(chunk={width}, 2^B={n}, L_C={params.L_C}, L_T={derived.L_T}), over the "
-            f"{enumeration.DESIGN_BUDGET_BYTES / 2**30:.0f} GiB design budget"
-        )
     caches = []
     for build in builds:
         carriers = table.carriers[list(build.codebook.member_ids)]

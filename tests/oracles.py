@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+import itertools
 import math
 
 import numpy as np
 
 from imjrc.channel import complex_normal
 from imjrc.crps import SchemeBuild
-from imjrc.enumeration import CodewordTable
+from imjrc.enumeration import CodewordTable, enumerate_allocations, enumerate_subsets
 from imjrc.params import DerivedParams, SystemParams
 
 C_LIGHT = 3.0e8  # m/s
@@ -83,18 +84,18 @@ def codeword_matrices(
     """The (len(ids), L_R, L_T) matrices of codewords ``ids`` of ``table``, all if None,
     each row times ``alpha`` if given.
 
-    Each codeword is :func:`synthesize_codeword` of its subset and allocation.
-    A table is a function of its params, so each params' matrices are
+    Each codeword is :func:`synthesize_codeword` of its subset and allocation,
+    in global-index order: subset-major, allocation-minor.  A table is a function of its params, so each params' matrices are
     synthesised once and copied out.
     """
     mats = _MATRICES.get(table.params)
     if mats is None:
-        words = (divmod(g, table.derived.card_P) for g in range(len(table)))
-        mats = _MATRICES[table.params] = np.stack(
-            [
-                synthesize_codeword(table.subsets[s], table.allocations[a], table.params, table.derived)
-                for s, a in words
-            ]
+        params = table.params
+        words = itertools.product(
+            enumerate_subsets(params.M, params.K), list(enumerate_allocations(params.L_R, params.K))
+        )
+        mats = _MATRICES[params] = np.stack(
+            [synthesize_codeword(s, a, params, table.derived) for s, a in words]
         )
     mats = mats[np.arange(len(table)) if ids is None else np.asarray(ids, dtype=np.intp)]
     return mats if alpha is None else mats * np.asarray(alpha)[:, None]

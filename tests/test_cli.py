@@ -616,14 +616,23 @@ class TestMainCommands:
     def test_refused_ber_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # default scenario, 10 pulses: the table's 28,112 bytes fit a
         # 40,000-byte budget, but the Monte Carlo's 10 x 3 x 256 floats
-        # (61,440 bytes) do not; the run stops before any file is written
+        # (61,440 bytes) do not; the run stops before any file is written,
+        # and, with or without a design channel, before any scheme is designed
+        def design(*args, **kwargs):
+            raise AssertionError("designed before the Monte Carlo budget was checked")
+
         monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 40_000)
+        monkeypatch.setattr(cli, "build_schemes", design)
         out = tmp_path / "run"
-        assert main(["ber", "--scheme", "baseline", "--pulses", "10", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert re.fullmatch(r"error: Monte Carlo buffers need about \d+\.\d GiB [^\n]*\n", captured.err)
-        assert captured.out == ""
-        assert not out.exists()
+        for aware in ([], ["--channel-aware-med"]):
+            assert main(["ber", "--scheme", "baseline", "--pulses", "10", *aware, "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: Monte Carlo buffers need about 0.0 GiB (chunk=10, 2^B=256, L_C=4, "
+                "L_T=71), over the 0 GiB design budget\n"
+            )
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_ber_run_writes_results(self, config_file, tmp_path, capsys):
         out_dir = tmp_path / "run"

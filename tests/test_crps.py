@@ -8,18 +8,17 @@ import types
 import numpy as np
 import pytest
 
-from imjrc import codebook, crps
+from imjrc import codebook, crps, enumeration
 from imjrc.channel import TAG_DESIGN_CHANNEL, TAG_TPS, draw_channel, substream
 from imjrc.codebook import greedy_prune, pair_classes, pair_patterns
 from imjrc.crps import (
-    DESIGN_BUDGET_BYTES,
     Scheme,
     build_scheme,
     build_schemes,
     design_bytes,
     generate_tps,
 )
-from imjrc.enumeration import build_table
+from imjrc.enumeration import DESIGN_BUDGET_BYTES, build_table
 from imjrc.params import SystemParams, derive
 from oracles import (
     candidate_meds,
@@ -457,13 +456,58 @@ class TestBuildSchemes:
             monkeypatch.setattr(crps, name, refuse)
         for h in (None, _design_channel(params)):
             budget = design_bytes(1 << derived.B, params, channel=h is not None)
-            monkeypatch.setattr(crps, "DESIGN_BUDGET_BYTES", budget)
+            monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", budget)
             with pytest.raises(ValueError, match=r"codebook_only design needs about \d+\.\d GiB"):
                 build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], default_table, design_channel=h)
 
+    def test_a_lowered_budget_refuses_the_design(self, default_table, monkeypatch):
+        # the design reads the one budget the table and the Monte Carlo
+        # read: a byte under its estimate refuses it, the estimate admits it
+        params = default_table.params
+        for h in (None, _design_channel(params)):
+            need = design_bytes(len(default_table), params, channel=h is not None)
+            monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", need - 1)
+            with pytest.raises(ValueError, match=r"crps_then_codebook design needs about \d+\.\d GiB"):
+                build_schemes([Scheme.CRPS_THEN_CODEBOOK], default_table, design_channel=h)
+            monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", need)
+            (build,) = build_schemes([Scheme.CRPS_THEN_CODEBOOK], default_table, design_channel=h)
+            assert build.tps is not None
+
+    def test_candidate_scoring_counts_toward_the_budget(self):
+        # default table, 20,000 candidates: scoring them without a channel
+        # peaks at 34.7 MiB, where the 24 n^2 bytes of the pairs alone
+        # (4.0 MiB) were the whole estimate
+        params = SystemParams(D=20_000)
+        table = build_table(params, derive(params))
+        tracemalloc.start()
+        try:
+            build_schemes([Scheme.CRPS_ONLY, Scheme.CRPS_THEN_CODEBOOK], table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 24 * len(table) ** 2 < peak < design_bytes(len(table), params)
+
+    def test_the_pool_through_a_channel_counts_toward_the_budget(self, default_table):
+        # 2,000 candidates mapped through the channel and their features
+        # formed, as a design through one does: that alone peaks at 3.3 MiB,
+        # which the per-class terms did not count
+        params = dataclasses.replace(default_table.params, D=2000)
+        h = _design_channel(params)
+        block = 8 * crps._CLASS_BLOCK * (6 * params.L_R**2 + 2 * params.D)
+        pool = design_bytes(0, params, channel=True) - block
+        tracemalloc.start()
+        try:
+            candidates = generate_tps(params.D, params.L_R, substream(params.master_seed, TAG_TPS))
+            codebook._map_features([h * default_table.coefficients(alpha) for alpha in candidates])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= pool
+
     def test_each_path_has_its_own_budget(self, monkeypatch):
-        # both paths peak at three n x n arrays of 8-byte entries; through a
-        # channel one block of pair classes comes on top.  M=10, L_R=10
+        # both paths peak at three n x n arrays of 8-byte entries, with one
+        # block of patterns and the candidate pool, or one block of pair
+        # classes through a channel, on top.  M=10, L_R=10
         # (11,340 codewords, 2.9 GiB) fits either way, and both stop at
         # their first step; M=11, L_R=10 (13,860) fits neither
         class Started(Exception):
@@ -479,7 +523,10 @@ class TestBuildSchemes:
             table, h = build_table(params, derive(params)), _design_channel(params)
             for n in (1 << table.derived.B, len(table)):
                 plain, aware = design_bytes(n, params), design_bytes(n, params, channel=True)
-                assert aware - plain == 8 * crps._CLASS_BLOCK * (6 * 10**2 + 2 * params.D)
+                square = 8 * 3 * n * n
+                assert plain - square == 8 * (4 * crps._CLASS_BLOCK + 6 * 10 + 16) * params.D
+                pool = 4 * (params.L_C + 10) * 10 + 10 + 32
+                assert aware - square == 8 * (crps._CLASS_BLOCK * (6 * 10**2 + 2 * params.D) + pool * params.D)
             for channel in (None, h):
                 if started:
                     with pytest.raises(Started):

@@ -1,7 +1,10 @@
-"""The README's library example runs as written, and its config example parses."""
+"""The README's library example runs as written, its config example parses, and
+its refusal examples give the figures it names."""
 
 import pathlib
 import re
+
+import pytest
 
 from imjrc import cli
 from imjrc.cli import RunConfig, load_config
@@ -24,3 +27,18 @@ def test_config_example_is_the_default_and_names_every_key_once(tmp_path):
     path = tmp_path / "readme.cfg"
     path.write_text(block)
     assert load_config(str(path)) == RunConfig()
+
+
+@pytest.mark.parametrize(
+    "t_p,t_r,refused",
+    [("1e-3", "2e-3", "Monte Carlo buffers need"), ("1", "2", "codeword table needs")],
+)
+def test_refusal_examples_give_the_readme_figures(t_p, t_r, refused, tmp_path, capsys):
+    text = " ".join(README.read_text().split())
+    (gib,) = re.findall(rf"`t_p = {t_p}`, `t_r = {t_r}`[^)]*\) needs (\d+\.\d) GiB", text)
+    path, out = tmp_path / "pulse.cfg", tmp_path / "run"
+    path.write_text(f"t_p = {t_p}\nt_r = {t_r}\n")
+    assert cli.main(["ber", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refused} about {gib} GiB (") and err.count("\n") == 1
+    assert not out.exists()
