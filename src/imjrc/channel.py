@@ -8,11 +8,12 @@ chunked.  That makes scheme comparisons paired and results reproducible
 bit for bit.
 
 :func:`draw_trials` draws a chunk of per-pulse streams without building a
-``SeedSequence`` per stream.  It ports numpy's documented ``SeedSequence``
-mixing to uint32 arrays, vectorised over all of the chunk's keys at once,
-and hands each stream's mixed words to numpy's own ``PCG64``, which seeds
-itself from them as it would from the ``SeedSequence``.  The draws are the
-ones ``substream`` gives, bit for bit.
+``SeedSequence`` per stream.  numpy mixes the master seed and each tag
+into a ``SeedSequence`` pool; a port of its documented mixing, over uint32
+arrays, mixes in the trial words of the whole chunk at once, and numpy's
+own ``PCG64`` seeds each stream from the words that gives, as it would
+from the ``SeedSequence``.  The draws are the ones ``substream`` gives,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -50,30 +51,15 @@ _MASK32 = 0xFFFFFFFF
 _DRAW_BLOCK = 64
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian uint32 words, as SeedSequence coerces an int."""
-    if n < 0:
-        raise ValueError(f"seed words must be non-negative, got {n}")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-class _HashMix:
-    """SeedSequence's ``hashmix`` over uint32 arrays, carrying its running constant."""
-
-    def __init__(self, init: int, mult: int) -> None:
-        self.const = init
-        self.mult = mult
-
-    def __call__(self, value: np.ndarray) -> np.ndarray:
-        value = value ^ np.uint32(self.const)
-        self.const = (self.const * self.mult) & _MASK32
-        value = value * np.uint32(self.const)
-        return value ^ (value >> _XSHIFT)
+def _hashmix(values: list[np.ndarray], const: int, mult: int) -> list[np.ndarray]:
+    """SeedSequence's ``hashmix`` of each of ``values`` in turn, from running constant ``const``."""
+    hashed = []
+    for value in values:
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        hashed.append(value ^ (value >> _XSHIFT))
+    return hashed
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,52 +67,33 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ (result >> _XSHIFT)
 
 
-def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
-    """PCG64 seed words of ``SeedSequence`` entropy, one key per column.
-
-    ``entropy`` is the (words, keys) uint32 array SeedSequence assembles:
-    the run entropy padded to the pool size, then the spawn key.  Returns
-    the (keys, 4) uint64 array whose rows ``generate_state(4, np.uint64)``
-    gives.
-    """
-    hashmix = _HashMix(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, entropy.shape[0]):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(entropy[src]))
-    hashmix = _HashMix(_INIT_B, _MULT_B)
-    words = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(2 * _POOL_SIZE)]
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])], axis=1)
-
-
 def _stream_seeds(master_seed: int, tags: Sequence[int], start: int, size: int) -> np.ndarray:
     """PCG64 seed words of ``substream(master_seed, tag, trial)``, (tags, trials, 4) uint64.
 
     Covers trials ``start .. start + size - 1``; each stream's four words
-    are one C-contiguous row.  Keys are mixed in groups of equal word
-    count, since a trial index at or above 2^32 spans more than one uint32
-    word.
+    are one C-contiguous row.  numpy mixes the master seed and the tag into
+    each tag's pool (``SeedSequence(master_seed, spawn_key=(tag,)).pool``);
+    this goes on from there as ``SeedSequence`` would, mixing in each
+    trial's low uint32 word and, for a trial at or above 2^32, its high
+    word, then hashing the pool out into the words ``PCG64`` asks for.
     """
-    run = _uint32_words(int(master_seed))
-    run += [0] * (_POOL_SIZE - len(run))
-    seeds = np.empty((len(tags), size, _POOL_SIZE), dtype=np.uint64)
-    trial, stop = start, start + size
-    while trial < stop:
-        n_words = len(_uint32_words(trial))
-        group = range(trial, min(stop, 1 << (32 * n_words)))
-        trial_words = np.array([_uint32_words(t) for t in group], dtype=np.uint32).T
-        entropy = np.empty((len(run) + 1 + n_words, len(tags), len(group)), dtype=np.uint32)
-        entropy[: len(run)] = np.array(run, dtype=np.uint32)[:, None, None]
-        entropy[len(run)] = np.array(tags, dtype=np.uint32)[:, None]
-        entropy[len(run) + 1 :] = trial_words[:, None, :]
-        words = _pcg64_seeds(entropy.reshape(entropy.shape[0], -1))
-        seeds[:, group.start - start : group.stop - start] = words.reshape(len(tags), -1, _POOL_SIZE)
-        trial = group.stop
-    return seeds
+    if start < 0 or start + size > 1 << 64:
+        raise ValueError(f"trials {start} .. {start + size - 1} lie outside 0 .. 2**64 - 1")
+    pools = np.array([np.random.SeedSequence(master_seed, spawn_key=(tag,)).pool for tag in tags])
+    # numpy's hashmix calls so far: 4 to fill the pool from the run words
+    # (padded to 4), 12 to cross-mix it, 4 per run word beyond it, 4 for the tag
+    run_words = max(_POOL_SIZE, -(-int(master_seed).bit_length() // 32))
+    const = _INIT_A * pow(_MULT_A, 20 + 4 * (run_words - _POOL_SIZE), 1 << 32) & _MASK32
+    trials = np.arange(size, dtype=np.uint64) + np.uint64(start)
+    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
+    high = (trials >> np.uint64(32)).astype(np.uint32)
+    # each word is mixed into every pool word; a trial below 2^32 has no high word
+    hashed = _hashmix([low] * _POOL_SIZE + [high] * _POOL_SIZE, const, _MULT_A)
+    pool = [_mix(pools[:, dst, None], hashed[dst]) for dst in range(_POOL_SIZE)]
+    pool = [np.where(high != 0, _mix(w, hashed[_POOL_SIZE + dst]), w) for dst, w in enumerate(pool)]
+    words = _hashmix([pool[i % _POOL_SIZE] for i in range(2 * _POOL_SIZE)], _INIT_B, _MULT_B)
+    words = [w.astype(np.uint64) for w in words]
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])], axis=-1)
 
 
 class _SeedWords(ISeedSequence):

@@ -123,10 +123,8 @@ def _set_minima(
     then the columns after it.  A minimum is exact in any order, so the
     blocks change no value.
 
-    It reads every member set's MED: :meth:`PairPatterns.meds` and
-    :meth:`PairClasses.meds` score factors over sets, and
-    :func:`imjrc.crps.build_schemes` reads the baseline MED from a rank
-    matrix of :func:`_ranked`, each rank a class whose distance it stands for.
+    :meth:`PairPatterns.meds` and :meth:`PairClasses.meds` read every
+    member set's MED under every factor through it.
     """
     if any(len(ids) < 2 for ids in member_sets):
         raise ValueError("candidate scoring needs at least two members")

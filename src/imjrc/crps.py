@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import _CLASS_BLOCK, Codebook, _set_minima, greedy_prune, pair_classes, pair_patterns
+from .codebook import _CLASS_BLOCK, Codebook, greedy_prune, pair_classes, pair_patterns
 from .enumeration import CodewordTable, check_budget
 from .params import SystemParams
 
@@ -122,7 +122,8 @@ def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
 
     Both paths hold n x n arrays of small unsigned integers: the pairs'
     codes and their pattern or class index, then a rank matrix and its
-    pruning copy (through a channel the class pass peaks at 7.5, 7.2 and
+    pruning copy, or the 2^B x 2^B copy the baseline MED is read from
+    (through a channel the class pass peaks at 7.5, 7.2 and
     9.7 bytes a pair under tracemalloc at n = 420, 720 and 1,960).  The
     estimate keeps three n x n arrays of 8-byte entries, a deliberate
     overestimate: lowering it changes which tables are admitted, and that
@@ -207,9 +208,8 @@ def build_schemes(
     if prune_unscaled or Scheme.BASELINE in schemes:
         dist, values = pairs.ranks(factor(None))
         if Scheme.BASELINE in schemes:
-            # each rank a class, whose distance is the one it ranks
-            minima = _set_minima(dist, len(values), lambda block: values[block, None], [baseline_ids])
-            baseline_med = float(minima[0, 0])
+            # pruning's zero-step case: the MED of the first 2^B codewords
+            baseline_med = greedy_prune(dist[:n_valid, :n_valid], n_valid, values)[0].med
         if prune_unscaled:
             pruned[0], _ = greedy_prune(dist, n_valid, values)
         del dist

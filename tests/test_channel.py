@@ -45,11 +45,13 @@ class TestSubstreams:
 
 
 ALL_TAGS = (TAG_TPS, TAG_BITS, TAG_CHANNEL, TAG_NOISE, TAG_DESIGN_CHANNEL)
-# 2^128 + 3 is run entropy of five uint32 words, more than the pool holds
-BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3]
-# (start, size): single trials of one and two words, and a chunk that
-# straddles 2^32, so one call mixes keys of different word counts
-BULK_TRIALS = [(0, 1), (2**32 - 1, 1), (2**32, 1), (2**40 + 7, 1), (2**32 - 3, 6)]
+# 2^96 + 1 is run entropy of exactly four uint32 words, as many as the pool
+# holds; 2^128 + 3 and 2^160 + 9 are five and six, one and two beyond it
+BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 3, 2**160 + 9]
+# (start, size): single trials of one and two words, a chunk that straddles
+# 2^32, so one call mixes keys of different word counts, and the last two
+# trials of two words
+BULK_TRIALS = [(0, 1), (2**32 - 1, 1), (2**32, 1), (2**40 + 7, 1), (2**32 - 3, 6), (2**64 - 2, 2)]
 
 
 def _substream_loop(seed, start, n_members, l_c, l_r, l_t, size):
@@ -86,6 +88,11 @@ class TestBulkSeeding:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError):
             channel._stream_seeds(-1, (TAG_BITS,), 0, 1)
+
+    @pytest.mark.parametrize("start,size", [(2**64 - 2, 3), (2**64, 1), (2**70, 4), (-1, 2)])
+    def test_rejects_trials_beyond_two_words(self, start, size):
+        with pytest.raises(ValueError, match=r"0 \.\. 2\*\*64 - 1"):
+            channel._stream_seeds(1729, (TAG_BITS,), start, size)
 
 
 class TestDrawTrials:

@@ -395,7 +395,8 @@ def channel_aware_run():
 def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
     # the schemes share one set of pair patterns and its one pruning; on
     # the default scenario every selected factor is the identity, and no
-    # distance is taken through a channel
+    # distance is taken through a channel; the baseline MED is pruning's
+    # zero-step case on the first 256 codewords
     sizes = {"pair_patterns": [], "pair_classes": [], "greedy_prune": []}
     for name, original in [(name, getattr(crps, name)) for name in sizes]:
 
@@ -406,7 +407,7 @@ def test_five_scheme_run_prunes_the_full_table_once(monkeypatch):
         monkeypatch.setattr(crps, name, counted)
     result = execute_run(RunConfig(snr_start=-10.0, snr_stop=-10.0, pulses=8))
     assert len(result.builds) == 5
-    assert sizes == {"pair_patterns": [420], "pair_classes": [], "greedy_prune": [420]}
+    assert sizes == {"pair_patterns": [420], "pair_classes": [], "greedy_prune": [256, 420]}
 
 
 def test_design_does_not_depend_on_the_blas_thread_count(tmp_path):

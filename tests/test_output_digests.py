@@ -3,8 +3,8 @@
 A change counts as a speedup only if ``ber.csv``, ``gains.csv``, the
 ``schemes`` and ``shared_codebooks`` blocks of ``meta.json`` and every file
 ``imjrc design`` writes stay the same for a seed.  The three workload
-configs are read from ``benchmarks/workloads.py`` as a syntax tree, as
-``Workload.config`` builds them; nothing there is imported.  The digests
+configs and their config files are the ones ``benchmarks/workloads.py``
+writes for the benchmark, imported from its path.  The digests
 belong to the numpy and BLAS build they were recorded under, so a mismatch
 names that build and the one found; it fails on any build.
 
@@ -16,10 +16,11 @@ old and new digests in CHANGES.md:
 
 from __future__ import annotations
 
-import ast
 import hashlib
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -30,54 +31,10 @@ DIGESTS = pathlib.Path(__file__).with_name("output_digests.json")
 SEEDS = (1729, 2718)
 
 
-def _workload_configs(seed: int) -> dict[str, dict]:
-    """Each workload's ``config(seed)``, from the fields and defaults the file writes."""
-    tree = ast.parse((ROOT / "benchmarks" / "workloads.py").read_text())
-    names: dict[str, object] = {}
-
-    def value(node: ast.expr) -> object:
-        return names[node.id] if isinstance(node, ast.Name) else ast.literal_eval(node)
-
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            try:
-                names[node.targets[0].id] = value(node.value)
-            except (KeyError, ValueError):
-                pass
-    (workload,) = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Workload")
-    defaults = {
-        n.target.id: value(n.value) for n in workload.body if isinstance(n, ast.AnnAssign) and n.value
-    }
-    (config,) = (n for n in workload.body if isinstance(n, ast.FunctionDef) and n.name == "config")
-    (returned,) = (n.value for n in ast.walk(config) if isinstance(n, ast.Return))
-    (listing,) = (
-        n.value.generators[0].iter
-        for n in tree.body
-        if isinstance(n, ast.Assign) and getattr(n.targets[0], "id", None) == "WORKLOADS"
-    )
-    configs = {}
-    for call in listing.elts:
-        fields = {**defaults, **{k.arg: value(k.value) for k in call.keywords}}
-        # each value is ``master_seed`` or reads one field, ``self.m`` or ``list(self.schemes)``
-        configs[fields["name"]] = {
-            key.value: seed
-            if isinstance(node, ast.Name)
-            else fields[next(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))]
-            for key, node in zip(returned.keys, returned.values)
-        }
-    return configs
-
-
-def _config_text(config: dict) -> str:
-    """A flat ``key = value`` file: schemes comma-separated, the SNR grid as start:stop:step."""
-    lines = []
-    for key, v in config.items():
-        if isinstance(v, bool):
-            v = str(v).lower()
-        elif isinstance(v, (list, tuple)):
-            v = (":" if key == "snr_db" else ", ").join(map(str, v))
-        lines.append(f"{key} = {v}\n")
-    return "".join(lines)
+_SPEC = importlib.util.spec_from_file_location("workloads", ROOT / "benchmarks" / "workloads.py")
+workloads = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = workloads  # a dataclass reads its annotations' module from there
+_SPEC.loader.exec_module(workloads)
 
 
 def _sha256(data: bytes) -> str:
@@ -87,7 +44,7 @@ def _sha256(data: bytes) -> str:
 def run_digests(config: dict, work: pathlib.Path) -> dict[str, str]:
     """Digests of what ``imjrc ber`` and ``imjrc design`` write for ``config``."""
     path = work / "run.cfg"
-    path.write_text(_config_text(config))
+    path.write_text(workloads.config_text(config))
     for verb in ("ber", "design"):
         assert main([verb, "--config", str(path), "--out", str(work / verb)]) == 0
     ber = work / "ber"
@@ -105,7 +62,7 @@ def run_digests(config: dict, work: pathlib.Path) -> dict[str, str]:
 def test_outputs_match_recorded_digests(workload, seed, tmp_path):
     recorded = json.loads(DIGESTS.read_text())
     want = recorded["digests"][f"{workload}/{seed}"]
-    got = run_digests(_workload_configs(seed)[workload], tmp_path)
+    got = run_digests(workloads.WORKLOADS[workload].config(seed), tmp_path)
     differ = sorted(name for name in want.keys() | got.keys() if want.get(name) != got.get(name))
     assert not differ, (
         f"{workload} at seed {seed}: {', '.join(differ)} differ from the digests "
@@ -120,9 +77,9 @@ if __name__ == "__main__":
 
     digests = {}
     for seed in SEEDS:
-        for name, config in _workload_configs(seed).items():
+        for name, workload in workloads.WORKLOADS.items():
             with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
-                digests[f"{name}/{seed}"] = run_digests(config, pathlib.Path(work))
+                digests[f"{name}/{seed}"] = run_digests(workload.config(seed), pathlib.Path(work))
     text = json.dumps({"environment": run_environment(), "digests": digests}, indent=2)
     DIGESTS.write_text(text + "\n")
     print(f"wrote {len(digests)} entries to {DIGESTS}")
