@@ -192,7 +192,8 @@ def estimate_complexity(
     synthesis = (k * l_r + (2 * k - 1) * l_t) * l_r * c
     detect_per_codeword = (l_r + 3) * l_c * l_t + 1
 
-    prune_pairs = sum((c - i + 1) * (c - i) for i in range(1, q + 1))
+    # sum over the Q steps i of (c - i + 1)(c - i), by sum_{k < N} k (k + 1) = (N - 1) N (N + 1) / 3
+    prune_pairs = ((c - 1) * c * (c + 1) - (c - q - 1) * (c - q) * (c - q + 1)) // 3
     codebook_ops = (
         Fraction(synthesis)
         + Fraction(3 * l_r * l_t + 1, 2) * prune_pairs

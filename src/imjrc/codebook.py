@@ -17,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,37 +42,30 @@ minimum over each member set's classes is taken, or under one row map
 while they are ranked."""
 
 _ROW_BLOCK = 128
-"""Rows of an n x n pair index read at once: while it is gathered into ranks,
-or while the classes a member set's pairs hold are marked."""
+"""Rows of an n x n pair index read at once: while the values a member set's
+rows hold are marked (:func:`_held`), or while values are gathered through it
+(:func:`_looked_up`)."""
 
 
 def _numbered(code: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of ``code``, increasing, and each entry's position among them.
 
-    A value space no larger than ``code`` is marked, and the positions take
-    the smallest integer type that holds them; both passes read
-    :data:`_ROW_BLOCK` rows of ``code`` at a time, so no temporary is as
-    large as ``code``.  ``code`` must be symmetric, as both callers' are: the
-    marking reads each block of rows from its first row's column on.  A
-    larger space is sorted.
+    A value space no larger than ``code`` is marked over every row from its
+    own column on (:func:`_held`), so ``code`` must be symmetric, as both
+    callers' are; the positions take the smallest integer type that holds
+    them and are gathered through ``code`` (:func:`_looked_up`).  Neither
+    walk holds a temporary as large as ``code``.  A larger space is sorted.
     """
     if space > code.size:
         codes, index = np.unique(code, return_inverse=True)
         return codes, index.reshape(code.shape)
-    seen = np.zeros(space, dtype=bool)
-    for start in range(0, len(code), _ROW_BLOCK):
-        seen[code[start : start + _ROW_BLOCK, start:]] = True
+    seen = _held(code, np.arange(len(code)), space)
     codes = np.flatnonzero(seen)
     # the count can exceed the type by one, but a wrapped sum less one is
     # still each marked value's position
     positions = np.cumsum(seen, dtype=np.min_scalar_type(codes.size - 1))
     positions -= 1
-    index = np.empty(code.shape, dtype=positions.dtype)
-    for start in range(0, len(code), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        # every marked value is in range; "clip" writes straight into ``out``
-        np.take(positions, code[rows], out=index[rows], mode="clip")
-    return codes, index
+    return codes, _looked_up(positions, code)
 
 
 def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,18 +85,33 @@ def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]
     return distinct, number
 
 
-def _member_rows(matrix: np.ndarray, ids: np.ndarray) -> Iterator[np.ndarray]:
-    """Each block of :data:`_ROW_BLOCK` members ``ids[start:stop]`` as its rows of
-    ``matrix`` from each row's own member on, ``matrix[ids[start:stop]][:, ids[start:]]``.
-    A set of the first codewords, in order, is read in place.
+def _held(index: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    """Which of ``count`` values the rows of members ``ids`` of an n x n ``index`` hold,
+    each row from its own member on: ``index[ids][:, ids]`` on and above its diagonal.
+
+    The rows are read :data:`_ROW_BLOCK` at a time, in place when ``ids``
+    are the first codewords, in order, and gathered otherwise.
     """
-    prefix = np.array_equal(ids, np.arange(ids.size))
-    for start in range(0, ids.size, _ROW_BLOCK):
-        rows = ids[start : start + _ROW_BLOCK]
+    held, n = np.zeros(count, dtype=bool), len(ids)
+    prefix = np.array_equal(ids, np.arange(n))
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
         if prefix:
-            yield matrix[start : start + rows.size, start : ids.size]
+            held[index[start:stop, start:n]] = True
         else:
-            yield matrix.take(rows, axis=0).take(ids[start:], axis=1)
+            held[index.take(ids[start:stop], axis=0).take(ids[start:], axis=1)] = True
+    return held
+
+
+def _looked_up(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[index]``, gathered :data:`_ROW_BLOCK` rows of ``index`` at a time straight
+    into the result, so no temporary is as large as ``index``."""
+    out = np.empty(index.shape, dtype=values.dtype)
+    for start in range(0, len(index), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        # every entry of ``index`` is in range; "clip" writes straight into ``out``
+        np.take(values, index[rows], out=out[rows], mode="clip")
+    return out
 
 
 def _set_minima(
@@ -116,12 +124,10 @@ def _set_minima(
 
     ``index[i, j]`` is the class, one of ``count``, of codewords i and j,
     symmetric in i and j, and ``distances(block)`` the (classes, factors)
-    distances of a slice of the classes, :data:`_CLASS_BLOCK` at a time.  A
-    set's classes are marked :data:`_ROW_BLOCK` of its rows at a time, each
-    row from its own member on (:func:`_member_rows`): the block's square,
-    whose diagonal holds no pair and is filled with the set's first pair,
-    then the columns after it.  A minimum is exact in any order, so the
-    blocks change no value.
+    distances of a slice of the classes, :data:`_CLASS_BLOCK` at a time.
+    A set's classes are those its rows hold from each row's own member on
+    (:func:`_held`), less class 0: both pair kinds keep class 0 for the
+    diagonal alone, so it is held by no pair of distinct codewords.
 
     :meth:`PairPatterns.meds` and :meth:`PairClasses.meds` read every
     member set's MED under every factor through it.
@@ -130,14 +136,8 @@ def _set_minima(
         raise ValueError("candidate scoring needs at least two members")
     present = []
     for ids in member_sets:
-        ids = np.asarray(ids)
-        first = index[ids[0], ids[1]]
-        mask = np.zeros(count, dtype=bool)
-        for block in _member_rows(index, ids):
-            square = block[:, : len(block)].copy()
-            np.fill_diagonal(square, first)
-            mask[square] = True
-            mask[block[:, len(block) :]] = True
+        mask = _held(index, np.asarray(ids), count)
+        mask[0] = False  # the diagonal
         present.append(mask)
     meds = []
     for start in range(0, count, _CLASS_BLOCK):
@@ -205,16 +205,10 @@ def _ranked(distances: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.nd
     distances, and take the smallest unsigned type that also holds one
     value above them: the unused largest value :func:`greedy_prune` marks
     excluded entries with.  Each class's position is gathered through
-    ``index`` :data:`_ROW_BLOCK` rows at a time, straight into the result.
+    ``index`` (:func:`_looked_up`).
     """
     values, rank = np.unique(distances, return_inverse=True)
-    rank = rank.astype(np.min_scalar_type(values.size))
-    ranks = np.empty(index.shape, dtype=rank.dtype)
-    for start in range(0, len(index), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        # every class is in range; "clip" writes straight into ``out``
-        np.take(rank, index[rows], out=ranks[rows], mode="clip")
-    return ranks, values
+    return _looked_up(rank.astype(np.min_scalar_type(values.size)), index), values
 
 
 def pair_patterns(carriers: np.ndarray, m: int, l_t: int) -> PairPatterns:
@@ -285,16 +279,17 @@ class PairClasses:
     K[l, q] = G[a_l, a_q] - G[a_l, b_q] - G[b_l, a_q] + G[b_l, b_q], where
     G = W W^H of the M sampled waveforms W.  G[x, y] depends only on
     (x - y) mod M, so K stays when both words shift by one carrier offset,
-    or swap.  ``words[c]`` are the two carrier words (2, L_R) of class c,
-    the first starting at carrier 0, and ``index[i, j]`` is the class of
-    codewords i and j; class 0, a word and itself, holds the diagonal.
-    ``table`` (M^2, M^2) holds that four-term sum for every two carrier
-    pairs: ``table[x M + y, u M + v]`` = G[x, u] - G[x, v] - G[y, u] + G[y, v],
-    so K[l, q] = ``table[r_l, r_q]`` with r_l = a_l M + b_l.
+    or swap.  ``table`` (M^2, M^2) holds that four-term sum for every two
+    carrier pairs: ``table[x M + y, u M + v]`` = G[x, u] - G[x, v] - G[y, u]
+    + G[y, v], so K[l, q] = ``table[r_l, r_q]`` at the carrier-pair rows
+    r_l = a_l M + b_l.  ``rows[c]`` (L_R) are those rows of class c, whose
+    first word starts at carrier 0, in the smallest unsigned type that holds
+    M^2 - 1.  ``index[i, j]`` is the class of codewords i and j; class 0, a
+    word and itself, holds the diagonal and no other pair.
     """
 
     table: np.ndarray
-    words: np.ndarray
+    rows: np.ndarray
     index: np.ndarray
 
     def ranks(self, map: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,14 +306,11 @@ class PairClasses:
         """
         (weights,) = _map_features([map])
         pairs = len(self.table)
-        kind = np.min_scalar_type(pairs - 1)
-        # each class's carrier-pair rows, one contiguous row of classes per antenna row
-        rows = np.ascontiguousarray(
-            (self.words[:, 0].astype(kind) * kind.type(math.isqrt(pairs)) + self.words[:, 1]).T
-        )
+        # one contiguous row of classes per antenna row
+        rows = np.ascontiguousarray(self.rows.T)
         l_r = len(rows)
         i, j = np.triu_indices(l_r, 1)
-        dist = np.zeros(len(self.words))
+        dist = np.zeros(len(self.rows))
         diagonal = self.table.diagonal().real
         for row, weight in zip(rows, weights[:l_r]):
             dist += diagonal[row] * weight
@@ -332,10 +324,9 @@ class PairClasses:
         """The L_R^2 reals of each class in ``block``, (classes, L_R^2), each one entry of
         ``table``: K's diagonal, from the table's real diagonal, then the real and the
         imaginary parts of its upper triangle, from one complex gather."""
-        pairs = len(self.table)
-        words = self.words[block]
-        i, j = np.triu_indices(words.shape[-1], 1)
-        rows = words[:, 0] * np.intp(math.isqrt(pairs)) + words[:, 1]
+        pairs = np.intp(len(self.table))
+        rows = self.rows[block]
+        i, j = np.triu_indices(rows.shape[-1], 1)
         upper = self.table.reshape(-1)[rows[:, i] * pairs + rows[:, j]]
         return np.concatenate([self.table.diagonal().real[rows], upper.real, upper.imag], axis=1)
 
@@ -356,7 +347,7 @@ class PairClasses:
         The maps' features are formed once; the classes' a block at a time.
         """
         distances = partial(self._distances, _map_features(maps))
-        return _set_minima(self.index, len(self.words), distances, member_sets)
+        return _set_minima(self.index, len(self.rows), distances, member_sets)
 
 
 def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
@@ -373,9 +364,12 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     taken in place, :data:`_ROW_BLOCK` rows at a time: the rows already
     done hold the symmetric minimum, so the columns they give a later
     block leave its minimum as it is.  Codes are numbered in increasing
-    order, the diagonal's, set to 0, first (:func:`_numbered`).  A class's
-    words are its first shape and its second shape shifted by its offset,
-    one row of a table over every shape and offset.
+    order, the diagonal's, set to 0, first (:func:`_numbered`): no other
+    pair's code is 0, as two distinct codewords differ in a shape or a first
+    carrier.  A class's words are its first shape and its second shape
+    shifted by its offset, one row of a table over every shape and offset;
+    its rows, each first-word carrier times M plus the second's, are formed
+    once, in the smallest unsigned type that holds M^2 - 1.
     """
     m = len(waveforms)
     shapes, shape = _distinct_rows((carriers - carriers[:, :1]) % m, m)
@@ -393,15 +387,17 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
         np.minimum(code[rows], code[:, rows].T, out=code[rows])
     np.fill_diagonal(code, 0)
     codes, index = _numbered(code, count * count * m)
-    del code  # freed before the class words and the table are formed
-    kind = np.min_scalar_type(2 * m - 2)  # a carrier plus an offset
+    del code  # freed before the class rows and the table are formed
+    kind = np.min_scalar_type(m * m - 1)  # a carrier pair; also a carrier plus an offset
     shapes = shapes.astype(kind)
     shifted = ((shapes[:, None] + np.arange(m, dtype=kind)[:, None]) % m).reshape(count * m, -1)
     first_shape, shifted_shape = np.divmod(codes, np.intp(count * m))
-    words = np.stack([shapes.take(first_shape, axis=0), shifted.take(shifted_shape, axis=0)], axis=1)
+    rows = shapes.take(first_shape, axis=0)
+    rows *= kind.type(m)
+    rows += shifted.take(shifted_shape, axis=0)
     g = waveforms @ waveforms.conj().T
     table = g[:, None, :, None] - g[:, None, None, :] - g[None, :, :, None] + g[None, :, None, :]
-    return PairClasses(table=table.reshape(m * m, m * m), words=words, index=index)
+    return PairClasses(table=table.reshape(m * m, m * m), rows=rows, index=index)
 
 
 def greedy_prune(
@@ -470,18 +466,13 @@ def greedy_prune(
         if step == n - target:
             break  # the survivor MED
         # second-smallest distance of each endpoint, partner excluded
-        row_i = work[i]
-        saved = row_i[j]
-        row_i[j] = far
-        second_i = row_i.min()
-        row_i[j] = saved
-        row_j = work[j]
-        saved = row_j[i]
-        row_j[i] = far
-        second_j = row_j.min()
-        row_j[i] = saved
+        second = []
+        for row, partner in ((work[i], j), (work[j], i)):
+            saved, row[partner] = row[partner], far
+            second.append(row.min())
+            row[partner] = saved
         # the more crowded endpoint goes; on a tie the larger index goes
-        drop = i if second_i < second_j else j
+        drop = i if second[0] < second[1] else j
         alive[drop] = False
         work[drop, :] = far
         work[:, drop] = far

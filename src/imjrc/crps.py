@@ -123,7 +123,7 @@ def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
     Both paths hold n x n arrays of small unsigned integers: the pairs'
     codes and their pattern or class index, then a rank matrix and its
     pruning copy, or the 2^B x 2^B copy the baseline MED is read from
-    (through a channel the class pass peaks at 7.5, 7.2 and
+    (through a channel the class pass peaks at 7.5, 7.3 and
     9.7 bytes a pair under tracemalloc at n = 420, 720 and 1,960).  The
     estimate keeps three n x n arrays of 8-byte entries, a deliberate
     overestimate: lowering it changes which tables are admitted, and that

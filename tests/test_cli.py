@@ -11,6 +11,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,24 @@ class TestEstimateComplexity:
         synthesis = (k * l_r + (2 * k - 1) * l_t) * l_r * c
         detection = ((l_r + 3) * params.L_C * l_t + 1) * c * 1000
         assert est_cb.operations == float(synthesis + detection)
+
+    def test_pruning_pairs_match_the_step_loop(self, small_params, small_derived):
+        # the closed form against the oracle's loop over the Q steps, exactly
+        for c in range(2, 60):
+            for q in range(c):
+                derived = dataclasses.replace(small_derived, C_total=c, Q=q)
+                est_cb, _ = estimate_complexity(small_params, derived, 7)
+                assert est_cb.operations == _oracle_complexity(small_params, derived, 7, small_params.D)[0]
+
+    def test_counts_a_large_scenario_at_once(self, tmp_path, capsys):
+        # M=20, K=4, L_R=12 has Q = 716,970,176 pruning steps, which a loop
+        # over the steps took longer than 10 s to count
+        path = tmp_path / "large.cfg"
+        path.write_text("M = 20\nK = 4\nL_R = 12\n")
+        start = time.perf_counter()
+        assert main(["complexity", "--config", str(path)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "im_codebook: 5.432871e+30 operations" in capsys.readouterr().out
 
     def test_rejects_bad_counts(self, small_params, small_derived):
         with pytest.raises(ValueError):

@@ -294,7 +294,7 @@ class TestSetMinima:
             count = len(pairs.patterns)
         else:
             pairs = pair_classes(table.carriers, table.waveforms)
-            count = len(pairs.words)
+            count = len(pairs.rows)
         sets = self._member_sets(len(table))
         for got, ids in zip(codebook._set_minima(pairs.index, count, _one_hot(count), sets), sets):
             assert np.flatnonzero(got == 0).tolist() == self._classes_of_pairs(pairs.index, ids)
@@ -312,19 +312,30 @@ class TestSetMinima:
     @pytest.mark.parametrize("block", [7, 128])
     def test_rank_minima_match_the_submatrix_copy(self, block, default_table, monkeypatch):
         # a set's MED read from a rank matrix, each rank a class standing for
-        # the distance it ranks, as the baseline MED is read; also on small
-        # random integers, whose minima sit deep in the matrix.  The caller's
+        # the distance it ranks, rank 0 the diagonal's alone.  The caller's
         # matrix is read only.
         monkeypatch.setattr(codebook, "_ROW_BLOCK", block)
         rank, values = _patterns(default_table).ranks(np.ones(6))
-        ties = np.random.default_rng(block).integers(3, 40, size=(420, 420), dtype=np.uint8)
-        ties = np.minimum(ties, ties.T)
+        rank.setflags(write=False)
         sets = self._member_sets(420)
-        for index, vals in ((rank, values), (ties, np.arange(40.0))):
-            index = index.copy()
-            index.setflags(write=False)
-            got = codebook._set_minima(index, len(vals), lambda classes: vals[classes, None], sets)
-            assert got[:, 0].tolist() == [med_of_submatrix(index, ids, vals)[0] for ids in sets]
+        got = codebook._set_minima(rank, len(values), lambda classes: values[classes, None], sets)
+        assert got[:, 0].tolist() == [med_of_submatrix(rank, ids, values)[0] for ids in sets]
+
+    @pytest.mark.parametrize("table_name", ["small_table", "default_table", "design_large_table"])
+    @pytest.mark.parametrize("pairs_of", [pair_patterns, pair_classes])
+    def test_class_zero_is_the_diagonal_alone(self, table_name, pairs_of, request):
+        # the set minima leave class 0 out: no pair of distinct codewords holds it
+        table = request.getfixturevalue(table_name)
+        if pairs_of is pair_patterns:
+            index = _patterns(table).index
+        else:
+            index = pair_classes(table.carriers, table.waveforms).index
+        assert np.array_equal(index == 0, np.eye(len(table), dtype=bool))
+
+
+def _class_words(classes, m):
+    """The two carrier words (classes, 2, L_R) of each class, from its carrier-pair rows a M + b."""
+    return np.stack(np.divmod(classes.rows, m), axis=1)
 
 
 def _class_key(a, b, m):
@@ -343,13 +354,13 @@ class TestPairClasses:
         n = len(default_table)
         upper = np.triu_indices(n, 1)
         index = classes.index[upper]
-        assert len(classes.words) == 12_571 and np.all(np.diag(classes.index) == 0)
-        assert np.all(np.bincount(index, minlength=len(classes.words))[1:] == 7)
+        assert len(classes.rows) == 12_571 and np.all(np.diag(classes.index) == 0)
+        assert np.all(np.bincount(index, minlength=len(classes.rows))[1:] == 7)
         h = draw_channel(4, 6, substream(default_params.master_seed, TAG_DESIGN_CHANNEL))
         alpha = generate_tps(2, 6, np.random.default_rng(18))[1]
         mats = codeword_matrices(default_table, alpha=alpha)
         dist = distance_matrix(mats, channel=h)[upper]
-        lo, hi = np.full(len(classes.words), np.inf), np.zeros(len(classes.words))
+        lo, hi = np.full(len(classes.rows), np.inf), np.zeros(len(classes.rows))
         np.minimum.at(lo, index, dist)
         np.maximum.at(hi, index, dist)
         assert np.all(hi[1:] - lo[1:] <= 1e-12 * hi[1:])
@@ -361,13 +372,14 @@ class TestPairClasses:
         # any class a block skips
         monkeypatch.setattr(codebook, "_CLASS_BLOCK", block)
         classes = pair_classes(small_table.carriers, small_table.waveforms)
-        assert len(classes.words) > 2 * 7
+        assert len(classes.rows) > 2 * 7
         h = draw_channel(2, 4, substream(99, TAG_DESIGN_CHANNEL))
         maps = [h * small_table.coefficients(a) for a in generate_tps(5, 4, np.random.default_rng(20))]
         n = len(small_table)
         sets = [range(s, min(s + 5, n)) for s in range(0, n, 5)]
         sets += [list(pair) for pair in itertools.combinations(range(n), 2)]
-        meds, dist = classes.meds(maps, sets), class_distances(classes.words, small_table.waveforms, maps)
+        words = _class_words(classes, small_table.params.M)
+        meds, dist = classes.meds(maps, sets), class_distances(words, small_table.waveforms, maps)
         for got, ids in zip(meds, sets):
             pairs = classes.index[np.ix_(ids, ids)][np.triu_indices(len(ids), 1)]
             np.testing.assert_allclose(got, dist[pairs].min(axis=0), rtol=1e-13, atol=0)
@@ -387,14 +399,14 @@ class TestPairClasses:
         h = draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
         alpha = generate_tps(2, params.L_R, np.random.default_rng(24))[1]
         maps = [h * table.coefficients(a) for a in (np.ones(params.L_R), alpha)]
-        count = len(classes.words)
+        count, words = len(classes.rows), _class_words(classes, params.M)
         # every block (every 64th block of 7 on the largest table) and the
         # last, ragged one
         step = block * (64 if block == 7 and count > 50_000 else 1)
         for start in [*range(0, count, step), count - count % block]:
             part = slice(start, start + block)
             got = classes._distances(_map_features(maps), part)
-            assert got.tobytes() == class_distances(classes.words, table.waveforms, maps, part).tobytes()
+            assert got.tobytes() == class_distances(words, table.waveforms, maps, part).tobytes()
 
     @pytest.mark.parametrize(
         "params,rows,index_type",
@@ -410,7 +422,8 @@ class TestPairClasses:
     )
     def test_matches_full_size_codes(self, params, rows, index_type):
         # narrow codes, the in-place minimum and the blocked numbering give
-        # the index, words and table of full-size int64 codes, bit for bit
+        # the index, words and table of full-size int64 codes, bit for bit;
+        # the words' carrier-pair rows take the narrowest type of M^2 - 1
         if params is None:
             carriers = np.random.default_rng(19).integers(0, 12, size=(rows, 8))
             waveforms = np.exp(2j * np.pi * np.outer(np.arange(12), np.arange(25)) / 12)
@@ -421,12 +434,14 @@ class TestPairClasses:
         index, words, table = pair_class_codes(carriers, waveforms)
         assert classes.index.dtype == index.dtype == index_type
         assert np.array_equal(classes.index, index)
-        assert classes.words.dtype == words.dtype and np.array_equal(classes.words, words)
+        m = len(waveforms)
+        assert classes.rows.dtype == np.min_scalar_type(m * m - 1)
+        assert np.array_equal(_class_words(classes, m), words)
         assert classes.table.tobytes() == table.tobytes()
 
     @pytest.mark.parametrize("m,l_r", [(7, 6), (16, 4)])
     def test_peak_stays_below_ten_bytes_a_pair(self, m, l_r):
-        # codes, their minimum and the index: 7.5 and 7.2 bytes a pair at
+        # codes, their minimum and the index: 7.5 and 7.3 bytes a pair at
         # n = 420 and 720, where n x n int64 codes took 24.0
         params = SystemParams(M=m, L_R=l_r)
         table = build_table(params, derive(params))
@@ -471,9 +486,10 @@ class TestPairClasses:
         for i, j in itertools.combinations(range(len(carriers)), 2):
             keys[classes.index[i, j]].add(_class_key(carriers[i], carriers[j], m))
         assert all(len(key) == 1 for key in keys.values())
-        assert len(set.union(*keys.values())) == len(keys) == len(classes.words) - 1
+        assert len(set.union(*keys.values())) == len(keys) == len(classes.rows) - 1
+        words = _class_words(classes, m)
         for c, (key,) in keys.items():
-            a, b = classes.words[c]
+            a, b = words[c]
             assert a[0] == 0 and _class_key(a, b, m) == key
 
 
@@ -697,12 +713,13 @@ class TestRanks:
         table = request.getfixturevalue(table_name)
         params = table.params
         classes = pair_classes(table.carriers, table.waveforms)
+        words = _class_words(classes, params.M)
         h = draw_channel(params.L_C, params.L_R, substream(params.master_seed, TAG_DESIGN_CHANNEL))
         for alpha in generate_tps(2, params.L_R, np.random.default_rng(25)):
             row_map = h * table.coefficients(alpha)
             rank, values = classes.ranks(row_map)
             dist = values[rank]
-            expect = class_distances_in_order(classes.words, table.waveforms, row_map)[classes.index]
+            expect = class_distances_in_order(words, table.waveforms, row_map)[classes.index]
             assert np.array_equal(dist.view(np.uint64), expect.view(np.uint64))
             product = classes._distances(_map_features([row_map]), slice(None))[:, 0][classes.index]
             np.testing.assert_allclose(dist, product, rtol=1e-12, atol=0)

@@ -159,7 +159,7 @@ class TestCandidateScoring:
             classes = pair_classes(table.carriers, table.waveforms)
             maps = _maps(table, _design_channel(params), pool)
             features, block = codebook._map_features(maps), codebook._CLASS_BLOCK
-            starts = range(0, len(classes.words), block)
+            starts = range(0, len(classes.rows), block)
             dist = np.concatenate([classes._distances(features, slice(b, b + block)) for b in starts])
             expect = [med_of_submatrix(dist[:, d][classes.index], ids)[0] for d in range(len(pool))]
             assert classes.meds(maps, [ids])[0].tolist() == expect
