@@ -13,7 +13,7 @@ into a ``SeedSequence`` pool; a port of its documented mixing, over uint32
 arrays, mixes in the trial words of the whole chunk at once, and numpy's
 own ``PCG64`` seeds each stream from the words that gives, as it would
 from the ``SeedSequence``.  The draws are the ones ``substream`` gives,
-bit for bit.
+bit for bit, with the noise N handed on as N W^H, all the detector reads.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
-# trials whose raw normals are combined into complex entries per block, so
-# the complex temporaries stay small whatever the chunk size
+# trials whose noise is drawn, combined into complex entries and projected
+# onto W^H per block, so the full-width noise never grows with the chunk
 _DRAW_BLOCK = 64
 
 
@@ -115,45 +115,50 @@ def draw_trials(
     master_seed: int,
     start: int,
     n_members: int,
+    waveforms: np.ndarray,
     ranks: np.ndarray,
     h: np.ndarray,
-    noise: np.ndarray,
+    noise_w: np.ndarray,
 ) -> None:
     """Draw trials ``start .. start + len(ranks) - 1`` into the given buffers.
 
-    Trial t fills ``ranks[i]``, ``h[i]`` (L_C x L_R) and ``noise[i]``
-    (L_C x L_T), i = t - start, with exactly what these give::
+    Trial t fills ``ranks[i]``, ``h[i]`` (L_C x L_R) and ``noise_w[i]``
+    (L_C x M), i = t - start, with exactly what these give, W being the
+    (M, L_T) ``waveforms`` and the product as one (chunk L_C, L_T) matmul::
 
         substream(master_seed, TAG_BITS, t).integers(n_members)
         draw_channel(L_C, L_R, substream(master_seed, TAG_CHANNEL, t))
-        complex_normal(substream(master_seed, TAG_NOISE, t), (L_C, L_T))
+        complex_normal(substream(master_seed, TAG_NOISE, t), (L_C, L_T)) @ W^H
 
-    ``h`` and ``noise`` must be C-contiguous complex arrays.  The chunk's
-    seed words are mixed in one pass.  Each trial's raw normals are drawn
-    into the bytes of its own slot, and each block of trials is combined
-    into complex entries there, so no scratch or temporary grows with the
-    chunk.
+    The chunk's seed words are mixed in one pass.  A trial's channel normals
+    are drawn into the bytes of its slot of ``h``, which must be C-contiguous,
+    and a block's noise into one reused buffer, where it is combined and projected.
     """
     size = len(ranks)
-    if h.shape[0] != size or noise.shape[0] != size:
-        raise ValueError(f"buffers disagree: {size} ranks, h {h.shape}, noise {noise.shape}")
-    if not (h.flags.c_contiguous and noise.flags.c_contiguous):
-        raise ValueError("h and noise must be C-contiguous")
+    if h.shape[0] != size or noise_w.shape != (size, h.shape[1], len(waveforms)):
+        raise ValueError(f"buffers disagree: {size} ranks, h {h.shape}, noise_w {noise_w.shape}")
+    if not h.flags.c_contiguous:
+        raise ValueError("h must be C-contiguous")
     raw_h = h.view(float).reshape(size, 2, *h.shape[1:])
-    raw_noise = noise.view(float).reshape(size, 2, *noise.shape[1:])
+    raw_noise = np.empty((min(size, _DRAW_BLOCK + 1), 2, h.shape[1], waveforms.shape[1]))
+    w_adj = np.conjugate(waveforms.T, order="C")
     seeds = _stream_seeds(master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start, size)
-    for s in range(0, size, _DRAW_BLOCK):
-        e = min(size, s + _DRAW_BLOCK)
+    # a one-trial tail joins the block before it: at L_C = 1 it would be a
+    # one-row product, which BLAS rounds as gemv, not as a row of a gemm
+    bounds = [*range(0, max(size - 1, 1), _DRAW_BLOCK), size]
+    for s, e in zip(bounds, bounds[1:]):
+        raw = raw_noise[: e - s]
         for i in range(s, e):
             bits, channel, unit_noise = (
                 np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in seeds[:, i]
             )
             ranks[i] = bits.integers(n_members)
             channel.standard_normal(out=raw_h[i])
-            unit_noise.standard_normal(out=raw_noise[i])
-        # the right-hand sides read the block's raw normals before they are overwritten
+            unit_noise.standard_normal(out=raw[i - s])
+        # the right-hand side reads the block's raw normals before they are overwritten
         h[s:e] = (raw_h[s:e, 0] + 1j * raw_h[s:e, 1]) / np.sqrt(2.0)
-        noise[s:e] = (raw_noise[s:e, 0] + 1j * raw_noise[s:e, 1]) / np.sqrt(2.0)
+        noise = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0)
+        noise_w[s:e] = (noise.reshape(-1, noise.shape[-1]) @ w_adj).reshape(noise_w[s:e].shape)
 
 
 def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

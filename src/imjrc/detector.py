@@ -23,8 +23,9 @@ member r is the row's coefficient times one of the M sampled waveforms W
 c[r, l]].  A pulse's L_R x L_T matrix V reduces to the L_R x M matrix V W^H,
 and the carrier map, an (L_R M x n) matrix holding conj(coef[l]) at row
 l M + c[r, l] of column r, turns those L_R M numbers into all n inner
-products with one matmul.  ||H X_r||^2 is <H^H H, X_r X_r^H> over the row
-Grams in the same way.  Exact ties resolve to the smallest rank.
+products with one matmul (so :mod:`imjrc.channel` draws the noise as
+N W^H).  ||H X_r||^2 is <H^H H, X_r X_r^H> over the row Grams in the same
+way.  Exact ties resolve to the smallest rank.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ class GramCache(NamedTuple):
     """Codebook-dependent precomputation shared by every pulse.
 
     The two maps are stored in the real form :func:`_real_rows` gives, so
-    the real part of a complex product is one real matmul.  W^H is the
-    same for every codebook and is not kept here; see :func:`channel_terms`.
+    the real part of a complex product is one real matmul.
     """
 
     member_spectra: np.ndarray  # (n, L_R, M), X_r W^H
@@ -79,24 +79,14 @@ def gram_cache(coef: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) ->
     )
 
 
-def channel_terms(
-    h: np.ndarray, noise: np.ndarray, waveforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(H^H H, H^H N W^H) of a chunk, (batch, L_R, L_R) and (batch, L_R, M).
-
-    ``h`` is (batch, L_C, L_R), ``noise`` (batch, L_C, L_T) the unit noise
-    N and ``waveforms`` the (M, L_T) W.  Neither term depends on the
-    codebook, so a chunk needs them once.
-    """
-    h = np.asarray(h)
-    noise = np.asarray(noise)
-    if h.ndim != 3 or noise.ndim != 3 or h.shape[0] != noise.shape[0]:
-        raise ValueError(f"batch shapes disagree: h {h.shape}, noise {noise.shape}")
-    batch, l_c, l_t = noise.shape
+def channel_terms(h: np.ndarray, noise_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H^H H, H^H N W^H) of a chunk, (batch, L_R, L_R) and (batch, L_R, M), from
+    ``h`` (batch, L_C, L_R) and ``noise_w`` (batch, L_C, M), the unit noise as N W^H.
+    Neither term depends on the codebook, so a chunk needs them once."""
+    if h.ndim != 3 or noise_w.ndim != 3 or h.shape[0] != noise_w.shape[0]:
+        raise ValueError(f"batch shapes disagree: h {h.shape}, noise_w {noise_w.shape}")
     h_adj = np.conj(h).transpose(0, 2, 1)
-    # N W^H as one (batch L_C, L_T) x (L_T, M) product
-    noise_w = noise.reshape(-1, l_t) @ np.ascontiguousarray(waveforms.conj().T)
-    return h_adj @ h, h_adj @ noise_w.reshape(batch, l_c, -1)
+    return h_adj @ h, h_adj @ noise_w
 
 
 def codebook_terms(

@@ -109,8 +109,12 @@ def build_table(params: SystemParams, derived: DerivedParams) -> CodewordTable:
     for s in range(1, len(slots)):
         np.take(slots[s], carriers[0], out=carriers[s], mode="clip")
     carriers = carriers.reshape(derived.C_total, params.L_R)  # global-index order
-    # sampled at T_s = 1/(M delta_f), distinct carriers are orthogonal over any M samples
-    waveforms = 2j * np.pi * np.arange(params.M)[:, None] * np.arange(derived.L_T)
+    # sampled at T_s = 1/(M delta_f), distinct carriers are orthogonal over any M
+    # samples; row 0 holds t, grown in place, until row m's phases (2j pi m) t are formed
+    waveforms = np.arange(derived.L_T, dtype=complex)
+    waveforms.resize((params.M, derived.L_T), refcheck=False)
+    for m in range(params.M - 1, -1, -1):
+        np.multiply(2j * np.pi * m, waveforms[0], out=waveforms[m])
     waveforms /= params.M
     np.exp(waveforms, out=waveforms)
     # elements 10 wavelengths apart: f_c cancels, and only theta sets the weights

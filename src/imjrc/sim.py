@@ -11,13 +11,13 @@ The loop is chunk-outer: a chunk of trials is drawn once and then decided
 for every codebook at every SNR point, instead of being redrawn for each
 codebook or point.  The received pulse is never formed.  Its ML metric is
 noise-linear: a noise-free term and a unit-noise term, both (chunk x n),
-computed in the carrier domain (see :mod:`imjrc.detector`).  The channel
-and noise products they share are formed once per chunk, each codebook's
-two terms are written into (chunk x n) buffers allocated once per run,
-and each SNR point decides the chunk with one axpy and one argmin into a
-third such buffer.  Early stop is tracked per (codebook, SNR) cell at
-chunk boundaries, so a cell's pulse count is the same as if it had been
-run alone.
+computed in the carrier domain (see :mod:`imjrc.detector`), so the noise
+is drawn as N W^H.  The channel and noise products they share are formed
+once per chunk, each codebook's two terms are written into (chunk x n)
+buffers allocated once per run, and each SNR point decides the chunk with
+one axpy and one argmin into a third such buffer.  Early stop is tracked
+per (codebook, SNR) cell at chunk boundaries, so a cell's pulse count is
+the same as if it had been run alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import draw_trials, snr_to_sigma2
+from .channel import _DRAW_BLOCK, draw_trials, snr_to_sigma2
 from .crps import SchemeBuild
 from .detector import channel_terms, codebook_terms, decide, gram_cache
 from .enumeration import CodewordTable, check_budget
@@ -74,12 +74,16 @@ def binomial_halfwidth(ber: float, n_bits: int) -> float:
 
 def buffer_floats(table: CodewordTable, n_pulses: int) -> int:
     """Floats of the working set :func:`run_ber` allocates for ``n_pulses`` on ``table``,
-    a chunk's three (chunk x 2^B) detector buffers or its complex noise, which
-    shares their memory; refused over the design budget."""
+    refused over the design budget: per trial of a chunk, three detector rows, H, N W^H,
+    H^H H, H^H N W^H, and one codebook's H^H H X_s W^H and the X_s W^H it gathers; per
+    trial of one block of draws, its noise and two complex temporaries; and W^H."""
     params, derived = table.params, table.derived
+    l_c, l_r, m, l_t = params.L_C, params.L_R, params.M, derived.L_T
     width, n = min(CHUNK, n_pulses), 1 << derived.B
-    floats = width * max(3 * n, 2 * params.L_C * derived.L_T)
-    sizes = f"chunk={width}, 2^B={n}, L_C={params.L_C}, L_T={derived.L_T}"
+    block = min(width, _DRAW_BLOCK + 1)  # a one-trial tail joins the block before it
+    per_trial = 3 * n + 2 * l_c * (l_r + m) + 2 * l_r * (l_r + 3 * m)
+    floats = width * per_trial + 2 * l_t * (3 * block * l_c + m)
+    sizes = f"chunk={width}, 2^B={n}, L_C={l_c}, L_T={l_t}"
     check_budget(8 * floats, "Monte Carlo buffers need", sizes)
     return floats
 
@@ -107,8 +111,8 @@ def run_ber(
     records do not depend on where chunks fall.  Every build must come
     from one codeword table, whose 2^B ranks the draws pick from.  The
     run's buffers must fit the design budget (:func:`buffer_floats`) before
-    anything is drawn.  If ``timings`` is given, the wall seconds spent in
-    :func:`~imjrc.channel.draw_trials` are stored in it under ``draw_s``.
+    anything is drawn.  If ``timings`` is given, the wall seconds of
+    :func:`~imjrc.channel.draw_trials`, draws and projection, go under ``draw_s``.
     """
     if not builds:
         raise ValueError("no builds to simulate")
@@ -120,13 +124,8 @@ def run_ber(
     if any(build.table is not table for build in builds):
         raise ValueError("builds must share one codeword table to share draws")
     params, derived = table.params, table.derived
-    # one working set serves every chunk and build: allocating it per chunk
-    # fragments the heap, and every fresh (chunk x n) array faults its pages
-    # in again.  A chunk's noise is read only by channel_terms, before any
-    # detector term is written, so it lives in the detector buffers' memory.
-    floats = buffer_floats(table, n_pulses)
+    buffer_floats(table, n_pulses)  # refused before anything is drawn
     width, n = min(CHUNK, n_pulses), 1 << derived.B
-    noise_floats = 2 * params.L_C * derived.L_T
     caches = []
     for build in builds:
         carriers = table.carriers[list(build.codebook.member_ids)]
@@ -136,21 +135,21 @@ def run_ber(
     bit_errors = [[0] * len(noise_scales) for _ in builds]
     pulses = [[0] * len(noise_scales) for _ in builds]
     active = [[True] * len(noise_scales) for _ in builds]
-    work = np.empty(floats)
-    base_buf, cross_buf, metric_buf = work[: 3 * width * n].reshape(3, width, n)
-    noise_buf = work[: width * noise_floats].view(complex).reshape(width, params.L_C, derived.L_T)
+    # allocated once: every fresh (chunk x n) array would fault its pages in again
+    base_buf, cross_buf, metric_buf = np.empty((3, width, n))
     ranks_buf = np.empty(width, dtype=np.int64)
     h_buf = np.empty((width, params.L_C, params.L_R), dtype=complex)
+    noise_w_buf = np.empty((width, params.L_C, params.M), dtype=complex)
     draw_s = 0.0
     done = 0
     while done < n_pulses and any(map(any, active)):
         size = min(CHUNK, n_pulses - done)
-        ranks, h, noise = ranks_buf[:size], h_buf[:size], noise_buf[:size]
+        ranks, h, noise_w = ranks_buf[:size], h_buf[:size], noise_w_buf[:size]
         base, cross, metric = base_buf[:size], cross_buf[:size], metric_buf[:size]
         t0 = time.perf_counter()
-        draw_trials(params.master_seed, done, n, ranks, h, noise)
+        draw_trials(params.master_seed, done, n, table.waveforms, ranks, h, noise_w)
         draw_s += time.perf_counter() - t0
-        hh, noise_spec = channel_terms(h, noise, table.waveforms)
+        hh, noise_spec = channel_terms(h, noise_w)
         for b, cache in enumerate(caches):
             if not any(active[b]):
                 continue
@@ -163,6 +162,7 @@ def run_ber(
                 pulses[b][k] += size
                 if early_stop and bit_errors[b][k] >= EARLY_STOP_BIT_ERRORS:
                     active[b][k] = False
+        del hh, noise_spec  # freed before the next chunk's are formed
         done += size
     if timings is not None:
         timings["draw_s"] = draw_s

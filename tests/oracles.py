@@ -4,7 +4,8 @@ Each one computes a quantity the package computes in a faster or
 restructured form, or, for codeword matrices, one the package never forms:
 one codeword from its definition, the matrices of a table's codewords and
 of a build's members from those, one received pulse
-``Y = H X + N``, ML detection as a residual scan over every hypothesis,
+``Y = H X + N``, a batch of noise projected onto the waveforms in one
+product, ML detection as a residual scan over every hypothesis,
 every pair's distance from the codeword matrices, through a channel if
 given, and each candidate's MED from those, a member set's MED from a copy
 of its submatrix, each pair's row-difference code built one antenna row at
@@ -121,6 +122,13 @@ def receive(
         )
     noise = complex_normal(rng, (h.shape[0], x.shape[1]))
     return h @ x + np.sqrt(sigma2) * noise
+
+
+def projected(noise: np.ndarray, waveforms: np.ndarray) -> np.ndarray:
+    """N W^H of a batch of full-width noise (batch, L_C, L_T), as one
+    (batch L_C, L_T) x (L_T, M) product: the sufficient statistic the detector reads."""
+    batch, l_c, l_t = noise.shape
+    return (noise.reshape(-1, l_t) @ np.ascontiguousarray(waveforms.conj().T)).reshape(batch, l_c, -1)
 
 
 class DetectionResult(NamedTuple):

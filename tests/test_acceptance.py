@@ -30,7 +30,7 @@ from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import measure_gain, run_ber, snr_at_ber
-from oracles import codeword_matrices, distance_matrix, med_of_submatrix, member_matrices
+from oracles import codeword_matrices, distance_matrix, med_of_submatrix, member_matrices, projected
 
 PILOT_GRID = np.arange(-20.0, 8.1, 2.0)
 PILOT_PULSES = 2000
@@ -315,7 +315,8 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     # the chunk's terms, then the codebook's, then each noise level's metric,
     # in buffers the caller owns
     base, cross, metric_buf = np.empty((3, len(trials), mats.shape[0]))
-    codebook_terms(*channel_terms(h, noise, default_table.waveforms), ranks, cache, base, cross)
+    noise_w = projected(noise, default_table.waveforms)  # N W^H, as the draws hand it on
+    codebook_terms(*channel_terms(h, noise_w), ranks, cache, base, cross)
     for sigma in (0.6, 4.0):
         got = decide(base, cross, sigma, metric_buf)
         wrong = []

@@ -18,7 +18,7 @@ from imjrc.channel import (
     snr_to_sigma2,
     substream,
 )
-from oracles import codeword_matrices, receive
+from oracles import codeword_matrices, projected, receive
 
 
 class TestSubstreams:
@@ -54,21 +54,23 @@ BULK_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 3, 2**160 +
 BULK_TRIALS = [(0, 1), (2**32 - 1, 1), (2**32, 1), (2**40 + 7, 1), (2**32 - 3, 6), (2**64 - 2, 2)]
 
 
-def _substream_loop(seed, start, n_members, l_c, l_r, l_t, size):
-    """One chunk drawn trial by trial through ``substream``, the reference."""
+def _substream_loop(seed, start, n_members, l_c, l_r, waveforms, size):
+    """One chunk drawn trial by trial through ``substream``, the reference; its
+    full-width noise projected onto the waveforms in one product for the chunk."""
     trials = range(start, start + size)
+    l_t = waveforms.shape[1]
     ranks = np.array([substream(seed, TAG_BITS, t).integers(n_members) for t in trials])
     h = np.stack([draw_channel(l_c, l_r, substream(seed, TAG_CHANNEL, t)) for t in trials])
     noise = np.stack([complex_normal(substream(seed, TAG_NOISE, t), (l_c, l_t)) for t in trials])
-    return ranks, h, noise
+    return ranks, h, projected(noise, waveforms)
 
 
-def _bulk(seed, start, n_members, l_c, l_r, l_t, size):
+def _bulk(seed, start, n_members, l_c, l_r, waveforms, size):
     ranks = np.empty(size, dtype=np.int64)
     h = np.empty((size, l_c, l_r), dtype=complex)
-    noise = np.empty((size, l_c, l_t), dtype=complex)
-    draw_trials(seed, start, n_members, ranks, h, noise)
-    return ranks, h, noise
+    noise_w = np.empty((size, l_c, len(waveforms)), dtype=complex)
+    draw_trials(seed, start, n_members, waveforms, ranks, h, noise_w)
+    return ranks, h, noise_w
 
 
 class TestBulkSeeding:
@@ -98,29 +100,45 @@ class TestBulkSeeding:
 class TestDrawTrials:
     @pytest.mark.parametrize("seed", [1729, 2**64 + 5])
     @pytest.mark.parametrize("start,size", [(0, 300), (2**32 - 150, 300)])
-    def test_small_scenario_equals_substream_loop(self, small_params, small_derived, seed, start, size):
-        dims = (16, small_params.L_C, small_params.L_R, small_derived.L_T, size)
+    def test_small_scenario_equals_substream_loop(self, small_params, small_table, seed, start, size):
+        dims = (16, small_params.L_C, small_params.L_R, small_table.waveforms, size)
         got = _bulk(seed, start, *dims)
         want = _substream_loop(seed, start, *dims)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @pytest.mark.parametrize("start,size", [(0, 1024), (1024, 1000)])
-    def test_default_scenario_equals_substream_loop(self, default_params, default_derived, start, size):
-        n_members = 1 << default_derived.B
-        dims = (n_members, default_params.L_C, default_params.L_R, default_derived.L_T, size)
+    def test_default_scenario_equals_substream_loop(self, default_params, default_table, start, size):
+        n_members = 1 << default_table.derived.B
+        dims = (n_members, default_params.L_C, default_params.L_R, default_table.waveforms, size)
         seed = default_params.master_seed
         got = _bulk(seed, start, *dims)
         want = _substream_loop(seed, start, *dims)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    def test_rejects_unusable_buffers(self):
+    # chunks of one block, a block and one trial (a one-trial tail would be a
+    # one-row product at L_C = 1), and two blocks and one trial
+    @pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 129])
+    @pytest.mark.parametrize("l_c", [1, 4])
+    def test_blocks_project_as_one_product(self, default_params, default_table, l_c, size):
+        dims = (256, l_c, default_params.L_R, default_table.waveforms, size)
+        got = _bulk(2718, 77, *dims)
+        want = _substream_loop(2718, 77, *dims)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_rejects_unusable_buffers(self, small_table):
+        waveforms = small_table.waveforms  # M = 3
         ranks = np.empty(4, dtype=np.int64)
         h = np.empty((4, 2, 3), dtype=complex)
-        noise = np.empty((4, 2, 5), dtype=complex)
-        with pytest.raises(ValueError):
-            draw_trials(1, 0, 8, ranks, h[:3], noise)
-        with pytest.raises(ValueError):
-            draw_trials(1, 0, 8, ranks, h, noise[:, :, ::2])
+        noise_w = np.empty((4, 2, 6), dtype=complex)
+        draw_trials(1, 0, 8, waveforms, ranks, h, noise_w[:, :, ::2])  # any layout
+        for bad_h, bad_noise_w in (
+            (h[:3], noise_w[:, :, :3]),  # a trial short
+            (h, noise_w[:, :1, :3]),  # an antenna short
+            (h, noise_w[:, :, :4]),  # a carrier too many
+            (h[:, :, ::2], noise_w[:, :, :3]),  # h is drawn into in place
+        ):
+            with pytest.raises(ValueError):
+                draw_trials(1, 0, 8, waveforms, ranks, bad_h, bad_noise_w)
 
 
 class TestComplexNormal:

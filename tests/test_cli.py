@@ -635,8 +635,8 @@ class TestMainCommands:
 
     def test_refused_ber_run_writes_nothing(self, tmp_path, capsys, monkeypatch):
         # default scenario, 10 pulses: the table's 28,112 bytes fit a
-        # 40,000-byte budget, but the Monte Carlo's 10 x 3 x 256 floats
-        # (61,440 bytes) do not; the run stops before any file is written,
+        # 40,000-byte budget, but the Monte Carlo's 29,994 floats (239,952
+        # bytes) do not; the run stops before any file is written,
         # and, with or without a design channel, before any scheme is designed
         def design(*args, **kwargs):
             raise AssertionError("designed before the Monte Carlo budget was checked")

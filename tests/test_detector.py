@@ -6,7 +6,7 @@ import pytest
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
 from imjrc.crps import Scheme, build_scheme
 from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
-from oracles import codeword_matrices, detect, member_matrices
+from oracles import codeword_matrices, detect, member_matrices, projected
 
 
 def _brute_force(y, h, member_mats):
@@ -100,10 +100,11 @@ def _cache(table, member_ids, alpha=None):
 
 
 def _terms(h, ranks, noise, waveforms, cache):
-    """(base, cross) of one chunk: the chunk's terms, then the codebook's, into the
-    caller's (batch, n) buffers, as :func:`imjrc.sim.run_ber` forms them."""
+    """(base, cross) of one chunk: its noise projected onto the waveforms, the chunk's
+    terms, then the codebook's, into the caller's (batch, n) buffers, as
+    :func:`imjrc.sim.run_ber` forms them."""
     base, cross = np.empty((2, len(ranks), cache.carrier_map.shape[1]))
-    codebook_terms(*channel_terms(h, noise, waveforms), ranks, cache, base, cross)
+    codebook_terms(*channel_terms(h, projected(noise, waveforms)), ranks, cache, base, cross)
     return base, cross
 
 
@@ -235,10 +236,12 @@ class TestDetectBatch:
         cache = _cache(small_table, range(4))
         rng = np.random.default_rng(15)
         h = rng.standard_normal((5, 2, 4)) + 0j
-        noise = rng.standard_normal((4, 2, 13)) + 0j
+        noise_w = rng.standard_normal((4, 2, 3)) + 0j
         with pytest.raises(ValueError):
-            channel_terms(h, noise, small_table.waveforms)
-        hh, noise_spec = channel_terms(h[:4], noise, small_table.waveforms)
+            channel_terms(h, noise_w)
+        with pytest.raises(ValueError):
+            channel_terms(h[:4], noise_w[0])
+        hh, noise_spec = channel_terms(h[:4], noise_w)
         base, cross = np.empty((2, 4, 4))
         for ranks, buffers in (
             (np.zeros(5, dtype=np.int64), (base, cross)),  # a rank too many
@@ -257,7 +260,8 @@ class TestDetectBatch:
         for seed, size in ((17, 64), (18, 23)):
             ranks_tx, h, noise = _draw(seed, size, 16, 2, 4, 13)
             base, cross, metric = base_buf[:size], cross_buf[:size], metric_buf[:size]
-            codebook_terms(*channel_terms(h, noise, small_table.waveforms), ranks_tx, cache, base, cross)
+            noise_w = projected(noise, small_table.waveforms)
+            codebook_terms(*channel_terms(h, noise_w), ranks_tx, cache, base, cross)
             for sigma in (0.5, 2.0):
                 ranks = decide(base, cross, sigma, metric)
                 ys = h @ mats[ranks_tx] + sigma * noise

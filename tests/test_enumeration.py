@@ -187,6 +187,29 @@ def test_table_peak_is_its_estimate_when_every_carrier_is_active(m, k, l_r):
     assert peak <= 1.01 * need
 
 
+@pytest.mark.parametrize("t_p,l_t", [(1e-6, 71), (3e-5, 2_101), (1e-3, 70_001)])
+def test_waveform_phases_take_nothing_beside_the_table(t_p, l_t):
+    # the phases held an int64 np.arange(L_T) and ufunc cast buffers beside
+    # the (M, L_T) result: 2.0 times the estimate at L_T = 2,101 and 1.09
+    # times at 70,001.  Within 8 kB are the object headers and generator
+    # state no estimate counts
+    params = SystemParams(T_p=t_p, T_r=2 * t_p)
+    derived = derive(params)
+    assert derived.L_T == l_t
+    need = derived.C_total * params.L_R * 8 + params.M * l_t * 16
+    tracemalloc.start()
+    try:
+        table = build_table(params, derived)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 8 * 1024
+    # each entry's phase is still the product (2j pi m) t of one broadcast
+    phases = 2j * np.pi * np.arange(params.M)[:, None] * np.arange(l_t)
+    phases /= params.M
+    assert table.waveforms.tobytes() == np.exp(phases).tobytes()
+
+
 def test_table_csv_export(tmp_path, small_table):
     path = tmp_path / "table.csv"
     export_table_csv(small_table, str(path))

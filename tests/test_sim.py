@@ -24,7 +24,7 @@ from imjrc.channel import (
 from imjrc.crps import Scheme, build_scheme, build_schemes
 from imjrc.detector import channel_terms, codebook_terms
 from imjrc.enumeration import build_table
-from imjrc.params import derive
+from imjrc.params import SystemParams, derive
 from imjrc.sim import (
     EARLY_STOP_BIT_ERRORS,
     BerRecord,
@@ -271,9 +271,8 @@ class TestSharedDraws:
 
 class TestRunBer:
     def test_traced_peak_of_the_channel_aware_builds(self, channel_aware_builds):
-        # the working set is allocated once, with each chunk's noise in the
-        # detector buffers' memory; allocating the (chunk x n) terms per
-        # chunk and build peaked at 13.0 MiB
+        # the working set is allocated once; allocating the (chunk x n)
+        # terms per chunk and build peaked at 13.0 MiB
         run_ber(channel_aware_builds, CHANNEL_AWARE_GRID, 64)  # warm imports and caches
         tracemalloc.start()
         try:
@@ -282,6 +281,23 @@ class TestRunBer:
         finally:
             tracemalloc.stop()
         assert peak < 12.5 * 2**20
+
+    # the default 1 us pulse over two full chunks, and a 1 ms pulse (L_T =
+    # 70,001) at three pulses, where one block of draws, held at L_C x M per
+    # trial once projected, is most of the working set.  The one Gram cache
+    # is counted by no estimate; it is small beside a full default chunk.
+    @pytest.mark.parametrize("t_p,pulses", [(1e-6, 2048), (1e-3, 3)])
+    def test_traced_peak_is_within_the_estimate(self, t_p, pulses):
+        params = SystemParams(T_p=t_p, T_r=2 * t_p)
+        build = build_scheme(Scheme.BASELINE, build_table(params, derive(params)))
+        run_ber([build], [0.0], pulses)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            run_ber([build], [-4.0, 0.0], pulses)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * sim.buffer_floats(build.table, pulses)
 
     def test_noiseless_gives_zero_errors(self, small_baseline):
         records = run_ber([small_baseline], [math.inf], 200)
@@ -334,9 +350,9 @@ class TestRunBer:
         monkeypatch.setattr(sim, "CHUNK", 64)
         drawn = []
 
-        def counting_draw_trials(master_seed, start, n_members, ranks, h, noise):
+        def counting_draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w):
             drawn.extend(range(start, start + len(ranks)))
-            return draw_trials(master_seed, start, n_members, ranks, h, noise)
+            return draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w)
 
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
@@ -346,20 +362,22 @@ class TestRunBer:
         assert drawn == list(range(300))
 
     def test_refuses_buffers_over_the_budget_before_drawing(self, small_baseline, monkeypatch):
-        # small scenario, one chunk of 64: max(3 x 16 ranks, 2 x 2 x 13
-        # noise reals) = 52 floats a trial, 26,624 bytes
+        # small scenario (2^B = 16, L_C = 2, L_R = 4, M = 3, L_T = 13), one
+        # chunk of 64: 3 x 16 + 2 x 2 x (4 + 3) + 2 x 4 x (4 + 3 x 3) = 180
+        # floats a trial, and a block of 64 draws 2 x 13 x (3 x 64 x 2 + 3)
+        # = 10,062: 21,582 floats, 172,656 bytes
         drawn = []
 
-        def counting_draw_trials(master_seed, start, n_members, ranks, h, noise):
+        def counting_draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w):
             drawn.append(start)
-            return draw_trials(master_seed, start, n_members, ranks, h, noise)
+            return draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w)
 
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 64 * 52 - 1)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 21_582 - 1)
         with pytest.raises(ValueError, match=r"Monte Carlo buffers need about \d+\.\d GiB"):
             run_ber([small_baseline], [0.0], 64)
         assert drawn == []
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 64 * 52)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 21_582)
         assert run_ber([small_baseline], [0.0], 64)[0].pulses == 64
         assert drawn == [0]
 
