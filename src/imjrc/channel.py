@@ -13,7 +13,8 @@ into a ``SeedSequence`` pool; a port of its documented mixing, over uint32
 arrays, mixes in the trial words of the whole chunk at once, and numpy's
 own ``PCG64`` seeds each stream from the words that gives, as it would
 from the ``SeedSequence``.  The draws are the ones ``substream`` gives,
-bit for bit, with the noise N handed on as N W^H, all the detector reads.
+bit for bit, in new arrays, with the noise N handed on as N W^H, all the
+detector reads; :func:`draw_floats` counts what a chunk's draws take.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .enumeration import CodewordTable
 
 TAG_TPS = 1
 TAG_BITS = 2
@@ -46,8 +49,7 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
 
-# trials whose noise is drawn, combined into complex entries and projected
-# onto W^H per block, so the full-width noise never grows with the chunk
+# trials whose full-width noise is drawn, combined and projected onto W^H at once
 _DRAW_BLOCK = 64
 
 
@@ -112,42 +114,35 @@ class _SeedWords(ISeedSequence):
 
 
 def draw_trials(
-    master_seed: int,
-    start: int,
-    n_members: int,
-    waveforms: np.ndarray,
-    ranks: np.ndarray,
-    h: np.ndarray,
-    noise_w: np.ndarray,
-) -> None:
-    """Draw trials ``start .. start + len(ranks) - 1`` into the given buffers.
+    table: CodewordTable, start: int, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials ``start .. start + size - 1`` of ``table``'s scenario, as (ranks, h, noise_w).
 
-    Trial t fills ``ranks[i]``, ``h[i]`` (L_C x L_R) and ``noise_w[i]``
-    (L_C x M), i = t - start, with exactly what these give, W being the
-    (M, L_T) ``waveforms`` and the product as one (chunk L_C, L_T) matmul::
+    Trial t gives ``ranks[i]``, ``h[i]`` (L_C x L_R) and ``noise_w[i]``
+    (L_C x M), i = t - start, exactly as these do under the table's master seed,
+    W being its (M, L_T) waveforms and the product one (chunk L_C, L_T) matmul::
 
-        substream(master_seed, TAG_BITS, t).integers(n_members)
+        substream(master_seed, TAG_BITS, t).integers(2**B)
         draw_channel(L_C, L_R, substream(master_seed, TAG_CHANNEL, t))
         complex_normal(substream(master_seed, TAG_NOISE, t), (L_C, L_T)) @ W^H
 
-    The chunk's seed words are mixed in one pass.  A trial's channel normals
-    are drawn into the bytes of its slot of ``h``, which must be C-contiguous,
-    and a block's noise into one reused buffer, where it is combined and projected.
+    The chunk's seed words are mixed in one pass.  A trial's channel normals are
+    drawn into its ``h``, and a block's noise into one buffer, reused per block.
     """
-    size = len(ranks)
-    if h.shape[0] != size or noise_w.shape != (size, h.shape[1], len(waveforms)):
-        raise ValueError(f"buffers disagree: {size} ranks, h {h.shape}, noise_w {noise_w.shape}")
-    if not h.flags.c_contiguous:
-        raise ValueError("h must be C-contiguous")
-    raw_h = h.view(float).reshape(size, 2, *h.shape[1:])
-    raw_noise = np.empty((min(size, _DRAW_BLOCK + 1), 2, h.shape[1], waveforms.shape[1]))
-    w_adj = np.conjugate(waveforms.T, order="C")
-    seeds = _stream_seeds(master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start, size)
+    params, n_members, (m, l_t) = table.params, 1 << table.derived.B, table.waveforms.shape
+    l_c, l_r = params.L_C, params.L_R
+    ranks = np.empty(size, dtype=np.int64)
+    h, noise_w = np.empty((size, l_c, l_r), complex), np.empty((size, l_c, m), complex)
+    raw_h = h.view(float).reshape(size, 2, l_c, l_r)
+    seeds = _stream_seeds(params.master_seed, (TAG_BITS, TAG_CHANNEL, TAG_NOISE), start, size)
+    raw_noise = np.empty((min(size, _DRAW_BLOCK + 1), 2, l_c, l_t))
+    block_noise = np.empty((len(raw_noise), l_c, l_t), dtype=complex)
+    w_adj = np.conjugate(table.waveforms.T, order="C")
     # a one-trial tail joins the block before it: at L_C = 1 it would be a
     # one-row product, which BLAS rounds as gemv, not as a row of a gemm
     bounds = [*range(0, max(size - 1, 1), _DRAW_BLOCK), size]
     for s, e in zip(bounds, bounds[1:]):
-        raw = raw_noise[: e - s]
+        raw, noise = raw_noise[: e - s], block_noise[: e - s]
         for i in range(s, e):
             bits, channel, unit_noise = (
                 np.random.Generator(np.random.PCG64(_SeedWords(words))) for words in seeds[:, i]
@@ -157,8 +152,24 @@ def draw_trials(
             unit_noise.standard_normal(out=raw[i - s])
         # the right-hand side reads the block's raw normals before they are overwritten
         h[s:e] = (raw_h[s:e, 0] + 1j * raw_h[s:e, 1]) / np.sqrt(2.0)
-        noise = (raw[:, 0] + 1j * raw[:, 1]) / np.sqrt(2.0)
-        noise_w[s:e] = (noise.reshape(-1, noise.shape[-1]) @ w_adj).reshape(noise_w[s:e].shape)
+        # the ufuncs of (re + 1j * im) / sqrt(2) in turn, so the same bits, in one buffer
+        np.add(raw[:, 0], np.multiply(1j, raw[:, 1], out=noise), out=noise)
+        np.true_divide(noise, np.sqrt(2.0), out=noise)
+        np.matmul(noise.reshape(-1, l_t), w_adj, out=noise_w[s:e].reshape(-1, m))
+    return ranks, h, noise_w
+
+
+def draw_floats(table: CodewordTable, size: int) -> int:
+    """Floats :func:`draw_trials` allocates at most for ``size`` trials of ``table``: per
+    trial its rank, H, N W^H, and 60 floats of seed mixing (three tags' uint64 words,
+    held twice, their uint32 halves and pool words, and the trial's hashed words); per
+    trial of a block (at most ``_DRAW_BLOCK + 1``) its raw and combined noise and its
+    channel's two complex temporaries; W^H; the complex buffer of ``np.getbufsize()``
+    entries numpy casts raw normals through; and 16 KiB of seed pools and objects."""
+    params, (m, l_t) = table.params, table.waveforms.shape
+    l_c, block = params.L_C, min(size, _DRAW_BLOCK + 1)
+    trials = size * (61 + 2 * l_c * (params.L_R + m)) + block * 4 * l_c * (l_t + params.L_R)
+    return trials + 2 * (m * l_t + np.getbufsize()) + 2048
 
 
 def complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

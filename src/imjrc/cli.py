@@ -19,7 +19,6 @@ import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
@@ -181,7 +180,7 @@ def estimate_complexity(
     ``im_codebook`` covers codeword synthesis, greedy elimination of Q
     codewords, and N detections over the pruned set; ``im_crps`` covers
     synthesis, scoring D pre-scaling candidates over the full set, and N
-    detections over the full set.  Exact rational arithmetic, returned as
+    detections over the full set.  Exact integer arithmetic, returned as
     floats.
     """
     if n_pulses < 1:
@@ -194,22 +193,14 @@ def estimate_complexity(
 
     # sum over the Q steps i of (c - i + 1)(c - i), by sum_{k < N} k (k + 1) = (N - 1) N (N + 1) / 3
     prune_pairs = ((c - 1) * c * (c + 1) - (c - q - 1) * (c - q) * (c - q + 1)) // 3
-    codebook_ops = (
-        Fraction(synthesis)
-        + Fraction(3 * l_r * l_t + 1, 2) * prune_pairs
-        + Fraction(detect_per_codeword * (c - q) * n)
-    )
-
-    crps_score = Fraction(l_r**2 * l_t) + Fraction((3 * l_r * l_t + 1) * (c - 1), 2)
-    crps_ops = (
-        Fraction(synthesis)
-        + (crps_score * c + 1) * params.D
-        + Fraction(detect_per_codeword * c * n)
-    )
-
+    # each count is formed twice over, so its half terms are integers; int / int rounds once
+    codebook_twice = 2 * (synthesis + detect_per_codeword * (c - q) * n)
+    codebook_twice += (3 * l_r * l_t + 1) * prune_pairs
+    score_twice = 2 * l_r**2 * l_t + (3 * l_r * l_t + 1) * (c - 1)
+    crps_twice = 2 * (synthesis + detect_per_codeword * c * n) + (score_twice * c + 2) * params.D
     return (
-        ComplexityEstimate(label="im_codebook", operations=float(codebook_ops)),
-        ComplexityEstimate(label="im_crps", operations=float(crps_ops)),
+        ComplexityEstimate(label="im_codebook", operations=codebook_twice / 2),
+        ComplexityEstimate(label="im_crps", operations=crps_twice / 2),
     )
 
 

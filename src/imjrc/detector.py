@@ -61,14 +61,14 @@ def gram_cache(coef: np.ndarray, carriers: np.ndarray, waveforms: np.ndarray) ->
 
     Antenna row l of member r is ``coef[l] * waveforms[carriers[r, l]]``,
     ``waveforms`` (M x L_T).  Member spectra are ``coef[l] G[c_rl, :]`` and
-    row Grams ``coef[l] conj(coef[q]) G[c_rl, c_rq]``, with G = W W^H.
+    row Grams ``coef[l] conj(coef[q]) G[c_rl, c_rq]``, with G = W W^H (one W^H copy).
     """
     carriers = np.asarray(carriers)
     if carriers.ndim != 2 or coef.shape != carriers.shape[1:]:
         raise ValueError(f"expected (n, {coef.size}) carrier indices, got shape {carriers.shape}")
     n, l_r = carriers.shape
     m = waveforms.shape[0]
-    g = waveforms @ np.ascontiguousarray(waveforms.conj().T)
+    g = waveforms @ np.conjugate(waveforms.T, order="C")
     row_gram = np.outer(coef, coef.conj()) * g[carriers[:, :, None], carriers[:, None, :]]
     cmap = np.zeros((l_r * m, n), dtype=complex)
     cmap[np.arange(l_r) * m + carriers, np.arange(n)[:, None]] = coef.conj()

@@ -1,11 +1,15 @@
 """ML detector tests: exactness, tie-breaks, oracle agreement, batch audit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from imjrc.channel import TAG_BITS, TAG_CHANNEL, TAG_NOISE, complex_normal, draw_channel, substream
 from imjrc.crps import Scheme, build_scheme
 from imjrc.detector import channel_terms, codebook_terms, decide, gram_cache
+from imjrc.enumeration import build_table
+from imjrc.params import SystemParams, derive
 from oracles import codeword_matrices, detect, member_matrices, projected
 
 
@@ -91,6 +95,22 @@ class TestDetect:
             detect(good_y[:, :-1], good_h, mats)
         with pytest.raises(ValueError):
             detect(good_y, good_h, mats[0])
+
+
+def test_gram_cache_holds_one_copy_of_the_waveforms():
+    # a 1 ms pulse (L_T = 70,001): W^H is formed once, beside the waveforms,
+    # and the maps are formed after it is freed
+    params = SystemParams(T_p=1e-3, T_r=2e-3)
+    table = build_table(params, derive(params))
+    _cache(table, range(256))  # warm imports and caches
+    tracemalloc.start()
+    try:
+        cache = _cache(table, range(256))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    maps = sum(a.nbytes for a in cache)
+    assert table.waveforms.nbytes < peak <= table.waveforms.nbytes + maps
 
 
 def _cache(table, member_ids, alpha=None):

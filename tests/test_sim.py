@@ -284,8 +284,8 @@ class TestRunBer:
 
     # the default 1 us pulse over two full chunks, and a 1 ms pulse (L_T =
     # 70,001) at three pulses, where one block of draws, held at L_C x M per
-    # trial once projected, is most of the working set.  The one Gram cache
-    # is counted by no estimate; it is small beside a full default chunk.
+    # trial once projected, is most of the working set, with the one build's
+    # Gram cache.
     @pytest.mark.parametrize("t_p,pulses", [(1e-6, 2048), (1e-3, 3)])
     def test_traced_peak_is_within_the_estimate(self, t_p, pulses):
         params = SystemParams(T_p=t_p, T_r=2 * t_p)
@@ -350,9 +350,9 @@ class TestRunBer:
         monkeypatch.setattr(sim, "CHUNK", 64)
         drawn = []
 
-        def counting_draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w):
-            drawn.extend(range(start, start + len(ranks)))
-            return draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w)
+        def counting_draw_trials(table, start, size):
+            drawn.extend(range(start, start + size))
+            return draw_trials(table, start, size)
 
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
         builds = [small_baseline, build_scheme(Scheme.CODEBOOK_ONLY, small_table)]
@@ -363,21 +363,23 @@ class TestRunBer:
 
     def test_refuses_buffers_over_the_budget_before_drawing(self, small_baseline, monkeypatch):
         # small scenario (2^B = 16, L_C = 2, L_R = 4, M = 3, L_T = 13), one
-        # chunk of 64: 3 x 16 + 2 x 2 x (4 + 3) + 2 x 4 x (4 + 3 x 3) = 180
-        # floats a trial, and a block of 64 draws 2 x 13 x (3 x 64 x 2 + 3)
-        # = 10,062: 21,582 floats, 172,656 bytes
+        # chunk of 64: 3 x 16 + 2 x 4 x (4 + 3 x 3) = 152 detector floats a
+        # trial, a Gram cache of 16 x 2 x 4 x (4 + 2 x 3) = 1,280, and draws
+        # of 61 + 2 x 2 x (4 + 3) = 89 floats a trial, a block of 64 at
+        # 4 x 2 x (13 + 4) = 136 a trial, W^H and the cast buffer
+        # 2 x (3 x 13 + 8,192) = 16,462, and 2,048: 43,918 floats
         drawn = []
 
-        def counting_draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w):
+        def counting_draw_trials(table, start, size):
             drawn.append(start)
-            return draw_trials(master_seed, start, n_members, waveforms, ranks, h, noise_w)
+            return draw_trials(table, start, size)
 
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 21_582 - 1)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_918 - 1)
         with pytest.raises(ValueError, match=r"Monte Carlo buffers need about \d+\.\d GiB"):
             run_ber([small_baseline], [0.0], 64)
         assert drawn == []
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 21_582)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_918)
         assert run_ber([small_baseline], [0.0], 64)[0].pulses == 64
         assert drawn == [0]
 
