@@ -9,9 +9,9 @@ bit for bit.
 
 :func:`draw_trials` draws a chunk of per-pulse streams without building a
 ``SeedSequence`` per stream.  numpy mixes the master seed and each tag
-into a ``SeedSequence`` pool; a port of its documented mixing, over uint32
-arrays, mixes in the trial words of the whole chunk at once, and numpy's
-own ``PCG64`` seeds each stream from the words that gives, as it would
+into a ``SeedSequence`` pool; a port of its mixing and ``generate_state``,
+in numpy's order over uint32 arrays, mixes in a chunk's trial words and
+hashes out each stream's seed words, which numpy's own ``PCG64`` takes as
 from the ``SeedSequence``.  The draws are the ones ``substream`` gives,
 bit for bit, in new arrays, with the noise N handed on as N W^H, all the
 detector reads; :func:`draw_floats` counts what a chunk's draws take.
@@ -53,49 +53,48 @@ _MASK32 = 0xFFFFFFFF
 _DRAW_BLOCK = 64
 
 
-def _hashmix(values: list[np.ndarray], const: int, mult: int) -> list[np.ndarray]:
-    """SeedSequence's ``hashmix`` of each of ``values`` in turn, from running constant ``const``."""
-    hashed = []
-    for value in values:
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        hashed.append(value ^ (value >> _XSHIFT))
-    return hashed
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
 def _stream_seeds(master_seed: int, tags: Sequence[int], start: int, size: int) -> np.ndarray:
     """PCG64 seed words of ``substream(master_seed, tag, trial)``, (tags, trials, 4) uint64.
 
     Covers trials ``start .. start + size - 1``; each stream's four words
     are one C-contiguous row.  numpy mixes the master seed and the tag into
     each tag's pool (``SeedSequence(master_seed, spawn_key=(tag,)).pool``);
-    this goes on from there as ``SeedSequence`` would, mixing in each
-    trial's low uint32 word and, for a trial at or above 2^32, its high
-    word, then hashing the pool out into the words ``PCG64`` asks for.
+    this goes on from there with ``SeedSequence``'s own two loops, in numpy's
+    order, over one (tags, 4, trials) pool updated in place: each trial word
+    is hashed and mixed into every pool word in turn, then the pool is hashed
+    out into the eight uint32 words ``generate_state`` reads as four uint64.
     """
     if start < 0 or start + size > 1 << 64:
         raise ValueError(f"trials {start} .. {start + size - 1} lie outside 0 .. 2**64 - 1")
-    pools = np.array([np.random.SeedSequence(master_seed, spawn_key=(tag,)).pool for tag in tags])
+    pools = [np.random.SeedSequence(master_seed, spawn_key=(tag,)).pool for tag in tags]
+    pool = np.repeat(np.array(pools)[:, :, None], size, axis=2)
     # numpy's hashmix calls so far: 4 to fill the pool from the run words
     # (padded to 4), 12 to cross-mix it, 4 per run word beyond it, 4 for the tag
     run_words = max(_POOL_SIZE, -(-int(master_seed).bit_length() // 32))
     const = _INIT_A * pow(_MULT_A, 20 + 4 * (run_words - _POOL_SIZE), 1 << 32) & _MASK32
     trials = np.arange(size, dtype=np.uint64) + np.uint64(start)
-    low = (trials & np.uint64(_MASK32)).astype(np.uint32)
-    high = (trials >> np.uint64(32)).astype(np.uint32)
-    # each word is mixed into every pool word; a trial below 2^32 has no high word
-    hashed = _hashmix([low] * _POOL_SIZE + [high] * _POOL_SIZE, const, _MULT_A)
-    pool = [_mix(pools[:, dst, None], hashed[dst]) for dst in range(_POOL_SIZE)]
-    pool = [np.where(high != 0, _mix(w, hashed[_POOL_SIZE + dst]), w) for dst, w in enumerate(pool)]
-    words = _hashmix([pool[i % _POOL_SIZE] for i in range(2 * _POOL_SIZE)], _INIT_B, _MULT_B)
-    words = [w.astype(np.uint64) for w in words]
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])], axis=-1)
+    # a trial's low word (the uint32 cast), then its high word, which only trials from 2^32 have
+    high_from = min(max((1 << 32) - start, 0), size)
+    words = (0, trials.astype(np.uint32)), (high_from, (trials[high_from:] >> 32).astype(np.uint32))
+    for first, word in words:
+        for dst in range(_POOL_SIZE):
+            hashed = word ^ np.uint32(const)
+            const = const * _MULT_A & _MASK32
+            hashed *= np.uint32(const)
+            hashed ^= hashed >> _XSHIFT
+            mixed = pool[:, dst, first:]
+            np.subtract(_MIX_MULT_L * mixed, _MIX_MULT_R * hashed, out=mixed)
+            mixed ^= mixed >> _XSHIFT
+    del trials, words, word, hashed, mixed  # only the pool is read from here on
+    state, const = np.empty((len(tags), size, 2 * _POOL_SIZE), dtype=np.uint32), _INIT_B
+    for dst in range(2 * _POOL_SIZE):
+        hashed = pool[:, dst % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        hashed *= np.uint32(const)
+        hashed ^= hashed >> _XSHIFT
+        state[:, :, dst] = hashed
+    del pool, hashed  # generate_state's last line follows, one copy on a little-endian machine
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
 class _SeedWords(ISeedSequence):
@@ -161,14 +160,14 @@ def draw_trials(
 
 def draw_floats(table: CodewordTable, size: int) -> int:
     """Floats :func:`draw_trials` allocates at most for ``size`` trials of ``table``: per
-    trial its rank, H, N W^H, and 60 floats of seed mixing (three tags' uint64 words,
-    held twice, their uint32 halves and pool words, and the trial's hashed words); per
-    trial of a block (at most ``_DRAW_BLOCK + 1``) its raw and combined noise and its
-    channel's two complex temporaries; W^H; the complex buffer of ``np.getbufsize()``
-    entries numpy casts raw normals through; and 16 KiB of seed pools and objects."""
+    trial its rank, H, N W^H, and 26 floats of seed words (at most 24 held: three streams'
+    uint32 state words and the uint64 words read from them); per trial of a block (at most
+    ``_DRAW_BLOCK + 1``) its raw and combined noise and its channel's two complex
+    temporaries; W^H; the complex buffer of ``np.getbufsize()`` entries numpy casts raw
+    normals through; and 2,048 floats of seed pools, per-trial generators and headers."""
     params, (m, l_t) = table.params, table.waveforms.shape
     l_c, block = params.L_C, min(size, _DRAW_BLOCK + 1)
-    trials = size * (61 + 2 * l_c * (params.L_R + m)) + block * 4 * l_c * (l_t + params.L_R)
+    trials = size * (27 + 2 * l_c * (params.L_R + m)) + block * 4 * l_c * (l_t + params.L_R)
     return trials + 2 * (m * l_t + np.getbufsize()) + 2048
 
 

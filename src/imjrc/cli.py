@@ -237,7 +237,7 @@ def execute_run(config: RunConfig) -> RunResult:
     """
     t0 = time.perf_counter()
     table, design_channel = _design_inputs(config)
-    buffer_floats(table, config.effective_pulses())  # refused before any design
+    buffer_floats(table, config.effective_pulses())  # refused before any design, at one codebook
     builds: dict[str, SchemeBuild] = {}
     shared_codebooks: dict[str, str] = {}
     # every scheme scores one candidate pool, so (member ids, factor index)

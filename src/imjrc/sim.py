@@ -72,16 +72,16 @@ def binomial_halfwidth(ber: float, n_bits: int) -> float:
     return 1.96 * math.sqrt(ber * (1.0 - ber) / n_bits)
 
 
-def buffer_floats(table: CodewordTable, n_pulses: int) -> int:
-    """Floats of the working set :func:`run_ber` allocates for ``n_pulses`` on ``table``,
-    refused over the design budget: per trial of a chunk, three detector rows, H^H H,
-    H^H N W^H, and one codebook's H^H H X_s W^H and the X_s W^H it gathers; one Gram
-    cache, 2 L_R (L_R + 2M) a member (each further distinct codebook, known only after
-    design, adds its own); and the chunk's draws (:func:`~imjrc.channel.draw_floats`)."""
+def buffer_floats(table: CodewordTable, n_pulses: int, codebooks: int = 1) -> int:
+    """Floats of the working set :func:`run_ber` allocates for ``n_pulses`` of ``codebooks``
+    on ``table``, refused over the design budget: per trial of a chunk, three detector rows,
+    H^H H, H^H N W^H, and one codebook's H^H H X_s W^H and the X_s W^H it gathers; a Gram
+    cache per codebook, 2 L_R (L_R + 2M) a member; and the chunk's draws
+    (:func:`~imjrc.channel.draw_floats`)."""
     params, derived = table.params, table.derived
     l_r, m = params.L_R, params.M
     width, n = min(CHUNK, n_pulses), 1 << derived.B
-    floats = width * (3 * n + 2 * l_r * (l_r + 3 * m)) + n * 2 * l_r * (l_r + 2 * m)
+    floats = width * (3 * n + 2 * l_r * (l_r + 3 * m)) + codebooks * n * 2 * l_r * (l_r + 2 * m)
     floats += draw_floats(table, width)
     sizes = f"chunk={width}, 2^B={n}, L_C={params.L_C}, L_T={derived.L_T}"
     check_budget(8 * floats, "Monte Carlo buffers need", sizes)
@@ -110,9 +110,10 @@ def run_ber(
     table's master seed and the trial index, so without early stop the
     records do not depend on where chunks fall.  Every build must come
     from one codeword table, whose 2^B ranks the draws pick from.  The
-    run's buffers must fit the design budget (:func:`buffer_floats`) before
-    anything is drawn.  If ``timings`` is given, the wall seconds of
-    :func:`~imjrc.channel.draw_trials`, draws and projection, go under ``draw_s``.
+    run's buffers, with a Gram cache per build, must fit the design budget
+    (:func:`buffer_floats`) before anything is drawn.  If ``timings`` is given,
+    the wall seconds of :func:`~imjrc.channel.draw_trials`, draws and
+    projection, go under ``draw_s``.
     """
     if not builds:
         raise ValueError("no builds to simulate")
@@ -124,7 +125,7 @@ def run_ber(
     if any(build.table is not table for build in builds):
         raise ValueError("builds must share one codeword table to share draws")
     derived = table.derived
-    buffer_floats(table, n_pulses)  # refused before anything is drawn
+    buffer_floats(table, n_pulses, len(builds))  # refused before anything is drawn
     width, n = min(CHUNK, n_pulses), 1 << derived.B
     waveforms, carriers = table.waveforms, table.carriers
     caches = [

@@ -102,6 +102,23 @@ class TestBulkSeeding:
         with pytest.raises(ValueError, match=r"0 \.\. 2\*\*64 - 1"):
             channel._stream_seeds(1729, (TAG_BITS,), start, size)
 
+    # one trial, a block and one trial, a chunk, four chunks, and four chunks
+    # of which half lie below 2^32 and half have a high word
+    @pytest.mark.parametrize(
+        "start,size", [(0, 1), (0, 65), (0, 300), (0, 1024), (0, 4096), (2**32 - 2048, 4096)]
+    )
+    def test_traced_peak_is_within_208_bytes_a_trial(self, start, size):
+        # three streams' uint32 state words beside the uint64 words read from them
+        tags = (TAG_BITS, TAG_CHANNEL, TAG_NOISE)
+        channel._stream_seeds(1729, tags, start, size)  # warm imports and caches
+        tracemalloc.start()
+        try:
+            seeds = channel._stream_seeds(1729, tags, start, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seeds.nbytes < peak <= 208 * size + 4096
+
 
 class TestDrawTrials:
     @pytest.mark.parametrize("seed", [1729, 2**64 + 5])
@@ -128,9 +145,10 @@ class TestDrawTrials:
         want = _substream_loop(table, 77, size)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
-    # the default 1 us pulse over a full chunk, and a 1 ms pulse (L_T = 70,001)
-    # at three trials, where one block of noise is nearly all of it
-    @pytest.mark.parametrize("t_p,size", [(1e-6, 1024), (1e-3, 3)])
+    # the default 1 us pulse over a full chunk, a 30 us pulse (L_T = 2,101)
+    # over one, and a 1 ms pulse (L_T = 70,001) at three trials, where one
+    # block of noise is nearly all of it
+    @pytest.mark.parametrize("t_p,size", [(1e-6, 1024), (3e-5, 1024), (1e-3, 3)])
     def test_traced_peak_is_within_the_estimate(self, t_p, size):
         params = SystemParams(T_p=t_p, T_r=2 * t_p)
         table = build_table(params, derive(params))

@@ -284,20 +284,23 @@ class TestRunBer:
 
     # the default 1 us pulse over two full chunks, and a 1 ms pulse (L_T =
     # 70,001) at three pulses, where one block of draws, held at L_C x M per
-    # trial once projected, is most of the working set, with the one build's
-    # Gram cache.
+    # trial once projected, is most of the working set; with one build and
+    # with two distinct ones, each holding its Gram cache
     @pytest.mark.parametrize("t_p,pulses", [(1e-6, 2048), (1e-3, 3)])
     def test_traced_peak_is_within_the_estimate(self, t_p, pulses):
         params = SystemParams(T_p=t_p, T_r=2 * t_p)
-        build = build_scheme(Scheme.BASELINE, build_table(params, derive(params)))
-        run_ber([build], [0.0], pulses)  # warm imports and caches
-        tracemalloc.start()
-        try:
-            run_ber([build], [-4.0, 0.0], pulses)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * sim.buffer_floats(build.table, pulses)
+        table = build_table(params, derive(params))
+        builds = build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], table)
+        assert builds[0].codebook.member_ids != builds[1].codebook.member_ids
+        for held in (builds[:1], builds):
+            run_ber(held, [0.0], pulses)  # warm imports and caches
+            tracemalloc.start()
+            try:
+                run_ber(held, [-4.0, 0.0], pulses)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * sim.buffer_floats(table, pulses, len(held))
 
     def test_noiseless_gives_zero_errors(self, small_baseline):
         records = run_ber([small_baseline], [math.inf], 200)
@@ -361,13 +364,17 @@ class TestRunBer:
         assert [r.pulses for r in records] == [300] * 22
         assert drawn == list(range(300))
 
-    def test_refuses_buffers_over_the_budget_before_drawing(self, small_baseline, monkeypatch):
+    def test_refuses_buffers_over_the_budget_before_drawing(
+        self, small_baseline, small_table, monkeypatch
+    ):
         # small scenario (2^B = 16, L_C = 2, L_R = 4, M = 3, L_T = 13), one
         # chunk of 64: 3 x 16 + 2 x 4 x (4 + 3 x 3) = 152 detector floats a
-        # trial, a Gram cache of 16 x 2 x 4 x (4 + 2 x 3) = 1,280, and draws
-        # of 61 + 2 x 2 x (4 + 3) = 89 floats a trial, a block of 64 at
-        # 4 x 2 x (13 + 4) = 136 a trial, W^H and the cast buffer
-        # 2 x (3 x 13 + 8,192) = 16,462, and 2,048: 43,918 floats
+        # trial (9,728), a Gram cache of 16 x 2 x 4 x (4 + 2 x 3) = 1,280, and
+        # draws of 27 + 2 x 2 x (4 + 3) = 55 floats a trial (3,520), a block of
+        # 64 at 4 x 2 x (13 + 4) = 136 a trial (8,704), W^H and the cast
+        # buffer 2 x (3 x 13 + 8,192) = 16,462, and 2,048: 41,742 floats
+        pruned = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
+        assert pruned.codebook.member_ids != small_baseline.codebook.member_ids
         drawn = []
 
         def counting_draw_trials(table, start, size):
@@ -375,13 +382,21 @@ class TestRunBer:
             return draw_trials(table, start, size)
 
         monkeypatch.setattr(sim, "draw_trials", counting_draw_trials)
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_918 - 1)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 41_742 - 1)
         with pytest.raises(ValueError, match=r"Monte Carlo buffers need about \d+\.\d GiB"):
             run_ber([small_baseline], [0.0], 64)
         assert drawn == []
-        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_918)
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 41_742)
         assert run_ber([small_baseline], [0.0], 64)[0].pulses == 64
         assert drawn == [0]
+        # a second distinct codebook holds a second Gram cache: 43,022 floats
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_022 - 1)
+        with pytest.raises(ValueError, match=r"Monte Carlo buffers need about \d+\.\d GiB"):
+            run_ber([small_baseline, pruned], [0.0], 64)
+        assert drawn == [0]
+        monkeypatch.setattr(enumeration, "DESIGN_BUDGET_BYTES", 8 * 43_022)
+        assert [r.pulses for r in run_ber([small_baseline, pruned], [0.0], 64)] == [64, 64]
+        assert drawn == [0, 0]
 
     def test_the_tables_master_seed_keys_the_draws(self, small_baseline):
         a = run_ber([small_baseline], [0.0], 300)
