@@ -400,10 +400,8 @@ def pair_classes(carriers: np.ndarray, waveforms: np.ndarray) -> PairClasses:
     return PairClasses(table=table.reshape(m * m, m * m), rows=rows, index=index)
 
 
-def greedy_prune(
-    dist: np.ndarray, target: int, values: np.ndarray | None = None
-) -> tuple[Codebook, np.ndarray]:
-    """Eliminate codewords one at a time until ``target`` remain.
+def greedy_prune(work: np.ndarray, target: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """Eliminate codewords of ``work`` one at a time, in place, until ``target`` remain.
 
     Each step finds the closest surviving pair, then removes the endpoint
     whose second-smallest distance to the rest (partner excluded) is
@@ -411,40 +409,40 @@ def greedy_prune(
     tie removes the larger global index.  MED ties pick the
     lexicographically smallest pair.
 
-    ``dist`` is a distance matrix or, with ``values``, a rank matrix of
-    :func:`_ranked`, whose distances are ``values[dist]``.  Only order and
-    ties decide a step, and ranks keep both, so the two give the same
-    codebook.  Distances are finite.  A removed or diagonal entry holds inf
-    in a float matrix and the largest value of its type, unused by any rank,
-    in a rank matrix.
+    ``work`` is a distance matrix or a rank matrix of :func:`_ranked`; only
+    order and ties decide a step, and ranks keep both, so the two give the
+    same survivors.  Distances are finite.  ``work`` is pruned in place: its
+    diagonal and each removed codeword's column take the sentinel (inf in a
+    float matrix, the largest value of its type, unused by any rank, in a
+    rank matrix), and every other entry keeps its value.
 
     The closest pair comes from cached row minima instead of a scan of the
     whole matrix.  ``rowmin[r]`` and ``rowarg[r]`` are the minimum of row r
-    of the working matrix and its first column, as of the last time row r
-    was scanned.  Removing a codeword only excludes entries, so a cached
-    minimum stays a lower bound of its row's, and it is exact while its
-    ``rowarg`` survives: then ``rowarg`` is still the row's first column
-    holding it.  Each step takes the first row of least bound, and scans it
-    again only if its ``rowarg`` was removed, until that row's ``rowarg``
-    survives.  That row holds the global minimum, as its exact minimum is
-    the least bound, and every row before it has a strictly larger bound,
-    so none holds the minimum; ``rowarg`` is its first column holding it.
-    That is the pair a row-major ``argmin`` over the whole matrix returns.
+    and its first column, as of the last time row r was scanned.  Removing
+    a codeword only excludes entries, so a cached minimum stays a lower
+    bound of its row's, and it is exact while its ``rowarg`` survives: then
+    ``rowarg`` is still the row's first column holding it.  Each step takes
+    the first row of least bound, and scans it again only if its ``rowarg``
+    was removed, until that row's ``rowarg`` survives.  That row holds the
+    global minimum, as its exact minimum is the least bound, and every row
+    before it has a strictly larger bound, so none holds the minimum;
+    ``rowarg`` is its first column holding it.  That is the pair a
+    row-major ``argmin`` over the survivors returns.  A removed codeword's
+    bound is the sentinel, above every survivor's: its row is not read again.
 
-    Returns the codebook, labelled "pruned", and the MED trajectory, in
-    distances: entry 0 is the MED of the full set, entry q the MED after q
-    eliminations.  The trajectory is non-decreasing because removing a
-    codeword never shrinks any surviving pair's distance.
+    Returns the survivors, increasing global indices, and the MED trajectory
+    in ``work``'s units, distances or ranks: entry q is the MED after q
+    eliminations.  It is non-decreasing, as removing a codeword never
+    shrinks any surviving pair's distance.
     """
-    n = dist.shape[0]
-    if dist.shape != (n, n):
-        raise ValueError(f"distance matrix must be square, got {dist.shape}")
+    n = work.shape[0]
+    if work.shape != (n, n):
+        raise ValueError(f"distance matrix must be square, got {work.shape}")
     if target < 2:
         raise ValueError(f"target must be >= 2, got {target}")
     if target > n:
         raise ValueError(f"target {target} exceeds {n} available codewords")
 
-    work = dist.copy()
     far = np.iinfo(work.dtype).max if work.dtype.kind in "iu" else np.inf
     np.fill_diagonal(work, far)
     rowarg = work.argmin(axis=1)
@@ -474,14 +472,10 @@ def greedy_prune(
         # the more crowded endpoint goes; on a tie the larger index goes
         drop = i if second[0] < second[1] else j
         alive[drop] = False
-        work[drop, :] = far
         work[:, drop] = far
         rowmin[drop] = far
 
-    survivors = tuple(int(g) for g in np.flatnonzero(alive))
-    meds = meds.astype(float) if values is None else values[meds]
-    book = Codebook(member_ids=survivors, med=float(meds[-1]), provenance="pruned")
-    return book, meds
+    return tuple(int(g) for g in np.flatnonzero(alive)), meds
 
 
 def export_codebook_csv(book: Codebook, table: CodewordTable, path: str) -> None:

@@ -121,9 +121,8 @@ def design_bytes(n: int, params: SystemParams, channel: bool = False) -> int:
     """Estimated bytes of the largest live allocation of a design pass over n codewords.
 
     Both paths hold n x n arrays of small unsigned integers: the pairs'
-    codes and their pattern or class index, then a rank matrix and its
-    pruning copy, or the 2^B x 2^B copy the baseline MED is read from
-    (through a channel the class pass peaks at 7.5, 7.3 and
+    codes and their pattern or class index, then one rank matrix, pruned in
+    place (through a channel the class pass peaks at 7.5, 7.3 and
     9.7 bytes a pair under tracemalloc at n = 420, 720 and 1,960).  The
     estimate keeps three n x n arrays of 8-byte entries, a deliberate
     overestimate: lowering it changes which tables are admitted, and that
@@ -201,22 +200,27 @@ def build_schemes(
         def factor(alpha):
             return design_channel * table.coefficients(alpha)
 
+    def prune(ranks, values):
+        """Greedy pruning of ``ranks``, in place: the survivors and their MED."""
+        survivors, steps = greedy_prune(ranks, n_valid)
+        return survivors, float(values[steps[-1]])
+
     baseline_med = None
-    # greedy pruning of the table under each selected factor index
-    pruned: dict[int, Codebook] = {}
+    # survivors and MED of greedy pruning under each selected factor index
+    pruned = {}
     prune_unscaled = any(r.prune and r.crps != "before" for r in recipes)
     if prune_unscaled or Scheme.BASELINE in schemes:
-        dist, values = pairs.ranks(factor(None))
+        ranks, values = pairs.ranks(factor(None))
         if Scheme.BASELINE in schemes:
             # pruning's zero-step case: the MED of the first 2^B codewords
-            baseline_med = greedy_prune(dist[:n_valid, :n_valid], n_valid, values)[0].med
+            _, baseline_med = prune(ranks[:n_valid, :n_valid], values)
         if prune_unscaled:
-            pruned[0], _ = greedy_prune(dist, n_valid, values)
-        del dist
+            pruned[0] = prune(ranks, values)
+        del ranks
 
     # each member set a CRPS scheme selects its factor over, scored once
     sets = [
-        every_id if r.crps == "before" else pruned[0].member_ids if r.prune else baseline_ids
+        every_id if r.crps == "before" else pruned[0][0] if r.prune else baseline_ids
         for r in recipes
         if r.crps is not None
     ]
@@ -233,9 +237,8 @@ def build_schemes(
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
-                dist, values = pairs.ranks(factor(_alpha(tps)))
-                pruned[index], _ = greedy_prune(dist, n_valid, values)
-            member_ids, book_med = pruned[index].member_ids, pruned[index].med
+                pruned[index] = prune(*pairs.ranks(factor(_alpha(tps))))
+            member_ids, book_med = pruned[index]
         if recipe.crps == "after":
             tps, book_med = _best(candidates, scored[member_ids])
         builds.append(

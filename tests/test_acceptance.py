@@ -259,7 +259,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
 
     # (b) MED trajectory is non-decreasing across all Q eliminations
     dist = distance_matrix(codeword_matrices(default_table))
-    book, meds = greedy_prune(dist, 1 << default_derived.B)
+    _, meds = greedy_prune(dist, 1 << default_derived.B)
     if meds.shape != (default_derived.Q + 1,):
         failures.append(f"(b) trajectory length {meds.shape}")
     if not np.all(np.diff(meds) >= 0.0):
@@ -335,8 +335,8 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
 
     # (f) known toy elimination
     points = np.array([0.0, 1.0, 3.0, 6.0, 10.0, 15.0])
-    toy_book, _ = greedy_prune((points[:, None] - points[None, :]) ** 2, 4)
-    survivors = [points[i] for i in toy_book.member_ids]
+    toy_ids, _ = greedy_prune((points[:, None] - points[None, :]) ** 2, 4)
+    survivors = [points[i] for i in toy_ids]
     if survivors != [0.0, 6.0, 10.0, 15.0]:
         failures.append(f"(f) toy elimination kept {survivors}")
 

@@ -193,7 +193,7 @@ class TestPairPatterns:
         dist = _pattern_matrix(patterns, np.ones(l_r))
         assert all(dist[ij] == float(exact[ij]) for ij in np.ndindex(dist.shape))
         target = 1 << small_table.derived.B
-        assert greedy_prune(dist, target)[0].member_ids == greedy_prune(exact, target)[0].member_ids
+        assert greedy_prune(dist, target)[0] == greedy_prune(exact, target)[0]
 
     def test_pairs_with_equal_level_counts_are_bit_equal(self, default_table):
         # L_T = 71 = 1 (mod 7): one level, 140, so a distance is 140/6 times
@@ -510,25 +510,23 @@ class TestGreedyPrune:
         #   min pair (0,1), second-mins 9 vs 4 -> drop value 1
         #   min pair (0,3) [lex before (3,6), both 9], second-mins 36 vs 9 -> drop value 3
         points = [0.0, 1.0, 3.0, 6.0, 10.0, 15.0]
-        book, meds = greedy_prune(_points_to_dist(points), 4)
-        survivors = [points[i] for i in book.member_ids]
-        assert survivors == [0.0, 6.0, 10.0, 15.0]
+        survivors, meds = greedy_prune(_points_to_dist(points), 4)
+        assert [points[i] for i in survivors] == [0.0, 6.0, 10.0, 15.0]
         assert list(meds) == [1.0, 9.0, 16.0]
-        assert book.med == 16.0
 
     def test_second_min_tie_drops_larger_index(self):
         # both endpoints of the (0,1) pair see a second-minimum of 4
         points = [0.0, 1.0, 3.0, -2.0]
-        book, meds = greedy_prune(_points_to_dist(points), 3)
-        assert book.member_ids == (0, 2, 3)
+        survivors, meds = greedy_prune(_points_to_dist(points), 3)
+        assert survivors == (0, 2, 3)
         assert list(meds) == [1.0, 4.0]
 
     def test_trajectory_non_decreasing_random(self):
         rng = np.random.default_rng(21)
         pts = rng.standard_normal((14, 3))
         dist = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        book, meds = greedy_prune(dist, 5)
-        assert len(book.member_ids) == 5
+        survivors, meds = greedy_prune(dist, 5)
+        assert len(survivors) == 5
         assert len(meds) == 14 - 5 + 1
         assert np.all(np.diff(meds) >= 0.0)
 
@@ -538,32 +536,54 @@ class TestGreedyPrune:
         rng = np.random.default_rng(22)
         pts = rng.standard_normal((10, 3))
         dist = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        book, meds = greedy_prune(dist, 7)
+        _, meds = greedy_prune(dist.copy(), 7)
         best = 0.0
         for subset in itertools.combinations(range(10), 7):
             value, _ = med_of_submatrix(dist, subset)
             best = max(best, value)
-        assert meds[0] <= book.med <= best + 1e-12
+        assert meds[0] <= meds[-1] <= best + 1e-12
 
     def test_target_equal_to_size_keeps_everything(self):
         dist = _points_to_dist([0.0, 2.0, 5.0])
-        book, meds = greedy_prune(dist, 3)
-        assert book.member_ids == (0, 1, 2)
+        survivors, meds = greedy_prune(dist, 3)
+        assert survivors == (0, 1, 2)
         assert list(meds) == [4.0]
 
     def test_small_scenario_counts(self, small_table, small_derived):
         dist = distance_matrix(codeword_matrices(small_table))
-        book, meds = greedy_prune(dist, 1 << small_derived.B)
-        assert len(book.member_ids) == 16
+        survivors, meds = greedy_prune(dist.copy(), 1 << small_derived.B)
+        assert len(survivors) == 16
         assert meds.shape == (small_derived.Q + 1,)
         assert np.all(np.diff(meds) >= 0.0)
-        value, _ = med_of_submatrix(dist, book.member_ids)
-        assert book.med == pytest.approx(value, rel=1e-12)
+        value, _ = med_of_submatrix(dist, survivors)
+        assert meds[-1] == pytest.approx(value, rel=1e-12)
 
-    def test_provenance_recorded(self):
-        dist = _points_to_dist([0.0, 1.0, 3.0])
-        book, _ = greedy_prune(dist, 2)
-        assert book.provenance == "pruned"
+    def test_prunes_in_place(self):
+        # the diagonal and the removed codeword's column take the sentinel;
+        # every other entry, the removed codeword's row included, is kept
+        points = [0.0, 1.0, 3.0, 6.0]
+        dist = _points_to_dist(points)
+        work = dist.copy()
+        assert greedy_prune(work, 3)[0] == (0, 2, 3)
+        expect = dist.copy()
+        np.fill_diagonal(expect, np.inf)
+        expect[:, 1] = np.inf
+        assert np.array_equal(work, expect)
+
+    def test_traced_peak_is_a_fraction_of_the_matrix(self, design_large_table):
+        # the n x n rank matrix is pruned where it lies: no copy of it, or
+        # of any large part of it, is made
+        patterns = pair_patterns(design_large_table.carriers, 8, design_large_table.derived.L_T)
+        rank, _ = patterns.ranks(np.ones(8))
+        n = len(rank)
+        assert n >= 1000 and rank.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            greedy_prune(rank, 1 << design_large_table.derived.B)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 8
 
     @pytest.mark.parametrize(
         "dist,target",
@@ -593,11 +613,10 @@ class TestGreedyMatchesDenseArgmin:
     """greedy_prune's cached row minima pick the pairs a dense argmin picks."""
 
     def _assert_same(self, dist, target):
-        book, meds = greedy_prune(dist, target)
+        survivors, meds = greedy_prune(dist.copy(), target)
         ids, ref_meds = _dense_greedy_prune(dist, target)
-        assert book.member_ids == ids
+        assert survivors == ids
         assert np.array_equal(meds, ref_meds)
-        assert book.med == ref_meds[-1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_float_matrices(self, seed):
@@ -654,12 +673,12 @@ class TestRanks:
         n = len(dist)
         rank, values = _ranked(dist.ravel(), np.arange(n * n).reshape(n, n))
         assert np.array_equal(values[rank].view(np.uint64), dist.view(np.uint64))
-        book, meds = greedy_prune(rank, target, values)
-        ref_book, ref_meds = greedy_prune(dist, target)
-        assert book.member_ids == ref_book.member_ids
-        assert np.array_equal(meds.view(np.uint64), ref_meds.view(np.uint64))
-        assert book.med == ref_book.med
-        for members in (range(n), book.member_ids, range(0, n, 3)):
+        survivors, steps = greedy_prune(rank.copy(), target)
+        ref_survivors, ref_meds = greedy_prune(dist.copy(), target)
+        assert survivors == ref_survivors
+        assert steps.dtype == rank.dtype
+        assert np.array_equal(values[steps].view(np.uint64), ref_meds.view(np.uint64))
+        for members in (range(n), survivors, range(0, n, 3)):
             assert med_of_submatrix(rank, members, values) == med_of_submatrix(dist, members)
         return rank
 
@@ -699,9 +718,9 @@ class TestRanks:
             rank, values = patterns.ranks(alpha)
             dist = patterns.distances(alpha)[:, 0][patterns.index]
             assert np.array_equal(values[rank], dist)
-            book, meds = greedy_prune(rank, 1 << design_large_table.derived.B, values)
-            ref_book, ref_meds = greedy_prune(dist, 1 << design_large_table.derived.B)
-            assert book == ref_book and np.array_equal(meds, ref_meds)
+            survivors, steps = greedy_prune(rank, 1 << design_large_table.derived.B)
+            ref_survivors, ref_meds = greedy_prune(dist, 1 << design_large_table.derived.B)
+            assert survivors == ref_survivors and np.array_equal(values[steps], ref_meds)
 
     @pytest.mark.parametrize("block", [7, 2048])
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
@@ -735,7 +754,8 @@ def _assert_bit_label(bits, rank, b):
 class TestExportCodebookCsv:
     def test_rows_and_labels(self, small_table, small_derived, tmp_path):
         dist = distance_matrix(codeword_matrices(small_table))
-        book, _ = greedy_prune(dist, 1 << small_derived.B)
+        survivors, meds = greedy_prune(dist, 1 << small_derived.B)
+        book = Codebook(survivors, float(meds[-1]), "pruned")
         path = tmp_path / "codebook.csv"
         export_codebook_csv(book, small_table, str(path))
         lines = path.read_text().strip().split("\n")

@@ -260,9 +260,9 @@ class TestCandidateScoring:
         # by pair patterns and through a channel by pair classes
         n_valid = 1 << default_table.derived.B
         patterns = pair_patterns(default_table.carriers, default_params.M, default_table.derived.L_T)
-        rank, values = patterns.ranks(np.ones(default_params.L_R))
-        pruned, _ = greedy_prune(rank, n_valid, values)
-        sets = [np.arange(n_valid), np.asarray(pruned.member_ids), np.arange(len(default_table))]
+        rank, _ = patterns.ranks(np.ones(default_params.L_R))
+        survivors, _ = greedy_prune(rank, n_valid)
+        sets = [np.arange(n_valid), np.asarray(survivors), np.arange(len(default_table))]
         assert not np.array_equal(sets[0], sets[1])
         pool = generate_tps(
             default_params.D, default_params.L_R, substream(default_params.master_seed, TAG_TPS)
@@ -618,10 +618,11 @@ class TestShortlist:
         # pruned under the selected factor's class distances, whose MED
         # the matrices confirm
         rank, values = pair_classes(table.carriers, table.waveforms).ranks(h * table.coefficients(tps.alpha))
-        pruned, _ = greedy_prune(rank, 1 << table.derived.B, values)
-        assert (before.codebook.member_ids, before.codebook.med) == (pruned.member_ids, pruned.med)
+        survivors, steps = greedy_prune(rank, 1 << table.derived.B)
+        med = float(values[steps[-1]])
+        assert (before.codebook.member_ids, before.codebook.med) == (survivors, med)
         dist = distance_matrix(mats * tps.alpha[:, None], channel=h)
-        assert pruned.med == pytest.approx(med_of_submatrix(dist, pruned.member_ids)[0], rel=1e-12)
+        assert med == pytest.approx(med_of_submatrix(dist, survivors)[0], rel=1e-12)
         # the class scores sit within 1e-12 of the exact ones, relative to a
         # set's best
         classes = pair_classes(table.carriers, table.waveforms)
@@ -784,9 +785,9 @@ class TestRecipes:
             d_index, _ = select(pool, np.arange(len(small_table)))
             assert build.tps.d_index == d_index
             dist = matrix(pool[d_index])
-            pruned, _ = greedy_prune(dist, n_valid)
-            assert build.codebook.member_ids == pruned.member_ids
-            assert build.codebook.med == med_of_submatrix(dist, pruned.member_ids)[0]
+            survivors, _ = greedy_prune(dist.copy(), n_valid)
+            assert build.codebook.member_ids == survivors
+            assert build.codebook.med == med_of_submatrix(dist, survivors)[0]
         else:
             assert build.tps is None
             assert build.codebook.med == med_of_submatrix(matrix(pool[0]), ids)[0]
