@@ -9,7 +9,7 @@ rates of ML detection over Rayleigh fading.
 
 __version__ = "0.1.0"
 
-from .codebook import Codebook, greedy_prune
+from .codebook import greedy_prune
 from .crps import Scheme, SchemeBuild, TpsFactor, build_scheme, build_schemes, generate_tps
 from .enumeration import CodewordTable, build_table
 from .params import DerivedParams, SystemParams, derive
@@ -17,7 +17,6 @@ from .sim import BerRecord, GainReport, measure_gain, run_ber
 
 __all__ = [
     "BerRecord",
-    "Codebook",
     "CodewordTable",
     "DerivedParams",
     "GainReport",

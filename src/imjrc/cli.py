@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .channel import TAG_DESIGN_CHANNEL, draw_channel, substream
-from .codebook import export_codebook_csv
 from .crps import Scheme, SchemeBuild, TpsFactor, build_schemes
 from .enumeration import CodewordTable, build_table, export_table_csv
 from .params import DerivedParams, SystemParams, derive
@@ -229,6 +228,22 @@ def _design_inputs(config: RunConfig) -> tuple[CodewordTable, np.ndarray | None]
     return table, design_channel
 
 
+def find_shared_codebooks(builds: Iterable[SchemeBuild]) -> dict[str, str]:
+    """Each scheme whose codebook is bit-equal to an earlier one's, mapped to the first such.
+
+    Every scheme scores one candidate pool, so (member ids, factor index)
+    fixes the transmitted matrices (no factor is index 0, the identity).
+    """
+    first_of: dict[tuple, str] = {}
+    shared = {}
+    for build in builds:
+        key = (build.member_ids, build.tps.d_index if build.tps else 0)
+        twin = first_of.setdefault(key, build.scheme.value)
+        if twin != build.scheme.value:
+            shared[build.scheme.value] = twin
+    return shared
+
+
 def execute_run(config: RunConfig) -> RunResult:
     """Build every scheme in the config and measure its BER curve.
 
@@ -238,20 +253,11 @@ def execute_run(config: RunConfig) -> RunResult:
     t0 = time.perf_counter()
     table, design_channel = _design_inputs(config)
     buffer_floats(table, config.effective_pulses())  # refused before any design, at one codebook
-    builds: dict[str, SchemeBuild] = {}
-    shared_codebooks: dict[str, str] = {}
-    # every scheme scores one candidate pool, so (member ids, factor index)
-    # fixes the transmitted matrices (no factor is index 0, the identity);
+    designed = build_schemes(config.schemes, table, design_channel=design_channel)
+    builds = {build.scheme.value: build for build in designed}
+    shared_codebooks = find_shared_codebooks(designed)
     # common random numbers make a twin's curve identical, so it is copied
-    first_of: dict[tuple, str] = {}
-    for build in build_schemes(config.schemes, table, design_channel=design_channel):
-        scheme = build.scheme
-        builds[scheme.value] = build
-        key = (build.codebook.member_ids, build.tps.d_index if build.tps else 0)
-        twin = first_of.setdefault(key, scheme.value)
-        if twin != scheme.value:
-            shared_codebooks[scheme.value] = twin
-    distinct = [builds[name] for name in first_of.values()]
+    distinct = [build for build in designed if build.scheme.value not in shared_codebooks]
     t1 = time.perf_counter()
     grid = config.snr_grid()
     stage_timings: dict[str, float] = {}
@@ -391,10 +397,10 @@ def emit_results(result: RunResult, out_dir: str) -> dict[str, str]:
     schemes_meta = {}
     for name, build in result.builds.items():
         schemes_meta[name] = {
-            "provenance": build.codebook.provenance,
-            "med": build.codebook.med,
-            "members": len(build.codebook.member_ids),
-            "member_ids": list(build.codebook.member_ids),
+            "provenance": build.provenance,
+            "med": build.med,
+            "members": len(build.member_ids),
+            "member_ids": list(build.member_ids),
             "tps": None if build.tps is None else _tps_json(build.tps),
         }
     meta = {
@@ -440,7 +446,10 @@ def reference_gain_lines(gains: Sequence[GainReport]) -> list[str]:
 _DIVERGENCE_PREAMBLE = """SNR gain divergence report
 ==========================
 Measured SNR gains fell outside the reference windows this artifact aims
-to reproduce.  Known sources of divergence:
+to reproduce.
+
+{found}
+Known sources of divergence:
 
 - The reference results are reported on an SNR axis whose absolute
   normalization is not recoverable from the system model alone; this
@@ -457,10 +466,19 @@ Out-of-window measurements:
 """
 
 
-def write_divergence_report(lines: Sequence[str], out_dir: str) -> str:
+def write_divergence_report(
+    lines: Sequence[str], shared_codebooks: dict[str, str], out_dir: str
+) -> str:
+    """divergence_report.txt: the run's bit-identical codebooks, known sources, then ``lines``."""
+    found = "Every scheme of this run sent its own codebook.\n"
+    if shared_codebooks:
+        found = (
+            "These schemes sent the codebook of an earlier scheme bit for bit, so\n"
+            'their curves coincide (see README, "Known divergences"):\n\n'
+        ) + "".join(f"- {scheme} = {twin}\n" for scheme, twin in shared_codebooks.items())
     path = os.path.join(out_dir, "divergence_report.txt")
     with open(path, "w") as fh:
-        fh.write(_DIVERGENCE_PREAMBLE)
+        fh.write(_DIVERGENCE_PREAMBLE.format(found=found))
         for line in lines:
             fh.write(f"- {line}\n")
     return path
@@ -551,6 +569,19 @@ def _check_out(out: str) -> None:
         raise ValueError(f"--out {out}: {path} is not a directory")
 
 
+def export_codebook_csv(build: SchemeBuild, path: str) -> None:
+    """One row per member: rank, bit label, indices, subset, allocation, provenance, MED."""
+    table = build.table
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["rank", "bits", "global_index", "freq_subset", "allocation", "provenance", "med"]
+        )
+        for rank, g in enumerate(build.member_ids):
+            bits = format(rank, f"0{table.derived.B}b")  # natural binary, MSB first
+            writer.writerow([rank, bits, g, *table.text_of(g), build.provenance, repr(build.med)])
+
+
 def _cmd_design(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     _check_out(config.out)
@@ -560,19 +591,14 @@ def _cmd_design(args: argparse.Namespace) -> int:
     export_table_csv(table, os.path.join(config.out, "table.csv"))
     for build in builds:
         scheme = build.scheme
-        export_codebook_csv(
-            build.codebook, table, os.path.join(config.out, f"codebook_{scheme.value}.csv")
-        )
+        export_codebook_csv(build, os.path.join(config.out, f"codebook_{scheme.value}.csv"))
         if build.tps is not None:
             tps_path = os.path.join(config.out, f"tps_{scheme.value}.json")
             with open(tps_path, "w") as fh:
                 json.dump(_tps_json(build.tps), fh, indent=2)
                 fh.write("\n")
         tps_note = f", tps candidate {build.tps.d_index}" if build.tps else ""
-        print(
-            f"{scheme.value}: {len(build.codebook.member_ids)} members, "
-            f"med {build.codebook.med:.6g}{tps_note}"
-        )
+        print(f"{scheme.value}: {len(build.member_ids)} members, med {build.med:.6g}{tps_note}")
     print(f"design artifacts written to {config.out}")
     return 0
 
@@ -594,7 +620,8 @@ def _cmd_ber(args: argparse.Namespace) -> int:
     if config.full:
         lines = reference_gain_lines(result.gains)
         if lines:
-            paths["divergence"] = write_divergence_report(lines, config.out)
+            shared = result.shared_codebooks
+            paths["divergence"] = write_divergence_report(lines, shared, config.out)
             print("measured gains diverge from the reference windows:")
             for line in lines:
                 print(f"  {line}")
@@ -664,7 +691,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,28 +13,12 @@ easier to separate from the rest, until only the target count survives.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .enumeration import CodewordTable
-
-
-@dataclass(frozen=True)
-class Codebook:
-    """An ordered member set with its MED under the design-time metric.
-
-    ``provenance`` names how it was produced: a recipe label of :mod:`imjrc.crps`.
-    """
-
-    member_ids: tuple[int, ...]
-    med: float
-    provenance: str
-
 
 _CLASS_BLOCK = 2048
 """Classes whose distances are held at once: under every factor while the
@@ -477,15 +461,3 @@ def greedy_prune(work: np.ndarray, target: int) -> tuple[tuple[int, ...], np.nda
 
     return tuple(int(g) for g in np.flatnonzero(alive)), meds
 
-
-def export_codebook_csv(book: Codebook, table: CodewordTable, path: str) -> None:
-    """Write one row per member: rank, bit label, indices, subset, allocation."""
-    b = table.derived.B
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rank", "bits", "global_index", "freq_subset", "allocation", "provenance", "med"]
-        )
-        for rank, g in enumerate(book.member_ids):
-            bits = format(rank, f"0{b}b")  # natural binary, MSB first
-            writer.writerow([rank, bits, g, *table.text_of(g), book.provenance, repr(book.med)])

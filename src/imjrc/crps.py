@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channel import TAG_TPS, substream
-from .codebook import _CLASS_BLOCK, Codebook, greedy_prune, pair_classes, pair_patterns
+from .codebook import _CLASS_BLOCK, greedy_prune, pair_classes, pair_patterns
 from .enumeration import CodewordTable, check_budget
 from .params import SystemParams
 
@@ -52,16 +52,22 @@ class Scheme(str, enum.Enum):
 
 @dataclass
 class SchemeBuild:
-    """What one scheme's design chose: a member set of ``table`` and a factor."""
+    """One scheme's design: its members of ``table`` in bit-label order, their MED, its factor."""
 
     scheme: Scheme
     table: CodewordTable = field(repr=False)
-    codebook: Codebook
+    member_ids: tuple[int, ...]
+    med: float
     tps: TpsFactor | None
 
     @property
     def alpha(self) -> np.ndarray | None:
         return _alpha(self.tps)
+
+    @property
+    def provenance(self) -> str:
+        """The recipe label ``codebook_*.csv`` and ``meta.json`` record."""
+        return _RECIPES[self.scheme].provenance
 
 
 def _alpha(tps: TpsFactor | None) -> np.ndarray | None:
@@ -99,8 +105,8 @@ class _Recipe(NamedTuple):
 
     ``crps`` is None (no pre-scaling), "before" (factor selected over the
     full table, then pruning under the scaled distances) or "after" (factor
-    selected over the final member set).  ``provenance`` is the label the
-    codebook records in ``codebook_*.csv`` and ``meta.json``.
+    selected over the final member set).  ``provenance`` is the scheme's
+    label in ``codebook_*.csv`` and ``meta.json``, written only here.
     """
 
     prune: bool
@@ -167,7 +173,7 @@ def build_schemes(
     of pairs score every candidate and give the ranks greedy pruning reads.
     All schemes score one candidate pool, drawn from a substream of the
     master seed, and each member set picks its best candidate from those
-    scores.  A codebook's MED is the one its last design stage measured.
+    scores.  A build's MED is the one its last design stage measured.
     The pass works on all C_total codewords if any scheme prunes or selects
     a factor over the full table, else on the 2^B members; its budget
     (:func:`design_bytes`) is checked before any work.
@@ -231,19 +237,17 @@ def build_schemes(
 
     builds = []
     for scheme, recipe in zip(schemes, recipes):
-        tps, member_ids, book_med = None, baseline_ids, baseline_med
+        tps, member_ids, med = None, baseline_ids, baseline_med
         if recipe.crps == "before":
             tps, _ = _best(candidates, scored[every_id])
         if recipe.prune:
             index = tps.d_index if tps else 0
             if index not in pruned:
                 pruned[index] = prune(*pairs.ranks(factor(_alpha(tps))))
-            member_ids, book_med = pruned[index]
+            member_ids, med = pruned[index]
         if recipe.crps == "after":
-            tps, book_med = _best(candidates, scored[member_ids])
-        builds.append(
-            SchemeBuild(scheme, table, Codebook(member_ids, book_med, recipe.provenance), tps)
-        )
+            tps, med = _best(candidates, scored[member_ids])
+        builds.append(SchemeBuild(scheme, table, member_ids, med, tps))
     return builds
 
 

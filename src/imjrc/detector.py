@@ -36,7 +36,7 @@ import numpy as np
 
 
 class GramCache(NamedTuple):
-    """Codebook-dependent precomputation shared by every pulse.
+    """Per-codebook precomputation shared by every pulse.
 
     The two maps are stored in the real form :func:`_real_rows` gives, so
     the real part of a complex product is one real matmul.

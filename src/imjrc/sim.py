@@ -129,7 +129,7 @@ def run_ber(
     width, n = min(CHUNK, n_pulses), 1 << derived.B
     waveforms, carriers = table.waveforms, table.carriers
     caches = [
-        gram_cache(table.coefficients(b.alpha), carriers[list(b.codebook.member_ids)], waveforms)
+        gram_cache(table.coefficients(b.alpha), carriers[list(b.member_ids)], waveforms)
         for b in builds
     ]
 

@@ -104,7 +104,7 @@ def codeword_matrices(
 
 def member_matrices(build: SchemeBuild) -> np.ndarray:
     """Each rank's codeword of a build, as sent under its factor."""
-    return codeword_matrices(build.table, build.codebook.member_ids, build.alpha)
+    return codeword_matrices(build.table, build.member_ids, build.alpha)
 
 
 def receive(

@@ -21,6 +21,7 @@ from imjrc.cli import (
     emit_results,
     estimate_complexity,
     execute_run,
+    find_shared_codebooks,
     reference_gain_lines,
     write_divergence_report,
 )
@@ -166,7 +167,8 @@ def test_3_reference_gains(iv_builds, iv_curves, tmp_path_factory):
         # out-of-window gains are acceptable only with a divergence report
         # that names the known ambiguities
         lines = reference_gain_lines(gains)
-        path = write_divergence_report(lines, str(tmp_path_factory.mktemp("divergence")))
+        shared = find_shared_codebooks(iv_builds.values())
+        path = write_divergence_report(lines, shared, str(tmp_path_factory.mktemp("divergence")))
         text = open(path).read()
         cited = (
             "normalization" in text
@@ -272,7 +274,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
     first_set = codeword_matrices(default_table, range(1 << default_derived.B))
     members = range(first_set.shape[0])
     crps_only = build_scheme(Scheme.CRPS_ONLY, default_table)
-    tps, best = crps_only.tps, crps_only.codebook.med
+    tps, best = crps_only.tps, crps_only.med
     identity_med, _ = med_of_submatrix(distance_matrix(first_set), members)
     if best < identity_med * (1.0 - 1e-12):
         failures.append(f"(c) selected med {best:.6g} below identity med {identity_med:.6g}")
@@ -310,7 +312,7 @@ def test_5_property_suite(default_params, default_derived, default_table, iv_bui
         n_rng = substream(default_params.master_seed, 902, trial)
         noise[trial] = (n_rng.standard_normal((4, 71)) + 1j * n_rng.standard_normal((4, 71))) / np.sqrt(2)
     ranks = np.array([trial % mats.shape[0] for trial in trials])
-    carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
+    carriers = default_table.carriers[np.asarray(build.member_ids)]
     cache = gram_cache(default_table.coefficients(build.alpha), carriers, default_table.waveforms)
     # the chunk's terms, then the codebook's, then each noise level's metric,
     # in buffers the caller owns

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -27,6 +28,7 @@ from imjrc.cli import (
     emit_results,
     estimate_complexity,
     execute_run,
+    export_codebook_csv,
     load_config,
     main,
     read_ber_csv,
@@ -34,7 +36,8 @@ from imjrc.cli import (
     runconfig_from_meta,
     write_divergence_report,
 )
-from imjrc.crps import Scheme
+from imjrc.crps import Scheme, SchemeBuild
+from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
 from imjrc.sim import BerRecord, GainReport, run_ber
 from oracles import member_matrices
@@ -567,6 +570,59 @@ class TestRunTelemetry:
         assert list(meta)[-2:] == ["environment", "timings"]
 
 
+def _assert_bit_label(bits, rank, b):
+    """``bits`` is the B-bit natural-binary label of ``rank``, most significant bit first."""
+    assert len(bits) == b and set(bits) <= {"0", "1"}
+    assert sum(int(bit) << (b - 1 - j) for j, bit in enumerate(bits)) == rank
+
+
+class TestExportCodebookCsv:
+    def test_rows_and_labels(self, default_run_counted, tmp_path):
+        # every scheme of the default run; the label its rows record is its
+        # build's provenance and the one meta.json records
+        result, _, meta = default_run_counted
+        for name, build in result.builds.items():
+            params, b = build.table.params, build.table.derived.B
+            path = tmp_path / f"codebook_{name}.csv"
+            export_codebook_csv(build, str(path))
+            lines = path.read_text().strip().split("\n")
+            header, rows = lines[0], [line.split(",") for line in lines[1:]]
+            assert header.split(",")[0:3] == ["rank", "bits", "global_index"]
+            assert len(rows) == 1 << b
+            for rank, cols in enumerate(rows):
+                assert int(cols[0]) == rank
+                _assert_bit_label(cols[1], rank, b)
+                assert int(cols[2]) == build.member_ids[rank]
+                subset = [int(v) for v in cols[3].split("-")]
+                allocation = [int(v) for v in cols[4].split("-")]
+                assert subset == sorted(subset) and len(subset) == params.K
+                assert sorted(allocation) == sorted(list(range(params.K)) * (params.L_R // params.K))
+                assert cols[6] == repr(build.med)
+            provenance = meta["schemes"][name]["provenance"]
+            assert {cols[5] for cols in rows} == {build.provenance} == {provenance}
+
+    def test_baseline_export_uses_first_ranks(self, small_table, tmp_path):
+        build = SchemeBuild(Scheme.BASELINE, small_table, tuple(range(16)), 1.0, None)
+        path = tmp_path / "baseline.csv"
+        export_codebook_csv(build, str(path))
+        rows = path.read_text().strip().split("\n")[1:]
+        assert [int(r.split(",")[2]) for r in rows] == list(range(16))
+
+    # label widths of 1, 8 and 10 bits; test_rows_and_labels covers 8
+    @pytest.mark.parametrize("scenario", [{"M": 2, "K": 1, "L_R": 2}, {}, {"M": 8, "L_R": 8}])
+    def test_every_row_carries_its_rank_label(self, scenario, tmp_path):
+        params = SystemParams(**scenario)
+        table = build_table(params, derive(params))
+        b = table.derived.B
+        build = SchemeBuild(Scheme.BASELINE, table, tuple(range(1 << b)), 1.0, None)
+        path = tmp_path / "baseline.csv"
+        export_codebook_csv(build, str(path))
+        rows = path.read_text().strip().split("\n")[1:]
+        assert len(rows) == 1 << b
+        for rank, row in enumerate(rows):
+            _assert_bit_label(row.split(",")[1], rank, b)
+
+
 class TestDivergenceReport:
     def _gain(self, scheme, gain_db, target=1e-3):
         return GainReport(
@@ -595,12 +651,19 @@ class TestDivergenceReport:
 
     def test_report_cites_known_ambiguities(self, tmp_path):
         lines = ["crps_only vs baseline at BER 0.001: measured 0.00 dB, reference 2.5 +/- 1.0 dB"]
-        path = write_divergence_report(lines, str(tmp_path))
-        text = open(path).read()
-        assert "normalization" in text
-        assert "first-2^B member set" in text
-        assert "random pool" in text or "one random pool" in text
-        assert lines[0] in text
+        # what the run found comes first: each scheme that sent an earlier
+        # scheme's codebook, or that none did
+        for shared in ({"crps_only": "baseline", "crps_then_codebook": "codebook_only"}, {}):
+            path = write_divergence_report(lines, shared, str(tmp_path))
+            text = open(path).read()
+            found = text.split("Known sources of divergence:")[0]
+            assert re.findall(r"^- (\w+) = (\w+)$", found, flags=re.M) == list(shared.items())
+            assert ('(see README, "Known divergences")' in found) == bool(shared)
+            assert ("Every scheme of this run sent its own codebook." in found) != bool(shared)
+            assert "normalization" in text
+            assert "first-2^B member set" in text
+            assert "random pool" in text or "one random pool" in text
+            assert lines[0] in text
 
 
 class TestMainCommands:
@@ -679,6 +742,22 @@ class TestMainCommands:
         # one scheme has no earlier codebook to share
         with open(out_dir / "meta.json") as fh:
             assert json.load(fh)["shared_codebooks"] == {}
+
+    @pytest.mark.parametrize("verb", ["design", "ber"])
+    def test_write_failure_exits_2(self, verb, tmp_path, capsys):
+        # a name longer than the file system takes passes the --out check,
+        # then the first write fails: one error line, not a traceback; ber
+        # has printed every result by then
+        out = tmp_path / ("x" * 300)
+        flags = ["--scheme", "baseline", "--snr=-10:-8:2", "--pulses", "16"] if verb == "ber" else []
+        assert main([verb, *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        reason = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert captured.err == f"error: {reason}: {str(out)!r}\n"
+        if verb == "ber":
+            printed = [line.split(":")[0] for line in captured.out.splitlines()]
+            assert printed == ["baseline snr -10.0 dB", "baseline snr -8.0 dB"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_gain_command(self, tmp_path, capsys):
         csv = tmp_path / "ber.csv"

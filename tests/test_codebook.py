@@ -11,15 +11,7 @@ import pytest
 
 from imjrc import codebook
 from imjrc.channel import TAG_DESIGN_CHANNEL, draw_channel, substream
-from imjrc.codebook import (
-    Codebook,
-    _map_features,
-    _ranked,
-    export_codebook_csv,
-    greedy_prune,
-    pair_classes,
-    pair_patterns,
-)
+from imjrc.codebook import _map_features, _ranked, greedy_prune, pair_classes, pair_patterns
 from imjrc.crps import generate_tps
 from imjrc.enumeration import build_table
 from imjrc.params import SystemParams, derive
@@ -744,52 +736,3 @@ class TestRanks:
             np.testing.assert_allclose(dist, product, rtol=1e-12, atol=0)
             self._assert_same(dist, 1 << table.derived.B)
 
-
-def _assert_bit_label(bits, rank, b):
-    """``bits`` is the B-bit natural-binary label of ``rank``, most significant bit first."""
-    assert len(bits) == b and set(bits) <= {"0", "1"}
-    assert sum(int(bit) << (b - 1 - j) for j, bit in enumerate(bits)) == rank
-
-
-class TestExportCodebookCsv:
-    def test_rows_and_labels(self, small_table, small_derived, tmp_path):
-        dist = distance_matrix(codeword_matrices(small_table))
-        survivors, meds = greedy_prune(dist, 1 << small_derived.B)
-        book = Codebook(survivors, float(meds[-1]), "pruned")
-        path = tmp_path / "codebook.csv"
-        export_codebook_csv(book, small_table, str(path))
-        lines = path.read_text().strip().split("\n")
-        header, rows = lines[0], lines[1:]
-        assert header.split(",")[0:3] == ["rank", "bits", "global_index"]
-        assert len(rows) == 16
-        for rank, row in enumerate(rows):
-            cols = row.split(",")
-            assert int(cols[0]) == rank
-            _assert_bit_label(cols[1], rank, small_derived.B)
-            assert int(cols[2]) == book.member_ids[rank]
-            subset = [int(v) for v in cols[3].split("-")]
-            allocation = [int(v) for v in cols[4].split("-")]
-            assert subset == sorted(subset) and len(subset) == 2
-            assert len(allocation) == 4
-            assert sorted(allocation) == [0, 0, 1, 1]
-
-    def test_baseline_export_uses_first_ranks(self, small_table, tmp_path):
-        book = Codebook(tuple(range(16)), 1.0, "baseline")
-        path = tmp_path / "baseline.csv"
-        export_codebook_csv(book, small_table, str(path))
-        rows = path.read_text().strip().split("\n")[1:]
-        assert [int(r.split(",")[2]) for r in rows] == list(range(16))
-
-    # label widths of 1, 8 and 10 bits; test_rows_and_labels covers 4
-    @pytest.mark.parametrize("scenario", [{"M": 2, "K": 1, "L_R": 2}, {}, {"M": 8, "L_R": 8}])
-    def test_every_row_carries_its_rank_label(self, scenario, tmp_path):
-        params = SystemParams(**scenario)
-        table = build_table(params, derive(params))
-        b = table.derived.B
-        book = Codebook(tuple(range(1 << b)), 1.0, "baseline")
-        path = tmp_path / "baseline.csv"
-        export_codebook_csv(book, table, str(path))
-        rows = path.read_text().strip().split("\n")[1:]
-        assert len(rows) == 1 << b
-        for rank, row in enumerate(rows):
-            _assert_bit_label(row.split(",")[1], rank, b)

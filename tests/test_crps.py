@@ -170,9 +170,9 @@ class TestCandidateScoring:
         classes = pair_classes(small_table.carriers, small_table.waveforms)
         builds = build_schemes(list(Scheme), small_table, design_channel=h)
         for build in builds[2:4]:  # crps_only, codebook_then_crps
-            meds = classes.meds(_maps(small_table, h, pool), [build.codebook.member_ids])[0]
-            assert build.codebook.med >= meds[0]
-            assert build.codebook.med == meds.max()
+            meds = classes.meds(_maps(small_table, h, pool), [build.member_ids])[0]
+            assert build.med >= meds[0]
+            assert build.med == meds.max()
             assert np.array_equal(build.tps.alpha, pool[build.tps.d_index])
 
     def test_select_breaks_ties_toward_first(self, small_table, small_params, monkeypatch):
@@ -295,13 +295,13 @@ class TestBuildScheme:
         }
         for scheme, provenance in expected.items():
             build = build_scheme(scheme, small_table)
-            assert build.codebook.provenance == provenance
-            assert len(build.codebook.member_ids) == n_valid
+            assert build.provenance == provenance
+            assert len(build.member_ids) == n_valid
 
     def test_baseline_uses_first_ranks_unscaled(self, small_table, small_derived):
         build = build_scheme(Scheme.BASELINE, small_table)
         n_valid = 1 << small_derived.B
-        assert build.codebook.member_ids == tuple(range(n_valid))
+        assert build.member_ids == tuple(range(n_valid))
         assert build.tps is None
 
     @pytest.mark.parametrize("aware", [False, True], ids=["no_channel", "design_channel"])
@@ -321,7 +321,7 @@ class TestBuildScheme:
         expect, _ = med_of_submatrix(ranks, range(n_valid), values)
         for schemes in ([Scheme.BASELINE], list(Scheme)):
             (baseline, *_) = build_schemes(schemes, table, design_channel=h)
-            assert repr(baseline.codebook.med) == repr(expect)
+            assert repr(baseline.med) == repr(expect)
 
     def test_identity_selection_leaves_matrices_untouched(self, small_table):
         # without a design channel the identity wins (README "Known divergences")
@@ -339,7 +339,7 @@ class TestBuildScheme:
     def test_deterministic_rebuild(self, small_table):
         a = build_scheme(Scheme.CRPS_THEN_CODEBOOK, small_table)
         b = build_scheme(Scheme.CRPS_THEN_CODEBOOK, small_table)
-        assert a.codebook == b.codebook
+        assert (a.member_ids, a.med) == (b.member_ids, b.med)
         assert a.tps.d_index == b.tps.d_index
         assert np.array_equal(a.tps.alpha, b.tps.alpha)
 
@@ -356,9 +356,9 @@ class TestBuildScheme:
 
         # each CRPS build sends its twin's members unscaled
         assert crps_only.tps.d_index == 0
-        assert crps_only.codebook.member_ids == baseline.codebook.member_ids
-        assert cb_then.codebook.member_ids == pruned.codebook.member_ids
-        assert crps_then.codebook.member_ids == pruned.codebook.member_ids
+        assert crps_only.member_ids == baseline.member_ids
+        assert cb_then.member_ids == pruned.member_ids
+        assert crps_then.member_ids == pruned.member_ids
         assert crps_only.alpha is cb_then.alpha is crps_then.alpha is None
 
     def test_design_channel_changes_design_only(self, small_table, small_params):
@@ -369,10 +369,10 @@ class TestBuildScheme:
         # the channel reshuffles which pairs are closest, so the MED value
         # lives on a different scale; membership may or may not change, but
         # the build must stay well formed
-        assert len(aware.codebook.member_ids) == len(plain.codebook.member_ids)
+        assert len(aware.member_ids) == len(plain.member_ids)
         dist = distance_matrix(codeword_matrices(small_table), channel=h)
-        expect, _ = med_of_submatrix(dist, aware.codebook.member_ids)
-        assert aware.codebook.med == pytest.approx(expect, rel=1e-12)
+        expect, _ = med_of_submatrix(dist, aware.member_ids)
+        assert aware.med == pytest.approx(expect, rel=1e-12)
 
     def test_rejects_informationless_scenario(self):
         params = SystemParams(M=1, K=1, L_R=2, delta_f=4e6)
@@ -414,9 +414,9 @@ def _fingerprint(build):
     tps = build.tps
     return (
         build.scheme,
-        build.codebook.member_ids,
-        repr(build.codebook.med),
-        build.codebook.provenance,
+        build.member_ids,
+        repr(build.med),
+        build.provenance,
         None if tps is None else (tps.d_index, tps.alpha.tobytes()),
     )
 
@@ -555,8 +555,8 @@ class TestBuildSchemes:
         n_valid = 1 << default_table.derived.B
         for build in builds:
             expect, _ = med_of_submatrix(distance_matrix(member_matrices(build)), range(n_valid))
-            assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
-        assert builds[0].codebook.med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
+            assert build.med == pytest.approx(expect, rel=0.0, abs=1e-9)
+        assert builds[0].med == 140 / 3  # 2 rows x 2 (L_T - 1) / L_R
 
     def test_design_without_a_channel_holds_no_float_square(self, design_large_table):
         # pair codes, pattern index, ranks and the pruning copy are small
@@ -605,13 +605,13 @@ class TestShortlist:
         # the reference scores every candidate on the codeword matrices
         mats = codeword_matrices(table)
         pool = generate_tps(params.D, params.L_R, substream(seed, TAG_TPS))
-        sets = list(dict.fromkeys(b.codebook.member_ids for b in builds[2:4])) + [tuple(range(n))]
+        sets = list(dict.fromkeys(b.member_ids for b in builds[2:4])) + [tuple(range(n))]
         exact = candidate_meds(pool, mats, sets, channel=h)
         picked = {ids: crps._best(pool, meds) for ids, meds in zip(sets, exact)}
         for build in builds[2:4]:  # crps_only, codebook_then_crps
-            tps, best = picked[build.codebook.member_ids]
+            tps, best = picked[build.member_ids]
             assert build.tps.d_index == tps.d_index
-            assert build.codebook.med == pytest.approx(best, rel=1e-12)
+            assert build.med == pytest.approx(best, rel=1e-12)
         tps, _ = picked[sets[-1]]
         before = builds[4]  # crps_then_codebook
         assert before.tps.d_index == tps.d_index
@@ -620,7 +620,7 @@ class TestShortlist:
         rank, values = pair_classes(table.carriers, table.waveforms).ranks(h * table.coefficients(tps.alpha))
         survivors, steps = greedy_prune(rank, 1 << table.derived.B)
         med = float(values[steps[-1]])
-        assert (before.codebook.member_ids, before.codebook.med) == (survivors, med)
+        assert (before.member_ids, before.med) == (survivors, med)
         dist = distance_matrix(mats * tps.alpha[:, None], channel=h)
         assert med == pytest.approx(med_of_submatrix(dist, survivors)[0], rel=1e-12)
         # the class scores sit within 1e-12 of the exact ones, relative to a
@@ -646,14 +646,14 @@ class TestShortlist:
         alone = [build_scheme(scheme, table, design_channel=h) for scheme in Scheme]
         for builds in (together, alone):
             scaled = [b for b in builds if b.tps is not None]
-            sets = [every if b.scheme is Scheme.CRPS_THEN_CODEBOOK else b.codebook.member_ids for b in scaled]
+            sets = [every if b.scheme is Scheme.CRPS_THEN_CODEBOOK else b.member_ids for b in scaled]
             union = dict(zip(sets, classes.meds(maps, list(dict.fromkeys(sets)))))
             assert len(scaled) == 3
             for build, ids in zip(scaled, sets):
                 tps, best = crps._best(pool, union[ids])
                 assert build.tps.d_index == tps.d_index
                 if build.scheme is not Scheme.CRPS_THEN_CODEBOOK:
-                    assert repr(build.codebook.med) == repr(best)
+                    assert repr(build.med) == repr(best)
 
     @pytest.mark.parametrize("table_name", ["small_table", "default_table"])
     def test_ties_go_to_the_smallest_index(self, table_name, request, monkeypatch):
@@ -773,28 +773,28 @@ class TestRecipes:
         build = build_scheme(scheme, small_table, design_channel=h)
         # a build holds what its design chose, and no matrix
         assert not any(isinstance(getattr(build, f.name), np.ndarray) for f in dataclasses.fields(build))
-        ids = np.asarray(build.codebook.member_ids)
+        ids = np.asarray(build.member_ids)
         pool = generate_tps(small_params.D, small_params.L_R, substream(small_params.master_seed, TAG_TPS))
         matrix, select = _stages(small_table, h)
 
         if scheme in self.SAME_MEMBERS:
             twin = build_scheme(self.SAME_MEMBERS[scheme], small_table, design_channel=h)
-            assert build.codebook.member_ids == twin.codebook.member_ids
-            assert (build.tps.d_index, build.codebook.med) == select(pool, ids)
+            assert build.member_ids == twin.member_ids
+            assert (build.tps.d_index, build.med) == select(pool, ids)
         elif scheme is Scheme.CRPS_THEN_CODEBOOK:
             d_index, _ = select(pool, np.arange(len(small_table)))
             assert build.tps.d_index == d_index
             dist = matrix(pool[d_index])
             survivors, _ = greedy_prune(dist.copy(), n_valid)
-            assert build.codebook.member_ids == survivors
-            assert build.codebook.med == med_of_submatrix(dist, survivors)[0]
+            assert build.member_ids == survivors
+            assert build.med == med_of_submatrix(dist, survivors)[0]
         else:
             assert build.tps is None
-            assert build.codebook.med == med_of_submatrix(matrix(pool[0]), ids)[0]
+            assert build.med == med_of_submatrix(matrix(pool[0]), ids)[0]
         # whichever path designed it, the MED is the one the matrices it sends have
         dist = distance_matrix(member_matrices(build), channel=h)
         expect, _ = med_of_submatrix(dist, range(n_valid))
-        assert build.codebook.med == pytest.approx(expect, rel=0.0, abs=1e-9)
+        assert build.med == pytest.approx(expect, rel=0.0, abs=1e-9)
 
         if build.tps is None or build.tps.d_index == 0:
             assert build.alpha is None

@@ -157,7 +157,7 @@ class TestCarrierDomain:
         mats, coef = member_matrices(build), default_table.coefficients(build.alpha)
         # every waveform's sample 0 is exactly 1: the coefficient is sample 0 of each row
         assert np.array_equal(mats[:, :, 0], np.broadcast_to(coef, mats.shape[:2]))
-        carriers = default_table.carriers[np.asarray(build.codebook.member_ids)]
+        carriers = default_table.carriers[np.asarray(build.member_ids)]
         rebuilt = coef[:, None] * default_table.waveforms[carriers]
         assert np.abs(rebuilt - mats).max() < 1e-12
 
@@ -185,7 +185,7 @@ class TestCarrierDomain:
     def test_terms_match_direct_inner_products(self, default_table, default_builds, kind):
         build = default_builds[kind]
         mats = member_matrices(build)
-        cache = _cache(default_table, build.codebook.member_ids, build.alpha)
+        cache = _cache(default_table, build.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(21, 64, mats.shape[0], p.L_C, p.L_R, d.L_T)
         base, cross = _terms(h, ranks, noise, default_table.waveforms, cache)
@@ -203,7 +203,7 @@ class TestCarrierDomain:
         # sigma = 0 is the math.inf grid point of acceptance check 5(a)
         build = default_builds[kind]
         mats = member_matrices(build)
-        cache = _cache(default_table, build.codebook.member_ids, build.alpha)
+        cache = _cache(default_table, build.member_ids, build.alpha)
         p, d = default_table.params, default_table.derived
         ranks, h, noise = _draw(22, 1024, mats.shape[0], p.L_C, p.L_R, d.L_T)
         base, cross = _terms(h, ranks, noise, default_table.waveforms, cache)

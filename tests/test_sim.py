@@ -49,7 +49,7 @@ def channel_aware_builds(default_params, default_table):
     )
     distinct = {}
     for build in build_schemes(list(Scheme), default_table, design_channel=channel):
-        distinct.setdefault((build.codebook.member_ids, build.tps.d_index if build.tps else 0), build)
+        distinct.setdefault((build.member_ids, build.tps.d_index if build.tps else 0), build)
     assert len(distinct) == 4
     return list(distinct.values())
 
@@ -291,7 +291,7 @@ class TestRunBer:
         params = SystemParams(T_p=t_p, T_r=2 * t_p)
         table = build_table(params, derive(params))
         builds = build_schemes([Scheme.BASELINE, Scheme.CODEBOOK_ONLY], table)
-        assert builds[0].codebook.member_ids != builds[1].codebook.member_ids
+        assert builds[0].member_ids != builds[1].member_ids
         for held in (builds[:1], builds):
             run_ber(held, [0.0], pulses)  # warm imports and caches
             tracemalloc.start()
@@ -374,7 +374,7 @@ class TestRunBer:
         # 64 at 4 x 2 x (13 + 4) = 136 a trial (8,704), W^H and the cast
         # buffer 2 x (3 x 13 + 8,192) = 16,462, and 2,048: 41,742 floats
         pruned = build_scheme(Scheme.CODEBOOK_ONLY, small_table)
-        assert pruned.codebook.member_ids != small_baseline.codebook.member_ids
+        assert pruned.member_ids != small_baseline.member_ids
         drawn = []
 
         def counting_draw_trials(table, start, size):
